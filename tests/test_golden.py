@@ -1,0 +1,84 @@
+"""Golden snapshots: every subcommand on every bundled fixture, byte for byte.
+
+`tests/golden/cli.json` holds the exit code and stdout of each invocation
+below, recorded once.  A refactor that changes any verdict, certificate or
+diagnostic shows up here as a byte difference.  Paths are stored relative
+to the repository root so the file does not depend on where it is checked
+out.
+
+Re-record (only when an output change is intended and reviewed):
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import io
+import json
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from nilgrade.cli import main
+from nilgrade.fixtures import ALL_FIXTURES, FIXTURE_MAPS, HOLONOMY_FIXTURES
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json"
+MAPS_DIR = "src/nilgrade/fixtures/maps"
+
+
+def invocations() -> list[list[str]]:
+    out = []
+    for name in ALL_FIXTURES:
+        out += [
+            ["check", name],
+            ["grade", name],
+            ["grade", name, "--mode", "nonneg"],
+            ["expand", name, "--prime", "2"],
+            ["expand", name, "--prime", "3"],
+            ["cohopf", name],
+        ]
+    for hol in HOLONOMY_FIXTURES:
+        out += [
+            ["expand", "heisenberg3", "--holonomy", hol],
+            ["cohopf", "heisenberg3", "--holonomy", hol],
+        ]
+    for alg, maps in FIXTURE_MAPS.items():
+        for m in maps:
+            path = f"{MAPS_DIR}/{alg}__{m}.json"
+            out += [
+                ["norm", alg, path],
+                ["expand", alg, "--certificate", path],
+                ["cohopf", alg, "--certificate", path],
+            ]
+    return out
+
+
+def run(argv: list[str]) -> dict:
+    """Exit code and stdout, with repo-relative paths resolved."""
+    resolved = [str(ROOT / a) if a.startswith(MAPS_DIR) else a for a in argv]
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(resolved)
+    return {"argv": argv, "exit": code, "stdout": buf.getvalue()}
+
+
+def _recorded() -> dict:
+    with open(GOLDEN) as fh:
+        return {" ".join(r["argv"]): r for r in json.load(fh)}
+
+
+def test_snapshot_covers_every_invocation():
+    assert sorted(_recorded()) == sorted(" ".join(a) for a in invocations())
+
+
+@pytest.mark.parametrize("argv", invocations(), ids=" ".join)
+def test_output_matches_snapshot(argv):
+    want = _recorded()[" ".join(argv)]
+    assert run(argv) == want
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    records = [run(argv) for argv in invocations()]
+    GOLDEN.write_text(json.dumps(records, indent=1) + "\n")
+    print(f"recorded {len(records)} invocations in {GOLDEN.relative_to(ROOT)}")
