@@ -146,6 +146,22 @@ def _validated(algebra: LieAlgebra, compact: bool) -> Verdict | int:
     return v
 
 
+def _weight_search(algebra: LieAlgebra, group: HolonomyGroup, mode: str):
+    """Weights invariant under the holonomy (None if there are none), or
+    the unknown verdict when the holonomy is outside the search class."""
+    try:
+        return equivariant_weight_search(algebra, group, mode)
+    except ValueError:
+        return Verdict(
+            "unknown",
+            condition="search-unsupported",
+            diagnostics=[
+                "equivariant search supports monomial holonomy only;"
+                " provide a certificate (grading or commuting automorphism)"
+            ],
+        )
+
+
 # -- subcommands -------------------------------------------------------------
 
 
@@ -216,23 +232,9 @@ def cmd_expand(args) -> int:
     if args.certificate:
         cert = _load_certificate(args.certificate, algebra)
         return _emit(check_expinfra(algebra, group, cert), args.json)
-    try:
-        if len(group) > 1:
-            w = equivariant_weight_search(algebra, group, "positive")
-        else:
-            w = find_positive_weights(algebra)
-    except ValueError:
-        return _emit(
-            Verdict(
-                "unknown",
-                condition="search-unsupported",
-                diagnostics=[
-                    "equivariant search supports monomial holonomy only;"
-                    " provide a certificate (grading or commuting automorphism)"
-                ],
-            ),
-            args.json,
-        )
+    w = _weight_search(algebra, group, "positive")
+    if isinstance(w, Verdict):
+        return _emit(w, args.json)
     if w is None:
         return _emit(
             Verdict(
@@ -280,23 +282,9 @@ def cmd_cohopf(args) -> int:
         if v.accepted():
             v.diagnostics.insert(0, "not co-Hopfian (witnessed)")
         return _emit(v, args.json)
-    try:
-        if len(group) > 1:
-            w = equivariant_weight_search(algebra, group, "nonneg-nontrivial")
-        else:
-            w = find_nonneg_nontrivial_weights(algebra)
-    except ValueError:
-        return _emit(
-            Verdict(
-                "unknown",
-                condition="search-unsupported",
-                diagnostics=[
-                    "equivariant search supports monomial holonomy only;"
-                    " provide a certificate (grading or commuting automorphism)"
-                ],
-            ),
-            args.json,
-        )
+    w = _weight_search(algebra, group, "nonneg-nontrivial")
+    if isinstance(w, Verdict):
+        return _emit(w, args.json)
     if w is not None:
         g = grading_from_weights(algebra, w)
         phi = phi_p(algebra, g, 2)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import matrices as mx
 from .intutil import is_prime
-from .linineq import feasible, minimal_integer_point
+from .linineq import solve
 from .liealg import LieAlgebra
 from .verdict import Verdict
 
@@ -135,29 +135,12 @@ def weight_solution_space(algebra: LieAlgebra) -> np.ndarray:
 
 def find_positive_weights(algebra: LieAlgebra) -> WeightSystem | None:
     """Weight system with all w_i >= 1, or None; complete for this class."""
-    n = algebra.dim
-    eqs = _constraint_rows(algebra)
-    bound = [_unit_row(n, i) for i in range(n)]
-    if not feasible(eqs, bound, n):
-        return None
-    return minimal_integer_point(eqs, [], lows=[1] * n)
+    return solve(_constraint_rows(algebra), [], [1] * algebra.dim)
 
 
 def find_nonneg_nontrivial_weights(algebra: LieAlgebra) -> WeightSystem | None:
     """Weight system with all w_i >= 0, some w_i >= 1, or None."""
-    n = algebra.dim
-    eqs = _constraint_rows(algebra)
-    nonneg = [_unit_row(n, i, Fraction(0)) for i in range(n)]
-    if not any(feasible(eqs, nonneg + [_unit_row(n, i)], n) for i in range(n)):
-        return None
-    # shell enumeration scans max(w) = t >= 1, so the zero system is excluded
-    return minimal_integer_point(eqs, [], lows=[0] * n)
-
-
-def _unit_row(n: int, i: int, rhs: Fraction = Fraction(1)):
-    coeffs = [Fraction(0)] * n
-    coeffs[i] = Fraction(1)
-    return (tuple(coeffs), rhs)
+    return solve(_constraint_rows(algebra), [], [0] * algebra.dim)
 
 
 def grading_from_weights(algebra: LieAlgebra, weights) -> Grading:

@@ -16,9 +16,9 @@ import numpy as np
 
 from . import matrices as mx
 from . import specmaps
-from .grading import Grading, classify, preserved_by, verify_grading
+from .grading import Grading, _constraint_rows, classify, preserved_by, verify_grading
 from .liealg import LieAlgebra, is_automorphism
-from .linineq import feasible, minimal_integer_point
+from .linineq import solve
 from .serialize import grading_to_dict, matrix_to_lists
 from .verdict import Verdict
 
@@ -255,8 +255,6 @@ def equivariant_weight_search(
     mode is "positive" or "nonneg-nontrivial".  Non-monomial holonomy is
     outside the supported search class; supply a certificate instead.
     """
-    from .grading import _constraint_rows, _unit_row
-
     if mode not in ("positive", "nonneg-nontrivial"):
         raise ValueError(f"unknown mode {mode!r}")
     n = algebra.dim
@@ -271,12 +269,4 @@ def equivariant_weight_search(
                 coeffs[j] += 1
                 coeffs[sigma[j]] -= 1
                 eqs.append((tuple(coeffs), Fraction(0)))
-    if mode == "positive":
-        bound = [_unit_row(n, i) for i in range(n)]
-        if not feasible(eqs, bound, n):
-            return None
-        return minimal_integer_point(eqs, [], lows=[1] * n)
-    nonneg = [_unit_row(n, i, Fraction(0)) for i in range(n)]
-    if not any(feasible(eqs, nonneg + [_unit_row(n, i)], n) for i in range(n)):
-        return None
-    return minimal_integer_point(eqs, [], lows=[0] * n)
+    return solve(eqs, [], [1 if mode == "positive" else 0] * n)

@@ -11,7 +11,7 @@ would not match the proof text.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm
 
 import numpy as np
 
@@ -69,11 +69,8 @@ def power_into_lattice(a: np.ndarray, lattice: IntegerLattice) -> LatticePowerCe
     bound = mx.order_mod(a, m)
     basis = lattice.basis
     pinv = mx.inverse(basis)
-    d1 = d2 = 1
-    for e in pinv.flat:
-        d1 = d1 * e.denominator // int_gcd(d1, e.denominator)
-    for e in basis.flat:
-        d2 = d2 * e.denominator // int_gcd(d2, e.denominator)
+    d1 = lcm(*(e.denominator for e in pinv.flat))
+    d2 = lcm(*(e.denominator for e in basis.flat))
     m0 = d1 * d2  # divides m, so the order bound still applies
     u = np.array([[int(e * d1) for e in row] for row in pinv], dtype=object)
     v = np.array([[int(e * d2) for e in row] for row in basis], dtype=object)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import lcm
 
 import numpy as np
 
@@ -227,9 +227,7 @@ def is_derivation(algebra: LieAlgebra, d: np.ndarray) -> bool:
 
 
 def _int_scaled(d: np.ndarray) -> list[list[int]]:
-    den = 1
-    for e in d.flat:
-        den = den * e.denominator // int_gcd(den, e.denominator)
+    den = lcm(*(e.denominator for e in d.flat))
     return [[int(e * den) for e in row] for row in d]
 
 

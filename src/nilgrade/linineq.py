@@ -1,11 +1,19 @@
-"""Exact linear (in)equality solving over Q.
+"""Exact linear (in)equality solving over Q, and canonical integer points.
 
-Feasibility is decided by Fourier-Motzkin elimination with Fractions; the
-systems here are tiny (one variable per basis vector or per eigenvalue
-class), so the classical doubly-exponential worst case never bites.
-Canonical integer solutions are produced by shell enumeration: smallest
-possible maximum coordinate first, lexicographically smallest within that
-shell.  This makes solver output reproducible across implementations.
+`solve` is the one solver for nilgrade's weight systems.  It eliminates
+the equations once, with `matrices.rref` on reversed columns: pivots then
+fall on the highest-index variables, so every dependent variable is a
+linear function of lower-index free ones.  Rational feasibility of what
+is left is decided by Fourier-Motzkin elimination with Fractions; the
+systems here are tiny (one free variable per independent weight), so the
+classical doubly-exponential worst case never bites.  The canonical
+integer point is then found by shell enumeration: smallest possible
+maximum coordinate first, lexicographically smallest within that shell,
+branching on free variables only and computing the dependent ones.  The
+enumeration needs no upper bound on the coordinates: a feasible system of
+the supported shape has a rational point, and that point times its common
+denominator is an integer point in some finite shell.  Canonical output
+makes the solver reproducible across implementations.
 
 Constraints are (coefficients, rhs) pairs: ``sum(c*x) >= rhs`` for
 inequalities and ``== rhs`` for equations.
@@ -14,8 +22,14 @@ inequalities and ``== rhs`` for equations.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+
+from . import matrices as mx
 
 Constraint = tuple[tuple[Fraction, ...], Fraction]
+# dependent variable -> (denominator d, [(free variable f, integer a_f)]):
+# x = sum(a_f * x_f) / d over free variables f of lower index
+Dependents = dict[int, tuple[int, list[tuple[int, int]]]]
 
 
 def _normalized(coeffs, rhs) -> Constraint:
@@ -25,53 +39,10 @@ def _normalized(coeffs, rhs) -> Constraint:
     return tuple(c / scale for c in coeffs), rhs / scale
 
 
-def _substitute_equations(
-    eqs: list[Constraint], ineqs: list[Constraint], nvars: int
-) -> list[Constraint] | None:
-    """Gauss-eliminate the equations, rewriting the inequalities over the
-    free variables only.  Returns None when the equations alone are
-    inconsistent.  Keeps Fourier-Motzkin small: weight systems are
-    equation-heavy and leave few free variables."""
-    rows = [list(coeffs) + [rhs] for coeffs, rhs in eqs]
-    pivots: list[tuple[int, list[Fraction]]] = []
-    for row in rows:
-        for col, prow in pivots:
-            if row[col] != 0:
-                f = row[col]
-                row[:] = [a - f * b for a, b in zip(row, prow)]
-        col = next((j for j in range(nvars) if row[j] != 0), None)
-        if col is None:
-            if row[nvars] != 0:
-                return None
-            continue
-        f = row[col]
-        row[:] = [a / f for a in row]
-        for _, prow in pivots:
-            if prow[col] != 0:
-                g = prow[col]
-                prow[:] = [a - g * b for a, b in zip(prow, row)]
-        pivots.append((col, row))
-    out: list[Constraint] = []
-    for coeffs, rhs in ineqs:
-        work = list(coeffs) + [-rhs]
-        for col, prow in pivots:
-            if work[col] != 0:
-                f = work[col]
-                work[:] = [a - f * b for a, b in zip(work, prow)]
-        out.append((tuple(work[:nvars]), -work[nvars]))
-    return out
-
-
-def feasible(eqs: list[Constraint], ineqs: list[Constraint], nvars: int) -> bool:
-    """Rational feasibility of {eqs hold, ineqs hold}.
-
-    Equations are substituted out first; the residual inequalities go
-    through Fourier-Motzkin elimination with row normalization/dedup.
-    """
-    reduced = _substitute_equations(eqs, ineqs, nvars)
-    if reduced is None:
-        return False
-    rows = {_normalized(coeffs, rhs) for coeffs, rhs in reduced}
+def feasible(ineqs: list[Constraint], nvars: int) -> bool:
+    """Rational feasibility of {every ineq holds}, by Fourier-Motzkin
+    elimination with row normalization/dedup."""
+    rows = {_normalized(coeffs, rhs) for coeffs, rhs in ineqs}
     for j in range(nvars):
         pos, neg, rest = [], [], set()
         for coeffs, rhs in rows:
@@ -90,87 +61,94 @@ def feasible(eqs: list[Constraint], ineqs: list[Constraint], nvars: int) -> bool
     return all(rhs <= 0 for _, rhs in rows)
 
 
-def minimal_integer_point(
-    eqs: list[Constraint],
-    ineqs: list[Constraint],
-    lows: list[int],
-    cap: int = 64,
-) -> tuple[int, ...]:
-    """Canonical integer solution: minimal max coordinate, then lex smallest.
+def _dependents(eqs: list[Constraint], nvars: int) -> Dependents:
+    """Solve homogeneous equations for their highest-index variables."""
+    red, pivots = mx.rref(mx.rmat([list(reversed(coeffs)) for coeffs, _ in eqs]))
+    out: Dependents = {}
+    for r, pc in enumerate(pivots):
+        terms = [(nvars - 1 - c, -red[r, c]) for c in range(pc + 1, nvars) if red[r, c] != 0]
+        d = lcm(*(a.denominator for _, a in terms))
+        out[nvars - 1 - pc] = (d, [(f, int(a * d)) for f, a in terms])
+    return out
 
-    Assumes the rational system is feasible (check with `feasible` first)
-    and that an integer solution with coordinates <= cap exists; the cap
-    is an internal-error guard, not a search parameter.
+
+def _substituted(row: Constraint, dependent: Dependents) -> Constraint:
+    """The constraint over free variables only."""
+    coeffs, rhs = row
+    out = list(coeffs)
+    for p, (d, terms) in dependent.items():
+        if out[p] != 0:
+            for f, a in terms:
+                out[f] += out[p] * Fraction(a, d)
+            out[p] = Fraction(0)
+    return tuple(out), rhs
+
+
+def solve(
+    eqs: list[Constraint], ineqs: list[Constraint], lows: list[int]
+) -> tuple[int, ...] | None:
+    """Canonical integer x with eqs, ineqs, x >= lows and sum(x) >= 1,
+    or None when no rational (hence no integer) solution exists.
+
+    Canonical means minimal max coordinate, then lexicographically
+    smallest.  Precondition, which makes every feasible system have an
+    integer point: equations are homogeneous, inequality right-hand
+    sides are >= 0 and lows are >= 0.
     """
     nvars = len(lows)
-    checks_at: list[list[tuple]] = [[] for _ in range(nvars)]
-    for coeffs, rhs in eqs:
-        top = max((i for i, c in enumerate(coeffs) if c != 0), default=0)
-        checks_at[top].append((coeffs, rhs, True))
-    for coeffs, rhs in ineqs:
-        top = max((i for i, c in enumerate(coeffs) if c != 0), default=0)
-        checks_at[top].append((coeffs, rhs, False))
-
-    def search(t: int) -> tuple[int, ...] | None:
-        vals: list[int] = []
-
-        def rec(depth: int, seen_t: bool):
-            if depth == nvars:
-                return tuple(vals) if seen_t else None
-            for v in range(lows[depth], t + 1):
-                vals.append(v)
-                ok = True
-                for coeffs, rhs, is_eq in checks_at[depth]:
-                    s = sum(c * x for c, x in zip(coeffs, vals) if c != 0)
-                    if (s != rhs) if is_eq else (s < rhs):
-                        ok = False
-                        break
-                if ok:
-                    hit = rec(depth + 1, seen_t or v == t)
-                    if hit is not None:
-                        return hit
-                vals.pop()
-            return None
-
-        return rec(0, False)
-
-    for t in range(max([1] + list(lows)), cap + 1):
-        hit = search(t)
-        if hit is not None:
-            return hit
-    raise RuntimeError(f"no integer solution with coordinates <= {cap}")
+    if any(rhs != 0 for _, rhs in eqs) or any(rhs < 0 for _, rhs in ineqs) or min(lows) < 0:
+        raise ValueError("solve needs homogeneous equations, rhs >= 0 and lows >= 0")
+    dependent = _dependents(eqs, nvars)
+    bounds = [((Fraction(1),) * nvars, Fraction(1))]
+    for i, low in enumerate(lows):
+        coeffs = [Fraction(0)] * nvars
+        coeffs[i] = Fraction(1)
+        bounds.append((tuple(coeffs), Fraction(low)))
+    if not feasible([_substituted(row, dependent) for row in bounds + ineqs], nvars):
+        return None
+    return minimal_integer_point(dependent, ineqs, lows)
 
 
-def enumerate_integer_points(
-    eqs: list[Constraint],
-    lows: list[int],
-    highs: list[int],
-):
-    """All integer points of box [lows, highs] satisfying the equations.
+def minimal_integer_point(
+    dependent: Dependents, ineqs: list[Constraint], lows: list[int]
+) -> tuple[int, ...]:
+    """Shell search behind `solve`, for a system it found feasible.
 
-    Brute-force cross-check oracle used by the test suite; prunes on the
-    first violated fully-assigned equation.
+    Shells t = max(1, lows), t + 1, ... in turn; within a shell a
+    depth-first search in index order branches on each free variable
+    over [low, t], computes each dependent one from the free variables
+    below it, and checks each inequality at its highest-index variable.
     """
     nvars = len(lows)
     checks_at: list[list[Constraint]] = [[] for _ in range(nvars)]
-    for coeffs, rhs in eqs:
+    for coeffs, rhs in ineqs:
         top = max((i for i, c in enumerate(coeffs) if c != 0), default=0)
         checks_at[top].append((coeffs, rhs))
-    vals: list[int] = []
-    out: list[tuple[int, ...]] = []
+    vals = [0] * nvars
 
-    def rec(depth: int):
+    def rec(depth: int, t: int, seen_t: bool) -> tuple[int, ...] | None:
         if depth == nvars:
-            out.append(tuple(vals))
-            return
-        for v in range(lows[depth], highs[depth] + 1):
-            vals.append(v)
+            return tuple(vals) if seen_t else None
+        low = lows[depth]
+        if depth in dependent:
+            d, terms = dependent[depth]
+            num = sum(a * vals[f] for f, a in terms)
+            v = num // d
+            values = (v,) if num % d == 0 and low <= v <= t else ()
+        else:
+            values = range(low, t + 1)
+        for v in values:
+            vals[depth] = v
             if all(
-                sum(c * x for c, x in zip(coeffs, vals) if c != 0) == rhs
+                sum(c * x for c, x in zip(coeffs, vals) if c != 0) >= rhs
                 for coeffs, rhs in checks_at[depth]
             ):
-                rec(depth + 1)
-            vals.pop()
+                hit = rec(depth + 1, t, seen_t or v == t)
+                if hit is not None:
+                    return hit
+        return None
 
-    rec(0)
-    return out
+    t = max(1, *lows)
+    while (hit := rec(0, t, False)) is None:
+        t += 1
+    return hit

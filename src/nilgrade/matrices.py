@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm
 
 import numpy as np
 
@@ -332,9 +332,7 @@ def hnf(a: np.ndarray) -> np.ndarray:
 
 
 def _scaled_integer_basis(lattice: IntegerLattice) -> tuple[np.ndarray, int]:
-    d = 1
-    for e in lattice.basis.flat:
-        d = d * e.denominator // int_gcd(d, e.denominator)
+    d = lcm(*(e.denominator for e in lattice.basis.flat))
     scaled = np.array([[int(e * d) for e in row] for row in lattice.basis], dtype=object)
     return scaled, d
 
@@ -415,8 +413,4 @@ def order_mod(m: np.ndarray, modulus: int) -> int:
     d = int(det(m)) % modulus
     if int_gcd(d, modulus) != 1:
         raise ValueError(f"det {d} not invertible mod {modulus}")
-    order = 1
-    for p, e in factor_int(modulus).items():
-        o = _order_mod_prime_power(m, p, e)
-        order = order * o // int_gcd(order, o)
-    return order
+    return lcm(*(_order_mod_prime_power(m, p, e) for p, e in factor_int(modulus).items()))

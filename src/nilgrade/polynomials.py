@@ -11,7 +11,7 @@ desk-scale matrices); complete for any degree, comfortable up to ~12.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm
 from typing import Iterable, Sequence
 
 from .intutil import divisors
@@ -241,13 +241,9 @@ def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
 
 def _integer_primitive(p: Polynomial) -> list[int]:
     """Scale a nonzero rational polynomial to a primitive integer one."""
-    den = 1
-    for c in p.coeffs:
-        den = den * c.denominator // int_gcd(den, c.denominator)
+    den = lcm(*(c.denominator for c in p.coeffs))
     ints = [int(c * den) for c in p.coeffs]
-    g = 0
-    for c in ints:
-        g = int_gcd(g, abs(c))
+    g = int_gcd(*ints)
     return [c // g for c in ints]
 
 

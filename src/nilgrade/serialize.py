@@ -94,10 +94,6 @@ def algebra_from_dict(data) -> LieAlgebra:
 # -- weights and gradings --------------------------------------------------
 
 
-def weights_to_dict(weights) -> dict:
-    return {"weights": [int(w) for w in weights]}
-
-
 def weights_from_dict(data) -> tuple[int, ...]:
     if not isinstance(data, dict) or "weights" not in data:
         raise _bad('expected {"weights": [...]}')

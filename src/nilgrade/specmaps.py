@@ -26,7 +26,7 @@ import numpy as np
 from . import matrices as mx
 from .grading import Grading, preserved_by
 from .liealg import LieAlgebra, is_automorphism
-from .linineq import feasible, minimal_integer_point
+from .linineq import solve
 from .polynomials import Polynomial, factor_order_key, poly_xgcd, squarefree_part
 
 
@@ -215,9 +215,9 @@ def _grading_from_classes(
             coeffs[a] = Fraction(1)
             coeffs[a - 1] = Fraction(-1)
             ineqs.append((tuple(coeffs), Fraction(1)))
-    if not feasible(eqs, ineqs, nvars):
+    w = solve(eqs, ineqs, lows)
+    if w is None:
         raise RuntimeError("integer re-weighting infeasible; invariant violation")
-    w = minimal_integer_point(eqs, ineqs, lows)
     return Grading(tuple((w[a], classes[a][1]) for a in range(nvars)))
 
 
@@ -233,7 +233,7 @@ def expanding_to_positive_grading(algebra: LieAlgebra, m: np.ndarray) -> Grading
     if any(v <= 1 for v, _ in classes):
         raise RuntimeError("expanding map produced a norm value <= 1")
     g = _grading_from_classes(algebra, classes, zero_for_value_one=False)
-    _assert_extraction(algebra, g, m, "positive")
+    _assert_extraction(algebra, g, m, {"positive"})
     return g
 
 
@@ -254,15 +254,18 @@ def selfcover_to_nonneg_grading(algebra: LieAlgebra, m: np.ndarray) -> Grading:
     profile = norm_profile(algebra, s)
     classes = _norm_classes(profile)
     g = _grading_from_classes(algebra, classes, zero_for_value_one=True)
-    _assert_extraction(algebra, g, m, "nonnegative-nontrivial")
+    # a positive grading is non-negative and non-trivial too; it comes out
+    # when no norm class has value 1
+    _assert_extraction(algebra, g, m, {"positive", "nonnegative-nontrivial"})
     return g
 
 
-def _assert_extraction(algebra, g: Grading, m: np.ndarray, expected: str):
+def _assert_extraction(algebra, g: Grading, m: np.ndarray, allowed: set[str]):
     from .grading import classify
 
-    if classify(algebra, g) != expected:
-        raise RuntimeError(f"extracted grading is not {expected}")
+    label = classify(algebra, g)
+    if label not in allowed:
+        raise RuntimeError(f"extracted grading is {label}, not {' or '.join(sorted(allowed))}")
     if not preserved_by(g, m):
         raise RuntimeError("extracted grading is not preserved by the input map")
 

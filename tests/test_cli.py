@@ -192,6 +192,22 @@ class TestNorm:
         assert code == 0
         assert v2["condition"] == "covinfra-cond-2"
 
+    def test_selfcover_without_value_one_class(self, tmp_path):
+        # charpoly x^2 - 3x - 3: one norm class, of value 3, so the
+        # extracted grading is positive, which is non-negative too
+        alg = tmp_path / "a2.json"
+        alg.write_text(json.dumps({"dim": 2, "brackets": []}))
+        m = tmp_path / "m.json"
+        m.write_text(json.dumps([["0", "3"], ["1", "3"]]))
+        code, v, _ = run_cli("norm", str(alg), str(m))
+        assert code == 0
+        assert v["certificate"]["classification"] == "nonnegative-nontrivial"
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(v["certificate"]))
+        code, v2, _ = run_cli("cohopf", str(alg), "--certificate", str(cert))
+        assert code == 0
+        assert v2["condition"] == "covinfra-cond-2"
+
 
 class TestLatpow:
     def test_power_certificate(self, tmp_path):

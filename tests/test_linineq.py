@@ -1,0 +1,199 @@
+"""The weight solver against a brute-force box enumeration.
+
+`enumerate_integer_points` is the reference: it lists every integer point
+of a box that satisfies the equations, so the canonical point (minimal
+max coordinate, then lexicographically smallest, max >= 1) can be read
+off directly on small inputs.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from nilgrade.fixtures import ALL_FIXTURES, load_algebra, load_holonomy
+from nilgrade.grading import _constraint_rows, find_nonneg_nontrivial_weights, find_positive_weights
+from nilgrade.holonomy import equivariant_weight_search, monomial_permutation
+from nilgrade.liealg import LieAlgebra
+from nilgrade.linineq import solve
+
+
+def enumerate_integer_points(eqs, lows, highs):
+    """All integer points of box [lows, highs] satisfying the equations.
+
+    Prunes on the first violated fully-assigned equation.
+    """
+    nvars = len(lows)
+    checks_at = [[] for _ in range(nvars)]
+    for coeffs, rhs in eqs:
+        top = max((i for i, c in enumerate(coeffs) if c != 0), default=0)
+        checks_at[top].append((coeffs, rhs))
+    vals = []
+    out = []
+
+    def rec(depth):
+        if depth == nvars:
+            out.append(tuple(vals))
+            return
+        for v in range(lows[depth], highs[depth] + 1):
+            vals.append(v)
+            if all(
+                sum(c * x for c, x in zip(coeffs, vals) if c != 0) == rhs
+                for coeffs, rhs in checks_at[depth]
+            ):
+                rec(depth + 1)
+            vals.pop()
+
+    rec(0)
+    return out
+
+
+def oracle(eqs, lows, high):
+    """Canonical point of the box [lows, high], or None if it has none."""
+    points = [p for p in enumerate_integer_points(eqs, lows, [high] * len(lows)) if max(p) >= 1]
+    return min(points, key=lambda p: (max(p), p), default=None)
+
+
+def check_against_oracle(eqs, lows, high=6):
+    got = solve(eqs, [], lows)
+    if got is None:
+        assert oracle(eqs, lows, high) is None
+    else:
+        assert oracle(eqs, lows, max(got)) == got
+
+
+# -- small algebras ------------------------------------------------------------
+
+
+def algebra(dim, brackets):
+    """Lie algebra from {(i, j): k} with [X_i, X_j] = X_k, 1-indexed."""
+    table = {}
+    for (i, j), k in brackets.items():
+        vec = [0] * dim
+        vec[k - 1] = 1
+        table[(i - 1, j - 1)] = vec
+    return LieAlgebra(dim, table)
+
+
+def filiform(n):
+    return algebra(n, {(1, i): i + 1 for i in range(2, n)})
+
+
+def heisenberg(m):
+    return algebra(2 * m + 1, {(2 * i - 1, 2 * i): 2 * m + 1 for i in range(1, m + 1)})
+
+
+def free_nilpotent_class2(r):
+    pairs = [(i, j) for i in range(1, r + 1) for j in range(i + 1, r + 1)]
+    return algebra(r + len(pairs), {p: r + 1 + k for k, p in enumerate(pairs)})
+
+
+LADDER = {
+    "L4": filiform(4),
+    "L6": filiform(6),
+    "L8": filiform(8),
+    "H5": heisenberg(2),
+    "H7": heisenberg(3),
+    "N2,2": free_nilpotent_class2(2),
+    "N3,2": free_nilpotent_class2(3),
+    "N4,2": free_nilpotent_class2(4),
+    # Hall basis: X3 = [X1, X2], X4 = [X1, X3], X5 = [X2, X3], ...
+    "N2,3": algebra(5, {(1, 2): 3, (1, 3): 4, (2, 3): 5}),
+    "N2,4": algebra(8, {(1, 2): 3, (1, 3): 4, (2, 3): 5, (1, 4): 6, (2, 4): 7, (1, 5): 7, (2, 5): 8}),
+}
+CASES = {**{name: load_algebra(name) for name in ALL_FIXTURES}, **LADDER}
+
+
+def orbit_equalities(n, pairs):
+    eqs = []
+    for a, b in pairs:
+        coeffs = [Fraction(0)] * n
+        coeffs[a] += 1
+        coeffs[b] -= 1
+        eqs.append((tuple(coeffs), Fraction(0)))
+    return eqs
+
+
+@pytest.mark.parametrize("low", [1, 0], ids=["positive", "nonneg"])
+@pytest.mark.parametrize("name", list(CASES))
+def test_weights_match_brute_force(name, low):
+    alg = CASES[name]
+    check_against_oracle(_constraint_rows(alg), [low] * alg.dim)
+
+
+@pytest.mark.parametrize("low", [1, 0], ids=["positive", "nonneg"])
+@pytest.mark.parametrize("name", list(CASES))
+def test_weights_with_equalities_match_brute_force(name, low):
+    # equalities as a holonomy orbit {X_1, X_2} (and {X_3, X_n}) would add
+    alg = CASES[name]
+    n = alg.dim
+    eqs = _constraint_rows(alg) + orbit_equalities(n, [(0, 1), (2, n - 1)])
+    check_against_oracle(eqs, [low] * n)
+
+
+@pytest.mark.parametrize("mode", ["positive", "nonneg-nontrivial"])
+@pytest.mark.parametrize("hol", ["heisenberg3_sign", "heisenberg3_swap"])
+def test_fixture_holonomy_matches_brute_force(hol, mode):
+    alg = load_algebra("heisenberg3")
+    group = load_holonomy(hol)
+    pairs = [(j, s) for f in group for j, s in enumerate(monomial_permutation(f)) if s != j]
+    low = 1 if mode == "positive" else 0
+    want = oracle(_constraint_rows(alg) + orbit_equalities(3, pairs), [low] * 3, 6)
+    assert equivariant_weight_search(alg, group, mode) == want
+
+
+def test_characteristically_nilpotent_has_no_weights():
+    nilp5 = load_algebra("nilp5")
+    assert find_positive_weights(nilp5) is None
+    assert find_nonneg_nontrivial_weights(nilp5) is None
+    assert oracle(_constraint_rows(nilp5), [0] * 7, 6) is None
+
+
+def test_filiform_weights():
+    assert find_positive_weights(filiform(20)) == (1, 1) + tuple(range(2, 20))
+
+
+def test_filiform_past_max_weight_64():
+    assert find_positive_weights(filiform(66)) == (1, 1) + tuple(range(2, 66))
+
+
+# -- systems built by hand -----------------------------------------------------
+
+
+def row(*coeffs):
+    return tuple(Fraction(c) for c in coeffs)
+
+
+def test_large_ratio():
+    # w_2 = 65 w_1: the canonical point lies in shell 65
+    assert solve([(row(65, -1), Fraction(0))], [], [1, 1]) == (1, 65)
+
+
+def test_fractional_dependence():
+    # 2 w_2 = 3 w_1: w_2 = 3/2 w_1 is integral for even w_1 only
+    assert solve([(row(3, -2), Fraction(0))], [], [1, 1]) == (2, 3)
+    # 2 w_3 = w_1 + w_2: (0, 1) and (1, 0) leave w_3 = 1/2
+    assert solve([(row(1, 1, -2), Fraction(0))], [], [0, 0, 0]) == (1, 1, 1)
+
+
+def test_inequalities_checked():
+    # strictly increasing weights, as the norm-class re-weighting asks
+    ineqs = [(row(-1, 1, 0), Fraction(1)), (row(0, -1, 1), Fraction(1))]
+    assert solve([], ineqs, [1, 1, 1]) == (1, 2, 3)
+
+
+def test_infeasible_systems():
+    # w_1 = 0 against w_1 >= 1
+    assert solve([(row(0, 1), Fraction(0))], [], [1, 1]) is None
+    # only the zero vector is non-negative
+    assert solve([(row(1, 1), Fraction(0))], [], [0, 0]) is None
+    # w_2 >= w_1 + 1 and w_1 >= w_2 + 1
+    assert solve([], [(row(-1, 1), Fraction(1)), (row(1, -1), Fraction(1))], [0, 0]) is None
+
+
+def test_precondition_enforced():
+    with pytest.raises(ValueError):
+        solve([(row(1, -1), Fraction(1))], [], [0, 0])
+    with pytest.raises(ValueError):
+        solve([], [(row(1, 0), Fraction(-1))], [0, 0])
+    with pytest.raises(ValueError):
+        solve([], [], [-1, 0])
