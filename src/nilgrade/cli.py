@@ -171,13 +171,7 @@ def cmd_check(args) -> int:
     if not v.accepted():
         return _emit(v, args.json)
     cls = nilpotency_class(algebra)
-    try:
-        cn = is_characteristically_nilpotent(algebra)
-        cn_flag = cn.accepted()
-        notes = [f"characteristically nilpotent: {cn_flag}"]
-    except ValueError as e:
-        cn_flag = None
-        notes = [f"characteristic nilpotency not decided: {e}"]
+    cn_flag = is_characteristically_nilpotent(algebra).accepted()
     out = Verdict(
         "accept",
         condition="valid-nilpotent-lie-algebra",
@@ -186,7 +180,7 @@ def cmd_check(args) -> int:
             "nilpotency_class": cls,
             "characteristically_nilpotent": cn_flag,
         },
-        diagnostics=[f"nilpotency class {cls}"] + notes,
+        diagnostics=[f"nilpotency class {cls}", f"characteristically nilpotent: {cn_flag}"],
     )
     return _emit(out, args.json)
 
@@ -307,11 +301,8 @@ def cmd_cohopf(args) -> int:
         return _emit(out, args.json)
     dim = weight_solution_space(algebra).shape[1]
     if dim == 0:
-        try:
-            cn = is_characteristically_nilpotent(algebra)
-        except ValueError:
-            cn = None
-        if cn is not None and cn.accepted():
+        cn = is_characteristically_nilpotent(algebra)
+        if cn.accepted():
             return _emit(
                 Verdict(
                     "reject",

@@ -253,8 +253,13 @@ def minpoly(m: np.ndarray) -> Polynomial:
 
 
 def is_nilpotent(m: np.ndarray) -> bool:
+    """M^n = 0, by repeated squaring of an integer multiple of M (cheaper than Fractions)."""
     n = _require_square(m)
-    return is_zero_mat(mat_pow(m, n))
+    den = lcm(*(e.denominator for e in m.flat))
+    power = np.array([[int(e * den) for e in row] for row in m], dtype=object)
+    for _ in range((n - 1).bit_length()):
+        power = power @ power
+    return is_zero_mat(power)
 
 
 def primary_decomposition(m: np.ndarray) -> list[tuple[Polynomial, np.ndarray]]:

@@ -3,6 +3,9 @@ import json
 from contextlib import redirect_stdout
 
 from nilgrade.cli import main
+from nilgrade.fixtures import load_algebra
+from nilgrade.serialize import algebra_to_dict
+from test_liealg import direct_sum, heisenberg_of_dim
 
 
 def run_cli(*argv):
@@ -25,6 +28,13 @@ class TestCheck:
         code, v, _ = run_cli("check", "heisenberg3")
         assert code == 0
         assert v["certificate"]["nilpotency_class"] == 2
+        assert v["certificate"]["characteristically_nilpotent"] is False
+
+    def test_heisenberg9_decided(self, tmp_path):
+        f = tmp_path / "h9.json"
+        f.write_text(json.dumps(algebra_to_dict(heisenberg_of_dim(9))))
+        code, v, _ = run_cli("check", str(f))
+        assert code == 0
         assert v["certificate"]["characteristically_nilpotent"] is False
 
     def test_truncated_file_exit_2(self, tmp_path, capsys):
@@ -125,6 +135,15 @@ class TestCohopf:
         assert code == 1
         assert v["condition"] == "co-hopfian-characteristically-nilpotent"
         assert "characteristic nilpotency" in " ".join(v["diagnostics"])
+
+    def test_nilp5_direct_sum_certified_cohopfian(self, tmp_path):
+        n5 = load_algebra("nilp5")
+        f = tmp_path / "nilp5x2.json"
+        f.write_text(json.dumps(algebra_to_dict(direct_sum(n5, n5))))
+        code, v, _ = run_cli("cohopf", str(f))
+        assert code == 1
+        assert v["condition"] == "co-hopfian-characteristically-nilpotent"
+        assert v["certificate"] == {"derivation_dim": 24, "max_power": 14}
 
     def test_notcohopf_witnessed(self):
         code, v, _ = run_cli("cohopf", "notcohopf")

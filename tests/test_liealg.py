@@ -1,9 +1,12 @@
+import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nilgrade import matrices as mx
-from nilgrade.fixtures import load_algebra, load_map
+from nilgrade.fixtures import ALL_FIXTURES, load_algebra, load_map
 from nilgrade.liealg import (
     LieAlgebra,
     abelianization,
@@ -188,6 +191,169 @@ class TestCharacteristicNilpotency:
         n5 = load_algebra("nilp5")
         assert is_characteristically_nilpotent(n5).accepted()
         assert weight_solution_space(n5).shape[1] == 0
+
+
+# -- generated algebras ------------------------------------------------------
+
+
+def algebra(dim, brackets):
+    """Lie algebra from {(i, j): k} with [X_i, X_j] = sign(k) X_|k|, 1-indexed."""
+    table = {}
+    for (i, j), k in brackets.items():
+        vec = [0] * dim
+        vec[abs(k) - 1] = 1 if k > 0 else -1
+        table[(i - 1, j - 1)] = vec
+    return LieAlgebra(dim, table)
+
+
+def filiform(n):
+    return algebra(n, {(1, i): i + 1 for i in range(2, n)})
+
+
+def heisenberg_of_dim(n):
+    return algebra(n, {(2 * i - 1, 2 * i): n for i in range(1, n // 2 + 1)})
+
+
+def dixmier_lister():
+    """8-dim characteristically nilpotent algebra (Dixmier-Lister, Proc. AMS 8, 1957)."""
+    return algebra(
+        8,
+        {
+            (1, 2): 5, (1, 3): 6, (1, 4): 7, (1, 5): -8, (2, 3): 8,
+            (2, 4): 6, (2, 6): -7, (3, 4): -5, (3, 5): -7, (4, 6): -8,
+        },
+    )
+
+
+def direct_sum(a, b):
+    table = {(i, j): list(v) + [0] * b.dim for (i, j), v in a.table.items()}
+    for (i, j), v in b.table.items():
+        table[(a.dim + i, a.dim + j)] = [0] * a.dim + list(v)
+    return LieAlgebra(a.dim + b.dim, table)
+
+
+N24 = algebra(8, {(1, 2): 3, (1, 3): 4, (2, 3): 5, (1, 4): 6, (2, 4): 7, (1, 5): 7, (2, 5): 8})
+
+
+def trace_enumeration(algebra):
+    """Reference decision: do all symmetrized trace coefficients vanish?
+
+    tr(D(t)^k) for D(t) = sum_a t_a D_a is a form in t whose coefficients
+    are sums of tr(D_a1 ... D_ak) over the orderings of each multiset of
+    indices.  Every D(t) is nilpotent iff all of them vanish for k <= dim.
+    A DFS over index sequences with prefix products in integers (each D_a
+    scaled by its denominator lcm, which leaves the span unchanged) sums
+    them, pruning subtrees whose product vanished.  Exponential in dim:
+    keep it to small inputs.
+    """
+    n = algebra.dim
+    ints = []
+    for der in derivations(algebra):
+        den = lcm(*(e.denominator for e in der.flat))
+        ints.append([[int(e * den) for e in row] for row in der])
+
+    def mm(a, b):
+        return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+    coeff = {}
+
+    def dfs(prefix, prod):
+        key = tuple(sorted(prefix))
+        coeff[key] = coeff.get(key, 0) + sum(prod[i][i] for i in range(n))
+        if len(prefix) == n:
+            return
+        for a, der in enumerate(ints):
+            nxt = mm(prod, der)
+            if any(e for row in nxt for e in row):
+                dfs(prefix + (a,), nxt)
+
+    for a, der in enumerate(ints):
+        dfs((a,), der)
+    return all(v == 0 for v in coeff.values())
+
+
+ORACLE_CASES = {
+    **{name: load_algebra(name) for name in ("abelian3", "heisenberg3", "filiform4", "filiform5", "nilp5")},
+    "dixmier_lister": dixmier_lister(),
+}
+
+
+class TestEngelFlag:
+    @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+    def test_matches_trace_enumeration(self, name):
+        a = ORACLE_CASES[name]
+        assert is_characteristically_nilpotent(a, random_trials=0).accepted() == trace_enumeration(a)
+
+    def test_dixmier_lister_is_characteristically_nilpotent(self):
+        a = dixmier_lister()
+        assert validate(a).accepted()
+        assert is_characteristically_nilpotent(a, random_trials=0).accepted()
+
+    def test_nilp5_direct_sum_past_the_old_size_cap(self):
+        n5 = load_algebra("nilp5")
+        v = is_characteristically_nilpotent(direct_sum(n5, n5))
+        assert v.accepted()
+        assert v.certificate == {"derivation_dim": 24, "max_power": 14}
+
+    @pytest.mark.parametrize("a", [filiform(8), N24], ids=["L8", "N2,4"])
+    def test_reject_without_seeded_draws_has_witness(self, a):
+        t0 = time.monotonic()
+        v = is_characteristically_nilpotent(a, random_trials=0)
+        # the trace enumeration this replaced took minutes on both
+        assert time.monotonic() - t0 < 20.0
+        assert v.decision == "reject"
+        w = mx.rmat([[Fraction(e) for e in row] for row in v.certificate["witness"]])
+        assert is_derivation(a, w)
+        assert not mx.is_nilpotent(w)
+        terms = zip(v.certificate["combination"], derivations(a))
+        assert mx.mat_eq(sum((c * d for c, d in terms), mx.zeros(a.dim, a.dim)), w)
+
+
+# -- metamorphic: an integral unimodular change of basis ----------------------
+
+
+def change_basis(algebra, p):
+    """The same algebra in the basis P e_i: c'_ij = P^-1 [P e_i, P e_j]."""
+    p_inv = mx.inverse(p)
+    n = algebra.dim
+    table = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            table[(i, j)] = p_inv @ algebra.bracket(p[:, i], p[:, j])
+    return LieAlgebra(n, table)
+
+
+def unimodular(n, ops):
+    """Product of elementary matrices I + c E_ij, with i = a mod n and
+    j = i + 1 + (k mod n-1) mod n, so that j != i."""
+    p = mx.identity(n)
+    for a, k, c in ops:
+        i = a % n
+        j = (i + 1 + k % (n - 1)) % n
+        p[i] = p[i] + c * p[j]
+    return p
+
+
+def invariants(algebra):
+    return (
+        nilpotency_class(algebra),
+        len(derivations(algebra)),
+        is_characteristically_nilpotent(algebra).decision,
+    )
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+@settings(max_examples=2, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(ops=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7), st.sampled_from([-2, -1, 1, 2])),
+                    min_size=1, max_size=6))
+def test_unimodular_change_of_basis_preserves_invariants(name, ops):
+    a = load_algebra(name)
+    p = unimodular(a.dim, ops)
+    assert mx.det(p) == 1
+    b = change_basis(a, p)
+    assert all(e.denominator == 1 for v in b.table.values() for e in v)
+    assert invariants(b) == invariants(a)
 
 
 class TestAbelianization:
