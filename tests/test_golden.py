@@ -1,5 +1,10 @@
 """Golden snapshots: every subcommand on every bundled fixture, byte for byte.
 
+The latpow inputs under `tests/golden/latpow/` stand in for fixtures: the
+README's two input forms, an obstruction, a prime-power and a two-prime
+modulus, a certificate with k >= 10,000, an orbit that returns, and a
+certificate too wide to print (exit 2).
+
 `tests/golden/cli.json` holds the exit code and stdout of each invocation
 below, recorded once.  A refactor that changes any verdict, certificate or
 diagnostic shows up here as a byte difference.  Paths are stored relative
@@ -24,6 +29,7 @@ from nilgrade.fixtures import ALL_FIXTURES, FIXTURE_MAPS, HOLONOMY_FIXTURES
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json"
 MAPS_DIR = "src/nilgrade/fixtures/maps"
+LATPOW_DIR = "tests/golden/latpow"
 
 
 def invocations() -> list[list[str]]:
@@ -50,12 +56,15 @@ def invocations() -> list[list[str]]:
                 ["expand", alg, "--certificate", path],
                 ["cohopf", alg, "--certificate", path],
             ]
+    for path in sorted((ROOT / LATPOW_DIR).glob("*.json")):
+        argv = ["latpow", f"{LATPOW_DIR}/{path.name}"]
+        out.append(argv + ["--bound", "64"] if path.stem == "readme-lattice" else argv)
     return out
 
 
 def run(argv: list[str]) -> dict:
     """Exit code and stdout, with repo-relative paths resolved."""
-    resolved = [str(ROOT / a) if a.startswith(MAPS_DIR) else a for a in argv]
+    resolved = [str(ROOT / a) if a.startswith((MAPS_DIR, LATPOW_DIR)) else a for a in argv]
     buf = io.StringIO()
     with redirect_stdout(buf):
         code = main(resolved)
