@@ -385,8 +385,10 @@ def cmd_latpow(args) -> int:
         a = matrix_from_lists(data["A"])
     except ValueError as e:
         raise CliError(str(e))
-    bound = args.bound if args.bound is not None else data.get("bound", 64)
     if "v" in data:
+        bound = args.bound if args.bound is not None else data.get("bound", 64)
+        if type(bound) is not int:
+            raise CliError(f'"bound" must be a positive integer, got {json.dumps(bound)}')
         v = vector_from_list(data["v"])
         return _emit(orbit_escapes_lattice(a, v, bound), args.json)
     if "lattice" not in data:
@@ -407,6 +409,9 @@ def cmd_latpow(args) -> int:
             ),
             args.json,
         )
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit, as before 3.10.7
+    if limit and cert.exceeds_digits(limit):
+        raise CliError(f"Exceeds the limit ({limit} digits) for integer string conversion: P^-1 A^{cert.k} P")
     out = Verdict(
         "accept",
         condition="lattice-power",

@@ -1,7 +1,7 @@
 """Small integer helpers: primality, factorization, divisor lists.
 
-Everything here is plain trial division; inputs stay desk-scale (the
-moduli and evaluation values that show up never exceed a few digits).
+Everything here is plain trial division: desk-scale moduli and evaluation
+values, and the p^i - 1 (i <= n) that bound matrix orders mod p.
 """
 
 from __future__ import annotations
@@ -52,3 +52,16 @@ def divisors(n: int) -> list[int]:
     for p, e in factor_int(n).items():
         ds = [d * p**k for d in ds for k in range(e + 1)]
     return sorted(ds)
+
+
+def least_exponent(multiple: int, holds) -> int:
+    """Least k >= 1 with holds(k), given holds(multiple).
+
+    Exact when the k with holds(k) form a subgroup of Z: the least one
+    divides `multiple`, and dividing out primes while holds() lasts finds it.
+    """
+    k = multiple
+    for q in factor_int(multiple):
+        while k % q == 0 and holds(k // q):
+            k //= q
+    return k

@@ -11,12 +11,13 @@ would not match the proof text.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd as int_gcd, lcm
+from functools import cached_property
+from math import gcd as int_gcd
 
 import numpy as np
 
 from . import matrices as mx
-from .intutil import prime_divisors
+from .intutil import least_exponent, prime_divisors
 from .matrices import IntegerLattice
 from .verdict import Verdict
 
@@ -26,12 +27,33 @@ class LatticePowerCertificate:
     primes: tuple[int, ...]
     modulus: int
     k: int
-    conjugated_power: np.ndarray
     order_bound: int  # order of A in GL(n, Z_m): the proof's witness power
+    a: np.ndarray
+    basis: np.ndarray
 
-    def __post_init__(self):
-        if not mx.is_integral(self.conjugated_power):
-            raise ValueError("conjugated power must be integral")
+    @cached_property
+    def conjugated_power(self) -> np.ndarray:
+        """P^-1 A^k P, built on first use: it has entries of ~k log10 rho(A) digits."""
+        return mx.inverse(self.basis) @ mx.mat_pow(self.a, self.k) @ self.basis
+
+    def exceeds_digits(self, digits: int) -> bool:
+        """True when some entry of P^-1 A^k P provably has more than `digits` digits.
+
+        Some entry is >= rho(A)^k / n, and rho(A)^j >= t / n for t = |tr A^j|,
+        so (t / n)^(k/j) / n >= 10^digits for one j = 1, 2, 4, ... <= k suffices:
+        tested as 64 j log2 of both sides, with log2 t >= bits(t) - 1,
+        64 log2 n < bits(n^64) and log2 10^digits < bits(10^digits).
+        """
+        n, k = self.a.shape[0], self.k
+        n_bits, ten_bits = (n**64).bit_length(), 64 * (10**digits).bit_length()
+        power, j = mx.cleared(self.a)[0], 1
+        while True:
+            t = abs(np.trace(power))
+            if 64 * k * (t.bit_length() - 1) >= (k + j) * n_bits + j * ten_bits:
+                return True
+            if 2 * j > k:
+                return False
+            power, j = power @ power, 2 * j
 
 
 def denominator_primes(p: np.ndarray) -> tuple[list[int], int]:
@@ -51,12 +73,17 @@ def power_into_lattice(a: np.ndarray, lattice: IntegerLattice) -> LatticePowerCe
 
     Requires A integral with det(A) nonzero and coprime to the modulus m
     built from the lattice basis; a shared prime is an obstruction and is
-    reported by name.  The scan runs in modular arithmetic: with U, V
-    integer multiples of P^-1 and P, the conjugate P^-1 A^k P is integral
-    iff U A^k V vanishes mod the scaling factor, which only needs A^k mod
-    that factor.
+    reported by name.  A permutes (1/d2) Z^n / d1 Z^n, which holds L, so
+    the k that work form a subgroup of Z: k is found by descent from the
+    order of A mod m.  With U, V integer multiples of P^-1 and P, the
+    conjugate P^-1 A^k P is integral iff U A^k V vanishes mod the scaling
+    factor, which only needs A^k mod that factor.
     """
-    if not mx.is_integral(a):
+    n = lattice.dim
+    if a.shape != (n, n):
+        raise ValueError(f"matrix of shape {a.shape} does not act on a lattice of dimension {n}")
+    a_int, den = mx.cleared(a)
+    if den != 1:
         raise ValueError("integer matrix required")
     d = mx.det(a)
     if d == 0:
@@ -67,21 +94,11 @@ def power_into_lattice(a: np.ndarray, lattice: IntegerLattice) -> LatticePowerCe
         p = min(prime_divisors(g))
         raise ObstructionPrime(p)
     bound = mx.order_mod(a, m)
-    basis = lattice.basis
-    pinv = mx.inverse(basis)
-    d1 = lcm(*(e.denominator for e in pinv.flat))
-    d2 = lcm(*(e.denominator for e in basis.flat))
+    u, d1 = mx.cleared(mx.inverse(lattice.basis))
+    v, d2 = mx.cleared(lattice.basis)
     m0 = d1 * d2  # divides m, so the order bound still applies
-    u = np.array([[int(e * d1) for e in row] for row in pinv], dtype=object)
-    v = np.array([[int(e * d2) for e in row] for row in basis], dtype=object)
-    a_int = np.array([[int(e) for e in row] for row in a], dtype=object)
-    ak_mod = a_int % m0
-    for k in range(1, bound + 1):
-        if ((u @ ak_mod @ v) % m0 == 0).all():
-            conj = pinv @ mx.mat_pow(a, k) @ basis
-            return LatticePowerCertificate(tuple(primes), m, k, conj, bound)
-        ak_mod = (ak_mod @ a_int) % m0
-    raise AssertionError("A^order_mod must conjugate integrally")  # pragma: no cover
+    k = least_exponent(bound, lambda k: ((u @ mx._mat_pow_mod(a_int, k, m0) @ v) % m0 == 0).all())
+    return LatticePowerCertificate(tuple(primes), m, k, bound, a.copy(), lattice.basis)
 
 
 class ObstructionPrime(ValueError):

@@ -18,6 +18,7 @@ from math import gcd as int_gcd, lcm
 
 import numpy as np
 
+from .intutil import factor_int, least_exponent
 from .polynomials import Polynomial
 
 
@@ -76,6 +77,12 @@ def is_zero_mat(a: np.ndarray) -> bool:
 
 def is_integral(a: np.ndarray) -> bool:
     return all(e.denominator == 1 for e in a.flat)
+
+
+def cleared(m: np.ndarray) -> tuple[np.ndarray, int]:
+    """(d M as a matrix of ints, d) for the least d > 0 that makes d M integral."""
+    d = lcm(*(e.denominator for e in m.flat))
+    return np.array([[int(e * d) for e in row] for row in m], dtype=object), d
 
 
 def trace(a: np.ndarray) -> Fraction:
@@ -255,8 +262,7 @@ def minpoly(m: np.ndarray) -> Polynomial:
 def is_nilpotent(m: np.ndarray) -> bool:
     """M^n = 0, by repeated squaring of an integer multiple of M (cheaper than Fractions)."""
     n = _require_square(m)
-    den = lcm(*(e.denominator for e in m.flat))
-    power = np.array([[int(e * den) for e in row] for row in m], dtype=object)
+    power, _ = cleared(m)
     for _ in range((n - 1).bit_length()):
         power = power @ power
     return is_zero_mat(power)
@@ -308,9 +314,9 @@ def hnf(a: np.ndarray) -> np.ndarray:
     embed it are byte-stable.
     """
     n = _require_square(a)
-    if not is_integral(a):
+    h, d = cleared(a)
+    if d != 1:
         raise ValueError("integer matrix required")
-    h = np.array([[int(e) for e in row] for row in a], dtype=object)
     for r in range(n):
         while True:
             cols = [c for c in range(r, n) if h[r, c] != 0]
@@ -336,18 +342,12 @@ def hnf(a: np.ndarray) -> np.ndarray:
     return h
 
 
-def _scaled_integer_basis(lattice: IntegerLattice) -> tuple[np.ndarray, int]:
-    d = lcm(*(e.denominator for e in lattice.basis.flat))
-    scaled = np.array([[int(e * d) for e in row] for row in lattice.basis], dtype=object)
-    return scaled, d
-
-
 def hnf_membership(v: np.ndarray, lattice: IntegerLattice) -> bool:
     """Exact test for v in the Z-span of the lattice basis."""
     n = lattice.dim
     if v.shape != (n,):
         raise ValueError(f"vector of length {n} required, got shape {v.shape}")
-    scaled, d = _scaled_integer_basis(lattice)
+    scaled, d = cleared(lattice.basis)
     h = hnf(scaled)
     target = [frac(e) * d for e in v]
     y = [Fraction(0)] * n
@@ -359,16 +359,8 @@ def hnf_membership(v: np.ndarray, lattice: IntegerLattice) -> bool:
     return all(e.denominator == 1 for e in y)
 
 
-def _mod_reduce(m: np.ndarray, modulus: int) -> np.ndarray:
-    return np.array([[int(e) % modulus for e in row] for row in m], dtype=object)
-
-
-def _int_identity(n: int) -> np.ndarray:
-    return np.array([[1 if i == j else 0 for j in range(n)] for i in range(n)], dtype=object)
-
-
 def _mat_pow_mod(base: np.ndarray, k: int, modulus: int) -> np.ndarray:
-    out = _int_identity(base.shape[0])
+    out = np.identity(base.shape[0], dtype=object)
     b = base % modulus
     while k:
         if k & 1:
@@ -378,44 +370,28 @@ def _mat_pow_mod(base: np.ndarray, k: int, modulus: int) -> np.ndarray:
     return out
 
 
-def _order_mod_prime_power(m: np.ndarray, p: int, e: int) -> int:
-    """Order in GL(n, Z_{p^e}): scan the order mod p, then lift p-adically.
-
-    The kernel of GL(n, Z_{p^e}) -> GL(n, Z_p) is a p-group, so the order
-    mod p^e is (order mod p) * p^j with j found by repeated p-th powers.
-    """
-    n = m.shape[0]
-    ident = _int_identity(n)
-    base_p = _mod_reduce(m, p)
-    acc = base_p
-    r = 1
-    cap = p ** (n * n)
-    while not (acc == ident).all():
-        acc = (acc @ base_p) % p
-        r += 1
-        if r > cap:  # pragma: no cover - impossible when det is a unit
-            raise RuntimeError("order search exceeded the group-order cap")
-    q = p**e
-    b = _mat_pow_mod(_mod_reduce(m, q), r, q)
-    order = r
-    while not (b == _int_identity(n)).all():
-        b = _mat_pow_mod(b, p, q)
-        order *= p
-    return order
-
-
 def order_mod(m: np.ndarray, modulus: int) -> int:
-    """Smallest k >= 1 with M^k = I mod modulus (M integral, det invertible)."""
-    from .intutil import factor_int
+    """Smallest k >= 1 with M^k = I mod modulus (M integral, det invertible).
 
-    _require_square(m)
+    Descends from a multiple N of the order.  For p^e exactly dividing the
+    modulus, the kernel of GL(n, Z/p^e) -> GL(n, F_p) has exponent
+    p^(e-1); mod p the unipotent part of M dies at p^j >= n and the
+    semisimple part has order dividing p^i - 1 for some i <= n (Celler &
+    Leedham-Green, "Calculating the order of an invertible matrix",
+    DIMACS 28, 1997).
+    """
+    n = _require_square(m)
     if modulus < 1:
         raise ValueError("modulus must be positive")
-    if not is_integral(m):
+    a, den = cleared(m)
+    if den != 1:
         raise ValueError("integer matrix required")
-    if modulus == 1:
-        return 1
     d = int(det(m)) % modulus
     if int_gcd(d, modulus) != 1:
         raise ValueError(f"det {d} not invertible mod {modulus}")
-    return lcm(*(_order_mod_prime_power(m, p, e) for p, e in factor_int(modulus).items()))
+    multiple = 1
+    for p, e in factor_int(modulus).items():
+        p_part = p ** (e - 1 + (n - 1).bit_length())  # p^(bit length of n - 1) >= n
+        multiple = lcm(multiple, p_part, *(p**i - 1 for i in range(1, n + 1)))
+    ident = np.identity(n, dtype=object)
+    return least_exponent(multiple, lambda k: (_mat_pow_mod(a, k, modulus) == ident).all())

@@ -37,7 +37,9 @@ def schur_all_inside(p: Polynomial) -> bool:
     p lie strictly inside iff am^2 - a0^2 > 0 and the reduced polynomial
     (am*p - a0*reverse(p))/z does too.  A non-positive gap anywhere means
     a root on or outside the circle (so strict stability fails), which is
-    exactly what the caller wants to know.
+    exactly what the caller wants to know.  Each reduced polynomial is made
+    monic: its leading coefficient am^2 - a0^2 is positive, so scaling
+    keeps every later sign, and the coefficients stay small.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
@@ -48,7 +50,7 @@ def schur_all_inside(p: Polynomial) -> bool:
             return False
         g = am * f - a0 * f.reciprocal()
         assert g.coeffs[0] == 0 or g.is_zero()
-        f = Polynomial(g.coeffs[1:])
+        f = Polynomial(g.coeffs[1:]).monic()
     return True
 
 

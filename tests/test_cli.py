@@ -2,8 +2,11 @@ import io
 import json
 from contextlib import redirect_stdout
 
+import pytest
+
 from nilgrade.cli import main
 from nilgrade.fixtures import load_algebra
+from nilgrade.latpow import LatticePowerCertificate
 from nilgrade.serialize import algebra_to_dict
 from test_liealg import direct_sum, heisenberg_of_dim
 
@@ -261,6 +264,38 @@ class TestLatpow:
         code, v, _ = run_cli("latpow", str(f), "--bound", "3")
         assert code == 1
         assert v["certificate"]["integral_k"] == [3]
+
+    @pytest.mark.parametrize("bound", ["8", 8.0, True])
+    def test_orbit_bound_must_be_an_int(self, tmp_path, capsys, bound):
+        f = tmp_path / "in.json"
+        f.write_text(json.dumps({"A": [["5/2", "1/2"], ["1/2", "1/2"]], "v": ["1", "0"], "bound": bound}))
+        code, v, _ = run_cli("latpow", str(f))
+        assert code == 2
+        assert v is None
+        assert '"bound" must be a positive integer' in capsys.readouterr().err
+
+    def test_dimension_mismatch_exit_2(self, tmp_path, capsys):
+        f = tmp_path / "in.json"
+        a = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+        f.write_text(json.dumps({"A": a, "lattice": [["1/2", "0"], ["0", "1"]]}))
+        code, v, _ = run_cli("latpow", str(f))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "(3, 3)" in err and "dimension 2" in err
+
+    def test_unprintable_certificate_exit_2_without_building_it(self, tmp_path, capsys, monkeypatch):
+        def unbuilt(cert):
+            raise AssertionError("P^-1 A^k P built")
+
+        monkeypatch.setattr(LatticePowerCertificate, "conjugated_power", property(unbuilt))
+        f = tmp_path / "in.json"
+        a = [["0", "0", "1"], ["1", "0", "1"], ["0", "1", "0"]]  # companion of x^3 - x - 1
+        lattice = [["1/1013", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+        f.write_text(json.dumps({"A": a, "lattice": lattice}))
+        code, v, _ = run_cli("latpow", str(f))
+        assert code == 2
+        assert v is None
+        assert "Exceeds the limit" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -107,6 +107,83 @@ class TestPowerIntoLattice:
         with pytest.raises(ValueError):
             power_into_lattice(mx.rmat([["1/2", 0], [0, 1]]), lat([[1, 0], [0, 1]]))
 
+    def test_dimension_mismatch_names_both(self):
+        with pytest.raises(ValueError, match=r"shape \(3, 3\).*dimension 2"):
+            power_into_lattice(mx.identity(3), lat([["1/2", 0], [0, 1]]))
+
+
+def random_pair(rng, n, dens=(1, 2, 3, 5, 7, 11, 13)):
+    """Integer A with entries in [-3, 3] and a lower triangular lattice basis."""
+    a = mx.rmat([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+    def entry(i, j):
+        if j > i:
+            return 0
+        return Fraction(rng.randint(1, 3) if i == j else rng.randint(0, 2), rng.choice(dens))
+
+    return a, IntegerLattice(mx.rmat([[entry(i, j) for j in range(n)] for i in range(n)]))
+
+
+def coprime_pairs(seed, count):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        a, lattice = random_pair(rng, rng.choice([2, 3, 4]))
+        d = mx.det(a)
+        if d != 0 and gcd(abs(int(d)), denominator_primes(lattice.basis)[1]) == 1:
+            out.append((a, lattice))
+    return out
+
+
+def k_by_scan(a, lattice, limit):
+    """The former search: try k = 1, 2, ... in turn, testing U A^k V = 0 mod
+    d1 d2 with U = d1 P^-1 and V = d2 P integral; None past `limit`."""
+    u, d1 = mx.cleared(mx.inverse(lattice.basis))
+    v, d2 = mx.cleared(lattice.basis)
+    m0 = d1 * d2
+    a_int = mx.cleared(a)[0]
+    ak = a_int % m0
+    for k in range(1, limit + 1):
+        if ((u @ ak @ v) % m0 == 0).all():
+            return k
+        ak = (ak @ a_int) % m0
+    return None
+
+
+class TestDescentAgainstScan:
+    def test_k_matches_the_scan(self):
+        compared = 0
+        for a, lattice in coprime_pairs(2026, 150):
+            cert = power_into_lattice(a, lattice)
+            if cert.k <= 2_000:
+                compared += 1
+                assert k_by_scan(a, lattice, 2_000) == cert.k
+        assert compared >= 90
+
+
+def max_digits(m):
+    return max(len(str(abs(e.numerator))) for e in m.flat)
+
+
+class TestPrintabilityBound:
+    @pytest.mark.parametrize("digits", [5, 20, 100, 400])
+    def test_never_refuses_a_printable_certificate(self, digits):
+        refused = 0
+        for a, lattice in coprime_pairs(digits, 60):
+            cert = power_into_lattice(a, lattice)
+            if cert.k > 5_000:
+                continue
+            if cert.exceeds_digits(digits):
+                refused += 1
+                assert max_digits(cert.conjugated_power) > digits
+        assert refused > 0
+
+    def test_refuses_a_million_steps_without_building_the_power(self):
+        a = mx.rmat([[0, 0, 1], [1, 0, 1], [0, 1, 0]])  # companion of x^3 - x - 1
+        cert = power_into_lattice(a, lat([["1/1013", 0, 0], [0, 1, 0], [0, 0, 1]]))
+        assert cert.k == 1_027_183
+        assert cert.exceeds_digits(4300)
+        assert "conjugated_power" not in vars(cert)
+
 
 class TestOrbitEscape:
     def test_escape_orbit_never_integral(self):

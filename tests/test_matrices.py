@@ -1,11 +1,13 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 import pytest
 
 from nilgrade import matrices as mx
+from nilgrade.intutil import factor_int, least_exponent
 from nilgrade.matrices import IntegerLattice, hnf, hnf_membership, order_mod
 from nilgrade.polynomials import Polynomial
 
@@ -299,3 +301,86 @@ class TestOrderMod:
     def test_non_integer_rejected(self):
         with pytest.raises(ValueError):
             order_mod(mx.rmat([["1/2", 0], [0, 1]]), 3)
+
+
+# -- order by divisor descent against the former scan ------------------------
+
+
+def int_mat_pow_mod(m, k, q):
+    """M^k mod q by square and multiply, on Python ints."""
+    n = m.shape[0]
+    out = np.array([[int(i == j) for j in range(n)] for i in range(n)], dtype=object)
+    base = np.array([[int(e) % q for e in row] for row in m], dtype=object)
+    while k:
+        if k & 1:
+            out = (out @ base) % q
+        base = (base @ base) % q
+        k >>= 1
+    return out
+
+
+def is_identity_mod(m, k, q):
+    return (int_mat_pow_mod(m, k, q) == np.identity(m.shape[0], dtype=object)).all()
+
+
+def order_mod_by_scan(m, modulus):
+    """The former order_mod: for each p^e exactly dividing the modulus,
+    multiply powers mod p one at a time up to I, lift that order to p^e by
+    repeated p-th powers, and take the lcm."""
+    ident = np.identity(m.shape[0], dtype=object)
+    order = 1
+    for p, e in factor_int(modulus).items():
+        base = int_mat_pow_mod(m, 1, p)
+        acc, r = base, 1
+        while not (acc == ident).all():
+            acc, r = (acc @ base) % p, r + 1
+        while not is_identity_mod(m, r, p**e):
+            r *= p
+        order = lcm(order, r)
+    return order
+
+
+class TestOrderByDescent:
+    @pytest.mark.parametrize("modulus", [12, 13, 2**5, 3**3, 5**2 * 7])
+    def test_matches_the_scan(self, modulus):
+        rng = random.Random(modulus)
+        for n in (1, 2, 3, 4):
+            hits = 0
+            while hits < 3:
+                m = random_int_matrix(rng, n, -3, 3)
+                if gcd(int(mx.det(m)), modulus) != 1:
+                    continue
+                hits += 1
+                assert order_mod(m, modulus) == order_mod_by_scan(m, modulus)
+
+    def test_modulus_one(self):
+        assert order_mod(mx.rmat([[2, 1], [1, 1]]), 1) == 1
+
+    def test_plastic_companion_mod_1013(self):
+        # companion of x^3 - x - 1: a scan would take a million steps
+        a = mx.rmat([[0, 0, 1], [1, 0, 1], [0, 1, 0]])
+        order = order_mod(a, 1013)
+        assert order == 1_027_183
+        assert is_identity_mod(a, order, 1013)
+        for q in factor_int(order):
+            assert not is_identity_mod(a, order // q, 1013)
+
+
+class TestLeastExponent:
+    def test_subgroup(self):
+        assert least_exponent(360, lambda k: k % 12 == 0) == 12
+        assert least_exponent(7, lambda k: True) == 1
+        assert least_exponent(2**10, lambda k: k % 2**10 == 0) == 2**10
+
+
+class TestCleared:
+    def test_least_denominator(self):
+        scaled, d = mx.cleared(mx.rmat([["1/2", "1/3"], [1, "-5/6"]]))
+        assert d == 6
+        assert scaled.tolist() == [[3, 2], [6, -5]]
+        assert all(type(e) is int for e in scaled.flat)
+
+    def test_integral_input(self):
+        scaled, d = mx.cleared(mx.rmat([[2, -1], [0, 7]]))
+        assert d == 1
+        assert scaled.tolist() == [[2, -1], [0, 7]]

@@ -48,6 +48,18 @@ def float_expanding_oracle(m, margin=1e-9):
     return bool(np.all(mags > 1.0))
 
 
+def schur_unnormalised(p):
+    """The Schur-Cohn chain without making each reduced polynomial monic:
+    the coefficients of its iterates grow geometrically."""
+    f = p
+    for _ in range(p.degree):
+        a0, am = f.coeffs[0], f.coeffs[-1]
+        if am * am - a0 * a0 <= 0:
+            return False
+        f = Polynomial((am * f - a0 * f.reciprocal()).coeffs[1:])
+    return True
+
+
 class TestSchurChain:
     def test_roots_inside(self):
         # (X - 1/2)(X - 1/3)
@@ -63,6 +75,22 @@ class TestSchurChain:
 
     def test_zero_root_is_inside(self):
         assert schur_all_inside(P(0, 0, 1))  # X^2
+
+    def test_normalised_chain_matches_the_unnormalised_one(self):
+        rng = random.Random(1010)
+        for _ in range(300):
+            degree = rng.randint(1, 10)
+            if rng.random() < 0.5:
+                p = P(*[rng.randint(-9, 9) for _ in range(degree)], rng.choice([-60, -3, 1, 2, 60]))
+            else:  # roots r/q with |r| <= q: inside or on the circle
+                p = P(1)
+                for q in (rng.randint(1, 9) for _ in range(degree)):
+                    p = p * P(-rng.randint(-q, q), q)
+            assert schur_all_inside(p) == schur_unnormalised(p)
+
+    def test_phi_2_of_filiform_16_is_expanding(self):
+        algebra = LieAlgebra(16, {(0, i - 1): [int(k == i) for k in range(16)] for i in range(2, 16)})
+        assert is_expanding(phi_p(algebra, grading_from_weights(algebra, find_positive_weights(algebra)), 2))
 
 
 class TestIsExpanding:
