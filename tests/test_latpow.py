@@ -115,6 +115,7 @@ class TestPowerIntoLattice:
 def random_pair(rng, n, dens=(1, 2, 3, 5, 7, 11, 13)):
     """Integer A with entries in [-3, 3] and a lower triangular lattice basis."""
     a = mx.rmat([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+
     def entry(i, j):
         if j > i:
             return 0
