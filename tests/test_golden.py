@@ -3,7 +3,12 @@
 The latpow inputs under `tests/golden/latpow/` stand in for fixtures: the
 README's two input forms, an obstruction, a prime-power and a two-prime
 modulus, a certificate with k >= 10,000, an orbit that returns, and a
-certificate too wide to print (exit 2).
+certificate too wide to print (exit 2).  The algebras under
+`tests/golden/algebras/` cover what the bundled fixtures do not: two
+Jacobi violators (one failing first on triple (1,2,3), one later with a
+fractional residual), two non-nilpotent algebras (sl2 and one whose lower
+central series stabilizes at dimension 2) and two ladder algebras in a
+rescaled basis (L_10 and N_3,2, with fractional structure constants).
 
 `tests/golden/cli.json` holds the exit code and stdout of each invocation
 below, recorded once.  A refactor that changes any verdict, certificate or
@@ -30,6 +35,8 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json"
 MAPS_DIR = "src/nilgrade/fixtures/maps"
 LATPOW_DIR = "tests/golden/latpow"
+ALGEBRAS_DIR = "tests/golden/algebras"
+LADDER = ("l10-rescaled", "n32-rescaled")
 
 
 def invocations() -> list[list[str]]:
@@ -59,12 +66,17 @@ def invocations() -> list[list[str]]:
     for path in sorted((ROOT / LATPOW_DIR).glob("*.json")):
         argv = ["latpow", f"{LATPOW_DIR}/{path.name}"]
         out.append(argv + ["--bound", "64"] if path.stem == "readme-lattice" else argv)
+    for path in sorted((ROOT / ALGEBRAS_DIR).glob("*.json")):
+        rel = f"{ALGEBRAS_DIR}/{path.name}"
+        out.append(["check", rel])
+        if path.stem in LADDER:
+            out.append(["expand", rel, "--prime", "2"])
     return out
 
 
 def run(argv: list[str]) -> dict:
     """Exit code and stdout, with repo-relative paths resolved."""
-    resolved = [str(ROOT / a) if a.startswith((MAPS_DIR, LATPOW_DIR)) else a for a in argv]
+    resolved = [str(ROOT / a) if a.startswith((MAPS_DIR, LATPOW_DIR, ALGEBRAS_DIR)) else a for a in argv]
     buf = io.StringIO()
     with redirect_stdout(buf):
         code = main(resolved)
