@@ -41,7 +41,6 @@ from .latpow import ObstructionPrime, orbit_escapes_lattice, power_into_lattice
 from .liealg import (
     LieAlgebra,
     is_characteristically_nilpotent,
-    nilpotency_class,
     validate,
     violated_bracket,
 )
@@ -170,7 +169,7 @@ def cmd_check(args) -> int:
     v = validate(algebra)
     if not v.accepted():
         return _emit(v, args.json)
-    cls = nilpotency_class(algebra)
+    cls = v.certificate["nilpotency_class"]
     cn_flag = is_characteristically_nilpotent(algebra).accepted()
     out = Verdict(
         "accept",

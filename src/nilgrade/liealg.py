@@ -17,7 +17,8 @@ from .verdict import Verdict
 
 
 class LieAlgebra:
-    """dim plus the sparse bracket table {(i, j): coefficient vector}."""
+    """dim plus the sparse bracket table {(i, j): coefficient vector}, also
+    kept as `terms` {(i, j): {k: c}} without zeros for the kernels."""
 
     def __init__(self, dim: int, brackets: dict[tuple[int, int], "np.ndarray | list"]):
         if dim < 1:
@@ -33,6 +34,15 @@ class LieAlgebra:
             if not (v == Fraction(0)).all():
                 table[(i, j)] = v
         self.table = table
+        self.terms = {ij: {k: c for k, c in enumerate(v) if c} for ij, v in table.items()}
+
+    def _terms(self, i: int, j: int) -> dict[int, Fraction]:
+        """[X_i, X_j] as {k: c}, for any i and j."""
+        if i < j:
+            return self.terms.get((i, j), {})
+        if i > j:
+            return {k: -c for k, c in self.terms.get((j, i), {}).items()}
+        return {}
 
     def bracket_basis(self, i: int, j: int) -> np.ndarray:
         if i == j:
@@ -45,12 +55,13 @@ class LieAlgebra:
     def bracket(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         if x.shape != (self.dim,) or y.shape != (self.dim,):
             raise ValueError("vector dimension mismatch")
-        out = mx.rvec([0] * self.dim)
-        for (i, j), vec in self.table.items():
+        out = [Fraction(0)] * self.dim
+        for (i, j), terms in self.terms.items():
             c = x[i] * y[j] - x[j] * y[i]
-            if c != 0:
-                out = out + c * vec
-        return out
+            if c:
+                for k, v in terms.items():
+                    out[k] += c * v
+        return np.array(out, dtype=object)
 
     def adjoint(self, x: np.ndarray) -> np.ndarray:
         """Matrix of ad_x: columns are [x, e_j]."""
@@ -81,22 +92,25 @@ def derived_subalgebra(algebra: LieAlgebra) -> np.ndarray:
 def _series_descent(algebra: LieAlgebra) -> tuple[list[np.ndarray], bool]:
     """Lower central series and whether it reaches zero (nilpotency)."""
     n = algebra.dim
+    prev = [{i: Fraction(1)} for i in range(n)]
     series = [mx.identity(n)]
     while True:
-        prev = series[-1]
         spans = []
-        for i in range(n):
-            ei = _basis_vec(n, i)
-            for c in range(prev.shape[1]):
-                spans.append(algebra.bracket(ei, prev[:, c]))
-        nxt = mx.col_basis(np.stack(spans, axis=1)) if spans else mx.zeros(n, 0)
-        if nxt.shape[1] == 0:
+        for a in range(n):
+            for v in prev:  # [X_a, v]
+                w: dict[int, Fraction] = {}
+                for b, x in v.items():
+                    for k, c in algebra._terms(a, b).items():
+                        w[k] = w.get(k, 0) + x * c
+                spans.append(w)
+        nxt = mx.gauss_jordan(spans)[0]
+        if not nxt:
             return series, True
-        if nxt.shape[1] == prev.shape[1]:
+        series.append(mx.from_rows(nxt, n).T)
+        if len(nxt) == len(prev):
             # gamma_{i+1} subseteq gamma_i, so equal dim means stabilized
-            series.append(nxt)
             return series, False
-        series.append(nxt)
+        prev = nxt
 
 
 def lower_central_series(algebra: LieAlgebra) -> list[np.ndarray]:
@@ -116,20 +130,20 @@ def validate(algebra: LieAlgebra) -> Verdict:
     n = algebra.dim
     for i in range(n):
         for j in range(i + 1, n):
-            cij = algebra.bracket_basis(i, j)
             for k in range(j + 1, n):
-                res = (
-                    algebra.bracket(cij, _basis_vec(n, k))
-                    + algebra.bracket(algebra.bracket_basis(j, k), _basis_vec(n, i))
-                    + algebra.bracket(algebra.bracket_basis(k, i), _basis_vec(n, j))
-                )
-                if not (res == Fraction(0)).all():
+                # [[X_i, X_j], X_k] + [[X_j, X_k], X_i] + [[X_k, X_i], X_j]
+                res: dict[int, Fraction] = {}
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    for l, x in algebra._terms(a, b).items():
+                        for m, y in algebra._terms(l, c).items():
+                            res[m] = res.get(m, 0) + x * y
+                if any(res.values()):
                     return Verdict(
                         "reject",
                         condition="jacobi",
                         certificate={
                             "triple": [i + 1, j + 1, k + 1],
-                            "residual": [str(e) for e in res],
+                            "residual": [str(res.get(m, 0)) for m in range(n)],
                         },
                         diagnostics=[f"Jacobi identity fails on basis triple ({i+1},{j+1},{k+1})"],
                     )
@@ -159,28 +173,21 @@ def validate(algebra: LieAlgebra) -> Verdict:
 def derivations(algebra: LieAlgebra) -> list[np.ndarray]:
     """Canonical basis of Der: solutions of D[x,y] = [Dx,y] + [x,Dy]."""
     n = algebra.dim
-    rows = []
+    rows: dict[tuple, None] = {}  # the distinct nonzero rows, in order
     for i in range(n):
         for j in range(i + 1, n):
-            cij = algebra.bracket_basis(i, j)
-            block = [[Fraction(0)] * (n * n) for _ in range(n)]
+            block: list[dict[int, Fraction]] = [{} for _ in range(n)]
             for p in range(n):
-                bpj = algebra.bracket_basis(p, j)
-                bip = algebra.bracket_basis(i, p)
+                for k, c in algebra._terms(p, j).items():
+                    block[k][p * n + i] = block[k].get(p * n + i, 0) + c
+                for k, c in algebra._terms(i, p).items():
+                    block[k][p * n + j] = block[k].get(p * n + j, 0) + c
+            for q, c in algebra._terms(i, j).items():
                 for k in range(n):
-                    if bpj[k] != 0:
-                        block[k][p * n + i] += bpj[k]
-                    if bip[k] != 0:
-                        block[k][p * n + j] += bip[k]
-            for k in range(n):
-                for q in range(n):
-                    if cij[q] != 0:
-                        block[k][k * n + q] -= cij[q]
-            rows.extend(block)
-    if not rows:
-        return [mx.identity(1)] if n == 1 else []
-    system = mx.rmat(rows)
-    kernel = mx.nullspace(system)
+                    block[k][k * n + q] = block[k].get(k * n + q, 0) - c
+            rows.update(dict.fromkeys(tuple(sorted((v, c) for v, c in row.items() if c)) for row in block))
+    rows.pop((), None)
+    kernel = mx.kernel(map(dict, rows), n * n)
     return [kernel[:, c].reshape(n, n) for c in range(kernel.shape[1])]
 
 

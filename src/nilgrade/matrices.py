@@ -3,8 +3,8 @@
 Matrices are plain `np.ndarray` with ``dtype=object`` holding
 `fractions.Fraction` entries; `@`, `+`, scalar `*` all stay exact.
 Everything that numpy cannot do exactly on such arrays (determinants,
-inverses, echelon forms, kernels) is implemented here by Gaussian
-elimination over Q.
+inverses, echelon forms, kernels) is implemented here by elimination
+over Q; echelon forms and kernels by one Gauss-Jordan on sparse rows.
 
 Also home to the integer-lattice utilities: column-style Hermite normal
 form, exact lattice membership, and matrix orders in GL(n, Z/m).
@@ -111,27 +111,54 @@ def _require_square(m: np.ndarray) -> int:
 # -- elimination ---------------------------------------------------------
 
 
+def _subtract(row: dict, f: Fraction, other: dict) -> None:
+    """row -= f * other, in place, keeping no zero entries."""
+    for c, v in other.items():
+        x = row.get(c, 0) - f * v
+        if x:
+            row[c] = x
+        else:
+            row.pop(c, None)
+
+
+def gauss_jordan(rows) -> tuple[list[dict[int, Fraction]], list[int]]:
+    """The nonzero rows of the RREF of sparse rows ({column: value}), in
+    pivot order and without zeros, and their pivot columns.
+
+    Each new row is reduced by the pivot rows so far, scaled to a leading 1
+    and cleared from the earlier pivot rows.  The RREF over Q is unique, so
+    the result does not depend on the order of the rows.
+    """
+    reduced: dict[int, dict[int, Fraction]] = {}  # pivot column -> its row
+    for row in rows:
+        r = {c: v for c, v in row.items() if v}
+        for p in [c for c in r if c in reduced]:
+            _subtract(r, r[p], reduced[p])
+        if r:
+            lead = min(r)
+            inv = Fraction(1) / r[lead]
+            r = {c: v * inv for c, v in r.items()}
+            for other in reduced.values():
+                if lead in other:
+                    _subtract(other, other[lead], r)
+            reduced[lead] = r
+    pivots = sorted(reduced)
+    return [reduced[p] for p in pivots], pivots
+
+
+def from_rows(rows: list[dict[int, Fraction]], nc: int) -> np.ndarray:
+    """Dense len(rows) x nc matrix of sparse rows ({column: value})."""
+    out = zeros(len(rows), nc)
+    for r, row in enumerate(rows):
+        for c, v in row.items():
+            out[r, c] = v
+    return out
+
+
 def rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form (copy) and its pivot columns."""
-    m = a.copy()
-    nr, nc = m.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        pr = next((i for i in range(r, nr) if m[i, c] != 0), None)
-        if pr is None:
-            continue
-        if pr != r:
-            m[[r, pr]] = m[[pr, r]]
-        m[r] = m[r] * (Fraction(1) / m[r, c])
-        for i in range(nr):
-            if i != r and m[i, c] != 0:
-                m[i] = m[i] - m[i, c] * m[r]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return m, pivots
+    rows, pivots = gauss_jordan(dict(enumerate(row)) for row in a)
+    return from_rows(rows + [{}] * (a.shape[0] - len(rows)), a.shape[1]), pivots
 
 
 def rank(a: np.ndarray) -> int:
@@ -181,14 +208,18 @@ def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
 
 def nullspace(a: np.ndarray) -> np.ndarray:
     """Canonical kernel basis as columns (free variable = 1 pattern)."""
-    nr, nc = a.shape
-    red, pivots = rref(a)
-    free = [c for c in range(nc) if c not in pivots]
+    return kernel((dict(enumerate(row)) for row in a), a.shape[1])
+
+
+def kernel(rows, nc: int) -> np.ndarray:
+    """`nullspace` of the system whose rows are sparse ({column: value})."""
+    red, pivots = gauss_jordan(rows)
+    free = sorted(set(range(nc)) - set(pivots))
     out = zeros(nc, len(free))
     for k, fc in enumerate(free):
         out[fc, k] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            out[pc, k] = -red[r, fc]
+        for row, pc in zip(red, pivots):
+            out[pc, k] = -row.get(fc, Fraction(0))
     return out
 
 
@@ -225,17 +256,20 @@ def hstack(mats: list[np.ndarray]) -> np.ndarray:
 
 
 def charpoly(m: np.ndarray) -> Polynomial:
-    """Monic characteristic polynomial det(X I - M), Faddeev-LeVerrier."""
+    """Monic characteristic polynomial det(X I - M), Faddeev-LeVerrier.
+
+    Runs on A = d M in ints: M_k = A (M_{k-1} + c_{k-1} I) is integral and
+    tr(M_k) = -k c_k, so each division is exact; det(X I - M) is then
+    sum_k c_k d^(-k) X^(n-k).
+    """
     n = _require_square(m)
-    coeffs_desc = [Fraction(1)]
-    a = m.copy()
-    c = -trace(a)
-    coeffs_desc.append(c)
-    for k in range(2, n + 1):
-        a = m @ (a + c * identity(n))
-        c = -trace(a) / k
-        coeffs_desc.append(c)
-    return Polynomial(reversed(coeffs_desc))
+    a, d = cleared(m)
+    coeffs_desc = [1]
+    power = np.zeros((n, n), dtype=object)
+    for k in range(1, n + 1):
+        power = a @ (power + coeffs_desc[-1] * np.identity(n, dtype=object))
+        coeffs_desc.append(-sum(power.diagonal()) // k)
+    return Polynomial(reversed([Fraction(c, d**k) for k, c in enumerate(coeffs_desc)]))
 
 
 def eval_poly(p: Polynomial, m: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction
 from math import lcm
@@ -22,6 +23,8 @@ from nilgrade.liealg import (
     validate,
 )
 from nilgrade.specmaps import is_expanding
+
+import oracles
 
 
 def heisenberg():
@@ -414,3 +417,70 @@ class TestDerivedSubalgebra:
 
     def test_abelian_zero(self):
         assert derived_subalgebra(abelian(4)).shape == (4, 0)
+
+
+# -- the sparse kernels against the dense ones they replaced ----------------
+
+LADDER = {
+    "L5": lambda: oracles.filiform(5),
+    "L8": lambda: oracles.filiform(8),
+    "L11": lambda: oracles.filiform(11),
+    "L14": lambda: oracles.filiform(14),
+    "H5": lambda: oracles.heisenberg(2),
+    "H9": lambda: oracles.heisenberg(4),
+    "H13": lambda: oracles.heisenberg(6),
+    "N2,3": lambda: oracles.free_nilpotent(2, 3),
+    "N3,2": lambda: oracles.free_nilpotent(3, 2),
+    "N2,4": lambda: oracles.free_nilpotent(2, 4),
+    "N4,2": lambda: oracles.free_nilpotent(4, 2),
+    "N3,3": lambda: oracles.free_nilpotent(3, 3),
+}
+
+
+@pytest.mark.parametrize("name", list(ALL_FIXTURES) + list(LADDER))
+def test_derivations_match_dense_system(name):
+    a = LADDER[name]() if name in LADDER else load_algebra(name)
+    got, want = derivations(a), oracles.derivations_dense(a)
+    assert len(got) == len(want)
+    assert all(mx.mat_eq(g, w) for g, w in zip(got, want))
+
+
+def perturbed(algebra, rng):
+    """One coefficient changed, one bracket added, or a rescaled basis."""
+    n = algebra.dim
+    table = {ij: v.copy() for ij, v in algebra.table.items()}
+    values = [1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4)]
+    kind = rng.choice(["change", "add", "rescale"])
+    if kind == "change" and table:
+        ij = rng.choice(sorted(table))
+        table[ij][rng.randrange(n)] += rng.choice(values)
+    elif kind == "rescale":
+        s = [rng.choice(values) for _ in range(n)]
+        table = {(i, j): mx.rvec([v[k] * s[i] * s[j] / s[k] for k in range(n)]) for (i, j), v in table.items()}
+    else:
+        i, j = sorted(rng.sample(range(n), 2))
+        vec = table.get((i, j), mx.rvec([0] * n))
+        vec[rng.randrange(n)] += rng.choice(values)
+        table[(i, j)] = vec
+    return LieAlgebra(n, table)
+
+
+def test_validate_matches_bracket_based_loop():
+    rng = random.Random(8128)
+    cases = [sl2_like(), LieAlgebra(5, {(0, 1): [0, 0, 1, 0, "1/2"], (0, 2): [0, 0, 0, 1, 0], (0, 3): [0, 0, 1, 0, "1/2"]})]
+    for name in ALL_FIXTURES:
+        a = load_algebra(name)
+        cases += [a] + [perturbed(a, rng) for _ in range(6)]
+    seen = set()
+    for a in cases:
+        got, want = validate(a), oracles.validate_dense(a)
+        assert got.to_json() == want.to_json()
+        seen.add(got.condition)
+        if got.condition != "jacobi":
+            series, _ = oracles.series_dense(a)
+            assert [s.tolist() for s in lower_central_series(a)] == [s.tolist() for s in series]
+        x = mx.rvec([rng.choice([0, 1, -2, "1/3"]) for _ in range(a.dim)])
+        y = mx.rvec([rng.choice([0, 3, -1, "2/5"]) for _ in range(a.dim)])
+        assert list(a.bracket(x, y)) == list(oracles.bracket_dense(a, x, y))
+    assert seen == {"jacobi", "not-nilpotent", "nilpotent-lie-algebra"}
+    assert any(v.certificate["triple"] != [1, 2, 3] for v in map(validate, cases) if v.condition == "jacobi")

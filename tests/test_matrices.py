@@ -10,6 +10,7 @@ from nilgrade import matrices as mx
 from nilgrade.intutil import factor_int, least_exponent
 from nilgrade.matrices import IntegerLattice, hnf, hnf_membership, order_mod
 from nilgrade.polynomials import Polynomial
+from oracles import charpoly_fraction, col_basis_dense, nullspace_dense, rref_dense
 
 
 def P(*coeffs):
@@ -384,3 +385,71 @@ class TestCleared:
         scaled, d = mx.cleared(mx.rmat([[2, -1], [0, 7]]))
         assert d == 1
         assert scaled.tolist() == [[2, -1], [0, 7]]
+
+
+# -- the sparse Gauss-Jordan against the dense row loop ----------------------
+
+
+def random_rational_matrix(rng, nr, nc, zero_share=0.5):
+    vals = [0] * 6 + [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7)]
+    return mx.rmat([[0 if rng.random() < zero_share else rng.choice(vals) for _ in range(nc)] for _ in range(nr)])
+
+
+def seeded_cases():
+    rng = random.Random(2718)
+    for _ in range(15):
+        yield "wide", random_rational_matrix(rng, rng.randint(1, 5), rng.randint(6, 12))
+        yield "tall", random_rational_matrix(rng, rng.randint(6, 12), rng.randint(1, 5))
+        low = random_rational_matrix(rng, 7, 2, 0.2) @ random_rational_matrix(rng, 2, 9, 0.2)
+        yield "rank-deficient", low
+        m = random_rational_matrix(rng, 8, 6)
+        m[[1, 4]] = Fraction(0)
+        yield "zero-rows", m
+        ints = np.array([[rng.randint(-3, 3) for _ in range(5)] for _ in range(6)], dtype=object)
+        yield "int-valued", ints
+
+
+class TestGaussJordan:
+    @pytest.mark.parametrize("kind", ["wide", "tall", "rank-deficient", "zero-rows", "int-valued"])
+    def test_rref_matches_dense(self, kind):
+        for k, a in seeded_cases():
+            if k != kind:
+                continue
+            red, pivots = mx.rref(a)
+            want, want_pivots = rref_dense(a)
+            assert pivots == want_pivots
+            assert red.shape == a.shape and mx.mat_eq(red, want)
+            assert all(type(e) is Fraction for e in red.flat)
+
+    def test_rank_deficient_cases_lose_rank(self):
+        assert any(len(mx.rref(a)[1]) < min(a.shape) for k, a in seeded_cases() if k == "rank-deficient")
+
+    def test_row_order_does_not_matter(self):
+        rng = random.Random(31)
+        for _, a in seeded_cases():
+            rows = [{c: v for c, v in enumerate(row) if v} for row in a]
+            rng.shuffle(rows)
+            red, pivots = mx.gauss_jordan(rows)
+            want, want_pivots = rref_dense(a)
+            assert pivots == want_pivots
+            assert red == [{c: v for c, v in enumerate(want[r]) if v} for r in range(len(pivots))]
+
+    def test_empty(self):
+        assert mx.gauss_jordan([]) == ([], [])
+        assert mx.gauss_jordan([{}, {3: Fraction(0)}]) == ([], [])
+        for shape in ((0, 3), (3, 0)):
+            red, pivots = mx.rref(mx.zeros(*shape))
+            assert red.shape == shape and pivots == []
+
+    def test_wrappers_match_dense(self):
+        for _, a in seeded_cases():
+            assert mx.mat_eq(mx.nullspace(a), nullspace_dense(a))
+            assert mx.mat_eq(mx.col_basis(a), col_basis_dense(a))
+
+
+def test_charpoly_matches_fraction_faddeev_leverrier():
+    rng = random.Random(4242)
+    for _ in range(100):
+        n = rng.randint(1, 8)
+        m = random_rational_matrix(rng, n, n, 0.3)
+        assert mx.charpoly(m) == charpoly_fraction(m)
