@@ -268,7 +268,7 @@ def charpoly(m: np.ndarray) -> Polynomial:
     power = np.zeros((n, n), dtype=object)
     for k in range(1, n + 1):
         power = a @ (power + coeffs_desc[-1] * np.identity(n, dtype=object))
-        coeffs_desc.append(-sum(power.diagonal()) // k)
+        coeffs_desc.append(-trace(power) // k)
     return Polynomial(reversed([Fraction(c, d**k) for k, c in enumerate(coeffs_desc)]))
 
 
