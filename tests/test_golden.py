@@ -9,6 +9,12 @@ Jacobi violators (one failing first on triple (1,2,3), one later with a
 fractional residual), two non-nilpotent algebras (sl2 and one whose lower
 central series stabilizes at dimension 2) and two ladder algebras in a
 rescaled basis (L_10 and N_3,2, with fractional structure constants).
+The maps under `tests/golden/maps/` (`<algebra>__<map>.json`, the algebra
+a fixture name or a file under `tests/golden/algebras/`) cover `norm` on
+what the bundled maps do not: non-semisimple maps (an expanding
+automorphism and a self-cover), a self-cover whose characteristic
+polynomial is one irreducible quadratic, a unit-determinant map that
+yields no grading, and an expanding map with two quadratic factors.
 
 `tests/golden/cli.json` holds the exit code and stdout of each invocation
 below, recorded once.  A refactor that changes any verdict, certificate or
@@ -36,6 +42,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json"
 MAPS_DIR = "src/nilgrade/fixtures/maps"
 LATPOW_DIR = "tests/golden/latpow"
 ALGEBRAS_DIR = "tests/golden/algebras"
+GOLDEN_MAPS_DIR = "tests/golden/maps"
 LADDER = ("l10-rescaled", "n32-rescaled")
 
 
@@ -71,12 +78,16 @@ def invocations() -> list[list[str]]:
         out.append(["check", rel])
         if path.stem in LADDER:
             out.append(["expand", rel, "--prime", "2"])
+    for path in sorted((ROOT / GOLDEN_MAPS_DIR).glob("*.json")):
+        alg = path.stem.split("__")[0]
+        alg = alg if alg in ALL_FIXTURES else f"{ALGEBRAS_DIR}/{alg}.json"
+        out.append(["norm", alg, f"{GOLDEN_MAPS_DIR}/{path.name}"])
     return out
 
 
 def run(argv: list[str]) -> dict:
     """Exit code and stdout, with repo-relative paths resolved."""
-    resolved = [str(ROOT / a) if a.startswith((MAPS_DIR, LATPOW_DIR, ALGEBRAS_DIR)) else a for a in argv]
+    resolved = [str(ROOT / a) if a.startswith((MAPS_DIR, LATPOW_DIR, ALGEBRAS_DIR, GOLDEN_MAPS_DIR)) else a for a in argv]
     buf = io.StringIO()
     with redirect_stdout(buf):
         code = main(resolved)
