@@ -13,7 +13,7 @@ from nilgrade.grading import classify, preserved_by
 from nilgrade.specmaps import (
     expanding_to_positive_grading,
     is_expanding,
-    is_integer_like,
+    is_z_charpoly,
     norm_profile,
     selfcover_to_nonneg_grading,
     semisimple_part,
@@ -30,7 +30,7 @@ print("quarter turn (|eigenvalues| = 1) expanding:", is_expanding(rot))
 
 # integer-like = integral charpoly and det +-1
 b = mx.rmat([["5/2", "1/2"], ["1/2", "1/2"]])
-print("\n[[5/2,1/2],[1/2,1/2]] integer-like:", is_integer_like(b))
+print("\n[[5/2,1/2],[1/2,1/2]] integer-like:", is_z_charpoly(b) and abs(mx.det(b)) == 1)
 
 # The semisimple part strips nilpotent shear without touching eigenvalues.
 j = mx.rmat([[2, 1], [0, 2]])

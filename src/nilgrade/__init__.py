@@ -41,15 +41,14 @@ from .liealg import (
     nilpotency_class,
     validate,
 )
-from .matrices import IntegerLattice, charpoly, hnf, hnf_membership, minpoly, order_mod, rmat, rvec
+from .matrices import IntegerLattice, charpoly, hnf, hnf_membership, order_mod, rmat, rvec
 from .polynomials import Polynomial, factor_over_q, squarefree_part
 from .matrices import primary_decomposition
 from .specmaps import (
     NormProfile,
-    commuting_preservation_check,
     expanding_to_positive_grading,
+    grading_from_profile,
     is_expanding,
-    is_integer_like,
     is_z_charpoly,
     norm_profile,
     selfcover_to_nonneg_grading,

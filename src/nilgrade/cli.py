@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -354,19 +355,18 @@ def cmd_norm(args) -> int:
             args.json,
         )
     notes = []
-    s = m
-    if not specmaps.is_semisimple(m):
-        s = specmaps.semisimple_part(m)
+    s = specmaps.semisimple_part(m)
+    if not mx.mat_eq(s, m):
         notes.append("map is not semisimple; profile taken on its semisimple part")
     profile = specmaps.norm_profile(algebra, s)
     cert = {"profile": profile_to_dict(profile)}
     if specmaps.is_expanding(m):
-        g = specmaps.expanding_to_positive_grading(algebra, m)
+        g = specmaps.grading_from_profile(algebra, m, profile, positive=True)
         cert["grading"] = grading_to_dict(g)
         cert["classification"] = "positive"
         notes.append("expanding: extracted a positive grading preserved by the map")
     elif specmaps.is_z_charpoly(m) and abs(mx.det(m)) > 1:
-        g = specmaps.selfcover_to_nonneg_grading(algebra, m)
+        g = specmaps.grading_from_profile(algebra, m, profile, positive=False)
         cert["grading"] = grading_to_dict(g)
         cert["classification"] = "nonnegative-nontrivial"
         notes.append("self-cover criteria hold: extracted a non-negative grading")
@@ -426,7 +426,9 @@ def cmd_latpow(args) -> int:
 # -- entry point --------------------------------------------------------------
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused after."""
     ap = argparse.ArgumentParser(
         prog="nilgrade",
         description="exact grading / expanding-map / self-cover criteria"
@@ -440,13 +442,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="validate an algebra file")
     p.add_argument("algebra")
     common(p)
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("grade", help="search a basis-aligned grading")
     p.add_argument("algebra")
     p.add_argument("--mode", choices=["positive", "nonneg"], default="positive")
     common(p)
-    p.set_defaults(func=cmd_grade)
 
     p = sub.add_parser("expand", help="expanding-map criterion")
     p.add_argument("algebra")
@@ -454,26 +454,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--holonomy")
     p.add_argument("--certificate")
     common(p)
-    p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("cohopf", help="self-cover / co-Hopf criterion")
     p.add_argument("algebra")
     p.add_argument("--holonomy")
     p.add_argument("--certificate")
     common(p)
-    p.set_defaults(func=cmd_cohopf)
 
     p = sub.add_parser("norm", help="norm profile and grading extraction")
     p.add_argument("algebra")
     p.add_argument("matrix")
     common(p)
-    p.set_defaults(func=cmd_norm)
 
     p = sub.add_parser("latpow", help="lattice power certificate / orbit escape")
     p.add_argument("input")
     p.add_argument("--bound", type=int)
     common(p)
-    p.set_defaults(func=cmd_latpow)
 
     return ap
 
@@ -486,7 +482,8 @@ def main(argv=None) -> int:
         if getattr(args, "prime", None) is not None and args.command == "expand":
             if not is_prime(args.prime):
                 raise CliError(f"{args.prime} is not prime")
-        return args.func(args)
+        # looked up per call, so a wrapper bound to the module attribute runs
+        return globals()[f"cmd_{args.command}"](args)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -63,11 +63,6 @@ class LieAlgebra:
                     out[k] += c * v
         return np.array(out, dtype=object)
 
-    def adjoint(self, x: np.ndarray) -> np.ndarray:
-        """Matrix of ad_x: columns are [x, e_j]."""
-        cols = [self.bracket(x, _basis_vec(self.dim, j)) for j in range(self.dim)]
-        return np.stack(cols, axis=1)
-
 
 def _basis_vec(n: int, i: int) -> np.ndarray:
     v = mx.rvec([0] * n)

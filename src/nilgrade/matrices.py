@@ -240,10 +240,6 @@ def col_space_contains(space: np.ndarray, v: np.ndarray) -> bool:
     return solve(space, v) is not None
 
 
-def col_space_contains_all(space: np.ndarray, w: np.ndarray) -> bool:
-    return all(col_space_contains(space, w[:, j]) for j in range(w.shape[1]))
-
-
 def col_spaces_equal(a: np.ndarray, b: np.ndarray) -> bool:
     return mat_eq(col_basis(a), col_basis(b))
 
@@ -252,7 +248,7 @@ def hstack(mats: list[np.ndarray]) -> np.ndarray:
     return np.concatenate(mats, axis=1)
 
 
-# -- characteristic / minimal polynomials ---------------------------------
+# -- characteristic polynomials ------------------------------------------
 
 
 def charpoly(m: np.ndarray) -> Polynomial:
@@ -278,19 +274,6 @@ def eval_poly(p: Polynomial, m: np.ndarray) -> np.ndarray:
     for c in reversed(p.coeffs):
         acc = acc @ m + c * identity(n)
     return acc
-
-
-def minpoly(m: np.ndarray) -> Polynomial:
-    """Monic minimal polynomial via first linear dependence of powers."""
-    n = _require_square(m)
-    powers = [identity(n)]
-    for k in range(1, n + 1):
-        powers.append(powers[-1] @ m)
-        stacked = np.stack([p.reshape(n * n) for p in powers[:k]], axis=1)
-        x = solve(stacked, powers[k].reshape(n * n))
-        if x is not None:
-            return Polynomial(list(-x) + [Fraction(1)])
-    raise AssertionError("Cayley-Hamilton violated")  # pragma: no cover
 
 
 def is_nilpotent(m: np.ndarray) -> bool:

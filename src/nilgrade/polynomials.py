@@ -160,10 +160,6 @@ class Polynomial:
         """Coefficient reversal X^deg * p(1/X)."""
         return Polynomial(reversed(self.coeffs))
 
-    def shift_up(self, k: int) -> "Polynomial":
-        """Multiply by X^k."""
-        return Polynomial([Fraction(0)] * k + list(self.coeffs))
-
 
 ZERO = Polynomial([])
 ONE = Polynomial([1])

@@ -2,13 +2,16 @@
 
 - expansion (every eigenvalue strictly outside the unit circle) via a
   Schur-Cohn chain on the reciprocal characteristic polynomial;
-- integer-likeness (characteristic polynomial in Z[X], determinant +-1);
-- the semisimple part over Q by Newton iteration (Jordan-Chevalley);
+- characteristic polynomials in Z[X] (with |det| > 1: a self-cover witness);
+- the semisimple part over Q by Newton iteration (Jordan-Chevalley), and
+  semisimplicity as g(M) = 0 for g the radical of the characteristic
+  polynomial;
 - norm profiles: each primary component of a semisimple automorphism is
   tagged with |p_i(0)|^(lcm/deg), a fixed positive power of the absolute
   field norm of its eigenvalues.  Equal-norm classes assemble into the
   positive / non-negative gradings promised by the expansion and
-  self-cover criteria.
+  self-cover criteria (`grading_from_profile`, which takes the profile
+  already computed).
 
 The splitting field itself is never constructed: a common positive power
 of the norms preserves equality classes, ordering, the >1 predicate and
@@ -24,7 +27,7 @@ from math import ceil, lcm, log2
 import numpy as np
 
 from . import matrices as mx
-from .grading import Grading, preserved_by
+from .grading import Grading, classify, preserved_by
 from .liealg import LieAlgebra, is_automorphism
 from .linineq import solve
 from .polynomials import Polynomial, factor_order_key, poly_xgcd, squarefree_part
@@ -66,12 +69,6 @@ def is_z_charpoly(m: np.ndarray) -> bool:
     return all(c.denominator == 1 for c in mx.charpoly(m).coeffs)
 
 
-def is_integer_like(m: np.ndarray) -> bool:
-    """Characteristic polynomial in Z[X] and determinant +-1."""
-    p = mx.charpoly(m)
-    return all(c.denominator == 1 for c in p.coeffs) and abs(p.coeffs[0]) == 1
-
-
 def semisimple_part(m: np.ndarray) -> np.ndarray:
     """Jordan-Chevalley semisimple part over Q (a polynomial in M).
 
@@ -94,10 +91,13 @@ def semisimple_part(m: np.ndarray) -> np.ndarray:
 
 
 def is_semisimple(m: np.ndarray) -> bool:
-    p = mx.minpoly(m)
-    from .polynomials import poly_gcd
+    """g(M) = 0 for g the squarefree part of the characteristic polynomial.
 
-    return poly_gcd(p, p.derivative()).degree == 0
+    The minimal polynomial is squarefree iff it divides g, the radical of
+    the characteristic polynomial.
+    """
+    g = squarefree_part(mx.charpoly(m))
+    return mx.is_zero_mat(mx.eval_poly(g, m))
 
 
 # -- norm profiles ------------------------------------------------------------
@@ -223,20 +223,35 @@ def _grading_from_classes(
     return Grading(tuple((w[a], classes[a][1]) for a in range(nvars)))
 
 
+def grading_from_profile(
+    algebra: LieAlgebra, m: np.ndarray, profile: NormProfile, positive: bool
+) -> Grading:
+    """The grading preserved by m, read off the norm profile of its
+    semisimple part.
+
+    positive: m is expanding, so every norm value exceeds 1 and the
+    grading is positive.  Otherwise m is a self-cover witness: value-1
+    classes get weight 0 and the grading is non-negative and non-trivial
+    (positive when no class has value 1).
+    """
+    classes = _norm_classes(profile)
+    if positive and any(v <= 1 for v, _ in classes):
+        raise RuntimeError("expanding map produced a norm value <= 1")
+    g = _grading_from_classes(algebra, classes, zero_for_value_one=not positive)
+    allowed = {"positive"} if positive else {"positive", "nonnegative-nontrivial"}
+    label = classify(algebra, g)
+    if label not in allowed:
+        raise RuntimeError(f"extracted grading is {label}, not {' or '.join(sorted(allowed))}")
+    if not preserved_by(g, m):
+        raise RuntimeError("extracted grading is not preserved by the input map")
+    return g
+
+
 def expanding_to_positive_grading(algebra: LieAlgebra, m: np.ndarray) -> Grading:
     """Positive grading preserved by the expanding automorphism m."""
     if not is_expanding(m):
         raise ValueError("map is not expanding")
-    s = semisimple_part(m)
-    if not is_automorphism(algebra, s):
-        raise RuntimeError("semisimple part is not an automorphism")
-    profile = norm_profile(algebra, s)
-    classes = _norm_classes(profile)
-    if any(v <= 1 for v, _ in classes):
-        raise RuntimeError("expanding map produced a norm value <= 1")
-    g = _grading_from_classes(algebra, classes, zero_for_value_one=False)
-    _assert_extraction(algebra, g, m, {"positive"})
-    return g
+    return grading_from_profile(algebra, m, norm_profile(algebra, semisimple_part(m)), positive=True)
 
 
 def selfcover_to_nonneg_grading(algebra: LieAlgebra, m: np.ndarray) -> Grading:
@@ -250,32 +265,4 @@ def selfcover_to_nonneg_grading(algebra: LieAlgebra, m: np.ndarray) -> Grading:
         raise ValueError("characteristic polynomial is not in Z[X]")
     if abs(mx.det(m)) <= 1:
         raise ValueError("|det| > 1 required")
-    s = semisimple_part(m)
-    if not is_automorphism(algebra, s):
-        raise RuntimeError("semisimple part is not an automorphism")
-    profile = norm_profile(algebra, s)
-    classes = _norm_classes(profile)
-    g = _grading_from_classes(algebra, classes, zero_for_value_one=True)
-    # a positive grading is non-negative and non-trivial too; it comes out
-    # when no norm class has value 1
-    _assert_extraction(algebra, g, m, {"positive", "nonnegative-nontrivial"})
-    return g
-
-
-def _assert_extraction(algebra, g: Grading, m: np.ndarray, allowed: set[str]):
-    from .grading import classify
-
-    label = classify(algebra, g)
-    if label not in allowed:
-        raise RuntimeError(f"extracted grading is {label}, not {' or '.join(sorted(allowed))}")
-    if not preserved_by(g, m):
-        raise RuntimeError("extracted grading is not preserved by the input map")
-
-
-def commuting_preservation_check(
-    algebra: LieAlgebra, grading: Grading, m: np.ndarray, psi: np.ndarray
-) -> bool:
-    """psi commutes with m, so it must preserve the extracted grading."""
-    if not mx.mat_eq(m @ psi, psi @ m):
-        raise ValueError("maps do not commute")
-    return preserved_by(grading, psi)
+    return grading_from_profile(algebra, m, norm_profile(algebra, semisimple_part(m)), positive=False)

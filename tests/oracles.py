@@ -3,8 +3,9 @@
 Each function here is the earlier library code, kept as the oracle the
 tests compare against: a dense Gauss-Jordan row loop on numpy object
 arrays, Faddeev-LeVerrier in Fractions, the bracket that loops over the
-whole table, the Jacobi loop and lower central series built on it, and
-the dense derivation system.  They read only `LieAlgebra.dim` and
+whole table, the Jacobi loop and lower central series built on it, the
+dense derivation system, and the minimal polynomial from the first linear
+dependence among the powers of a matrix.  They read only `LieAlgebra.dim` and
 `LieAlgebra.table`.
 
 Also the ladder algebras L_n, H_{2m+1} and N_{r,c}, built from first
@@ -76,6 +77,19 @@ def charpoly_fraction(m):
         c = -mx.trace(a) / k
         coeffs_desc.append(c)
     return Polynomial(reversed(coeffs_desc))
+
+
+def minpoly(m):
+    """Monic minimal polynomial via first linear dependence of powers."""
+    n = m.shape[0]
+    powers = [mx.identity(n)]
+    for k in range(1, n + 1):
+        powers.append(powers[-1] @ m)
+        stacked = np.stack([p.reshape(n * n) for p in powers[:k]], axis=1)
+        x = mx.solve(stacked, powers[k].reshape(n * n))
+        if x is not None:
+            return Polynomial(list(-x) + [Fraction(1)])
+    raise AssertionError("Cayley-Hamilton violated")
 
 
 # -- Lie algebras on the dense table ----------------------------------------

@@ -1,14 +1,22 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
+from nilgrade import matrices, specmaps
 from nilgrade.cli import main
 from nilgrade.fixtures import load_algebra
 from nilgrade.latpow import LatticePowerCertificate
 from nilgrade.serialize import algebra_to_dict
 from test_liealg import direct_sum, heisenberg_of_dim
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(*argv):
@@ -230,6 +238,32 @@ class TestNorm:
         assert code == 0
         assert v2["condition"] == "covinfra-cond-2"
 
+    @pytest.mark.parametrize(
+        "algebra, name, classification",
+        [("heisenberg3", "heisenberg3__jordan224", "positive"), ("abelian3", "abelian3__jordan112", "nonnegative-nontrivial")],
+    )
+    def test_one_spectral_pass(self, monkeypatch, algebra, name, classification):
+        # a non-semisimple map: its semisimple part and the factorisation
+        # behind its profile are computed once, for the profile and the grading
+        calls = {"semisimple_part": 0, "primary_decomposition": 0}
+
+        def counted(module, attr):
+            fn = getattr(module, attr)
+
+            def wrapper(*args):
+                calls[attr] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(module, attr, wrapper)
+
+        counted(specmaps, "semisimple_part")
+        counted(matrices, "primary_decomposition")
+        path = ROOT / "tests" / "golden" / "maps" / f"{name}.json"
+        code, v, _ = run_cli("norm", algebra, str(path))
+        assert code == 0
+        assert v["certificate"]["classification"] == classification
+        assert calls == {"semisimple_part": 1, "primary_decomposition": 1}
+
 
 class TestLatpow:
     def test_power_certificate(self, tmp_path):
@@ -308,6 +342,27 @@ class TestDeterminism:
             _, _, out1 = run_cli(*argv)
             _, _, out2 = run_cli(*argv)
             assert out1 == out2
+
+
+class TestStdout:
+    """Nothing but the verdict reaches stdout: a caller that reads the
+    output whole, or takes its last line, must find exactly one JSON value."""
+
+    def _run(self, *args):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        return subprocess.run([sys.executable, *args], env=env, cwd=ROOT, capture_output=True, text=True, timeout=120)
+
+    def test_import_is_silent(self):
+        done = self._run("-c", "import nilgrade, nilgrade.cli")
+        assert done.returncode == 0
+        assert (done.stdout, done.stderr) == ("", "")
+
+    def test_check_prints_one_json_verdict(self):
+        done = self._run("-m", "nilgrade.cli", "check", "heisenberg3")
+        assert done.returncode == 0
+        assert json.loads(done.stdout)["decision"] == "accept"
+        assert done.stdout.startswith("{") and done.stdout.endswith("}\n")
+        assert done.stderr == ""
 
 
 class TestFixtureEnvOverride:

@@ -11,10 +11,8 @@ from nilgrade.grading import classify, find_positive_weights, grading_from_weigh
 from nilgrade.liealg import LieAlgebra, is_automorphism
 from nilgrade.polynomials import Polynomial, poly_gcd
 from nilgrade.specmaps import (
-    commuting_preservation_check,
     expanding_to_positive_grading,
     is_expanding,
-    is_integer_like,
     is_semisimple,
     is_z_charpoly,
     norm_profile,
@@ -22,6 +20,8 @@ from nilgrade.specmaps import (
     selfcover_to_nonneg_grading,
     semisimple_part,
 )
+from oracles import minpoly
+from test_liealg import unimodular
 
 
 def P(*coeffs):
@@ -135,6 +135,11 @@ class TestIsExpanding:
             assert is_expanding(m) == oracle
 
 
+def is_integer_like(m):
+    """Characteristic polynomial in Z[X] and determinant +-1."""
+    return is_z_charpoly(m) and abs(mx.det(m)) == 1
+
+
 class TestIntegerLike:
     def test_integer_like_with_fractional_entries(self):
         m = mx.rmat([["5/2", "1/2"], ["1/2", "1/2"]])
@@ -178,7 +183,7 @@ class TestSemisimplePart:
             s = semisimple_part(m)
             assert mx.mat_eq(s @ m, m @ s)
             assert mx.charpoly(s) == mx.charpoly(m)
-            mp = mx.minpoly(s)
+            mp = minpoly(s)
             assert poly_gcd(mp, mp.derivative()).degree == 0
             # nilpotent difference
             assert mx.is_nilpotent(m - s)
@@ -190,6 +195,70 @@ class TestSemisimplePart:
         b = mx.rmat([[5, 7, 0], [0, 5, 0], [0, 0, 9]])
         assert mx.mat_eq(b @ m, m @ b)
         assert mx.mat_eq(b @ s, s @ b)
+
+
+def block_diag(blocks):
+    n = sum(b.shape[0] for b in blocks)
+    out = mx.zeros(n, n)
+    at = 0
+    for b in blocks:
+        k = b.shape[0]
+        out[at : at + k, at : at + k] = b
+        at += k
+    return out
+
+
+def jordan_block(lam, k):
+    b = lam * mx.identity(k)
+    for i in range(k - 1):
+        b[i, i + 1] = Fraction(1)
+    return b
+
+
+def seeded_matrices(seed, count):
+    """Rational matrices of dim <= 6: Jordan blocks and companions of
+    (X^2 + 1)^e, (X^2 - 2)^e on the diagonal, conjugated by a unimodular
+    matrix, and small random matrices."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, 6)
+        if rng.random() < 0.25:
+            entries = [0, 0, 1, -1, Fraction(1, 2)]
+            out.append(mx.rmat([[rng.choice(entries) for _ in range(n)] for _ in range(n)]))
+            continue
+        blocks, size = [], 0
+        while size < n:
+            if n - size >= 2 and rng.random() < 0.3:
+                p = rng.choice([P(1, 0, 1), P(-2, 0, 1)])
+                e = rng.randint(1, min(2, (n - size) // 2))
+                blocks.append(companion(p * p) if e == 2 else companion(p))
+            else:
+                lam = rng.choice([-2, -1, 0, 1, 2, Fraction(1, 2)])
+                blocks.append(jordan_block(lam, rng.randint(1, min(3, n - size))))
+            size += blocks[-1].shape[0]
+        b = block_diag(blocks)
+        if n > 1:
+            ops = [(rng.randrange(8), rng.randrange(8), rng.choice([-2, -1, 1, 2])) for _ in range(rng.randint(1, 6))]
+            u = unimodular(n, ops)
+            b = u @ b @ mx.inverse(u)
+        out.append(b)
+    return out
+
+
+class TestIsSemisimple:
+    def test_agrees_with_squarefree_minpoly_oracle(self):
+        verdicts = []
+        for m in seeded_matrices(5, 80):
+            mp = minpoly(m)
+            want = poly_gcd(mp, mp.derivative()).degree == 0
+            assert is_semisimple(m) == want
+            verdicts.append(want)
+        assert 20 <= sum(verdicts) <= 60  # both kinds are exercised
+
+    def test_semisimple_part_fixes_exactly_the_semisimple_maps(self):
+        for m in seeded_matrices(6, 40):
+            assert mx.mat_eq(semisimple_part(m), m) == is_semisimple(m)
 
 
 class TestNormProfile:
@@ -340,32 +409,35 @@ class TestSelfcoverToNonnegGrading:
 
 
 class TestCommutingPreservation:
+    """A map that commutes with m preserves the grading extracted from m."""
+
     def test_self(self):
         h = load_algebra("heisenberg3")
         m = mx.diag([2, 2, 4])
         g = expanding_to_positive_grading(h, m)
-        assert commuting_preservation_check(h, g, m, m)
+        assert preserved_by(g, m)
 
     def test_rotation_in_eigenplane(self):
         h = load_algebra("heisenberg3")
         m = mx.diag([2, 2, 4])
         g = expanding_to_positive_grading(h, m)
         rot = load_map("heisenberg3", "rotation")
-        assert commuting_preservation_check(h, g, m, rot)
+        assert mx.mat_eq(m @ rot, rot @ m)
+        assert preserved_by(g, rot)
 
     def test_identity_always(self):
         h = load_algebra("heisenberg3")
         m = mx.diag([2, 3, 6])
         g = expanding_to_positive_grading(h, m)
-        assert commuting_preservation_check(h, g, m, mx.identity(3))
+        assert preserved_by(g, mx.identity(3))
 
     def test_noncommuting_rejected(self):
         h = load_algebra("heisenberg3")
         m = mx.diag([2, 3, 6])
         g = expanding_to_positive_grading(h, m)
         swap = load_holonomy("heisenberg3_swap").elements[1]
-        with pytest.raises(ValueError):
-            commuting_preservation_check(h, g, m, swap)
+        assert not mx.mat_eq(m @ swap, swap @ m)
+        assert not preserved_by(g, swap)
 
 
 class TestCompositeCriterion:
