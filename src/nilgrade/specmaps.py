@@ -81,13 +81,12 @@ def semisimple_part(m: np.ndarray) -> np.ndarray:
     gd = g.derivative()
     _, u, _ = poly_xgcd(gd, g)
     s = m
-    for _ in range(max(1, ceil(log2(max(2, n)))) + 1):
+    for _ in range(max(1, ceil(log2(max(2, n)))) + 2):
         gs = mx.eval_poly(g, s)
         if mx.is_zero_mat(gs):
-            break
+            return s
         s = s - gs @ mx.eval_poly(u, s)
-    assert mx.is_zero_mat(mx.eval_poly(g, s)), "Newton iteration failed to converge"
-    return s
+    raise RuntimeError("Newton iteration failed to converge")
 
 
 def is_semisimple(m: np.ndarray) -> bool:

@@ -5,8 +5,8 @@ tests compare against: a dense Gauss-Jordan row loop on numpy object
 arrays, Faddeev-LeVerrier in Fractions, the bracket that loops over the
 whole table, the Jacobi loop and lower central series built on it, the
 dense derivation system, and the minimal polynomial from the first linear
-dependence among the powers of a matrix.  They read only `LieAlgebra.dim` and
-`LieAlgebra.table`.
+dependence among the powers of a matrix.  They read only
+`LieAlgebra.dim` and `LieAlgebra.table`.
 
 Also the ladder algebras L_n, H_{2m+1} and N_{r,c}, built from first
 principles (N_{r,c} from Lie words in the free associative algebra).
