@@ -8,13 +8,17 @@ certificate too wide to print (exit 2).  The algebras under
 Jacobi violators (one failing first on triple (1,2,3), one later with a
 fractional residual), two non-nilpotent algebras (sl2 and one whose lower
 central series stabilizes at dimension 2) and two ladder algebras in a
-rescaled basis (L_10 and N_3,2, with fractional structure constants).
+rescaled basis (L_10 and N_3,2, with fractional structure constants), and
+the abelian A_2, A_4 and A_8 that carry companion maps.
 The maps under `tests/golden/maps/` (`<algebra>__<map>.json`, the algebra
 a fixture name or a file under `tests/golden/algebras/`) cover `norm` on
 what the bundled maps do not: non-semisimple maps (an expanding
 automorphism and a self-cover), a self-cover whose characteristic
 polynomial is one irreducible quadratic, a unit-determinant map that
-yields no grading, and an expanding map with two quadratic factors.
+yields no grading, an expanding map with two quadratic factors, and two
+degree-8 companions that only a complete factorization over Q settles:
+X^8 + 2 (irreducible, expanding) and (X^4 - 10X^2 + 1)(X^4 + 1), whose
+quartics split into linear and quadratic factors modulo every prime.
 
 `tests/golden/cli.json` holds the exit code and stdout of each invocation
 below, recorded once.  A refactor that changes any verdict, certificate or
