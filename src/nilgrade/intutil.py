@@ -1,7 +1,8 @@
-"""Small integer helpers: primality, factorization, divisor lists.
+"""Small integer helpers: primality, factorization, least exponents.
 
-Everything here is plain trial division: desk-scale moduli and evaluation
-values, and the p^i - 1 (i <= n) that bound matrix orders mod p.
+Everything here is plain trial division: desk-scale moduli, the small
+primes a factorization over Q works modulo, and the p^i - 1 (i <= n) that
+bound matrix orders mod p.
 """
 
 from __future__ import annotations
@@ -37,21 +38,6 @@ def factor_int(n: int) -> dict[int, int]:
     if x > 1:
         out[x] = out.get(x, 0) + 1
     return out
-
-
-def prime_divisors(n: int) -> list[int]:
-    return sorted(factor_int(n)) if n > 1 else []
-
-
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n != 0, ascending."""
-    n = abs(n)
-    if n == 0:
-        raise ValueError("0 has no finite divisor list")
-    ds = [1]
-    for p, e in factor_int(n).items():
-        ds = [d * p**k for d in ds for k in range(e + 1)]
-    return sorted(ds)
 
 
 def least_exponent(multiple: int, holds) -> int:

@@ -17,7 +17,7 @@ from math import gcd as int_gcd
 import numpy as np
 
 from . import matrices as mx
-from .intutil import least_exponent, prime_divisors
+from .intutil import factor_int, least_exponent
 from .matrices import IntegerLattice
 from .verdict import Verdict
 
@@ -65,7 +65,7 @@ def denominator_primes(p: np.ndarray) -> tuple[list[int], int]:
         m *= e.denominator
     for e in mx.inverse(p).flat:
         m *= e.denominator
-    return prime_divisors(m), m
+    return sorted(factor_int(m)), m
 
 
 def power_into_lattice(a: np.ndarray, lattice: IntegerLattice) -> LatticePowerCertificate:
@@ -91,7 +91,7 @@ def power_into_lattice(a: np.ndarray, lattice: IntegerLattice) -> LatticePowerCe
     primes, m = denominator_primes(lattice.basis)
     g = int_gcd(abs(int(d)), m)
     if g != 1:
-        p = min(prime_divisors(g))
+        p = min(factor_int(g))
         raise ObstructionPrime(p)
     bound = mx.order_mod(a, m)
     u, d1 = mx.cleared(mx.inverse(lattice.basis))

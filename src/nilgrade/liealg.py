@@ -195,12 +195,20 @@ def is_automorphism(algebra: LieAlgebra, m: np.ndarray) -> bool:
     return violated_bracket(algebra, m) is None
 
 
+def _apply(m: np.ndarray, v: dict[int, Fraction]) -> np.ndarray:
+    """M v for v sparse ({k: c}): a sum of columns of M."""
+    out = mx.rvec([0] * m.shape[0])
+    for k, c in v.items():
+        out = out + c * m[:, k]
+    return out
+
+
 def violated_bracket(algebra: LieAlgebra, m: np.ndarray) -> tuple[int, int] | None:
     """First basis pair (1-indexed) where M[x,y] != [Mx,My], if any."""
     n = algebra.dim
     for i in range(n):
         for j in range(i + 1, n):
-            lhs = m @ algebra.bracket_basis(i, j)
+            lhs = _apply(m, algebra.terms.get((i, j), {}))
             rhs = algebra.bracket(m[:, i], m[:, j])
             if not (lhs == rhs).all():
                 return (i + 1, j + 1)
@@ -211,7 +219,7 @@ def is_derivation(algebra: LieAlgebra, d: np.ndarray) -> bool:
     n = algebra.dim
     for i in range(n):
         for j in range(i + 1, n):
-            lhs = d @ algebra.bracket_basis(i, j)
+            lhs = _apply(d, algebra.terms.get((i, j), {}))
             rhs = algebra.bracket(d[:, i], _basis_vec(n, j)) + algebra.bracket(
                 _basis_vec(n, i), d[:, j]
             )

@@ -92,14 +92,14 @@ def trace(a: np.ndarray) -> Fraction:
 def mat_pow(a: np.ndarray, k: int) -> np.ndarray:
     if k < 0:
         return mat_pow(inverse(a), -k)
-    out = identity(a.shape[0])
+    out = None
     base = a
     while k:
         if k & 1:
-            out = out @ base
+            out = base.copy() if out is None else out @ base
         base = base @ base if k > 1 else base
         k >>= 1
-    return out
+    return identity(a.shape[0]) if out is None else out
 
 
 def _require_square(m: np.ndarray) -> int:
@@ -269,11 +269,22 @@ def charpoly(m: np.ndarray) -> Polynomial:
 
 
 def eval_poly(p: Polynomial, m: np.ndarray) -> np.ndarray:
+    """p(M), by Horner in ints on A = d M and the cleared coefficients L c_k:
+    the sum of L c_k d^(deg-k) A^k is L d^deg p(M)."""
     n = _require_square(m)
-    acc = zeros(n, n)
-    for c in reversed(p.coeffs):
-        acc = acc @ m + c * identity(n)
-    return acc
+    if p.is_zero():
+        return zeros(n, n)
+    a, d = cleared(m)
+    den = lcm(*(c.denominator for c in p.coeffs))
+    deg = p.degree
+    acc = np.zeros((n, n), dtype=object)
+    for k in range(deg, -1, -1):
+        if k < deg:
+            acc = acc @ a
+        c = int(p.coeffs[k] * den) * d ** (deg - k)
+        for i in range(n):
+            acc[i, i] += c
+    return acc * Fraction(1, den * d**deg)
 
 
 def is_nilpotent(m: np.ndarray) -> bool:

@@ -1,20 +1,24 @@
 """Univariate polynomials over the rationals, with exact factorization.
 
 Coefficients are `fractions.Fraction`, stored ascending by degree.  The
-factorization routine is deterministic: squarefree (Yun) decomposition,
-rational-root extraction, then a degree-bounded evaluate/interpolate
-search (Kronecker) for the remaining factors.  Intended for the small
-degrees this library meets in practice (characteristic polynomials of
-desk-scale matrices); complete for any degree, comfortable up to ~12.
+factorization is squarefree (Yun) decomposition, then Zassenhaus on each
+squarefree part: factor mod a small prime (distinct-degree, then
+Cantor-Zassenhaus equal-degree splitting with a fixed seed), Hensel-lift
+the factors quadratically, and recombine them by exact trial division
+over Z.  Polynomial time except for the recombination, which is
+exponential only in the number of modular factors that no rational
+factor accounts for; the result does not depend on the prime or the seed.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
-from math import gcd as int_gcd, lcm
+from itertools import combinations
+from math import gcd as int_gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
-from .intutil import divisors
+from .intutil import is_prime
 
 
 def _frac(x) -> Fraction:
@@ -243,91 +247,213 @@ def _integer_primitive(p: Polynomial) -> list[int]:
     return [c // g for c in ints]
 
 
-def _rational_roots(ints: list[int]) -> list[Fraction]:
-    """All rational roots of a primitive integer polynomial (no multiplicity)."""
-    lead = abs(ints[-1])
-    # strip a root at zero
-    roots = []
-    if ints[0] == 0:
-        roots.append(Fraction(0))
-        while ints[0] == 0:
-            ints = ints[1:]
-    if len(ints) <= 1:
-        return roots
-    const = abs(ints[0])
-    p = Polynomial(ints)
-    seen = set()
-    for num in divisors(const):
-        for den in divisors(lead):
-            if int_gcd(num, den) != 1:
-                continue
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                if p(cand) == 0:
-                    roots.append(cand)
-    return roots
+# Integer polynomials below are ascending coefficient lists without a zero
+# leading coefficient ([] is 0); with m > 0 every coefficient is in [0, m).
 
 
-def _interpolate(points: list[tuple[int, int]]) -> Polynomial:
-    """Lagrange interpolation through integer points, exact."""
-    acc = ZERO
-    for i, (xi, yi) in enumerate(points):
-        term = Polynomial([yi])
-        for j, (xj, _) in enumerate(points):
-            if i == j:
-                continue
-            term = term * Polynomial([Fraction(-xj, xi - xj), Fraction(1, xi - xj)])
-        acc = acc + term
-    return acc
+def _trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
 
 
-def _kronecker_factor(h: Polynomial, max_deg: int) -> Polynomial | None:
-    """Search a nontrivial factor of degree 2..max_deg by interpolation.
+def _add(a: list[int], b: list[int], m: int) -> list[int]:
+    n = max(len(a), len(b))
+    return _trim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % m for i in range(n)])
 
-    h must be a primitive integer polynomial without rational roots.
-    Returns the first factor found scanning degrees upward (hence
-    irreducible), or None.
+
+def _sub(a: list[int], b: list[int], m: int) -> list[int]:
+    return _add(a, [-c for c in b], m)
+
+
+def _mul(a: list[int], b: list[int], m: int = 0) -> list[int]:
+    """a * b, reduced mod m unless m = 0."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _trim([c % m for c in out] if m else out)
+
+
+def _divmod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder mod m; the leading coefficient of b is a unit mod m."""
+    inv = pow(b[-1], -1, m)
+    r = [c % m for c in a]
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + len(b) - 1] * inv % m
+        if c:
+            for j, y in enumerate(b):
+                r[k + j] = (r[k + j] - c * y) % m
+    return _trim(q), _trim(r[: len(b) - 1])
+
+
+def _monic(a: list[int], m: int) -> list[int]:
+    inv = pow(a[-1], -1, m)
+    return [c * inv % m for c in a]
+
+
+def _gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd mod the prime p."""
+    while b:
+        a, b = b, _divmod(a, b, p)[1]
+    return _monic(a, p)
+
+
+def _bezout(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """(s, t) with s a + t b = 1 mod the prime p, for coprime a and b."""
+    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
+    while r1:
+        q, r = _divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _sub(s0, _mul(q, s1, p), p)
+        t0, t1 = t1, _sub(t0, _mul(q, t1, p), p)
+    inv = pow(r0[0], -1, p)
+    return [c * inv % p for c in s0], [c * inv % p for c in t0]
+
+
+def _powmod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
+    """a^e mod (f, p)."""
+    out, a = [1], _divmod(a, f, p)[1]
+    while e:
+        if e & 1:
+            out = _divmod(_mul(out, a, p), f, p)[1]
+        a = _divmod(_mul(a, a, p), f, p)[1]
+        e >>= 1
+    return out
+
+
+def _distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
+    """(g, d) with g the product of the degree-d irreducible factors of the
+    monic squarefree f mod p, for every d that has any."""
+    out, h, d = [], [0, 1], 0
+    while 2 * (d + 1) < len(f):
+        d += 1
+        h = _powmod(h, p, f, p)
+        g = _gcd(f, _sub(h, [0, 1], p), p)
+        if len(g) > 1:
+            out.append((g, d))
+            f = _divmod(f, g, p)[0]
+            h = _divmod(h, f, p)[1]
+    return out + [(f, len(f) - 1)] if len(f) > 1 else out
+
+
+def _equal_degree(f: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
+    """The monic degree-d irreducible factors of f mod the odd prime p (Cantor-Zassenhaus)."""
+    if len(f) - 1 == d:
+        return [f]
+    while True:
+        a = _trim([rng.randrange(p) for _ in range(len(f) - 1)])
+        g = _gcd(f, _sub(_powmod(a, (p**d - 1) // 2, f, p), [1], p), p)
+        if 1 < len(g) < len(f):
+            return _equal_degree(g, d, p, rng) + _equal_degree(_divmod(f, g, p)[0], d, p, rng)
+
+
+def _hensel(f: list[int], us: list[list[int]], p: int, big: int) -> list[list[int]]:
+    """Lift the monic factors us of f mod p to monic factors mod big = p^(2^j).
+
+    f's leading coefficient is a unit mod p.  The factors split in two
+    halves; each pair is lifted quadratically, so the modulus squares at each
+    step (von zur Gathen & Gerhard, Modern Computer Algebra, alg. 15.10),
+    and then each half is split the same way.
     """
-    points: list[int] = []
-    x = 0
-    while len(points) < max_deg + 1:
-        points.append(x)
-        x = -x if x > 0 else -x + 1
-    values = [int(h(pt)) for pt in points]
-    assert all(values), "integer root survived root extraction"
-    divisor_lists = [divisors(v) for v in values]
-    for e in range(2, max_deg + 1):
-        xs = points[: e + 1]
-        choice_lists = []
-        for idx in range(e + 1):
-            ds = divisor_lists[idx]
-            # sign of the first value can be fixed: g and -g divide together
-            choice_lists.append(ds if idx == 0 else [d for s in (1, -1) for d in (s * x0 for x0 in ds)])
-        g = _kronecker_scan(h, xs, choice_lists, e)
-        if g is not None:
-            return g
-    return None
+    if len(us) == 1:
+        return [_monic([c % big for c in f], big)]
+    half = len(us) // 2
+    g, h = [f[-1] % p], [1]
+    for u in us[:half]:
+        g = _mul(g, u, p)
+    for u in us[half:]:
+        h = _mul(h, u, p)
+    s, t = _bezout(g, h, p)
+    m = p
+    while m < big:
+        m *= m
+        e = _sub(f, _mul(g, h, m), m)
+        q, r = _divmod(_mul(s, e, m), h, m)
+        g = _add(g, _add(_mul(t, e, m), _mul(q, g, m), m), m)
+        h = _add(h, r, m)
+        b = _sub(_add(_mul(s, g, m), _mul(t, h, m), m), [1], m)
+        c, d = _divmod(_mul(s, b, m), h, m)
+        s = _sub(s, d, m)
+        t = _sub(t, _add(_mul(t, b, m), _mul(c, g, m), m), m)
+    return _hensel(g, us[:half], p, big) + _hensel(h, us[half:], p, big)
 
 
-def _kronecker_scan(h, xs, choice_lists, e) -> Polynomial | None:
-    stack = [()]
-    while stack:
-        prefix = stack.pop()
-        idx = len(prefix)
-        if idx <= e:
-            for d in choice_lists[idx]:
-                stack.append(prefix + (d,))
-            continue
-        g = _interpolate(list(zip(xs, prefix)))
-        if g.degree != e:
-            continue
-        if any(c.denominator != 1 for c in g.coeffs):
-            continue
-        if g.divides(h):
-            return g
-    return None
+def _primitive(a: list[int]) -> list[int]:
+    g = int_gcd(*a)
+    return [c // g for c in a]
+
+
+def _recombine(f: list[int], us: list[list[int]], big: int) -> list[list[int]]:
+    """The irreducible factors over Z of the primitive f, from its monic
+    factors us mod big, where big is more than twice any coefficient of
+    lc(f) times a monic factor over Q of f.
+
+    Subsets of us are tried in increasing size; one is a factor iff the
+    symmetric residues of lc * product(subset) and lc * product(rest)
+    multiply to lc * f exactly over Z.
+    """
+    out, left, size = [], list(range(len(us))), 1
+    while 2 * size <= len(left):
+        for subset in combinations(left, size):
+            g, h = [f[-1]], [f[-1]]
+            for i in left:
+                if i in subset:
+                    g = _mul(g, us[i], big)
+                else:
+                    h = _mul(h, us[i], big)
+            g = [c - big if 2 * c > big else c for c in g]
+            if not g[0] or (f[-1] * f[0]) % g[0]:
+                continue
+            h = [c - big if 2 * c > big else c for c in h]
+            if _mul(g, h) == [f[-1] * c for c in f]:
+                left = [i for i in left if i not in subset]
+                out.append(_primitive(g))
+                f = _primitive(h)
+                break
+        else:
+            size += 1
+    return out + [f]
+
+
+_PRIMES_TRIED = 5  # good primes whose modular factor counts are compared
+
+
+def _zassenhaus(f: list[int]) -> list[list[int]]:
+    """Irreducible factors over Z of a primitive squarefree f with f(0) != 0.
+
+    Factors f mod the odd prime p (p not dividing lc(f), f squarefree mod
+    p) with the fewest modular factors among the first few such primes,
+    Hensel-lifts the factors past twice Mignotte's coefficient bound, and
+    recombines them (Zassenhaus, J. Number Theory 1, 1969).
+    """
+    lead = f[-1]
+    best: tuple | None = None
+    p, tried = 3, 0
+    while tried < _PRIMES_TRIED:
+        if lead % p and is_prime(p):
+            fp = _monic([c % p for c in f], p)
+            if len(_gcd(fp, _trim([k * c % p for k, c in enumerate(fp)][1:]), p)) == 1:
+                tried += 1
+                ddf = _distinct_degree(fp, p)
+                count = sum((len(g) - 1) // d for g, d in ddf)
+                if count == 1:
+                    return [f]
+                if best is None or count < best[0]:
+                    best = (count, p, ddf)
+        p += 2
+    _, p, ddf = best
+    rng = random.Random(0)
+    us = [u for g, d in ddf for u in _equal_degree(g, d, p, rng)]
+    bound = 2 * abs(lead) * 2 ** (len(f) - 1) * (isqrt(sum(c * c for c in f)) + 1)
+    big = p
+    while big <= bound:
+        big *= big
+    return _recombine(f, _hensel(f, us, p, big), big)
 
 
 def factor_order_key(p: Polynomial) -> tuple:
@@ -353,22 +479,7 @@ def factor_over_q(p: Polynomial) -> list[tuple[Polynomial, int]]:
 
 def _factor_squarefree(s: Polynomial) -> list[Polynomial]:
     """Irreducible monic factors of a squarefree rational polynomial."""
-    out: list[Polynomial] = []
-    ints = _integer_primitive(s)
-    work = Polynomial(ints)
-    for r in _rational_roots(ints):
-        out.append(Polynomial([-r, 1]))
-        work = work // Polynomial([-r, 1])
-    while work.degree > 0:
-        if work.degree <= 3:
-            # no rational roots left: degree 2 or 3 means irreducible
-            out.append(work.monic())
-            break
-        prim = Polynomial(_integer_primitive(work))
-        g = _kronecker_factor(prim, prim.degree // 2)
-        if g is None:
-            out.append(work.monic())
-            break
-        out.append(g.monic())
-        work = work // g
-    return out
+    f = _integer_primitive(s)
+    if f[0] == 0:  # X divides s once
+        return [X] + (_factor_squarefree(Polynomial(f[1:])) if len(f) > 2 else [])
+    return [Polynomial(g).monic() for g in _zassenhaus(f)]

@@ -4,9 +4,12 @@ Each function here is the earlier library code, kept as the oracle the
 tests compare against: a dense Gauss-Jordan row loop on numpy object
 arrays, Faddeev-LeVerrier in Fractions, the bracket that loops over the
 whole table, the Jacobi loop and lower central series built on it, the
-dense derivation system, and the minimal polynomial from the first linear
-dependence among the powers of a matrix.  They read only
-`LieAlgebra.dim` and `LieAlgebra.table`.
+dense derivation system, the dense automorphism and derivation checks,
+the minimal polynomial from the first linear dependence among the powers
+of a matrix, Horner's rule in Fractions, and Kronecker's factorization
+over Q (rational roots, then an evaluate/interpolate search over divisors
+of values, exponential in the degree).  They read only `LieAlgebra.dim`
+and `LieAlgebra.table`.
 
 Also the ladder algebras L_n, H_{2m+1} and N_{r,c}, built from first
 principles (N_{r,c} from Lie words in the free associative algebra).
@@ -16,12 +19,14 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 
 from nilgrade import matrices as mx
+from nilgrade.intutil import factor_int
 from nilgrade.liealg import LieAlgebra
-from nilgrade.polynomials import Polynomial
+from nilgrade.polynomials import Polynomial, factor_order_key, squarefree_decomposition
 from nilgrade.verdict import Verdict
 
 
@@ -90,6 +95,111 @@ def minpoly(m):
         if x is not None:
             return Polynomial(list(-x) + [Fraction(1)])
     raise AssertionError("Cayley-Hamilton violated")
+
+
+def eval_poly_fraction(p, m):
+    """p(M) by Horner's rule in Fractions."""
+    n = m.shape[0]
+    acc = mx.zeros(n, n)
+    for c in reversed(p.coeffs):
+        acc = acc @ m + c * mx.identity(n)
+    return acc
+
+
+# -- Kronecker's factorization over Q ------------------------------------------
+
+
+def divisors(n):
+    """All positive divisors of n != 0, ascending."""
+    ds = [1]
+    for q, e in factor_int(abs(n)).items():
+        ds = [d * q**k for d in ds for k in range(e + 1)]
+    return sorted(ds)
+
+
+def _integer_primitive(p):
+    den = lcm(*(c.denominator for c in p.coeffs))
+    ints = [int(c * den) for c in p.coeffs]
+    g = gcd(*ints)
+    return [c // g for c in ints]
+
+
+def _rational_roots(ints):
+    """All rational roots of a primitive integer polynomial (no multiplicity)."""
+    roots = []
+    if ints[0] == 0:
+        roots.append(Fraction(0))
+        while ints[0] == 0:
+            ints = ints[1:]
+    if len(ints) <= 1:
+        return roots
+    p = Polynomial(ints)
+    seen = set()
+    for num in divisors(ints[0]):
+        for den in divisors(ints[-1]):
+            if gcd(num, den) != 1:
+                continue
+            for cand in (Fraction(num, den), Fraction(-num, den)):
+                if cand not in seen:
+                    seen.add(cand)
+                    if p(cand) == 0:
+                        roots.append(cand)
+    return roots
+
+
+def _interpolate(points):
+    """Lagrange interpolation through integer points, exact."""
+    acc = Polynomial([])
+    for i, (xi, yi) in enumerate(points):
+        term = Polynomial([yi])
+        for j, (xj, _) in enumerate(points):
+            if i != j:
+                term = term * Polynomial([Fraction(-xj, xi - xj), Fraction(1, xi - xj)])
+        acc = acc + term
+    return acc
+
+
+def _kronecker_factor(h, max_deg):
+    """The first factor of degree 2..max_deg of a primitive integer h
+    without rational roots, scanning degrees upward (so irreducible), or None."""
+    points = []
+    x = 0
+    while len(points) < max_deg + 1:
+        points.append(x)
+        x = -x if x > 0 else -x + 1
+    divisor_lists = [divisors(int(h(pt))) for pt in points]
+    for e in range(2, max_deg + 1):
+        xs = points[: e + 1]
+        # the sign of the first value can be fixed: g and -g divide together
+        choices = [divisor_lists[0]] + [[s * d for s in (1, -1) for d in ds] for ds in divisor_lists[1 : e + 1]]
+        for values in itertools.product(*choices):
+            g = _interpolate(list(zip(xs, values)))
+            if g.degree == e and all(c.denominator == 1 for c in g.coeffs) and g.divides(h):
+                return g
+    return None
+
+
+def factor_kronecker(p):
+    """`factor_over_q` by Yun's squarefree decomposition, rational roots and
+    Kronecker's interpolation search."""
+    found = {}
+    for sqf, mult in squarefree_decomposition(p):
+        ints = _integer_primitive(sqf)
+        work = Polynomial(ints)
+        irreducibles = []
+        for r in _rational_roots(ints):
+            irreducibles.append(Polynomial([-r, 1]))
+            work = work // Polynomial([-r, 1])
+        while work.degree > 0:
+            g = _kronecker_factor(Polynomial(_integer_primitive(work)), work.degree // 2) if work.degree > 3 else None
+            if g is None:
+                irreducibles.append(work.monic())
+                break
+            irreducibles.append(g.monic())
+            work = work // g
+        for irr in irreducibles:
+            found[irr] = found.get(irr, 0) + mult
+    return sorted(found.items(), key=lambda fm: factor_order_key(fm[0]))
 
 
 # -- Lie algebras on the dense table ----------------------------------------
@@ -170,6 +280,27 @@ def validate_dense(algebra) -> Verdict:
         certificate={"nilpotency_class": len(series)},
         diagnostics=[f"Jacobi holds; nilpotency class {len(series)}"],
     )
+
+
+def violated_bracket_dense(algebra, m):
+    """First basis pair (1-indexed) where M[x,y] != [Mx,My], if any."""
+    n = algebra.dim
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not (m @ bracket_basis_dense(algebra, i, j) == bracket_dense(algebra, m[:, i], m[:, j])).all():
+                return (i + 1, j + 1)
+    return None
+
+
+def is_derivation_dense(algebra, d):
+    n = algebra.dim
+    for i in range(n):
+        for j in range(i + 1, n):
+            lhs = d @ bracket_basis_dense(algebra, i, j)
+            rhs = bracket_dense(algebra, d[:, i], basis_vec(n, j)) + bracket_dense(algebra, basis_vec(n, i), d[:, j])
+            if not (lhs == rhs).all():
+                return False
+    return True
 
 
 def derivations_dense(algebra):

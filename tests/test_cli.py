@@ -357,6 +357,17 @@ class TestStdout:
         assert done.returncode == 0
         assert (done.stdout, done.stderr) == ("", "")
 
+    def test_import_loads_no_third_party_module(self):
+        # numpy is the one runtime dependency; sympy is installed for tests only
+        code = (
+            "import json, sys; before = set(sys.modules); import nilgrade.cli; "
+            "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
+            "print(json.dumps(sorted(new - set(sys.stdlib_module_names))))"
+        )
+        done = self._run("-c", code)
+        assert done.returncode == 0
+        assert json.loads(done.stdout) == ["nilgrade", "numpy"]
+
     def test_check_prints_one_json_verdict(self):
         done = self._run("-m", "nilgrade.cli", "check", "heisenberg3")
         assert done.returncode == 0

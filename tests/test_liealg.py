@@ -21,6 +21,7 @@ from nilgrade.liealg import (
     nilpotency_class,
     quotient_section,
     validate,
+    violated_bracket,
 )
 from nilgrade.specmaps import is_expanding
 
@@ -484,3 +485,32 @@ def test_validate_matches_bracket_based_loop():
         assert list(a.bracket(x, y)) == list(oracles.bracket_dense(a, x, y))
     assert seen == {"jacobi", "not-nilpotent", "nilpotent-lie-algebra"}
     assert any(v.certificate["triple"] != [1, 2, 3] for v in map(validate, cases) if v.condition == "jacobi")
+
+
+class TestSparseMapChecks:
+    """violated_bracket and is_derivation sum columns over the nonzero
+    structure constants; the dense loops over every pair are the oracle."""
+
+    def perturbed(self, rng, m):
+        m = m.copy()
+        for _ in range(rng.randint(0, 2)):
+            i, j = rng.randrange(m.shape[0]), rng.randrange(m.shape[1])
+            m[i, j] += rng.choice([1, -1, Fraction(1, 2)])
+        return m
+
+    def test_against_dense_loops(self):
+        rng = random.Random(8128)
+        algebras = [load_algebra(name) for name in ALL_FIXTURES] + [oracles.filiform(6), oracles.heisenberg(2), abelian(3)]
+        found, outcomes = 0, set()
+        for algebra in algebras:
+            n = algebra.dim
+            ders = derivations(algebra)
+            for _ in range(6):
+                m = self.perturbed(rng, mx.identity(n) + sum((rng.randint(-1, 1) * d for d in ders), mx.zeros(n, n)))
+                want = oracles.violated_bracket_dense(algebra, m)
+                assert violated_bracket(algebra, m) == want
+                found += want is not None
+                d = self.perturbed(rng, sum((rng.randint(-2, 2) * d for d in ders), mx.zeros(n, n)))
+                outcomes.add(is_derivation(algebra, d))
+                assert is_derivation(algebra, d) == oracles.is_derivation_dense(algebra, d)
+        assert found > 0 and outcomes == {True, False}

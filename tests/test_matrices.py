@@ -10,7 +10,7 @@ from nilgrade import matrices as mx
 from nilgrade.intutil import factor_int, least_exponent
 from nilgrade.matrices import IntegerLattice, hnf, hnf_membership, order_mod
 from nilgrade.polynomials import Polynomial
-from oracles import charpoly_fraction, col_basis_dense, minpoly, nullspace_dense, rref_dense
+from oracles import charpoly_fraction, col_basis_dense, eval_poly_fraction, minpoly, nullspace_dense, rref_dense
 
 
 def P(*coeffs):
@@ -144,6 +144,28 @@ class TestMinpoly:
     def test_diag_with_repeats(self):
         m = mx.diag([2, 2, 3])
         assert minpoly(m) == P(6, -5, 1)  # (X-2)(X-3)
+
+
+class TestEvalPoly:
+    def test_matches_fraction_horner(self):
+        rng = random.Random(4242)
+        vals = [0, 0, 1, -2, 3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 6)]
+        for _ in range(30):
+            n = rng.randint(1, 5)
+            m = mx.rmat([[rng.choice(vals) for _ in range(n)] for _ in range(n)])
+            p = Polynomial(rng.choice(vals) for _ in range(rng.randint(0, 6)))
+            got = mx.eval_poly(p, m)
+            assert mx.mat_eq(got, eval_poly_fraction(p, m))
+            assert all(type(e) is Fraction for e in got.flat)
+
+    def test_mat_pow_matches_repeated_products(self):
+        m = mx.rmat([[1, Fraction(1, 2)], [-3, Fraction(2, 3)]])
+        want = mx.identity(2)
+        for k in range(6):
+            assert mx.mat_eq(mx.mat_pow(m, k), want)
+            want = want @ m
+        assert mx.mat_pow(m, 1) is not m
+        assert mx.mat_eq(mx.mat_pow(m, -2) @ mx.mat_pow(m, 2), mx.identity(2))
 
 
 class TestPrimaryDecomposition:

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import factor_kronecker
 from nilgrade.polynomials import (
     ONE,
     Polynomial,
     X,
+    factor_order_key,
     factor_over_q,
     from_roots,
     poly_gcd,
@@ -108,7 +110,7 @@ class TestFactorization:
         assert factor_over_q(p) == [(P(-1, 1), 3)]
 
     def test_quartic_product_of_quadratics(self):
-        # needs the interpolation search: no rational roots
+        # no rational roots: the factors come from recombining modular ones
         f = P(1, 0, 1) * P(-1, -1, 1)  # (X^2+1)(X^2-X-1)
         assert rational_roots_oracle(f) == set()
         assert factor_over_q(f) == [(P(1, 0, 1), 1), (P(-1, -1, 1), 1)]
@@ -188,8 +190,91 @@ class TestFactorization:
         assert factor_over_q(f) == [(q, 1) for q in sorted(parts, key=lambda p: tuple(-c for c in p.coeffs))]
 
     def test_degree_eight_quartic_pair(self):
-        # no rational roots, no quadratic factors: the interpolation search
-        # must climb to degree 4
+        # no rational roots and no quadratic factors
         f = P(1, 0, 0, 0, 1) * P(-2, 0, 0, 0, 1)
         got = factor_over_q(f)
         assert got == [(P(1, 0, 0, 0, 1), 1), (P(-2, 0, 0, 0, 1), 1)]
+
+
+# -- Zassenhaus against Kronecker's search and sympy -------------------------
+
+
+def seeded_product(rng: random.Random, max_degree: int, max_factor_degree: int) -> Polynomial:
+    """A rational multiple of a product of random factors, some repeated,
+    non-monic or with fractional coefficients."""
+    f = Polynomial([Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))])
+    while True:
+        d = rng.randint(1, max_factor_degree)
+        q = Polynomial([rng.randint(-6, 6) for _ in range(d)] + [rng.choice([1, 1, 2, 3])])
+        q = q * Fraction(1, rng.randint(1, 3))
+        power = rng.choice([1, 1, 1, 2])
+        if f.degree + power * d > max_degree:
+            return f
+        for _ in range(power):
+            f = f * q
+
+
+def assert_is_factorization(f: Polynomial, factors) -> None:
+    prod = Polynomial([f.leading()])
+    for fac, mult in factors:
+        assert fac.is_monic()
+        for _ in range(mult):
+            prod = prod * fac
+    assert prod == f
+
+
+class TestZassenhaus:
+    def test_matches_kronecker_oracle(self):
+        rng = random.Random(1969)
+        for _ in range(40):
+            f = seeded_product(rng, 8, 3)
+            if f.degree < 1:
+                continue
+            got = factor_over_q(f)
+            assert got == factor_kronecker(f)
+            assert_is_factorization(f, got)
+
+    def test_matches_sympy_up_to_degree_16(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        rng = random.Random(15)
+        for _ in range(60):
+            f = seeded_product(rng, 16, 5)
+            if f.degree < 1:
+                continue
+            poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)], x)
+            want = []
+            for g, mult in poly.factor_list()[1]:
+                monic = sympy.Poly(g, x).monic().all_coeffs()
+                want.append((Polynomial(Fraction(int(c.p), int(c.q)) for c in reversed(monic)), mult))
+            assert factor_over_q(f) == sorted(want, key=lambda fm: factor_order_key(fm[0]))
+
+    @pytest.mark.parametrize(
+        "name, coeffs",
+        [
+            ("x^8+2", (2, 0, 0, 0, 0, 0, 0, 0, 1)),
+            ("x^8-2", (-2, 0, 0, 0, 0, 0, 0, 0, 1)),
+            ("x^10-3x+6", (6, -3, 0, 0, 0, 0, 0, 0, 0, 0, 1)),
+            # the minimal polynomial of sqrt2 + sqrt3 + sqrt5: modulo every
+            # prime it splits into factors of degree <= 2, so only a
+            # recombination of four or more of them proves it irreducible
+            ("sqrt2+sqrt3+sqrt5", (576, 0, -960, 0, 352, 0, -40, 0, 1)),
+        ],
+    )
+    def test_irreducible(self, name, coeffs):
+        f = Polynomial(coeffs)
+        assert factor_over_q(f) == [(f, 1)]
+        assert factor_over_q(f * Fraction(-3, 7)) == [(f, 1)]
+
+    def test_x12_plus_1(self):
+        assert factor_over_q(P(1, *[0] * 11, 1)) == [(P(1, 0, 0, 0, 1), 1), (P(1, 0, 0, 0, -1, 0, 0, 0, 1), 1)]
+
+    def test_quartic_pairs_that_split_modulo_every_prime(self):
+        q = P(1, 0, -10, 0, 1)  # minimal polynomial of sqrt2 + sqrt3
+        for other in (P(1, 0, 0, 0, 1), P(2, 0, 0, 0, 1)):
+            assert factor_over_q(q * other) == sorted([(q, 1), (other, 1)], key=lambda fm: factor_order_key(fm[0]))
+
+    def test_linear_spread_of_powers_of_5(self):
+        f = from_roots([5**k for k in range(1, 14)])
+        assert factor_over_q(f) == [(P(-(5**k), 1), 1) for k in range(1, 14)]
+        assert factor_over_q(X * f * f) == [(X, 1)] + [(P(-(5**k), 1), 2) for k in range(1, 14)]
