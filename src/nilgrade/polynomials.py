@@ -388,6 +388,14 @@ def _primitive(a: list[int]) -> list[int]:
     return [c // g for c in a]
 
 
+def _lifted_product(lead: int, us: list[list[int]], big: int) -> list[int]:
+    """lead * product(us) mod big, as symmetric residues."""
+    out = [lead]
+    for u in us:
+        out = _mul(out, u, big)
+    return [c - big if 2 * c > big else c for c in out]
+
+
 def _recombine(f: list[int], us: list[list[int]], big: int) -> list[list[int]]:
     """The irreducible factors over Z of the primitive f, from its monic
     factors us mod big, where big is more than twice any coefficient of
@@ -400,16 +408,10 @@ def _recombine(f: list[int], us: list[list[int]], big: int) -> list[list[int]]:
     out, left, size = [], list(range(len(us))), 1
     while 2 * size <= len(left):
         for subset in combinations(left, size):
-            g, h = [f[-1]], [f[-1]]
-            for i in left:
-                if i in subset:
-                    g = _mul(g, us[i], big)
-                else:
-                    h = _mul(h, us[i], big)
-            g = [c - big if 2 * c > big else c for c in g]
+            g = _lifted_product(f[-1], [us[i] for i in subset], big)
             if not g[0] or (f[-1] * f[0]) % g[0]:
                 continue
-            h = [c - big if 2 * c > big else c for c in h]
+            h = _lifted_product(f[-1], [us[i] for i in left if i not in subset], big)
             if _mul(g, h) == [f[-1] * c for c in f]:
                 left = [i for i in left if i not in subset]
                 out.append(_primitive(g))
