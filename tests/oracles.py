@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 import numpy as np
 
 from nilgrade import matrices as mx
 from nilgrade.intutil import factor_int
 from nilgrade.liealg import LieAlgebra
-from nilgrade.polynomials import Polynomial, factor_order_key, squarefree_decomposition
+from nilgrade.polynomials import Polynomial, _integer_primitive, factor_order_key, squarefree_decomposition
 from nilgrade.verdict import Verdict
 
 
@@ -115,13 +115,6 @@ def divisors(n):
     for q, e in factor_int(abs(n)).items():
         ds = [d * q**k for d in ds for k in range(e + 1)]
     return sorted(ds)
-
-
-def _integer_primitive(p):
-    den = lcm(*(c.denominator for c in p.coeffs))
-    ints = [int(c * den) for c in p.coeffs]
-    g = gcd(*ints)
-    return [c // g for c in ints]
 
 
 def _rational_roots(ints):

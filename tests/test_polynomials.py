@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import factor_kronecker
 from nilgrade.polynomials import (
     ONE,
     Polynomial,
@@ -16,6 +15,7 @@ from nilgrade.polynomials import (
     squarefree_decomposition,
     squarefree_part,
 )
+from oracles import factor_kronecker
 
 
 def P(*coeffs):
