@@ -19,6 +19,11 @@ yields no grading, an expanding map with two quadratic factors, and two
 degree-8 companions that only a complete factorization over Q settles:
 X^8 + 2 (irreducible, expanding) and (X^4 - 10X^2 + 1)(X^4 + 1), whose
 quartics split into linear and quadratic factors modulo every prime.
+The gradings under `tests/golden/gradings/` (`<fixture>__<name>.json`) are
+certificates that `expand --certificate` and `cohopf --certificate` reject:
+two that are not direct sums (a dependent column, a dropped column), one
+that is not homogeneous, and one whose two failing bracket pairs are
+reported in weight order, not in column order.
 
 `tests/golden/cli.json` holds the exit code and stdout of each invocation
 below, recorded once.  A refactor that changes any verdict, certificate or
@@ -47,6 +52,7 @@ MAPS_DIR = "src/nilgrade/fixtures/maps"
 LATPOW_DIR = "tests/golden/latpow"
 ALGEBRAS_DIR = "tests/golden/algebras"
 GOLDEN_MAPS_DIR = "tests/golden/maps"
+GOLDEN_GRADINGS_DIR = "tests/golden/gradings"
 LADDER = ("l10-rescaled", "n32-rescaled")
 
 
@@ -86,12 +92,16 @@ def invocations() -> list[list[str]]:
         alg = path.stem.split("__")[0]
         alg = alg if alg in ALL_FIXTURES else f"{ALGEBRAS_DIR}/{alg}.json"
         out.append(["norm", alg, f"{GOLDEN_MAPS_DIR}/{path.name}"])
+    for path in sorted((ROOT / GOLDEN_GRADINGS_DIR).glob("*.json")):
+        alg = path.stem.split("__")[0]
+        rel = f"{GOLDEN_GRADINGS_DIR}/{path.name}"
+        out += [["expand", alg, "--certificate", rel], ["cohopf", alg, "--certificate", rel]]
     return out
 
 
 def run(argv: list[str]) -> dict:
     """Exit code and stdout, with repo-relative paths resolved."""
-    resolved = [str(ROOT / a) if a.startswith((MAPS_DIR, LATPOW_DIR, ALGEBRAS_DIR, GOLDEN_MAPS_DIR)) else a for a in argv]
+    resolved = [str(ROOT / a) if a.startswith((MAPS_DIR, LATPOW_DIR, ALGEBRAS_DIR, GOLDEN_MAPS_DIR, GOLDEN_GRADINGS_DIR)) else a for a in argv]
     buf = io.StringIO()
     with redirect_stdout(buf):
         code = main(resolved)
