@@ -88,7 +88,7 @@ def _load_algebra(arg: str) -> LieAlgebra:
 
 def _load_holonomy(arg: str | None, algebra: LieAlgebra) -> HolonomyGroup:
     if arg is None:
-        return close_group([mx.identity(algebra.dim)], cap=2)
+        return HolonomyGroup((mx.identity(algebra.dim),))
     path = Path(arg)
     if not path.exists():
         candidate = fixtures_dir() / "holonomy" / f"{arg}.json"

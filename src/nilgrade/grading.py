@@ -1,9 +1,13 @@
 """Gradings of a rational nilpotent Lie algebra.
 
-Arbitrary gradings (any bases) are verified; the *search* for gradings is
-restricted to basis-aligned ones, encoded as one integer weight per basis
-vector with w_i + w_j = w_k over every nonzero structure constant.  That
-linear system plus exact Fourier-Motzkin feasibility decides existence of
+Every question here rests on one fact: one weight per basis vector is a
+grading iff w_a + w_b = w_c on each nonzero structure constant c_ab^c.
+`weight_equations` is the one builder of those rows, as sparse
+{variable: coefficient} dicts, and `LieAlgebra.in_basis` poses them in
+any basis: `verify_grading` checks a grading on the algebra re-based on
+its stacked components.  The *search* for gradings is restricted to
+basis-aligned ones, one integer weight per basis vector; the rows plus
+exact Fourier-Motzkin feasibility (`linineq.solve`) decide existence of
 positive and non-negative gradings in this class, and the canonical
 returned weights minimize the maximum weight, then compare
 lexicographically.
@@ -11,6 +15,7 @@ lexicographically.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,15 +47,14 @@ class Grading:
     def weights(self) -> tuple[int, ...]:
         return tuple(w for w, _ in self.components)
 
-    def component(self, weight: int) -> np.ndarray | None:
-        for w, s in self.components:
-            if w == weight:
-                return s
-        return None
-
 
 def verify_grading(algebra: LieAlgebra, grading: Grading) -> Verdict:
-    """Direct sum plus homogeneity [n_i, n_j] subseteq n_{i+j}."""
+    """Direct sum plus homogeneity [n_i, n_j] subseteq n_{i+j}.
+
+    Homogeneity is read off the algebra in the basis of the stacked
+    components: each nonzero c'_ab^c needs w_c = w_a + w_b.  A failure
+    reports the least failing pair by (w_a, w_b, a, b).
+    """
     n = algebra.dim
     stacked = mx.hstack([s for _, s in grading.components])
     if stacked.shape != (n, n) or mx.det(stacked) == 0:
@@ -60,31 +64,24 @@ def verify_grading(algebra: LieAlgebra, grading: Grading) -> Verdict:
             certificate={"total_columns": int(stacked.shape[1])},
             diagnostics=["components do not decompose the algebra as a direct sum"],
         )
-    for wi, si in grading.components:
-        for wj, sj in grading.components:
-            if wj < wi:
-                continue
-            target = grading.component(wi + wj)
-            for a in range(si.shape[1]):
-                for b in range(sj.shape[1]):
-                    if wi == wj and b <= a:
-                        continue
-                    z = algebra.bracket(si[:, a], sj[:, b])
-                    if (z == Fraction(0)).all():
-                        continue
-                    if target is None or not mx.col_space_contains(target, z):
-                        return Verdict(
-                            "reject",
-                            condition="not-homogeneous",
-                            certificate={
-                                "pair": [wi, wj],
-                                "bracket": [str(e) for e in z],
-                            },
-                            diagnostics=[
-                                f"bracket of components ({wi}, {wj}) leaves the"
-                                f" weight-{wi + wj} component"
-                            ],
-                        )
+    ws = [w for w, s in grading.components for _ in range(s.shape[1])]
+    bad = [
+        (ws[a], ws[b], a, b)
+        for (a, b), terms in algebra.in_basis(stacked).terms.items()
+        if any(ws[c] != ws[a] + ws[b] for c in terms)
+    ]
+    if bad:
+        wi, wj, a, b = min(bad)
+        z = algebra.bracket(stacked[:, a], stacked[:, b])
+        return Verdict(
+            "reject",
+            condition="not-homogeneous",
+            certificate={"pair": [wi, wj], "bracket": [str(e) for e in z]},
+            diagnostics=[
+                f"bracket of components ({wi}, {wj}) leaves the"
+                f" weight-{wi + wj} component"
+            ],
+        )
     return Verdict(
         "accept",
         condition="grading",
@@ -111,36 +108,36 @@ def classify(algebra: LieAlgebra, grading: Grading) -> str:
 # -- basis-aligned weight systems -------------------------------------------
 
 
-def _constraint_rows(algebra: LieAlgebra) -> list[tuple[tuple[Fraction, ...], Fraction]]:
-    n = algebra.dim
+def weight_equations(algebra: LieAlgebra, var=None) -> list[dict[int, int]]:
+    """The rows w_a + w_b - w_c = 0, one per nonzero structure constant
+    c_ab^c, as sparse {variable: coefficient} dicts.
+
+    `var` maps each basis index to its variable (default: the identity),
+    so basis vectors that share a variable share a weight.
+    """
+    var = range(algebra.dim) if var is None else var
     rows = []
-    for (i, j), vec in algebra.table.items():
-        for k in range(n):
-            if vec[k] != 0:
-                coeffs = [Fraction(0)] * n
-                coeffs[i] += 1
-                coeffs[j] += 1
-                coeffs[k] -= 1
-                rows.append((tuple(coeffs), Fraction(0)))
+    for (a, b), terms in algebra.terms.items():
+        for c in terms:
+            row = Counter((var[a], var[b]))
+            row[var[c]] -= 1
+            rows.append({v: x for v, x in row.items() if x})
     return rows
 
 
 def weight_solution_space(algebra: LieAlgebra) -> np.ndarray:
-    """Kernel basis (columns) of {w_i + w_j = w_k : c_ijk != 0}."""
-    rows = _constraint_rows(algebra)
-    if not rows:
-        return mx.identity(algebra.dim)
-    return mx.nullspace(mx.rmat([list(r[0]) for r in rows]))
+    """Kernel basis (columns) of the weight equations."""
+    return mx.kernel(weight_equations(algebra), algebra.dim)
 
 
 def find_positive_weights(algebra: LieAlgebra) -> WeightSystem | None:
     """Weight system with all w_i >= 1, or None; complete for this class."""
-    return solve(_constraint_rows(algebra), [], [1] * algebra.dim)
+    return solve(weight_equations(algebra), [], [1] * algebra.dim)
 
 
 def find_nonneg_nontrivial_weights(algebra: LieAlgebra) -> WeightSystem | None:
     """Weight system with all w_i >= 0, some w_i >= 1, or None."""
-    return solve(_constraint_rows(algebra), [], [0] * algebra.dim)
+    return solve(weight_equations(algebra), [], [0] * algebra.dim)
 
 
 def grading_from_weights(algebra: LieAlgebra, weights) -> Grading:
@@ -149,20 +146,14 @@ def grading_from_weights(algebra: LieAlgebra, weights) -> Grading:
     ws = [int(w) for w in weights]
     if len(ws) != n:
         raise ValueError("one weight per basis vector required")
-    for (i, j), vec in algebra.table.items():
-        for k in range(n):
-            if vec[k] != 0 and ws[i] + ws[j] != ws[k]:
-                raise ValueError(
-                    f"weights violate constraint w_{i+1} + w_{j+1} = w_{k+1}"
-                )
-    comps = []
-    for w in sorted(set(ws)):
-        idx = [i for i, wi in enumerate(ws) if wi == w]
-        sub = mx.zeros(n, len(idx))
-        for c, i in enumerate(idx):
-            sub[i, c] = Fraction(1)
-        comps.append((w, sub))
-    return Grading(tuple(comps))
+    for row in weight_equations(algebra):
+        if sum(c * ws[v] for v, c in row.items()):
+            terms = " ".join(f"{c:+d} w_{v + 1}" for v, c in row.items())
+            raise ValueError(f"weights violate the equation {terms} = 0")
+    eye = mx.identity(n)
+    return Grading(
+        tuple((w, eye[:, [i for i, wi in enumerate(ws) if wi == w]]) for w in sorted(set(ws)))
+    )
 
 
 # -- the expanding morphisms phi_p ------------------------------------------
@@ -176,10 +167,10 @@ def phi_p(algebra: LieAlgebra, grading: Grading, p: int) -> np.ndarray:
     if not v.accepted():
         raise ValueError(f"grading does not verify: {v.diagnostics}")
     cols = mx.hstack([s for _, s in grading.components])
-    scales = []
-    for w, s in grading.components:
-        scales.extend([Fraction(p) ** w] * s.shape[1])
-    return cols @ mx.diag(scales) @ mx.inverse(cols)
+    scales = np.array(
+        [Fraction(p) ** w for w, s in grading.components for _ in range(s.shape[1])], dtype=object
+    )
+    return (cols * scales) @ mx.inverse(cols)
 
 
 def preserved_by(grading: Grading, psi: np.ndarray) -> bool:

@@ -10,13 +10,12 @@ induced basis permutations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import matrices as mx
 from . import specmaps
-from .grading import Grading, _constraint_rows, classify, preserved_by, verify_grading
+from .grading import Grading, classify, preserved_by, verify_grading, weight_equations
 from .liealg import LieAlgebra, is_automorphism
 from .linineq import solve
 from .serialize import grading_to_dict, matrix_to_lists
@@ -257,16 +256,10 @@ def equivariant_weight_search(
     """
     if mode not in ("positive", "nonneg-nontrivial"):
         raise ValueError(f"unknown mode {mode!r}")
-    n = algebra.dim
-    eqs = _constraint_rows(algebra)
+    eqs = weight_equations(algebra)
     for f in group:
         sigma = monomial_permutation(f)
         if sigma is None:
             raise ValueError("search unsupported, use certificate mode")
-        for j in range(n):
-            if sigma[j] != j:
-                coeffs = [Fraction(0)] * n
-                coeffs[j] += 1
-                coeffs[sigma[j]] -= 1
-                eqs.append((tuple(coeffs), Fraction(0)))
-    return solve(eqs, [], [1 if mode == "positive" else 0] * n)
+        eqs += [{j: 1, s: -1} for j, s in enumerate(sigma) if s != j]
+    return solve(eqs, [], [1 if mode == "positive" else 0] * algebra.dim)

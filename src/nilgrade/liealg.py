@@ -63,6 +63,28 @@ class LieAlgebra:
                     out[k] += c * v
         return np.array(out, dtype=object)
 
+    def in_basis(self, p: np.ndarray) -> "LieAlgebra":
+        """The same algebra in the basis of P's columns: c'_ab = P^-1 [P e_a, P e_b].
+
+        Each bracket is summed over the nonzeros of the two columns only.
+        """
+        n = self.dim
+        if p.shape != (n, n):
+            raise ValueError("basis matrix dimension mismatch")
+        p_inv = mx.inverse(p)
+        cols = [{i: x for i, x in enumerate(p[:, a]) if x} for a in range(n)]
+        table = {}
+        for a in range(n):
+            for b in range(a + 1, n):
+                z: dict[int, Fraction] = {}
+                for i, x in cols[a].items():
+                    for j, y in cols[b].items():
+                        for k, c in self._terms(i, j).items():
+                            z[k] = z.get(k, 0) + x * y * c
+                if any(z.values()):
+                    table[(a, b)] = _apply(p_inv, z)
+        return LieAlgebra(n, table)
+
 
 def _basis_vec(n: int, i: int) -> np.ndarray:
     v = mx.rvec([0] * n)

@@ -1,22 +1,23 @@
 """Exact linear (in)equality solving over Q, and canonical integer points.
 
-`solve` is the one solver for nilgrade's weight systems.  It eliminates
-the equations once, with `matrices.rref` on reversed columns: pivots then
-fall on the highest-index variables, so every dependent variable is a
-linear function of lower-index free ones.  Rational feasibility of what
-is left is decided by Fourier-Motzkin elimination with Fractions; the
-systems here are tiny (one free variable per independent weight), so the
-classical doubly-exponential worst case never bites.  The canonical
-integer point is then found by shell enumeration: smallest possible
-maximum coordinate first, lexicographically smallest within that shell,
-branching on free variables only and computing the dependent ones.  The
-enumeration needs no upper bound on the coordinates: a feasible system of
-the supported shape has a rational point, and that point times its common
-denominator is an integer point in some finite shell.  Canonical output
-makes the solver reproducible across implementations.
-
-Constraints are (coefficients, rhs) pairs: ``sum(c*x) >= rhs`` for
-inequalities and ``== rhs`` for equations.
+`solve` is the one solver for nilgrade's weight systems.  Equations are
+sparse rows {variable: coefficient} meaning sum(c * x) = 0, so they are
+homogeneous by type; inequalities are (row, rhs) pairs meaning
+sum(c * x) >= rhs.  Coefficients are ints or Fractions.  The equations
+are eliminated once, by `matrices.gauss_jordan` on reversed variable
+indices: pivots then fall on the highest-index variables, so every
+dependent variable is a linear function of lower-index free ones.
+Rational feasibility of what is left is decided by Fourier-Motzkin
+elimination with Fractions; the systems here are tiny (one free variable
+per independent weight), so the classical doubly-exponential worst case
+never bites.  The canonical integer point is then found by shell
+enumeration: smallest possible maximum coordinate first,
+lexicographically smallest within that shell, branching on free
+variables only and computing the dependent ones.  The enumeration needs
+no upper bound on the coordinates: a feasible system of the supported
+shape has a rational point, and that point times its common denominator
+is an integer point in some finite shell.  Canonical output makes the
+solver reproducible across implementations.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ from math import lcm
 
 from . import matrices as mx
 
+Row = dict[int, int | Fraction]
+Inequality = tuple[Row, int | Fraction]
+# a dense inequality over all variables, as Fourier-Motzkin works on it
 Constraint = tuple[tuple[Fraction, ...], Fraction]
 # dependent variable -> (denominator d, [(free variable f, integer a_f)]):
 # x = sum(a_f * x_f) / d over free variables f of lower index
@@ -61,56 +65,51 @@ def feasible(ineqs: list[Constraint], nvars: int) -> bool:
     return all(rhs <= 0 for _, rhs in rows)
 
 
-def _dependents(eqs: list[Constraint], nvars: int) -> Dependents:
-    """Solve homogeneous equations for their highest-index variables."""
-    red, pivots = mx.rref(mx.rmat([list(reversed(coeffs)) for coeffs, _ in eqs]))
+def _dependents(eqs: list[Row], nvars: int) -> Dependents:
+    """Solve the equations for their highest-index variables."""
+    red, pivots = mx.gauss_jordan({nvars - 1 - v: c for v, c in row.items()} for row in eqs)
     out: Dependents = {}
-    for r, pc in enumerate(pivots):
-        terms = [(nvars - 1 - c, -red[r, c]) for c in range(pc + 1, nvars) if red[r, c] != 0]
+    for row, pc in zip(red, pivots):
+        terms = [(nvars - 1 - c, -a) for c, a in row.items() if c != pc]
         d = lcm(*(a.denominator for _, a in terms))
         out[nvars - 1 - pc] = (d, [(f, int(a * d)) for f, a in terms])
     return out
 
 
-def _substituted(row: Constraint, dependent: Dependents) -> Constraint:
-    """The constraint over free variables only."""
-    coeffs, rhs = row
-    out = list(coeffs)
-    for p, (d, terms) in dependent.items():
-        if out[p] != 0:
+def _substituted(row: Row, rhs, dependent: Dependents, nvars: int) -> Constraint:
+    """The inequality over free variables only, dense."""
+    out = [Fraction(0)] * nvars
+    for v, c in row.items():
+        if v in dependent:
+            d, terms = dependent[v]
             for f, a in terms:
-                out[f] += out[p] * Fraction(a, d)
-            out[p] = Fraction(0)
-    return tuple(out), rhs
+                out[f] += Fraction(c * a, d)
+        else:
+            out[v] += c
+    return tuple(out), Fraction(rhs)
 
 
-def solve(
-    eqs: list[Constraint], ineqs: list[Constraint], lows: list[int]
-) -> tuple[int, ...] | None:
+def solve(eqs: list[Row], ineqs: list[Inequality], lows: list[int]) -> tuple[int, ...] | None:
     """Canonical integer x with eqs, ineqs, x >= lows and sum(x) >= 1,
     or None when no rational (hence no integer) solution exists.
 
     Canonical means minimal max coordinate, then lexicographically
     smallest.  Precondition, which makes every feasible system have an
-    integer point: equations are homogeneous, inequality right-hand
-    sides are >= 0 and lows are >= 0.
+    integer point: inequality right-hand sides are >= 0 and lows are
+    >= 0 (equations are homogeneous by type).
     """
     nvars = len(lows)
-    if any(rhs != 0 for _, rhs in eqs) or any(rhs < 0 for _, rhs in ineqs) or min(lows) < 0:
-        raise ValueError("solve needs homogeneous equations, rhs >= 0 and lows >= 0")
+    if any(rhs < 0 for _, rhs in ineqs) or min(lows) < 0:
+        raise ValueError("solve needs rhs >= 0 and lows >= 0")
     dependent = _dependents(eqs, nvars)
-    bounds = [((Fraction(1),) * nvars, Fraction(1))]
-    for i, low in enumerate(lows):
-        coeffs = [Fraction(0)] * nvars
-        coeffs[i] = Fraction(1)
-        bounds.append((tuple(coeffs), Fraction(low)))
-    if not feasible([_substituted(row, dependent) for row in bounds + ineqs], nvars):
+    bounds = [(dict.fromkeys(range(nvars), 1), 1)] + [({i: 1}, low) for i, low in enumerate(lows)]
+    if not feasible([_substituted(row, rhs, dependent, nvars) for row, rhs in bounds + ineqs], nvars):
         return None
     return minimal_integer_point(dependent, ineqs, lows)
 
 
 def minimal_integer_point(
-    dependent: Dependents, ineqs: list[Constraint], lows: list[int]
+    dependent: Dependents, ineqs: list[Inequality], lows: list[int]
 ) -> tuple[int, ...]:
     """Shell search behind `solve`, for a system it found feasible.
 
@@ -120,10 +119,9 @@ def minimal_integer_point(
     below it, and checks each inequality at its highest-index variable.
     """
     nvars = len(lows)
-    checks_at: list[list[Constraint]] = [[] for _ in range(nvars)]
-    for coeffs, rhs in ineqs:
-        top = max((i for i, c in enumerate(coeffs) if c != 0), default=0)
-        checks_at[top].append((coeffs, rhs))
+    checks_at: list[list[Inequality]] = [[] for _ in range(nvars)]
+    for row, rhs in ineqs:
+        checks_at[max((v for v, c in row.items() if c), default=0)].append((row, rhs))
     vals = [0] * nvars
 
     def rec(depth: int, t: int, seen_t: bool) -> tuple[int, ...] | None:
@@ -139,10 +137,7 @@ def minimal_integer_point(
             values = range(low, t + 1)
         for v in values:
             vals[depth] = v
-            if all(
-                sum(c * x for c, x in zip(coeffs, vals) if c != 0) >= rhs
-                for coeffs, rhs in checks_at[depth]
-            ):
+            if all(sum(c * vals[i] for i, c in row.items()) >= rhs for row, rhs in checks_at[depth]):
                 hit = rec(depth + 1, t, seen_t or v == t)
                 if hit is not None:
                     return hit

@@ -236,10 +236,6 @@ def col_basis(a: np.ndarray) -> np.ndarray:
     return red[: len(pivots)].T.copy()
 
 
-def col_space_contains(space: np.ndarray, v: np.ndarray) -> bool:
-    return solve(space, v) is not None
-
-
 def col_spaces_equal(a: np.ndarray, b: np.ndarray) -> bool:
     return mat_eq(col_basis(a), col_basis(b))
 

@@ -27,7 +27,7 @@ from math import ceil, lcm, log2
 import numpy as np
 
 from . import matrices as mx
-from .grading import Grading, classify, preserved_by
+from .grading import Grading, classify, preserved_by, weight_equations
 from .liealg import LieAlgebra, is_automorphism
 from .linineq import solve
 from .polynomials import Polynomial, factor_order_key, poly_xgcd, squarefree_part
@@ -159,64 +159,27 @@ def _grading_from_classes(
 ) -> Grading:
     """Integer weights for multiplicative norm classes, canonicalized.
 
-    Constraints: w_a + w_b = w_{a*b} whenever [V_a, V_b] != 0 (the class
-    a*b is then present, by multiplicativity of the norm on brackets);
-    weights strictly increase with the value, value-1 classes pin to 0
-    when requested, everything else is >= 1.  Feasible by construction
-    (log of the values solves it over R and the system is rational);
-    infeasibility would be an internal invariant violation.
+    The weight equations are posed on the algebra re-based on the stacked
+    classes, one variable per class: w_a + w_b = w_{a*b} whenever
+    [V_a, V_b] != 0.  Each nonzero structure constant there must land in
+    the class of the product value (multiplicativity of the norm on
+    brackets).  Weights strictly increase with the value, value-1 classes
+    pin to 0 when requested, everything else is >= 1.  Feasible by
+    construction (log of the values solves it over R and the system is
+    rational); infeasibility would be an internal invariant violation.
     """
     values = [v for v, _ in classes]
-    index = {v: a for a, v in enumerate(values)}
     nvars = len(values)
-    eqs = []
-    for a, (va, sa) in enumerate(classes):
-        for b, (vb, sb) in enumerate(classes):
-            if b < a:
-                continue
-            prod = va * vb
-            nonzero = None
-            for x in range(sa.shape[1]):
-                for y in range(sb.shape[1]):
-                    if a == b and y <= x:
-                        continue
-                    z = algebra.bracket(sa[:, x], sb[:, y])
-                    if not (z == Fraction(0)).all():
-                        nonzero = z
-                        break
-                if nonzero is not None:
-                    break
-            if nonzero is None:
-                continue
-            if prod not in index:
-                raise RuntimeError("norm multiplicativity violated on brackets")
-            if not mx.col_space_contains(classes[index[prod]][1], nonzero):
-                raise RuntimeError("norm multiplicativity violated on brackets")
-            coeffs = [Fraction(0)] * nvars
-            coeffs[a] += 1
-            coeffs[b] += 1
-            coeffs[index[prod]] -= 1
-            eqs.append((tuple(coeffs), Fraction(0)))
-    ineqs = []
-    lows = []
-    for a, v in enumerate(values):
-        if zero_for_value_one and v == 1:
-            coeffs = [Fraction(0)] * nvars
-            coeffs[a] = Fraction(1)
-            eqs.append((tuple(coeffs), Fraction(0)))
-            lows.append(0)
-        else:
-            coeffs = [Fraction(0)] * nvars
-            coeffs[a] = Fraction(1)
-            ineqs.append((tuple(coeffs), Fraction(1)))
-            lows.append(1)
-        if a > 0:
-            # strictly order-preserving renaming keeps distinct classes apart
-            coeffs = [Fraction(0)] * nvars
-            coeffs[a] = Fraction(1)
-            coeffs[a - 1] = Fraction(-1)
-            ineqs.append((tuple(coeffs), Fraction(1)))
-    w = solve(eqs, ineqs, lows)
+    var = [a for a, (_, s) in enumerate(classes) for _ in range(s.shape[1])]
+    rebased = algebra.in_basis(mx.hstack([s for _, s in classes]))
+    for (x, y), terms in rebased.terms.items():
+        if any(values[var[z]] != values[var[x]] * values[var[y]] for z in terms):
+            raise RuntimeError("norm multiplicativity violated on brackets")
+    pinned = [zero_for_value_one and v == 1 for v in values]
+    eqs = weight_equations(rebased, var) + [{a: 1} for a in range(nvars) if pinned[a]]
+    # strictly order-preserving renaming keeps distinct classes apart
+    ineqs = [({a: 1, a - 1: -1}, 1) for a in range(1, nvars)]
+    w = solve(eqs, ineqs, [0 if p else 1 for p in pinned])
     if w is None:
         raise RuntimeError("integer re-weighting infeasible; invariant violation")
     return Grading(tuple((w[a], classes[a][1]) for a in range(nvars)))

@@ -6,10 +6,11 @@ arrays, Faddeev-LeVerrier in Fractions, the bracket that loops over the
 whole table, the Jacobi loop and lower central series built on it, the
 dense derivation system, the dense automorphism and derivation checks,
 the minimal polynomial from the first linear dependence among the powers
-of a matrix, Horner's rule in Fractions, and Kronecker's factorization
-over Q (rational roots, then an evaluate/interpolate search over divisors
-of values, exponential in the degree).  They read only `LieAlgebra.dim`
-and `LieAlgebra.table`.
+of a matrix, Horner's rule in Fractions, Kronecker's factorization over Q
+(rational roots, then an evaluate/interpolate search over divisors of
+values, exponential in the degree), and the grading check that solves one
+linear system per nonzero bracket of two component basis vectors.  They
+read only `LieAlgebra.dim` and `LieAlgebra.table`.
 
 Also the ladder algebras L_n, H_{2m+1} and N_{r,c}, built from first
 principles (N_{r,c} from Lie words in the free associative algebra).
@@ -235,6 +236,49 @@ def series_dense(algebra):
             series.append(nxt)
             return series, False
         series.append(nxt)
+
+
+def verify_grading_pairwise(algebra, grading) -> Verdict:
+    """`grading.verify_grading` as one membership test per nonzero bracket
+    of two component basis vectors, in weight order, then column order."""
+    n = algebra.dim
+    stacked = mx.hstack([s for _, s in grading.components])
+    if stacked.shape != (n, n) or mx.det(stacked) == 0:
+        return Verdict(
+            "reject",
+            condition="not-direct-sum",
+            certificate={"total_columns": int(stacked.shape[1])},
+            diagnostics=["components do not decompose the algebra as a direct sum"],
+        )
+    spaces = dict(grading.components)
+    for wi, si in grading.components:
+        for wj, sj in grading.components:
+            if wj < wi:
+                continue
+            target = spaces.get(wi + wj)
+            for a in range(si.shape[1]):
+                for b in range(sj.shape[1]):
+                    if wi == wj and b <= a:
+                        continue
+                    z = bracket_dense(algebra, si[:, a], sj[:, b])
+                    if (z == Fraction(0)).all():
+                        continue
+                    if target is None or mx.solve(target, z) is None:
+                        return Verdict(
+                            "reject",
+                            condition="not-homogeneous",
+                            certificate={"pair": [wi, wj], "bracket": [str(e) for e in z]},
+                            diagnostics=[
+                                f"bracket of components ({wi}, {wj}) leaves the"
+                                f" weight-{wi + wj} component"
+                            ],
+                        )
+    return Verdict(
+        "accept",
+        condition="grading",
+        certificate={"weights": list(grading.weights)},
+        diagnostics=["direct sum and homogeneity verified"],
+    )
 
 
 def validate_dense(algebra) -> Verdict:

@@ -1,4 +1,6 @@
 import itertools
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,6 +20,7 @@ from nilgrade.grading import (
 )
 from nilgrade.liealg import LieAlgebra, is_automorphism, is_derivation
 from nilgrade.polynomials import from_roots
+from oracles import verify_grading_pairwise
 
 
 def heisenberg():
@@ -82,6 +85,49 @@ class TestVerifyGrading:
     def test_weights_must_increase(self):
         with pytest.raises(ValueError):
             Grading(((2, span([0, 0, 1])), (1, span([1, 0, 0], [0, 1, 0]))))
+
+
+def seeded_gradings(count: int, seed: int = 10):
+    """(algebra, grading) pairs: fixtures x unimodular P x weights.
+
+    The weights are a found basis-aligned grading or random.  P is built
+    from column operations, between columns of equal weight only (the
+    grading stays one) or between any two; a quarter of the cases drop or
+    duplicate a column.
+    """
+    rng = random.Random(seed)
+    algebras = {name: load_algebra(name) for name in ALL_FIXTURES}
+    for i in range(count):
+        a = algebras[ALL_FIXTURES[i % len(ALL_FIXTURES)]]
+        n = a.dim
+        found = (find_positive_weights if i % 2 else find_nonneg_nontrivial_weights)(a)
+        ws = list(found) if found is not None and rng.random() < 0.6 else [rng.randint(-1, 3) for _ in range(n)]
+        same_weight = rng.random() < 0.5
+        p = mx.identity(n)
+        for _ in range(rng.randint(1, 6)):
+            i, j = rng.sample(range(n), 2)
+            if ws[i] == ws[j] or not same_weight:
+                p[:, i] = p[:, i] + rng.choice([-2, -1, 1, 2]) * p[:, j]
+        cols = list(range(n))
+        edit = rng.random()
+        if edit < 0.125:
+            cols.remove(rng.randrange(n))
+        elif edit < 0.25:
+            cols.append(rng.randrange(n))
+        comps = {}
+        for c in cols:
+            comps.setdefault(ws[c], []).append(p[:, c])
+        yield a, Grading(tuple((w, mx.hstack([v.reshape(n, 1) for v in vs])) for w, vs in sorted(comps.items())))
+
+
+def test_verify_grading_matches_pairwise_oracle():
+    verdicts = Counter()
+    for a, g in seeded_gradings(600):
+        got = verify_grading(a, g)
+        assert got.to_json() == verify_grading_pairwise(a, g).to_json()
+        verdicts[got.condition] += 1
+    assert sum(verdicts.values()) >= 500
+    assert min(verdicts[c] for c in ("grading", "not-direct-sum", "not-homogeneous")) >= 50, verdicts
 
 
 class TestClassify:

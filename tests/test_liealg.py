@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nilgrade import matrices as mx
 from nilgrade.fixtures import ALL_FIXTURES, load_algebra, load_map
+from nilgrade.grading import Grading, find_nonneg_nontrivial_weights, find_positive_weights, verify_grading
 from nilgrade.liealg import (
     LieAlgebra,
     abelianization,
@@ -338,6 +339,16 @@ def unimodular(n, ops):
     return p
 
 
+def aligned_gradings(algebra):
+    """Basis-aligned gradings by the found weights, and by weights 1..n
+    (rarely homogeneous)."""
+    n = algebra.dim
+    eye = mx.identity(n)
+    for ws in (find_positive_weights(algebra), find_nonneg_nontrivial_weights(algebra), range(1, n + 1)):
+        if ws is not None:
+            yield Grading(tuple((w, eye[:, [i for i in range(n) if ws[i] == w]]) for w in sorted(set(ws))))
+
+
 def invariants(algebra):
     return (
         nilpotency_class(algebra),
@@ -358,6 +369,13 @@ def test_unimodular_change_of_basis_preserves_invariants(name, ops):
     b = change_basis(a, p)
     assert all(e.denominator == 1 for v in b.table.values() for e in v)
     assert invariants(b) == invariants(a)
+    rebased = a.in_basis(p)
+    assert rebased.terms == b.terms
+    # g grades a iff P^-1 g grades a in the basis of P's columns
+    p_inv = mx.inverse(p)
+    for g in aligned_gradings(a):
+        moved = Grading(tuple((w, p_inv @ s) for w, s in g.components))
+        assert verify_grading(rebased, moved).condition == verify_grading(a, g).condition
 
 
 class TestAbelianization:
