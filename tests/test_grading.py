@@ -105,9 +105,9 @@ def seeded_gradings(count: int, seed: int = 10):
         same_weight = rng.random() < 0.5
         p = mx.identity(n)
         for _ in range(rng.randint(1, 6)):
-            i, j = rng.sample(range(n), 2)
-            if ws[i] == ws[j] or not same_weight:
-                p[:, i] = p[:, i] + rng.choice([-2, -1, 1, 2]) * p[:, j]
+            x, y = rng.sample(range(n), 2)
+            if ws[x] == ws[y] or not same_weight:
+                p[:, x] = p[:, x] + rng.choice([-2, -1, 1, 2]) * p[:, y]
         cols = list(range(n))
         edit = rng.random()
         if edit < 0.125:
