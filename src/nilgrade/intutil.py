@@ -1,25 +1,42 @@
 """Small integer helpers: primality, factorization, least exponents.
 
-Everything here is plain trial division: desk-scale moduli, the small
-primes a factorization over Q works modulo, and the p^i - 1 (i <= n) that
-bound matrix orders mod p.
+Primality is deterministic Miller-Rabin, a proof below `PRIME_PROOF_LIMIT`
+and refused above it.  Factorization is plain trial division: desk-scale
+moduli, the small primes a factorization over Q works modulo, and the
+p^i - 1 (i <= n) that bound matrix orders mod p.
 """
 
 from __future__ import annotations
 
+# Miller-Rabin to the 13 prime bases 2..41 proves primality of every n below
+# this (Sorenson & Webster, Math. Comp. 86, 2017; the least strong
+# pseudoprime to all 13 bases).
+PRIME_PROOF_LIMIT = 3_317_044_064_679_887_385_961_981
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
 
 def is_prime(n: int) -> bool:
+    """Whether n is prime, proven; ValueError at or above `PRIME_PROOF_LIMIT`."""
+    if n >= PRIME_PROOF_LIMIT:
+        raise ValueError(f"cannot prove {n} prime: primality is decided only below {PRIME_PROOF_LIMIT}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for p in _BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

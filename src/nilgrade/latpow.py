@@ -113,19 +113,28 @@ def orbit_escapes_lattice(a: np.ndarray, v: np.ndarray, bound: int) -> Verdict:
     """Does A^k v stay outside Z^n for every k = 1..bound?
 
     Accept means the whole orbit segment escapes; reject reports the
-    first power that lands in the integer lattice.
+    first power that lands in the integer lattice.  The scan runs in
+    integers: with M = d_A A and d_v v cleared once, A^k v = x / D for an
+    integer vector x and one denominator D > 0, kept in lowest terms by one
+    gcd per step, so A^k v is integral exactly when D = 1.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     n = a.shape[0]
     if a.shape != (n, n) or v.shape != (n,):
         raise ValueError("dimension mismatch")
-    x = v
+    m, d_a = mx.cleared(a)
+    x, den = mx.cleared(v)
     integral_ks = []
     first_image = None
     for k in range(1, bound + 1):
-        x = a @ x
-        if all(e.denominator == 1 for e in x):
+        x = m @ x
+        den *= d_a
+        g = int_gcd(den, *x)
+        if g != 1:
+            x //= g
+            den //= g
+        if den == 1:
             integral_ks.append(k)
             if first_image is None:
                 first_image = [str(e) for e in x]

@@ -44,14 +44,6 @@ class LieAlgebra:
             return {k: -c for k, c in self.terms.get((j, i), {}).items()}
         return {}
 
-    def bracket_basis(self, i: int, j: int) -> np.ndarray:
-        if i == j:
-            return mx.rvec([0] * self.dim)
-        if i < j:
-            vec = self.table.get((i, j))
-            return vec.copy() if vec is not None else mx.rvec([0] * self.dim)
-        return -self.bracket_basis(j, i)
-
     def bracket(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         if x.shape != (self.dim,) or y.shape != (self.dim,):
             raise ValueError("vector dimension mismatch")

@@ -80,9 +80,10 @@ def is_integral(a: np.ndarray) -> bool:
 
 
 def cleared(m: np.ndarray) -> tuple[np.ndarray, int]:
-    """(d M as a matrix of ints, d) for the least d > 0 that makes d M integral."""
+    """(d M as ints in the shape of M, d) for the least d > 0 that makes d M
+    integral; M is a matrix or a vector."""
     d = lcm(*(e.denominator for e in m.flat))
-    return np.array([[int(e * d) for e in row] for row in m], dtype=object), d
+    return np.array([e.numerator * (d // e.denominator) for e in m.flat], dtype=object).reshape(m.shape), d
 
 
 def trace(a: np.ndarray) -> Fraction:
@@ -271,13 +272,13 @@ def eval_poly(p: Polynomial, m: np.ndarray) -> np.ndarray:
     if p.is_zero():
         return zeros(n, n)
     a, d = cleared(m)
-    den = lcm(*(c.denominator for c in p.coeffs))
+    coeffs, den = cleared(np.array(p.coeffs, dtype=object))
     deg = p.degree
     acc = np.zeros((n, n), dtype=object)
     for k in range(deg, -1, -1):
         if k < deg:
             acc = acc @ a
-        c = int(p.coeffs[k] * den) * d ** (deg - k)
+        c = coeffs[k] * d ** (deg - k)
         for i in range(n):
             acc[i, i] += c
     return acc * Fraction(1, den * d**deg)

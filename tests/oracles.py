@@ -10,7 +10,8 @@ of a matrix, Horner's rule in Fractions, Kronecker's factorization over Q
 (rational roots, then an evaluate/interpolate search over divisors of
 values, exponential in the degree), and the grading check that solves one
 linear system per nonzero bracket of two component basis vectors.  They
-read only `LieAlgebra.dim` and `LieAlgebra.table`.
+read only `LieAlgebra.dim` and `LieAlgebra.table`.  The Fraction loop
+that `latpow`'s integer orbit scan replaced is kept the same way.
 
 Also the ladder algebras L_n, H_{2m+1} and N_{r,c}, built from first
 principles (N_{r,c} from Lie words in the free associative algebra).
@@ -364,6 +365,45 @@ def derivations_dense(algebra):
         return [mx.identity(1)] if n == 1 else []
     kernel = nullspace_dense(mx.rmat(rows))
     return [kernel[:, c].reshape(n, n) for c in range(kernel.shape[1])]
+
+
+# -- lattice orbits --------------------------------------------------------------
+
+
+def orbit_escapes_lattice_fraction(a, v, bound):
+    """`latpow.orbit_escapes_lattice` by Fraction products: x = A x per step,
+    integral when every entry has denominator 1."""
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    n = a.shape[0]
+    if a.shape != (n, n) or v.shape != (n,):
+        raise ValueError("dimension mismatch")
+    x = v
+    integral_ks = []
+    first_image = None
+    for k in range(1, bound + 1):
+        x = a @ x
+        if all(e.denominator == 1 for e in x):
+            integral_ks.append(k)
+            if first_image is None:
+                first_image = [str(e) for e in x]
+    if not integral_ks:
+        return Verdict(
+            "accept",
+            condition="orbit-escapes",
+            certificate={"bound": bound, "integral_k": []},
+            diagnostics=[f"A^k v is non-integral for every k = 1..{bound}"],
+        )
+    return Verdict(
+        "reject",
+        condition="orbit-returns",
+        certificate={
+            "bound": bound,
+            "integral_k": integral_ks,
+            "first_integral_image": first_image,
+        },
+        diagnostics=[f"A^k v is integral first at k = {integral_ks[0]}"],
+    )
 
 
 # -- the ladder ----------------------------------------------------------------

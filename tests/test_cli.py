@@ -124,6 +124,16 @@ class TestExpand:
         assert main(["expand", "heisenberg3", "--prime", "6"]) == 2
         capsys.readouterr()
 
+    def test_mersenne_61_prime_finishes(self):
+        # 2^61 - 1: trial division to its square root would take minutes
+        code, v, _ = run_cli("expand", "heisenberg3", "--prime", "2305843009213693951")
+        assert code == 0
+        assert v["certificate"]["phi_p"][0][0] == "2305843009213693951"
+
+    def test_prime_past_the_proof_limit_exit_2(self, capsys):
+        assert main(["expand", "heisenberg3", "--prime", str(3_317_044_064_679_887_385_961_981 + 2)]) == 2
+        assert "3317044064679887385961981" in capsys.readouterr().err
+
     def test_certificate_replay(self, tmp_path):
         code, v, _ = run_cli("expand", "heisenberg3", "--prime", "2")
         cert = tmp_path / "cert.json"

@@ -13,6 +13,7 @@ from nilgrade.latpow import (
     power_into_lattice,
 )
 from nilgrade.matrices import IntegerLattice, hnf_membership, order_mod
+from oracles import orbit_escapes_lattice_fraction
 
 
 def lat(rows):
@@ -218,6 +219,107 @@ class TestOrbitEscape:
     def test_bad_bound(self):
         with pytest.raises(ValueError):
             orbit_escapes_lattice(mx.identity(2), mx.rvec([0, 1]), 0)
+
+
+def random_orbit_case(rng, n, kind):
+    """(A, v) in dim n: A integral, rational, singular or zero by `kind`,
+    v zero or with entry denominators drawn from 1, 2, 3, 4, 6 and 9."""
+    dens = (1,) if kind == "integral" else (1, 2, 3, 4)
+    a = mx.rmat([[Fraction(rng.randint(-3, 3), rng.choice(dens)) for _ in range(n)] for _ in range(n)])
+    if kind == "zero":
+        a = mx.zeros(n, n)
+    elif kind == "singular":
+        a[n - 1] = a[0] * rng.randint(-2, 2)
+    if rng.random() < 0.15:
+        return a, mx.rvec([0] * n)
+    return a, mx.rvec([Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 4, 6, 9))) for _ in range(n)])
+
+
+class TestOrbitAgainstFraction:
+    """The integer scan against the Fraction loop it replaced, as verdict JSON."""
+
+    def test_verdicts_match_the_oracle(self):
+        rng = random.Random(4099)
+        decisions = set()
+        for trial in range(400):
+            n = 1 + trial % 4
+            kind = ("integral", "rational", "singular", "zero")[trial // 4 % 4]
+            a, v = random_orbit_case(rng, n, kind)
+            bound = rng.choice([1, 2, 5, 24])
+            got = orbit_escapes_lattice(a, v, bound)
+            assert got.to_json() == orbit_escapes_lattice_fraction(a, v, bound).to_json()
+            decisions.add((kind, got.decision))
+        assert decisions >= {(k, d) for k in ("integral", "rational", "singular") for d in ("accept", "reject")}
+
+    @pytest.mark.parametrize(
+        "a, v, bound",
+        [
+            ([["1/2", "1/2"], ["-3/2", "5/2"]], [0, 1], 64),
+            ([["5/2", "1/2"], ["1/2", "1/2"]], [1, 0], 3),
+            ([["1/2", "1/2"], ["-3/2", "5/2"]], ["1/3", "-1/2"], 1),
+            ([[2, 0], [0, 3]], ["1/4", "1/9"], 4),
+            ([["2/3"]], ["9/2"], 6),
+            ([[0, 0], [0, 0]], ["1/2", "1/3"], 1),
+            ([[1, 2], [3, 4]], [0, 0], 1),
+        ],
+    )
+    def test_edge_cases_match_the_oracle(self, a, v, bound):
+        a, v = mx.rmat(a), mx.rvec(v)
+        assert orbit_escapes_lattice(a, v, bound).to_json() == orbit_escapes_lattice_fraction(a, v, bound).to_json()
+
+    def test_same_refusals(self):
+        for a, v, bound in [(mx.identity(2), mx.rvec([0, 1]), 0), (mx.identity(2), mx.rvec([0, 1, 2]), 3)]:
+            for f in (orbit_escapes_lattice, orbit_escapes_lattice_fraction):
+                with pytest.raises(ValueError):
+                    f(a, v, bound)
+
+
+def random_unimodular(rng, n):
+    """An integral U with det +-1: elementary row operations on I."""
+    u = mx.identity(n)
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i != j:
+            u[i] = u[i] + rng.choice([-2, -1, 1, 2]) * u[j]
+        if rng.random() < 0.2:
+            u[i] = -u[i]
+    return u
+
+
+class TestUnimodularChangeOfBasis:
+    """An integral unimodular U carries Z^n onto itself, so conjugating A by U
+    and moving L to U L changes no lattice-power answer."""
+
+    def test_power_into_lattice_k_and_obstruction_prime(self):
+        rng = random.Random(8191)
+        outcomes = set()
+        for _ in range(120):
+            n = rng.choice([2, 3, 4])
+            a, lattice = random_pair(rng, n)
+            if mx.det(a) == 0:
+                continue
+            u = random_unimodular(rng, n)
+            moved = (u @ a @ mx.inverse(u), IntegerLattice(u @ lattice.basis))
+            answers = []
+            for b, target in ((a, lattice), moved):
+                try:
+                    answers.append(("k", power_into_lattice(b, target).k))
+                except ObstructionPrime as e:
+                    answers.append(("prime", e.prime))
+            assert answers[0] == answers[1]
+            outcomes.add(answers[0][0])
+        assert outcomes == {"k", "prime"}
+
+    def test_orbit_integral_k(self):
+        rng = random.Random(131071)
+        for trial in range(200):
+            n = 1 + trial % 4
+            a, v = random_orbit_case(rng, n, ("integral", "rational", "singular")[trial % 3])
+            u = random_unimodular(rng, n)
+            bound = rng.choice([1, 6, 24])
+            before = orbit_escapes_lattice(a, v, bound).certificate["integral_k"]
+            after = orbit_escapes_lattice(u @ a @ mx.inverse(u), u @ v, bound).certificate["integral_k"]
+            assert before == after
 
 
 class TestObstructionPrimesPair:
