@@ -312,6 +312,7 @@ class TestUnimodularChangeOfBasis:
 
     def test_orbit_integral_k(self):
         rng = random.Random(131071)
+        returns = 0
         for trial in range(200):
             n = 1 + trial % 4
             a, v = random_orbit_case(rng, n, ("integral", "rational", "singular")[trial % 3])
@@ -320,6 +321,8 @@ class TestUnimodularChangeOfBasis:
             before = orbit_escapes_lattice(a, v, bound).certificate["integral_k"]
             after = orbit_escapes_lattice(u @ a @ mx.inverse(u), u @ v, bound).certificate["integral_k"]
             assert before == after
+            returns += bool(before)
+        assert 0 < returns < 200
 
 
 class TestObstructionPrimesPair:
