@@ -18,12 +18,16 @@ polynomial is one irreducible quadratic, a unit-determinant map that
 yields no grading, an expanding map with two quadratic factors, and two
 degree-8 companions that only a complete factorization over Q settles:
 X^8 + 2 (irreducible, expanding) and (X^4 - 10X^2 + 1)(X^4 + 1), whose
-quartics split into linear and quadratic factors modulo every prime.
+quartics split into linear and quadratic factors modulo every prime; and
+two maps that `norm` rejects: a singular one and a non-automorphism.
 The gradings under `tests/golden/gradings/` (`<fixture>__<name>.json`) are
-certificates that `expand --certificate` and `cohopf --certificate` reject:
-two that are not direct sums (a dependent column, a dropped column), one
-that is not homogeneous, and one whose two failing bracket pairs are
-reported in weight order, not in column order.
+certificates replayed by `expand --certificate` and `cohopf --certificate`.
+Both reject two that are not direct sums (a dependent column, a dropped
+column), one that is not homogeneous, and one whose two failing bracket
+pairs are reported in weight order, not in column order.  Both accept a
+positive weight system and a positive grading that is not basis-aligned
+(heisenberg3 moved by exp(ad X_1)); a non-negative grading is accepted by
+`cohopf` only.
 
 `tests/golden/cli.json` holds the exit code and stdout of each invocation
 below, recorded once.  A refactor that changes any verdict, certificate or
