@@ -1,10 +1,10 @@
 """From expanding automorphisms back to positive gradings.
 
 Expansion (all eigenvalues outside the unit circle) is decided by an
-exact Schur-Cohn chain, with no floating point.  An expanding
-automorphism is reduced to its semisimple part, its primary components
-are tagged by a fixed power of the eigenvalue norms, and equal-norm
-layers reassemble into a positive grading the automorphism preserves.
+exact Schur-Cohn chain, with no floating point.  The primary components
+of an expanding automorphism, which are those of its semisimple part, are
+tagged by a fixed power of the eigenvalue norms, and equal-norm layers
+reassemble into a positive grading the automorphism preserves.
 """
 
 from nilgrade import matrices as mx
@@ -32,14 +32,17 @@ print("quarter turn (|eigenvalues| = 1) expanding:", is_expanding(rot))
 b = mx.rmat([["5/2", "1/2"], ["1/2", "1/2"]])
 print("\n[[5/2,1/2],[1/2,1/2]] integer-like:", is_z_charpoly(b) and abs(mx.det(b)) == 1)
 
-# The semisimple part strips nilpotent shear without touching eigenvalues.
+# The semisimple part strips nilpotent shear without touching eigenvalues
+# or primary components, so a map and its semisimple part share a profile.
 j = mx.rmat([[2, 1], [0, 2]])
 print("semisimple part of [[2,1],[0,2]]:", [[str(e) for e in r] for r in semisimple_part(j)])
+print("same norm profile:", [e.value for e in norm_profile(j).entries]
+      == [e.value for e in norm_profile(semisimple_part(j)).entries])
 
 # Norm profiles on the Heisenberg algebra: diag(2,3,6) has three layers
 # whose values multiply along brackets (2 * 3 = 6).
 heis = load_algebra("heisenberg3")
-prof = norm_profile(heis, mx.diag([2, 3, 6]))
+prof = norm_profile(mx.diag([2, 3, 6]))
 print("\nnorm profile of diag(2,3,6):",
       [(str(e.factor), str(e.value)) for e in prof.entries])
 g = expanding_to_positive_grading(heis, mx.diag([2, 3, 6]))

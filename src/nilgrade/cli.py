@@ -338,7 +338,8 @@ def cmd_norm(args) -> int:
     m = matrix_from_lists(_load_json(args.matrix))
     if m.shape != (algebra.dim, algebra.dim):
         raise CliError("matrix dimension does not match the algebra")
-    if mx.det(m) == 0:
+    det = mx.det(m)
+    if det == 0:
         return _emit(
             Verdict("reject", condition="not-automorphism", diagnostics=["matrix is singular"]),
             args.json,
@@ -355,17 +356,16 @@ def cmd_norm(args) -> int:
             args.json,
         )
     notes = []
-    s = specmaps.semisimple_part(m)
-    if not mx.mat_eq(s, m):
+    if not specmaps.is_semisimple(m):
         notes.append("map is not semisimple; profile taken on its semisimple part")
-    profile = specmaps.norm_profile(algebra, s)
+    profile = specmaps.norm_profile(m)
     cert = {"profile": profile_to_dict(profile)}
     if specmaps.is_expanding(m):
         g = specmaps.grading_from_profile(algebra, m, profile, positive=True)
         cert["grading"] = grading_to_dict(g)
         cert["classification"] = "positive"
         notes.append("expanding: extracted a positive grading preserved by the map")
-    elif specmaps.is_z_charpoly(m) and abs(mx.det(m)) > 1:
+    elif specmaps.is_z_charpoly(m) and abs(det) > 1:
         g = specmaps.grading_from_profile(algebra, m, profile, positive=False)
         cert["grading"] = grading_to_dict(g)
         cert["classification"] = "nonnegative-nontrivial"

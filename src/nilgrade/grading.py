@@ -51,13 +51,16 @@ class Grading:
 def verify_grading(algebra: LieAlgebra, grading: Grading) -> Verdict:
     """Direct sum plus homogeneity [n_i, n_j] subseteq n_{i+j}.
 
-    Homogeneity is read off the algebra in the basis of the stacked
-    components: each nonzero c'_ab^c needs w_c = w_a + w_b.  A failure
-    reports the least failing pair by (w_a, w_b, a, b).
+    The stacked components are a direct sum iff they form a basis, which
+    the one elimination that re-bases the algebra on them decides.
+    Homogeneity is read off the algebra in that basis: each nonzero
+    c'_ab^c needs w_c = w_a + w_b.  A failure reports the least failing
+    pair by (w_a, w_b, a, b).
     """
-    n = algebra.dim
     stacked = mx.hstack([s for _, s in grading.components])
-    if stacked.shape != (n, n) or mx.det(stacked) == 0:
+    try:
+        rebased = algebra.in_basis(stacked)
+    except ValueError:  # not square, or singular
         return Verdict(
             "reject",
             condition="not-direct-sum",
@@ -67,7 +70,7 @@ def verify_grading(algebra: LieAlgebra, grading: Grading) -> Verdict:
     ws = [w for w, s in grading.components for _ in range(s.shape[1])]
     bad = [
         (ws[a], ws[b], a, b)
-        for (a, b), terms in algebra.in_basis(stacked).terms.items()
+        for (a, b), terms in rebased.terms.items()
         if any(ws[c] != ws[a] + ws[b] for c in terms)
     ]
     if bad:
@@ -95,7 +98,11 @@ def classify(algebra: LieAlgebra, grading: Grading) -> str:
     v = verify_grading(algebra, grading)
     if not v.accepted():
         raise ValueError(f"grading does not verify: {v.diagnostics}")
-    ws = grading.weights
+    return weights_label(grading.weights)
+
+
+def weights_label(ws: tuple[int, ...]) -> str:
+    """The `classify` label of a verified grading with weights ws."""
     if all(w >= 1 for w in ws):
         return "positive"
     if ws == (0,):

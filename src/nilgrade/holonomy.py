@@ -15,8 +15,8 @@ import numpy as np
 
 from . import matrices as mx
 from . import specmaps
-from .grading import Grading, classify, preserved_by, verify_grading, weight_equations
-from .liealg import LieAlgebra, is_automorphism
+from .grading import Grading, preserved_by, verify_grading, weight_equations, weights_label
+from .liealg import LieAlgebra, is_automorphism, violated_bracket
 from .linineq import solve
 from .serialize import grading_to_dict, matrix_to_lists
 from .verdict import Verdict
@@ -90,11 +90,9 @@ def commutes_with_all(m: np.ndarray, group: HolonomyGroup) -> bool:
     return all(mx.mat_eq(m @ f, f @ m) for f in group)
 
 
-def _first_noncommuting(m: np.ndarray, group: HolonomyGroup) -> int | None:
-    for idx, f in enumerate(group):
-        if not mx.mat_eq(m @ f, f @ m):
-            return idx
-    return None
+def _first_failing(group: HolonomyGroup, ok) -> int | None:
+    """Index of the first element f with ok(f) false, if any."""
+    return next((i for i, f in enumerate(group) if not ok(f)), None)
 
 
 def check_expinfra(algebra: LieAlgebra, group: HolonomyGroup, certificate) -> Verdict:
@@ -111,36 +109,14 @@ def check_expinfra(algebra: LieAlgebra, group: HolonomyGroup, certificate) -> Ve
         )
     if isinstance(certificate, np.ndarray):
         m = certificate
+        problems = []
         if not is_automorphism(algebra, m):
-            return Verdict(
-                "reject",
-                condition="expinfra-cond-3",
-                certificate={"matrix": matrix_to_lists(m)},
-                diagnostics=["certificate map is not an automorphism"],
-            )
-        if not specmaps.is_expanding(m):
-            return Verdict(
-                "reject",
-                condition="expinfra-cond-3",
-                certificate={"matrix": matrix_to_lists(m)},
-                diagnostics=["certificate map is not expanding"],
-            )
-        bad = _first_noncommuting(m, group)
-        if bad is not None:
-            return Verdict(
-                "reject",
-                condition="expinfra-cond-3",
-                certificate={
-                    "matrix": matrix_to_lists(m),
-                    "noncommuting_element": matrix_to_lists(group.elements[bad]),
-                },
-                diagnostics=[f"map fails to commute with holonomy element {bad}"],
-            )
-        return Verdict(
-            "accept",
-            condition="expinfra-cond-3",
-            certificate={"matrix": matrix_to_lists(m)},
-            diagnostics=["expanding automorphism commutes with the holonomy group"],
+            problems.append("certificate map is not an automorphism")
+        elif not specmaps.is_expanding(m):
+            problems.append("certificate map is not expanding")
+        return _check_map_condition(
+            group, m, "expinfra-cond-3", problems, {"matrix": matrix_to_lists(m)},
+            "expanding automorphism commutes with the holonomy group",
         )
     raise ValueError("certificate must be a Grading or an automorphism matrix")
 
@@ -156,40 +132,41 @@ def check_covinfra(algebra: LieAlgebra, group: HolonomyGroup, certificate) -> Ve
         )
     if isinstance(certificate, np.ndarray):
         m = certificate
+        if m.shape != (algebra.dim, algebra.dim):
+            raise ValueError("matrix dimension mismatch")
+        det = mx.det(m)
         problems = []
-        if not is_automorphism(algebra, m):
+        if det == 0 or violated_bracket(algebra, m) is not None:
             problems.append("certificate map is not an automorphism")
         else:
             if not specmaps.is_z_charpoly(m):
                 problems.append("characteristic polynomial is not in Z[X]")
-            if abs(mx.det(m)) <= 1:
+            if abs(det) <= 1:
                 problems.append("|det| is not > 1")
-        if problems:
-            return Verdict(
-                "reject",
-                condition="covinfra-cond-3",
-                certificate={"matrix": matrix_to_lists(m)},
-                diagnostics=problems,
-            )
-        bad = _first_noncommuting(m, group)
-        if bad is not None:
-            return Verdict(
-                "reject",
-                condition="covinfra-cond-3",
-                certificate={
-                    "matrix": matrix_to_lists(m),
-                    "noncommuting_element": matrix_to_lists(group.elements[bad]),
-                },
-                diagnostics=[f"map fails to commute with holonomy element {bad}"],
-            )
-        det = mx.det(m)
-        return Verdict(
-            "accept",
-            condition="covinfra-cond-3",
-            certificate={"matrix": matrix_to_lists(m), "det": str(det)},
-            diagnostics=["self-cover automorphism commutes with the holonomy group"],
+        return _check_map_condition(
+            group, m, "covinfra-cond-3", problems, {"matrix": matrix_to_lists(m), "det": str(det)},
+            "self-cover automorphism commutes with the holonomy group",
         )
     raise ValueError("certificate must be a Grading or an automorphism matrix")
+
+
+def _check_map_condition(group, m, cond, problems, certificate, note) -> Verdict:
+    """Reject on the problems found with the map m or on the first holonomy
+    element that m does not commute with; else accept with certificate."""
+    if problems:
+        return Verdict("reject", condition=cond, certificate={"matrix": matrix_to_lists(m)}, diagnostics=problems)
+    bad = _first_failing(group, lambda f: mx.mat_eq(m @ f, f @ m))
+    if bad is not None:
+        return Verdict(
+            "reject",
+            condition=cond,
+            certificate={
+                "matrix": matrix_to_lists(m),
+                "noncommuting_element": matrix_to_lists(group.elements[bad]),
+            },
+            diagnostics=[f"map fails to commute with holonomy element {bad}"],
+        )
+    return Verdict("accept", condition=cond, certificate=certificate, diagnostics=[note])
 
 
 def _check_grading_condition(algebra, group, grading, theorem, wanted) -> Verdict:
@@ -199,7 +176,7 @@ def _check_grading_condition(algebra, group, grading, theorem, wanted) -> Verdic
         return Verdict(
             "reject", condition=cond, certificate=v.certificate, diagnostics=v.diagnostics
         )
-    label = classify(algebra, grading)
+    label = weights_label(grading.weights)
     labels_ok = {"positive"} if wanted == "positive" else {"positive", "nonnegative-nontrivial"}
     if label not in labels_ok:
         return Verdict(
@@ -208,10 +185,8 @@ def _check_grading_condition(algebra, group, grading, theorem, wanted) -> Verdic
             certificate=grading_to_dict(grading),
             diagnostics=[f"grading classifies as {label}, need {wanted}"],
         )
-    if not preserves_grading_all(group, grading):
-        bad = next(
-            i for i, f in enumerate(group) if not preserved_by(grading, f)
-        )
+    bad = _first_failing(group, lambda f: preserved_by(grading, f))
+    if bad is not None:
         return Verdict(
             "reject",
             condition=cond,

@@ -17,24 +17,23 @@ from .verdict import Verdict
 
 
 class LieAlgebra:
-    """dim plus the sparse bracket table {(i, j): coefficient vector}, also
-    kept as `terms` {(i, j): {k: c}} without zeros for the kernels."""
+    """dim plus the nonzero structure constants `terms` {(i, j): {k: c}},
+    built from the bracket table {(i, j): coefficient vector}."""
 
     def __init__(self, dim: int, brackets: dict[tuple[int, int], "np.ndarray | list"]):
         if dim < 1:
             raise ValueError("dimension must be >= 1")
         self.dim = dim
-        table: dict[tuple[int, int], np.ndarray] = {}
+        self.terms: dict[tuple[int, int], dict[int, Fraction]] = {}
         for (i, j), vec in brackets.items():
             if not (0 <= i < j < dim):
                 raise ValueError(f"bracket index ({i}, {j}) out of range (need i < j)")
             v = mx.rvec(vec)
             if v.shape != (dim,):
                 raise ValueError(f"bracket ({i}, {j}) has wrong length")
-            if not (v == Fraction(0)).all():
-                table[(i, j)] = v
-        self.table = table
-        self.terms = {ij: {k: c for k, c in enumerate(v) if c} for ij, v in table.items()}
+            terms = {k: c for k, c in enumerate(v) if c}
+            if terms:
+                self.terms[(i, j)] = terms
 
     def _terms(self, i: int, j: int) -> dict[int, Fraction]:
         """[X_i, X_j] as {k: c}, for any i and j."""
@@ -92,10 +91,8 @@ def bracket(algebra: LieAlgebra, x, y) -> np.ndarray:
 
 
 def derived_subalgebra(algebra: LieAlgebra) -> np.ndarray:
-    vecs = list(algebra.table.values())
-    if not vecs:
-        return mx.zeros(algebra.dim, 0)
-    return mx.col_basis(np.stack(vecs, axis=1))
+    """[n, n] as the canonical column basis: the RREF of the brackets."""
+    return mx.from_rows(mx.gauss_jordan(algebra.terms.values())[0], algebra.dim).T
 
 
 def _series_descent(algebra: LieAlgebra) -> tuple[list[np.ndarray], bool]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as int_gcd, lcm
+from math import gcd as int_gcd, lcm, prod
 
 import numpy as np
 
@@ -122,27 +122,39 @@ def _subtract(row: dict, f: Fraction, other: dict) -> None:
             row.pop(c, None)
 
 
-def gauss_jordan(rows) -> tuple[list[dict[int, Fraction]], list[int]]:
-    """The nonzero rows of the RREF of sparse rows ({column: value}), in
-    pivot order and without zeros, and their pivot columns.
+def _reduce(rows) -> tuple[dict[int, dict[int, Fraction]], list[Fraction]]:
+    """The Gauss-Jordan core: {pivot column: its row}, in the order the
+    pivot rows arose, and the leading entry of each before it was scaled.
 
     Each new row is reduced by the pivot rows so far, scaled to a leading 1
-    and cleared from the earlier pivot rows.  The RREF over Q is unique, so
-    the result does not depend on the order of the rows.
+    and cleared from the earlier pivot rows.
     """
     reduced: dict[int, dict[int, Fraction]] = {}  # pivot column -> its row
+    leads: list[Fraction] = []
     for row in rows:
         r = {c: v for c, v in row.items() if v}
         for p in [c for c in r if c in reduced]:
             _subtract(r, r[p], reduced[p])
         if r:
             lead = min(r)
+            leads.append(r[lead])
             inv = Fraction(1) / r[lead]
             r = {c: v * inv for c, v in r.items()}
             for other in reduced.values():
                 if lead in other:
                     _subtract(other, other[lead], r)
             reduced[lead] = r
+    return reduced, leads
+
+
+def gauss_jordan(rows) -> tuple[list[dict[int, Fraction]], list[int]]:
+    """The nonzero rows of the RREF of sparse rows ({column: value}), in
+    pivot order and without zeros, and their pivot columns.
+
+    The RREF over Q is unique, so the result does not depend on the order
+    of the rows.
+    """
+    reduced, _ = _reduce(rows)
     pivots = sorted(reduced)
     return [reduced[p] for p in pivots], pivots
 
@@ -167,22 +179,22 @@ def rank(a: np.ndarray) -> int:
 
 
 def det(a: np.ndarray) -> Fraction:
+    """The sign of the pivot permutation times the leading entries.
+
+    Reducing a row by the earlier rows and clearing it from them leaves the
+    determinant alone; scaling it by 1/lead divides it by lead.  The rows
+    end as the permutation matrix of row i -> its pivot column.  Sparser
+    rows go first, so a triangular matrix reduces without fill.
+    """
     n = _require_square(a)
-    m = a.copy()
-    d = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if m[i, c] != 0), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            m[[c, pr]] = m[[pr, c]]
-            d = -d
-        d *= m[c, c]
-        inv = Fraction(1) / m[c, c]
-        for i in range(c + 1, n):
-            if m[i, c] != 0:
-                m[i] = m[i] - m[i, c] * inv * m[c]
-    return d
+    rows = [{c: v for c, v in enumerate(row) if v} for row in a.tolist()]
+    order = sorted(range(n), key=lambda i: len(rows[i]))
+    reduced, leads = _reduce(rows[i] for i in order)
+    if len(leads) < n:
+        return Fraction(0)
+    pivot = dict(zip(order, reduced))
+    inversions = sum(pivot[j] > pivot[i] for i in range(n) for j in range(i))
+    return (-1) ** inversions * prod(leads, start=Fraction(1))
 
 
 def inverse(a: np.ndarray) -> np.ndarray:

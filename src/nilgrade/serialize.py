@@ -27,7 +27,7 @@ def parse_fraction(s) -> Fraction:
             return Fraction(s)
         except (ValueError, ZeroDivisionError) as e:
             raise _bad(f"cannot parse rational {s!r}") from e
-    if isinstance(s, int):
+    if type(s) is int:  # not bool, which JSON's true and false become
         return Fraction(s)
     raise _bad(f"rational entries must be strings or integers, got {type(s).__name__}")
 
@@ -59,9 +59,8 @@ def matrix_from_lists(data) -> np.ndarray:
 
 def algebra_to_dict(algebra: LieAlgebra) -> dict:
     brackets = []
-    for (i, j) in sorted(algebra.table):
-        vec = algebra.table[(i, j)]
-        terms = [{"k": k + 1, "c": str(vec[k])} for k in range(algebra.dim) if vec[k] != 0]
+    for (i, j), vec in sorted(algebra.terms.items()):
+        terms = [{"k": k + 1, "c": str(c)} for k, c in sorted(vec.items())]
         brackets.append({"i": i + 1, "j": j + 1, "terms": terms})
     return {"dim": algebra.dim, "brackets": brackets}
 
@@ -70,21 +69,21 @@ def algebra_from_dict(data) -> LieAlgebra:
     if not isinstance(data, dict):
         raise _bad("algebra file must contain a JSON object")
     dim = data.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise _bad('"dim" must be a positive integer')
     table: dict[tuple[int, int], list[Fraction]] = {}
     for entry in data.get("brackets", []):
         if not isinstance(entry, dict):
             raise _bad("bracket entries must be objects")
         i, j = entry.get("i"), entry.get("j")
-        if not (isinstance(i, int) and isinstance(j, int) and 1 <= i < j <= dim):
+        if not (type(i) is int and type(j) is int and 1 <= i < j <= dim):
             raise _bad(f"bracket indices must satisfy 1 <= i < j <= dim, got ({i}, {j})")
         if (i - 1, j - 1) in table:
             raise _bad(f"duplicate bracket ({i}, {j})")
         vec = [Fraction(0)] * dim
         for term in entry.get("terms", []):
             k = term.get("k")
-            if not (isinstance(k, int) and 1 <= k <= dim):
+            if not (type(k) is int and 1 <= k <= dim):
                 raise _bad(f"bracket ({i}, {j}) has target index {k} out of range")
             vec[k - 1] += parse_fraction(term.get("c"))
         table[(i - 1, j - 1)] = vec
@@ -98,7 +97,7 @@ def weights_from_dict(data) -> tuple[int, ...]:
     if not isinstance(data, dict) or "weights" not in data:
         raise _bad('expected {"weights": [...]}')
     ws = data["weights"]
-    if not isinstance(ws, list) or not all(isinstance(w, int) for w in ws):
+    if not isinstance(ws, list) or not all(type(w) is int for w in ws):
         raise _bad("weights must be integers")
     return tuple(ws)
 
@@ -120,7 +119,7 @@ def grading_from_dict(data) -> Grading:
         if not isinstance(entry, dict) or "weight" not in entry or "basis" not in entry:
             raise _bad("each component needs a weight and a basis")
         w = entry["weight"]
-        if not isinstance(w, int):
+        if type(w) is not int:
             raise _bad("component weights must be integers")
         vecs = [vector_from_list(v) for v in entry["basis"]]
         if not vecs:
@@ -138,7 +137,7 @@ def holonomy_payload(data) -> tuple[list[np.ndarray], int]:
         raise _bad('expected {"generators": [...], "cap": n}')
     gens = [matrix_from_lists(g) for g in data["generators"]]
     cap = data.get("cap", 1024)
-    if not isinstance(cap, int) or cap < 1:
+    if type(cap) is not int or cap < 1:
         raise _bad('"cap" must be a positive integer')
     return gens, cap
 

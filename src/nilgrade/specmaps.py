@@ -6,12 +6,13 @@
 - the semisimple part over Q by Newton iteration (Jordan-Chevalley), and
   semisimplicity as g(M) = 0 for g the radical of the characteristic
   polynomial;
-- norm profiles: each primary component of a semisimple automorphism is
-  tagged with |p_i(0)|^(lcm/deg), a fixed positive power of the absolute
-  field norm of its eigenvalues.  Equal-norm classes assemble into the
-  positive / non-negative gradings promised by the expansion and
-  self-cover criteria (`grading_from_profile`, which takes the profile
-  already computed).
+- norm profiles: each primary component of a map is tagged with
+  |p_i(0)|^(lcm/deg), a fixed positive power of the absolute field norm of
+  its eigenvalues.  A map and its semisimple part have the same primary
+  components, so the profile is taken on the map itself.  Equal-norm
+  classes assemble into the positive / non-negative gradings promised by
+  the expansion and self-cover criteria (`grading_from_profile`, which
+  takes the profile already computed).
 
 The splitting field itself is never constructed: a common positive power
 of the norms preserves equality classes, ordering, the >1 predicate and
@@ -122,16 +123,15 @@ class NormProfile:
         return out
 
 
-def norm_profile(algebra: LieAlgebra, m: np.ndarray) -> NormProfile:
+def norm_profile(m: np.ndarray) -> NormProfile:
     """Primary components tagged with a fixed positive power of the norm.
 
-    Requires a semisimple automorphism; the value on the component of the
-    irreducible factor p_i is |p_i(0)|^(lcm(degrees)/deg p_i).
+    The value on the component of the irreducible factor p_i is
+    |p_i(0)|^(lcm(degrees)/deg p_i).  M and its semisimple part S have the
+    same characteristic polynomial and ker p(M)^e = ker p(S)^e for each
+    primary factor p^e, so the profile of M is the profile of S: the same
+    canonical component bases, values and order.
     """
-    if not is_automorphism(algebra, m):
-        raise ValueError("matrix is not an automorphism of the algebra")
-    if not is_semisimple(m):
-        raise ValueError("map is not semisimple; take semisimple_part first")
     primary = mx.primary_decomposition(m)
     mhat = lcm(*[p.degree for p, _ in primary])
     entries = []
@@ -188,8 +188,9 @@ def _grading_from_classes(
 def grading_from_profile(
     algebra: LieAlgebra, m: np.ndarray, profile: NormProfile, positive: bool
 ) -> Grading:
-    """The grading preserved by m, read off the norm profile of its
-    semisimple part.
+    """The grading preserved by the automorphism m, read off its norm
+    profile.  The caller has checked that m is an automorphism of the
+    algebra.
 
     positive: m is expanding, so every norm value exceeds 1 and the
     grading is positive.  Otherwise m is a self-cover witness: value-1
@@ -213,7 +214,9 @@ def expanding_to_positive_grading(algebra: LieAlgebra, m: np.ndarray) -> Grading
     """Positive grading preserved by the expanding automorphism m."""
     if not is_expanding(m):
         raise ValueError("map is not expanding")
-    return grading_from_profile(algebra, m, norm_profile(algebra, semisimple_part(m)), positive=True)
+    if not is_automorphism(algebra, m):
+        raise ValueError("matrix is not an automorphism of the algebra")
+    return grading_from_profile(algebra, m, norm_profile(m), positive=True)
 
 
 def selfcover_to_nonneg_grading(algebra: LieAlgebra, m: np.ndarray) -> Grading:
@@ -227,4 +230,4 @@ def selfcover_to_nonneg_grading(algebra: LieAlgebra, m: np.ndarray) -> Grading:
         raise ValueError("characteristic polynomial is not in Z[X]")
     if abs(mx.det(m)) <= 1:
         raise ValueError("|det| > 1 required")
-    return grading_from_profile(algebra, m, norm_profile(algebra, semisimple_part(m)), positive=False)
+    return grading_from_profile(algebra, m, norm_profile(m), positive=False)

@@ -10,7 +10,8 @@ of a matrix, Horner's rule in Fractions, Kronecker's factorization over Q
 (rational roots, then an evaluate/interpolate search over divisors of
 values, exponential in the degree), and the grading check that solves one
 linear system per nonzero bracket of two component basis vectors.  They
-read only `LieAlgebra.dim` and `LieAlgebra.table`.  The Fraction loop
+read only `LieAlgebra.dim` and the dense table that `dense_table` builds
+from `LieAlgebra.terms`.  The Fraction loop
 that `latpow`'s integer orbit scan replaced is kept the same way.
 
 Also the ladder algebras L_n, H_{2m+1} and N_{r,c}, built from first
@@ -200,6 +201,17 @@ def factor_kronecker(p):
 # -- Lie algebras on the dense table ----------------------------------------
 
 
+def dense_table(algebra):
+    """{(i, j): coefficient vector} for the nonzero brackets [X_i, X_j], i < j."""
+    out = {}
+    for ij, terms in algebra.terms.items():
+        vec = mx.rvec([0] * algebra.dim)
+        for k, c in terms.items():
+            vec[k] = c
+        out[ij] = vec
+    return out
+
+
 def basis_vec(n, i):
     v = mx.rvec([0] * n)
     v[i] = Fraction(1)
@@ -210,14 +222,16 @@ def bracket_basis_dense(algebra, i, j):
     if i == j:
         return mx.rvec([0] * algebra.dim)
     if i < j:
-        vec = algebra.table.get((i, j))
-        return vec.copy() if vec is not None else mx.rvec([0] * algebra.dim)
+        vec = mx.rvec([0] * algebra.dim)
+        for k, c in algebra.terms.get((i, j), {}).items():
+            vec[k] = c
+        return vec
     return -bracket_basis_dense(algebra, j, i)
 
 
 def bracket_dense(algebra, x, y):
     out = mx.rvec([0] * algebra.dim)
-    for (i, j), vec in algebra.table.items():
+    for (i, j), vec in dense_table(algebra).items():
         c = x[i] * y[j] - x[j] * y[i]
         if c != 0:
             out = out + c * vec

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from nilgrade import matrices, specmaps
+from nilgrade import cli, grading, holonomy, liealg, matrices, specmaps
 from nilgrade.cli import main
 from nilgrade.fixtures import load_algebra
 from nilgrade.latpow import LatticePowerCertificate
@@ -26,6 +26,21 @@ def run_cli(*argv):
     out = buf.getvalue()
     verdict = json.loads(out) if out.strip() else None
     return code, verdict, out
+
+
+def counted(monkeypatch, module, attr, calls=None, *aliases):
+    """Count the calls of module.attr, also where `aliases` imported it."""
+    calls = {} if calls is None else calls
+    calls[attr] = 0
+    fn = getattr(module, attr)
+
+    def wrapper(*args):
+        calls[attr] += 1
+        return fn(*args)
+
+    for m in (module, *aliases):
+        monkeypatch.setattr(m, attr, wrapper)
+    return calls
 
 
 class TestCheck:
@@ -253,26 +268,16 @@ class TestNorm:
         [("heisenberg3", "heisenberg3__jordan224", "positive"), ("abelian3", "abelian3__jordan112", "nonnegative-nontrivial")],
     )
     def test_one_spectral_pass(self, monkeypatch, algebra, name, classification):
-        # a non-semisimple map: its semisimple part and the factorisation
-        # behind its profile are computed once, for the profile and the grading
-        calls = {"semisimple_part": 0, "primary_decomposition": 0}
-
-        def counted(module, attr):
-            fn = getattr(module, attr)
-
-            def wrapper(*args):
-                calls[attr] += 1
-                return fn(*args)
-
-            monkeypatch.setattr(module, attr, wrapper)
-
-        counted(specmaps, "semisimple_part")
-        counted(matrices, "primary_decomposition")
+        # a non-semisimple map is profiled as it is: no semisimple part, one
+        # factorisation for the profile and the grading, one bracket check
+        calls = counted(monkeypatch, specmaps, "semisimple_part")
+        counted(monkeypatch, matrices, "primary_decomposition", calls)
+        counted(monkeypatch, liealg, "violated_bracket", calls, cli)
         path = ROOT / "tests" / "golden" / "maps" / f"{name}.json"
         code, v, _ = run_cli("norm", algebra, str(path))
         assert code == 0
         assert v["certificate"]["classification"] == classification
-        assert calls == {"semisimple_part": 1, "primary_decomposition": 1}
+        assert calls == {"semisimple_part": 0, "primary_decomposition": 1, "violated_bracket": 1}
 
 
 class TestLatpow:
@@ -340,6 +345,53 @@ class TestLatpow:
         assert code == 2
         assert v is None
         assert "Exceeds the limit" in capsys.readouterr().err
+
+
+class TestGradingReplay:
+    @pytest.mark.parametrize("command", ["expand", "cohopf"])
+    @pytest.mark.parametrize("name", sorted(p.name for p in (ROOT / "tests" / "golden" / "gradings").glob("*.json")))
+    def test_one_verification_per_replay(self, monkeypatch, command, name):
+        calls = counted(monkeypatch, grading, "verify_grading", None, holonomy)
+        path = ROOT / "tests" / "golden" / "gradings" / name
+        code, _, _ = run_cli(command, name.split("__")[0], "--certificate", str(path))
+        assert code in (0, 1)
+        assert calls == {"verify_grading": 1}
+
+
+BOOLEAN_INPUTS = {
+    "dim": ("check", {"dim": True}),
+    "i": ("check", {"dim": 3, "brackets": [{"i": True, "j": 2, "terms": [{"k": 3, "c": "1"}]}]}),
+    "k": ("check", {"dim": 3, "brackets": [{"i": 1, "j": 2, "terms": [{"k": True, "c": "1"}]}]}),
+    "c": ("check", {"dim": 3, "brackets": [{"i": 1, "j": 2, "terms": [{"k": 3, "c": True}]}]}),
+    "weight": (
+        "expand",
+        {"components": [{"weight": True, "basis": [["1", "0", "0"], ["0", "1", "0"]]}, {"weight": 2, "basis": [["0", "0", "1"]]}]},
+    ),
+    "weights": ("cohopf", {"weights": [True, True, 2]}),
+    "cap": ("holonomy", {"generators": [[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]], "cap": True}),
+    "matrix entry": ("norm", [[True, "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]),
+}
+
+
+class TestJsonBooleans:
+    """JSON true and false are not the integers 1 and 0 in any input."""
+
+    @pytest.mark.parametrize("field", sorted(BOOLEAN_INPUTS))
+    def test_rejected_with_exit_2(self, tmp_path, capsys, field):
+        kind, data = BOOLEAN_INPUTS[field]
+        f = tmp_path / "in.json"
+        f.write_text(json.dumps(data))
+        argv = {
+            "check": ["check", str(f)],
+            "expand": ["expand", "heisenberg3", "--certificate", str(f)],
+            "cohopf": ["cohopf", "heisenberg3", "--certificate", str(f)],
+            "holonomy": ["expand", "heisenberg3", "--holonomy", str(f)],
+            "norm": ["norm", "heisenberg3", str(f)],
+        }[kind]
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "error:" in out.err
 
 
 class TestDeterminism:

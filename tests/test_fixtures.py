@@ -48,6 +48,4 @@ def test_algebra_serialization_roundtrip():
         algebra = load_algebra(name)
         back = algebra_from_dict(algebra_to_dict(algebra))
         assert back.dim == algebra.dim
-        assert set(back.table) == set(algebra.table)
-        for key in algebra.table:
-            assert (back.table[key] == algebra.table[key]).all()
+        assert back.terms == algebra.terms

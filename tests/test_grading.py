@@ -20,7 +20,7 @@ from nilgrade.grading import (
 )
 from nilgrade.liealg import LieAlgebra, is_automorphism, is_derivation
 from nilgrade.polynomials import from_roots
-from oracles import verify_grading_pairwise
+from oracles import dense_table, verify_grading_pairwise
 
 
 def heisenberg():
@@ -37,12 +37,13 @@ def span(*cols):
 def exhaustive_weights(algebra: LieAlgebra, lo: int, hi: int, nontrivial_nonneg=False):
     """All integer weight vectors in [lo, hi]^n satisfying the constraints."""
     n = algebra.dim
+    table = dense_table(algebra)
     out = []
     for w in itertools.product(range(lo, hi + 1), repeat=n):
         if nontrivial_nonneg and not any(x >= 1 for x in w):
             continue
         ok = True
-        for (i, j), vec in algebra.table.items():
+        for (i, j), vec in table.items():
             for k in range(n):
                 if vec[k] != 0 and w[i] + w[j] != w[k]:
                     ok = False

@@ -8,7 +8,7 @@ import pytest
 from nilgrade import matrices as mx
 from nilgrade.fixtures import CORPUS_6DIM, load_algebra, load_holonomy, load_map
 from nilgrade.grading import classify, find_positive_weights, grading_from_weights, phi_p, preserved_by
-from nilgrade.liealg import LieAlgebra, is_automorphism
+from nilgrade.liealg import LieAlgebra, derivations, is_automorphism
 from nilgrade.polynomials import Polynomial, poly_gcd
 from nilgrade.specmaps import (
     expanding_to_positive_grading,
@@ -20,6 +20,7 @@ from nilgrade.specmaps import (
     selfcover_to_nonneg_grading,
     semisimple_part,
 )
+import oracles
 from oracles import minpoly
 from test_liealg import unimodular
 
@@ -246,6 +247,46 @@ def seeded_matrices(seed, count):
     return out
 
 
+def exp_nilpotent(a):
+    """exp(A) for a nilpotent A: a finite sum."""
+    out = term = mx.identity(a.shape[0])
+    k = 1
+    while not mx.is_zero_mat(term):
+        term = term @ a * Fraction(1, k)
+        out = out + term
+        k += 1
+    return out
+
+
+def seeded_nonsemisimple_automorphisms(seed):
+    """(algebra, M) pairs with M an automorphism that is not semisimple.
+
+    On ladder algebras M = C phi_p exp(D) C^-1, with D a nilpotent
+    derivation that commutes with phi_p and C = exp(ad x); on abelian
+    algebras, where every invertible map is an automorphism, conjugated
+    Jordan blocks.
+    """
+    rng = random.Random(seed)
+    out = []
+    for algebra in (oracles.filiform(5), oracles.filiform(7), oracles.heisenberg(2), oracles.heisenberg(3)):
+        n = algebra.dim
+        g = grading_from_weights(algebra, find_positive_weights(algebra))
+        eye = mx.identity(n)
+        for p in (2, 3):
+            phi = phi_p(algebra, g, p)
+            nilpotent = [d for d in derivations(algebra) if mx.mat_eq(d @ phi, phi @ d) and mx.is_nilpotent(d)]
+            for d in rng.sample(nilpotent, min(4, len(nilpotent))):
+                x = mx.rvec([rng.randint(-2, 2) for _ in range(n)])
+                c = exp_nilpotent(np.stack([algebra.bracket(x, eye[:, j]) for j in range(n)], axis=1))
+                m = c @ phi @ exp_nilpotent(rng.choice([-2, -1, 1, 2]) * d) @ mx.inverse(c)
+                assert is_automorphism(algebra, m) and not is_semisimple(m)
+                out.append((algebra, m))
+    for m in seeded_matrices(12, 60):
+        if mx.det(m) != 0 and not is_semisimple(m):
+            out.append((LieAlgebra(m.shape[0], {}), m))
+    return out
+
+
 class TestIsSemisimple:
     def test_agrees_with_squarefree_minpoly_oracle(self):
         verdicts = []
@@ -264,39 +305,39 @@ class TestIsSemisimple:
 class TestNormProfile:
     def test_heisenberg_diagonal(self):
         h = load_algebra("heisenberg3")
-        prof = norm_profile(h, mx.diag([2, 3, 6]))
+        prof = norm_profile(mx.diag([2, 3, 6]))
         assert prof.lcm_degree == 1
         assert [str(v) for v in prof.flattened_values()] == ["2", "3", "6"]
 
     def test_abelian_irreducible_unit_norm(self):
-        a = LieAlgebra(2, {})
         m = companion(P(-1, -1, 1))  # X^2 - X - 1, |p(0)| = 1
-        prof = norm_profile(a, m)
+        prof = norm_profile(m)
         assert len(prof.entries) == 1
         assert prof.entries[0].value == 1
         assert prof.lcm_degree == 2
 
     def test_mixed_degrees_use_lcm_exponent(self):
-        a = LieAlgebra(3, {})
         m = mx.zeros(3, 3)
         m[0, 0] = Fraction(2)
         m[1, 2] = Fraction(-1)
         m[2, 1] = Fraction(1)
         m[2, 2] = Fraction(3)
         # blocks: (X-2) and companion(X^2 - 3X + 1)
-        prof = norm_profile(a, m)
+        prof = norm_profile(m)
         assert prof.lcm_degree == 2
         assert [(e.degree, str(e.value)) for e in prof.entries] == [(2, "1"), (1, "4")]
 
-    def test_requires_semisimple(self):
-        a = LieAlgebra(2, {})
-        with pytest.raises(ValueError):
-            norm_profile(a, mx.rmat([[2, 1], [0, 2]]))
-
-    def test_requires_automorphism(self):
-        h = load_algebra("heisenberg3")
-        with pytest.raises(ValueError):
-            norm_profile(h, mx.diag([2, 2, 2]))
+    def test_profile_of_the_map_is_profile_of_its_semisimple_part(self):
+        # ker p(M)^e = ker p(S)^e: entry by entry, with identical subspaces
+        maps = seeded_nonsemisimple_automorphisms(11)
+        assert len(maps) >= 30
+        for _, m in maps:
+            got, want = norm_profile(m), norm_profile(semisimple_part(m))
+            assert got.lcm_degree == want.lcm_degree
+            assert len(got.entries) == len(want.entries)
+            for a, b in zip(got.entries, want.entries):
+                assert (a.factor, a.degree, a.value) == (b.factor, b.degree, b.value)
+                assert mx.mat_eq(a.subspace, b.subspace)
 
     def test_multiplicativity_on_brackets(self):
         # [V_i, V_j] nonzero lands in the class of value v_i * v_j
@@ -307,7 +348,7 @@ class TestNormProfile:
         ]
         for name, m in cases:
             algebra = load_algebra(name)
-            prof = norm_profile(algebra, m)
+            prof = norm_profile(m)
             entries = list(prof.entries)
             for ei in entries:
                 for ej in entries:
@@ -356,6 +397,14 @@ class TestExpandingToPositiveGrading:
         h = load_algebra("heisenberg3")
         with pytest.raises(ValueError):
             expanding_to_positive_grading(h, mx.diag([1, 2, 2]))
+
+    def test_requires_automorphism(self):
+        h = load_algebra("heisenberg3")
+        with pytest.raises(ValueError, match="not an automorphism"):
+            expanding_to_positive_grading(h, mx.diag([2, 2, 2]))
+        # expansion is decided first, as before
+        with pytest.raises(ValueError, match="not expanding"):
+            expanding_to_positive_grading(h, mx.diag([1, 1, 2]))
 
     def test_nonsemisimple_expanding_map(self):
         # expanding with a nilpotent part: semisimple part drives the grading
