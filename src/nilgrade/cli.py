@@ -242,8 +242,10 @@ def cmd_expand(args) -> int:
     g = grading_from_weights(algebra, w)
     phi = phi_p(algebra, g, args.prime)
     k = sum(w)
-    assert specmaps.is_expanding(phi)
-    assert commutes_with_all(phi, group)
+    if not specmaps.is_expanding(phi):
+        raise RuntimeError(f"self-check failed: phi_{args.prime} is not expanding")
+    if not commutes_with_all(phi, group):
+        raise RuntimeError(f"self-check failed: phi_{args.prime} does not commute with the holonomy group")
     out = Verdict(
         "accept",
         condition="expinfra-cond-2",

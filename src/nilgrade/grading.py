@@ -177,11 +177,11 @@ def phi_p(algebra: LieAlgebra, grading: Grading, p: int) -> np.ndarray:
     scales = np.array(
         [Fraction(p) ** w for w, s in grading.components for _ in range(s.shape[1])], dtype=object
     )
-    return (cols * scales) @ mx.inverse(cols)
+    return mx.matmul(cols * scales, mx.inverse(cols))
 
 
 def preserved_by(grading: Grading, psi: np.ndarray) -> bool:
     """True iff psi maps every component onto itself."""
     if mx.det(psi) == 0:
         raise ValueError("singular map cannot preserve a grading")
-    return all(mx.col_spaces_equal(psi @ s, s) for _, s in grading.components)
+    return all(mx.col_spaces_equal(mx.matmul(psi, s), s) for _, s in grading.components)

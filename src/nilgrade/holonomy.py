@@ -65,7 +65,7 @@ def close_group(generators: list[np.ndarray], cap: int = 1024) -> HolonomyGroup:
         nxt = []
         for a in level:
             for g in gens:
-                prod = a @ g
+                prod = mx.matmul(a, g)
                 k = _key(prod)
                 if k not in seen:
                     seen.add(k)
@@ -87,7 +87,7 @@ def preserves_grading_all(group: HolonomyGroup, grading: Grading) -> bool:
 
 
 def commutes_with_all(m: np.ndarray, group: HolonomyGroup) -> bool:
-    return all(mx.mat_eq(m @ f, f @ m) for f in group)
+    return all(map(mx.commutes_with(m), group))
 
 
 def _first_failing(group: HolonomyGroup, ok) -> int | None:
@@ -155,7 +155,7 @@ def _check_map_condition(group, m, cond, problems, certificate, note) -> Verdict
     element that m does not commute with; else accept with certificate."""
     if problems:
         return Verdict("reject", condition=cond, certificate={"matrix": matrix_to_lists(m)}, diagnostics=problems)
-    bad = _first_failing(group, lambda f: mx.mat_eq(m @ f, f @ m))
+    bad = _first_failing(group, mx.commutes_with(m))
     if bad is not None:
         return Verdict(
             "reject",

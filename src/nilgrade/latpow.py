@@ -34,7 +34,7 @@ class LatticePowerCertificate:
     @cached_property
     def conjugated_power(self) -> np.ndarray:
         """P^-1 A^k P, built on first use: it has entries of ~k log10 rho(A) digits."""
-        return mx.inverse(self.basis) @ mx.mat_pow(self.a, self.k) @ self.basis
+        return mx.matmul(mx.matmul(mx.inverse(self.basis), mx.mat_pow(self.a, self.k)), self.basis)
 
     def exceeds_digits(self, digits: int) -> bool:
         """True when some entry of P^-1 A^k P provably has more than `digits` digits.
@@ -159,5 +159,5 @@ def orbit_escapes_lattice(a: np.ndarray, v: np.ndarray, bound: int) -> Verdict:
 
 def obstruction_primes_pair(l1: IntegerLattice, l2: IntegerLattice) -> list[int]:
     """Primes of the change-of-basis matrix between two lattices."""
-    change = mx.inverse(l1.basis) @ l2.basis
+    change = mx.matmul(mx.inverse(l1.basis), l2.basis)
     return denominator_primes(change)[0]

@@ -256,6 +256,10 @@ def is_characteristically_nilpotent(algebra: LieAlgebra, random_trials: int = 8)
 
     `random_trials` seeded draws with t_a in [-3, 3] run before the flag.
     They can only find a reject witness sooner, never change the decision.
+
+    Everything runs in ints on den D_a, for den the least common
+    denominator of the basis: scaling changes neither nilpotency nor a
+    column space, so only a reject divides its witness by den.
     """
     n = algebra.dim
     ders = derivations(algebra)
@@ -268,15 +272,17 @@ def is_characteristically_nilpotent(algebra: LieAlgebra, random_trials: int = 8)
             diagnostics=["derivation algebra is zero"],
         )
 
+    scaled, den = mx.cleared(np.array(ders))
+
     def reject_if_not_nilpotent(t: list[int]) -> Verdict | None:
-        witness = sum((c * D for c, D in zip(t, ders) if c), mx.zeros(n, n))
+        witness = sum((c * D for c, D in zip(t, scaled) if c), np.zeros((n, n), dtype=object))
         if mx.is_nilpotent(witness):
             return None
         return Verdict(
             "reject",
             condition="non-nilpotent-derivation",
             certificate={
-                "witness": [[str(e) for e in row] for row in witness],
+                "witness": [[str(Fraction(e, den)) for e in row] for row in witness],
                 "combination": list(t),
             },
             diagnostics=["found a derivation with a nonzero eigenvalue"],
@@ -291,7 +297,8 @@ def is_characteristically_nilpotent(algebra: LieAlgebra, random_trials: int = 8)
     flag = mx.identity(n)
     steps = 0
     while flag.shape[1] > 0:
-        nxt = mx.col_basis(mx.hstack([D @ flag for D in ders]))
+        flag_int, _ = mx.cleared(flag)
+        nxt = mx.col_basis(mx.hstack([D @ flag_int for D in scaled]))
         if nxt.shape[1] == flag.shape[1]:
             break
         flag = nxt
@@ -354,4 +361,4 @@ def induced_map(algebra: LieAlgebra, m: np.ndarray) -> np.ndarray:
         raise ValueError("matrix is not an automorphism of the algebra")
     _, proj = abelianization(algebra)
     sec = quotient_section(algebra)
-    return proj @ m @ sec
+    return mx.matmul(mx.matmul(proj, m), sec)

@@ -23,7 +23,6 @@ solver reproducible across implementations.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from . import matrices as mx
 
@@ -71,8 +70,8 @@ def _dependents(eqs: list[Row], nvars: int) -> Dependents:
     out: Dependents = {}
     for row, pc in zip(red, pivots):
         terms = [(nvars - 1 - c, -a) for c, a in row.items() if c != pc]
-        d = lcm(*(a.denominator for _, a in terms))
-        out[nvars - 1 - pc] = (d, [(f, int(a * d)) for f, a in terms])
+        coeffs, d = mx.cleared(mx.rvec([a for _, a in terms]))
+        out[nvars - 1 - pc] = (d, [(f, c) for (f, _), c in zip(terms, coeffs.tolist())])
     return out
 
 

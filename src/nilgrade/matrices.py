@@ -1,10 +1,12 @@
 """Exact linear algebra over Q on numpy object arrays of Fractions.
 
 Matrices are plain `np.ndarray` with ``dtype=object`` holding
-`fractions.Fraction` entries; `@`, `+`, scalar `*` all stay exact.
-Everything that numpy cannot do exactly on such arrays (determinants,
-inverses, echelon forms, kernels) is implemented here by elimination
-over Q; echelon forms and kernels by one Gauss-Jordan on sparse rows.
+`fractions.Fraction` entries; `+` and scalar `*` stay exact.  The one
+product of such matrices is `matmul`, which runs in ints over one common
+denominator, and `commutes_with` decides M F = F M in ints.  Everything
+that numpy cannot do exactly on such arrays (determinants, inverses,
+echelon forms, kernels) is implemented here by elimination over Q;
+echelon forms and kernels by one Gauss-Jordan on sparse rows.
 
 Also home to the integer-lattice utilities: column-style Hermite normal
 form, exact lattice membership, and matrix orders in GL(n, Z/m).
@@ -12,6 +14,7 @@ form, exact lattice membership, and matrix orders in GL(n, Z/m).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd, lcm, prod
@@ -86,6 +89,28 @@ def cleared(m: np.ndarray) -> tuple[np.ndarray, int]:
     return np.array([e.numerator * (d // e.denominator) for e in m.flat], dtype=object).reshape(m.shape), d
 
 
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A B exactly: (d_a A)(d_b B) in ints, divided once by d_a d_b.
+
+    Raises on a shape mismatch as `@` does.
+    """
+    a_int, d_a = cleared(a)
+    b_int, d_b = cleared(b)
+    return (a_int @ b_int) * Fraction(1, d_a * d_b)
+
+
+def commutes_with(m: np.ndarray) -> Callable[[np.ndarray], bool]:
+    """The test F -> (M F == F M), in ints: M is cleared once, and
+    (d_M M)(d_F F) and (d_F F)(d_M M) share the denominator d_M d_F."""
+    m_int, _ = cleared(m)
+
+    def test(f: np.ndarray) -> bool:
+        f_int, _ = cleared(f)
+        return mat_eq(m_int @ f_int, f_int @ m_int)
+
+    return test
+
+
 def trace(a: np.ndarray) -> Fraction:
     return sum((a[i, i] for i in range(a.shape[0])), Fraction(0))
 
@@ -97,8 +122,8 @@ def mat_pow(a: np.ndarray, k: int) -> np.ndarray:
     base = a
     while k:
         if k & 1:
-            out = base.copy() if out is None else out @ base
-        base = base @ base if k > 1 else base
+            out = base.copy() if out is None else matmul(out, base)
+        base = matmul(base, base) if k > 1 else base
         k >>= 1
     return identity(a.shape[0]) if out is None else out
 

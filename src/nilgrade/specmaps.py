@@ -86,7 +86,7 @@ def semisimple_part(m: np.ndarray) -> np.ndarray:
         gs = mx.eval_poly(g, s)
         if mx.is_zero_mat(gs):
             return s
-        s = s - gs @ mx.eval_poly(u, s)
+        s = s - mx.matmul(gs, mx.eval_poly(u, s))
     raise RuntimeError("Newton iteration failed to converge")
 
 

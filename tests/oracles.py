@@ -12,7 +12,9 @@ values, exponential in the degree), and the grading check that solves one
 linear system per nonzero bracket of two component basis vectors.  They
 read only `LieAlgebra.dim` and the dense table that `dense_table` builds
 from `LieAlgebra.terms`.  The Fraction loop
-that `latpow`'s integer orbit scan replaced is kept the same way.
+that `latpow`'s integer orbit scan replaced is kept the same way, and so
+is the characteristic-nilpotency test with its Engel flag and witness
+sums in Fractions.
 
 Also the ladder algebras L_n, H_{2m+1} and N_{r,c}, built from first
 principles (N_{r,c} from Lie words in the free associative algebra).
@@ -21,6 +23,7 @@ principles (N_{r,c} from Lie words in the free associative algebra).
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -28,7 +31,7 @@ import numpy as np
 
 from nilgrade import matrices as mx
 from nilgrade.intutil import factor_int
-from nilgrade.liealg import LieAlgebra
+from nilgrade.liealg import LieAlgebra, derivations
 from nilgrade.polynomials import Polynomial, _integer_primitive, factor_order_key, squarefree_decomposition
 from nilgrade.verdict import Verdict
 
@@ -418,6 +421,68 @@ def orbit_escapes_lattice_fraction(a, v, bound):
         },
         diagnostics=[f"A^k v is integral first at k = {integral_ks[0]}"],
     )
+
+
+# -- characteristic nilpotency ------------------------------------------------
+
+
+def is_characteristically_nilpotent_fraction(algebra, random_trials=8):
+    """`liealg.is_characteristically_nilpotent` with the witness sums and the
+    Engel flag products D_a W_i in Fractions."""
+    n = algebra.dim
+    ders = derivations(algebra)
+    d = len(ders)
+    if d == 0:
+        return Verdict(
+            "accept",
+            condition="characteristically-nilpotent",
+            certificate={"derivation_dim": 0},
+            diagnostics=["derivation algebra is zero"],
+        )
+
+    def reject_if_not_nilpotent(t):
+        witness = sum((c * D for c, D in zip(t, ders) if c), mx.zeros(n, n))
+        if mx.is_nilpotent(witness):
+            return None
+        return Verdict(
+            "reject",
+            condition="non-nilpotent-derivation",
+            certificate={
+                "witness": [[str(e) for e in row] for row in witness],
+                "combination": list(t),
+            },
+            diagnostics=["found a derivation with a nonzero eigenvalue"],
+        )
+
+    rng = random.Random(1729)
+    for _ in range(max(0, random_trials)):
+        hit = reject_if_not_nilpotent([rng.randint(-3, 3) for _ in range(d)])
+        if hit is not None:
+            return hit
+
+    flag = mx.identity(n)
+    steps = 0
+    while flag.shape[1] > 0:
+        nxt = mx.col_basis(mx.hstack([D @ flag for D in ders]))
+        if nxt.shape[1] == flag.shape[1]:
+            break
+        flag = nxt
+        steps += 1
+    if flag.shape[1] == 0:
+        return Verdict(
+            "accept",
+            condition="characteristically-nilpotent",
+            certificate={"derivation_dim": d, "max_power": n},
+            diagnostics=[f"the derivation flag reaches 0 in {steps} steps ({d} basis derivations)"],
+        )
+
+    basis = [[int(a == b) for b in range(d)] for a in range(d)]
+    draws = [[rng.randint(-n, n) for _ in range(d)] for _ in range(64)]
+    for t in basis + draws:
+        hit = reject_if_not_nilpotent(t)
+        if hit is not None:
+            return hit
+    raise RuntimeError("derivation flag stuck at a nonzero subspace but no witness found")
 
 
 # -- the ladder ----------------------------------------------------------------

@@ -157,6 +157,26 @@ class TestExpand:
         assert code2 == 0
         assert v2["condition"] == "expinfra-cond-2"
 
+    @pytest.mark.parametrize(
+        "patch, message",
+        [
+            ("specmaps.is_expanding = lambda m: False", "phi_2 is not expanding"),
+            ("cli.commutes_with_all = lambda m, group: False", "phi_2 does not commute with the holonomy group"),
+        ],
+    )
+    def test_self_checks_survive_optimize(self, patch, message):
+        code = (
+            "import sys; from nilgrade import cli, specmaps; "
+            f"sys.flags.optimize or sys.exit(3); {patch}; "
+            "sys.exit(cli.main(['expand', 'heisenberg3', '--prime', '2']))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, cwd=ROOT, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 1 and done.stdout == ""
+        assert f"RuntimeError: self-check failed: {message}" in done.stderr
+
     def test_matrix_certificate(self, tmp_path):
         cert = tmp_path / "m.json"
         cert.write_text(json.dumps([["2", "0", "0"], ["0", "2", "0"], ["0", "0", "4"]]))

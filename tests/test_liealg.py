@@ -464,6 +464,35 @@ def test_derivations_match_dense_system(name):
     assert all(mx.mat_eq(g, w) for g, w in zip(got, want))
 
 
+def rescaled(algebra, rng):
+    """The algebra in the seeded diagonal basis X_i -> s_i X_i, s_i in {±1, ±2, ±1/3}."""
+    scales = [1, -1, 2, -2, Fraction(1, 3), Fraction(-1, 3)]
+    return algebra.in_basis(mx.diag([rng.choice(scales) for _ in range(algebra.dim)]))
+
+
+def derivation_denominator(algebra):
+    return lcm(*(e.denominator for d in derivations(algebra) for e in d.flat))
+
+
+@pytest.mark.parametrize("name", list(ALL_FIXTURES) + list(LADDER))
+def test_characteristic_nilpotency_matches_fraction_flag(name):
+    a = LADDER[name]() if name in LADDER else load_algebra(name)
+    rng = random.Random(f"rescale {name}")
+    for b in (a, rescaled(a, rng), rescaled(a, rng)):
+        for trials in (8, 0):
+            got = is_characteristically_nilpotent(b, random_trials=trials)
+            assert got.to_json() == oracles.is_characteristically_nilpotent_fraction(b, random_trials=trials).to_json()
+
+
+def test_rescalings_raise_derivation_denominators():
+    # so the comparison above sees den D_a with den > 1 on an accept (nilp5) and on rejects
+    for name, before, after in (("nilp5", 2, [8, 6]), ("filiform6", 1, [12, 3]), ("notcohopf", 3, [3, 6])):
+        a = load_algebra(name)
+        rng = random.Random(f"rescale {name}")
+        assert derivation_denominator(a) == before
+        assert [derivation_denominator(rescaled(a, rng)) for _ in range(2)] == after
+
+
 def perturbed(algebra, rng):
     """One coefficient changed, one bracket added, or a rescaled basis."""
     n = algebra.dim

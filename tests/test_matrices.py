@@ -5,6 +5,7 @@ from math import gcd, lcm
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nilgrade import matrices as mx
 from nilgrade.intutil import factor_int, least_exponent
@@ -475,3 +476,76 @@ def test_charpoly_matches_fraction_faddeev_leverrier():
         n = rng.randint(1, 8)
         m = random_rational_matrix(rng, n, n, 0.3)
         assert mx.charpoly(m) == charpoly_fraction(m)
+
+
+# -- the exact product and the commutation test in ints ----------------------
+
+rationals = st.one_of(st.integers(-9, 9), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)))
+
+
+def object_matrix(entries, nr, nc):
+    """nr x nc object array of the given entries (ints and Fractions mixed)."""
+    out = np.empty((nr, nc), dtype=object)
+    out.flat[:] = entries
+    return out
+
+
+@st.composite
+def matrix_pair(draw, square=False):
+    n = draw(st.integers(0, 4))
+    k, m = (n, n) if square else (draw(st.integers(0, 4)), draw(st.integers(0, 4)))
+    zero = draw(st.sampled_from(["none", "a", "b"]))
+    a = object_matrix(draw(st.lists(rationals, min_size=n * k, max_size=n * k)), n, k)
+    b = object_matrix(draw(st.lists(rationals, min_size=k * m, max_size=k * m)), k, m)
+    if zero != "none":
+        (a if zero == "a" else b)[...] = 0
+    return a, b
+
+
+def rational(*rows):
+    return object_matrix([Fraction(e) for row in rows for e in row], len(rows), len(rows[0]))
+
+
+class TestMatmul:
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(pair=matrix_pair())
+    @example(pair=(mx.zeros(3, 0), mx.zeros(0, 2)))
+    @example(pair=(mx.zeros(0, 3), mx.zeros(3, 2)))
+    @example(pair=(mx.zeros(2, 3), mx.zeros(3, 0)))
+    @example(pair=(rational([-1, "1/2"], ["-2/3", "5/4"]), rational(["-1/6", 3], [0, "-7/9"])))
+    @example(pair=(np.array([[1, -2], [3, 4]], dtype=object), np.array([[5], [-6]], dtype=object)))
+    def test_equals_fraction_product(self, pair):
+        a, b = pair
+        got, want = mx.matmul(a, b), a @ b
+        assert got.shape == want.shape and (got == want).all()
+        assert all(type(e) is Fraction for e in got.flat)
+
+    @settings(max_examples=50, deadline=None, database=None, derandomize=True)
+    @given(pair=matrix_pair(), extra=st.integers(1, 3))
+    def test_shape_mismatch_raises_as_matmul_does(self, pair, extra):
+        a, _ = pair
+        b = mx.zeros(a.shape[1] + extra, 2)
+        with pytest.raises(ValueError):
+            a @ b
+        with pytest.raises(ValueError):
+            mx.matmul(a, b)
+
+
+class TestCommutesWith:
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(pair=matrix_pair(square=True), kind=st.sampled_from(["drawn", "polynomial", "scalar"]))
+    @example(pair=(rational(["1/2", 1], [0, "-1/3"]), rational([2, 0], [0, 2])), kind="drawn")
+    @example(pair=(rational(["1/2", 1], [0, "-1/3"]), rational([1, "1/5"], [0, 1])), kind="drawn")
+    def test_equals_fraction_commutator_test(self, pair, kind):
+        a, b = pair
+        if kind == "polynomial":  # commutes with a
+            b = a @ a - Fraction(3, 2) * a + mx.identity(a.shape[0])
+        elif kind == "scalar":
+            b = Fraction(-2, 3) * mx.identity(a.shape[0])
+        assert mx.commutes_with(a)(b) == mx.mat_eq(a @ b, b @ a)
+
+    def test_one_test_serves_a_group(self):
+        m = rational(["1/2", 0], [0, 3])
+        test = mx.commutes_with(m)
+        verdicts = [test(f) for f in (mx.identity(2), rational([0, 1], [1, 0]), rational([-1, 0], [0, "1/7"]))]
+        assert verdicts == [True, False, True]
