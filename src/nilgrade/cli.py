@@ -357,17 +357,19 @@ def cmd_norm(args) -> int:
             ),
             args.json,
         )
-    notes = []
-    if not specmaps.is_semisimple(m):
-        notes.append("map is not semisimple; profile taken on its semisimple part")
+    # one charpoly: the semisimple, expanding and Z[X] tests read it off the profile
     profile = specmaps.norm_profile(m)
+    chi = profile.charpoly
+    notes = []
+    if not mx.is_zero_mat(mx.eval_poly(profile.radical, m)):
+        notes.append("map is not semisimple; profile taken on its semisimple part")
     cert = {"profile": profile_to_dict(profile)}
-    if specmaps.is_expanding(m):
+    if specmaps.schur_all_inside(chi.reciprocal()):
         g = specmaps.grading_from_profile(algebra, m, profile, positive=True)
         cert["grading"] = grading_to_dict(g)
         cert["classification"] = "positive"
         notes.append("expanding: extracted a positive grading preserved by the map")
-    elif specmaps.is_z_charpoly(m) and abs(det) > 1:
+    elif all(c.denominator == 1 for c in chi.coeffs) and abs(det) > 1:
         g = specmaps.grading_from_profile(algebra, m, profile, positive=False)
         cert["grading"] = grading_to_dict(g)
         cert["classification"] = "nonnegative-nontrivial"

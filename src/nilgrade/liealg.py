@@ -77,12 +77,6 @@ class LieAlgebra:
         return LieAlgebra(n, table)
 
 
-def _basis_vec(n: int, i: int) -> np.ndarray:
-    v = mx.rvec([0] * n)
-    v[i] = Fraction(1)
-    return v
-
-
 def bracket(algebra: LieAlgebra, x, y) -> np.ndarray:
     return algebra.bracket(mx.rvec(x), mx.rvec(y))
 
@@ -214,29 +208,62 @@ def _apply(m: np.ndarray, v: dict[int, Fraction]) -> np.ndarray:
     return out
 
 
-def violated_bracket(algebra: LieAlgebra, m: np.ndarray) -> tuple[int, int] | None:
-    """First basis pair (1-indexed) where M[x,y] != [Mx,My], if any."""
+def _first_mismatch(
+    algebra: LieAlgebra, lhs: np.ndarray, products: list[tuple[np.ndarray, np.ndarray]]
+) -> tuple[int, int] | None:
+    """First basis pair i < j (1-indexed, lexicographic) where
+
+        lhs C_ij != sum_(p<q) C_pq sum_(X, Y) (X_pi Y_qj - X_qi Y_pj),
+
+    summed over the nonzero brackets, cleared once to the ints C = e c,
+    and the int matrix pairs (X, Y) in `products`; None if every pair
+    agrees.
+    """
     n = algebra.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs = _apply(m, algebra.terms.get((i, j), {}))
-            rhs = algebra.bracket(m[:, i], m[:, j])
-            if not (lhs == rhs).all():
-                return (i + 1, j + 1)
-    return None
+    i, j = np.nonzero(~np.tri(n, dtype=bool))  # the pairs i < j, lexicographic
+    sides = [(x[:, i], y[:, j]) for x, y in products]
+    cleared, _ = mx.cleared(np.array([c for t in algebra.terms.values() for c in t.values()], dtype=object))
+    constants = iter(cleared)
+    diff = np.zeros((n, len(i)), dtype=object)
+    for (p, q), terms in algebra.terms.items():
+        minors = sum(xi[p] * yj[q] - xi[q] * yj[p] for xi, yj in sides)
+        col = p * (2 * n - p - 1) // 2 + q - p - 1  # the index of (p, q) among the pairs
+        for k in terms:
+            c = next(constants)
+            diff[k] += c * minors
+            diff[:, col] -= c * lhs[:, k]
+    bad = np.flatnonzero((diff != 0).any(axis=0))
+    return (int(i[bad[0]]) + 1, int(j[bad[0]]) + 1) if len(bad) else None
+
+
+def violated_bracket(algebra: LieAlgebra, m: np.ndarray) -> tuple[int, int] | None:
+    """First basis pair (1-indexed) where M[x,y] != [Mx,My], if any.
+
+    Decided in ints: with A = d M and C = e c cleared once,
+
+        d A C_ij == sum_(p<q) C_pq (A_pi A_qj - A_qi A_pj)
+
+    is M[X_i, X_j] = [M X_i, M X_j] times d^2 e, so no Fraction is built.
+    """
+    if m.shape != (algebra.dim, algebra.dim):
+        raise ValueError("matrix dimension mismatch")
+    a, d = mx.cleared(m)
+    return _first_mismatch(algebra, d * a, [(a, a)])
 
 
 def is_derivation(algebra: LieAlgebra, d: np.ndarray) -> bool:
-    n = algebra.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs = _apply(d, algebra.terms.get((i, j), {}))
-            rhs = algebra.bracket(d[:, i], _basis_vec(n, j)) + algebra.bracket(
-                _basis_vec(n, i), d[:, j]
-            )
-            if not (lhs == rhs).all():
-                return False
-    return True
+    """D[x,y] = [Dx,y] + [x,Dy] on every basis pair, decided in ints: with
+    A = s D and C = e c cleared once,
+
+        A C_ij == sum_(p<q) C_pq (A_pi I_qj - A_qi I_pj + I_pi A_qj - I_qi A_pj)
+
+    is D[X_i, X_j] = [D X_i, X_j] + [X_i, D X_j] times s e.
+    """
+    if d.shape != (algebra.dim, algebra.dim):
+        raise ValueError("matrix dimension mismatch")
+    a, _ = mx.cleared(d)
+    one = np.identity(algebra.dim, dtype=object)
+    return _first_mismatch(algebra, a, [(a, one), (one, a)]) is None
 
 
 # -- characteristic nilpotency ---------------------------------------------

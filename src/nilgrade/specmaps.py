@@ -9,7 +9,9 @@
 - norm profiles: each primary component of a map is tagged with
   |p_i(0)|^(lcm/deg), a fixed positive power of the absolute field norm of
   its eigenvalues.  A map and its semisimple part have the same primary
-  components, so the profile is taken on the map itself.  Equal-norm
+  components, so the profile is taken on the map itself, and it gives
+  back the characteristic polynomial and its squarefree part without a
+  second `charpoly` (`NormProfile.charpoly`, `.radical`).  Equal-norm
   classes assemble into the positive / non-negative gradings promised by
   the expansion and self-cover criteria (`grading_from_profile`, which
   takes the profile already computed).
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, lcm, log2
+from math import ceil, lcm, log2, prod
 
 import numpy as np
 
@@ -115,6 +117,16 @@ class NormProfileEntry:
 class NormProfile:
     entries: tuple[NormProfileEntry, ...]
     lcm_degree: int
+
+    @property
+    def charpoly(self) -> Polynomial:
+        """The characteristic polynomial, prod p_i^(dim V_i / deg p_i)."""
+        return prod(e.factor for e in self.entries for _ in range(e.subspace.shape[1] // e.degree))
+
+    @property
+    def radical(self) -> Polynomial:
+        """The squarefree part of the characteristic polynomial, prod p_i."""
+        return prod(e.factor for e in self.entries)
 
     def flattened_values(self) -> list[Fraction]:
         out = []

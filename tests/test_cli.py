@@ -289,15 +289,17 @@ class TestNorm:
     )
     def test_one_spectral_pass(self, monkeypatch, algebra, name, classification):
         # a non-semisimple map is profiled as it is: no semisimple part, one
-        # factorisation for the profile and the grading, one bracket check
+        # factorisation for the profile and the grading, one bracket check,
+        # and one charpoly that the semisimple, expanding and Z[X] tests share
         calls = counted(monkeypatch, specmaps, "semisimple_part")
         counted(monkeypatch, matrices, "primary_decomposition", calls)
+        counted(monkeypatch, matrices, "charpoly", calls)
         counted(monkeypatch, liealg, "violated_bracket", calls, cli)
         path = ROOT / "tests" / "golden" / "maps" / f"{name}.json"
         code, v, _ = run_cli("norm", algebra, str(path))
         assert code == 0
         assert v["certificate"]["classification"] == classification
-        assert calls == {"semisimple_part": 0, "primary_decomposition": 1, "violated_bracket": 1}
+        assert calls == {"semisimple_part": 0, "primary_decomposition": 1, "charpoly": 1, "violated_bracket": 1}
 
 
 class TestLatpow:

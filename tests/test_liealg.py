@@ -535,8 +535,12 @@ def test_validate_matches_bracket_based_loop():
 
 
 class TestSparseMapChecks:
-    """violated_bracket and is_derivation sum columns over the nonzero
-    structure constants; the dense loops over every pair are the oracle."""
+    """violated_bracket and is_derivation decide their identities in ints
+    over the cleared map and structure constants; the dense Fraction loops
+    over every pair are the oracle."""
+
+    SCALES = [1, -1, 2, -2, Fraction(1, 3), Fraction(-1, 3)]
+    SMALL = [name for name in ALL_FIXTURES if load_algebra(name).dim <= 6]
 
     def perturbed(self, rng, m):
         m = m.copy()
@@ -545,19 +549,110 @@ class TestSparseMapChecks:
             m[i, j] += rng.choice([1, -1, Fraction(1, 2)])
         return m
 
+    def agree(self, algebra, m, d):
+        """Both checks answer as their oracles; returns the two answers."""
+        want = oracles.violated_bracket_dense(algebra, m)
+        assert violated_bracket(algebra, m) == want
+        is_der = oracles.is_derivation_dense(algebra, d)
+        assert is_derivation(algebra, d) == is_der
+        return want, is_der
+
+    def sweep(self, rng, algebra, trials):
+        """Seeded maps I + sum t_a D_a and derivations sum t_a D_a over the
+        derivation basis, each perturbed; counts the rejected maps and
+        collects the derivation answers."""
+        n = algebra.dim
+        ders = derivations(algebra)
+        found, outcomes = 0, set()
+        for _ in range(trials):
+            m = self.perturbed(rng, mx.identity(n) + sum((rng.randint(-1, 1) * d for d in ders), mx.zeros(n, n)))
+            d = self.perturbed(rng, sum((rng.randint(-2, 2) * d for d in ders), mx.zeros(n, n)))
+            want, is_der = self.agree(algebra, m, d)
+            found += want is not None
+            outcomes.add(is_der)
+        return found, outcomes
+
     def test_against_dense_loops(self):
         rng = random.Random(8128)
         algebras = [load_algebra(name) for name in ALL_FIXTURES] + [oracles.filiform(6), oracles.heisenberg(2), abelian(3)]
         found, outcomes = 0, set()
         for algebra in algebras:
-            n = algebra.dim
-            ders = derivations(algebra)
-            for _ in range(6):
-                m = self.perturbed(rng, mx.identity(n) + sum((rng.randint(-1, 1) * d for d in ders), mx.zeros(n, n)))
-                want = oracles.violated_bracket_dense(algebra, m)
-                assert violated_bracket(algebra, m) == want
-                found += want is not None
-                d = self.perturbed(rng, sum((rng.randint(-2, 2) * d for d in ders), mx.zeros(n, n)))
-                outcomes.add(is_derivation(algebra, d))
-                assert is_derivation(algebra, d) == oracles.is_derivation_dense(algebra, d)
+            f, o = self.sweep(rng, algebra, 6)
+            found, outcomes = found + f, outcomes | o
         assert found > 0 and outcomes == {True, False}
+
+    def test_rescaled_structure_constants(self):
+        # X_i -> s_i X_i turns c_ij^k into s_i s_j c_ij^k / s_k, so the
+        # structure constants clear over some e > 1
+        rng = random.Random(4099)
+        dens, found, outcomes = set(), 0, set()
+        for name in ALL_FIXTURES:
+            algebra = load_algebra(name)
+            rescaled = algebra.in_basis(mx.diag([rng.choice(self.SCALES) for _ in range(algebra.dim)]))
+            dens.add(lcm(*(c.denominator for t in rescaled.terms.values() for c in t.values())))
+            f, o = self.sweep(rng, rescaled, 4)
+            found, outcomes = found + f, outcomes | o
+        assert max(dens) > 1 and found > 0 and outcomes == {True, False}
+
+    @pytest.mark.parametrize(
+        "algebra",
+        [load_algebra(name) for name in ALL_FIXTURES] + [oracles.filiform(14), oracles.heisenberg(6)],
+        ids=list(ALL_FIXTURES) + ["L_14", "H_13"],
+    )
+    def test_mixed_denominator_maps(self, algebra):
+        # diag(r^w) for a positive grading w is an automorphism whose entries
+        # r, r^2, ... have mixed denominators, so the map clears over d > 1
+        rng = random.Random(6143)
+        n = algebra.dim
+        w = find_positive_weights(algebra) or (0,) * n
+        ders = derivations(algebra)
+        for r in (Fraction(2, 3), Fraction(-5, 4), Fraction(7, 6)):
+            phi = mx.diag([r**x for x in w])
+            if any(w):
+                assert mx.cleared(phi)[1] > 1
+                assert violated_bracket(algebra, phi) is None
+            for _ in range(2):
+                d = sum((rng.choice([0, Fraction(1, 2), Fraction(-2, 3), 3]) * d for d in ders), mx.zeros(n, n))
+                self.agree(algebra, self.perturbed(rng, phi), self.perturbed(rng, d))
+
+    @pytest.mark.parametrize("entry", [1, Fraction(1, 3)])
+    def test_first_of_several_violated_pairs(self, entry):
+        # on H_5, [X_1, X_2] = [X_3, X_4] = X_5: M X_3 = X_3 + entry X_2
+        # breaks (1, 3) and (3, 4), and M X_5 = 2 X_5 keeps (1, 2)
+        algebra = oracles.heisenberg(2)
+        m = mx.diag([2, 1, 1, 1, 2])
+        m[1, 2] = Fraction(entry)
+        broken = [
+            (i + 1, j + 1)
+            for i in range(5)
+            for j in range(i + 1, 5)
+            if not (m @ oracles.bracket_basis_dense(algebra, i, j) == oracles.bracket_dense(algebra, m[:, i], m[:, j])).all()
+        ]
+        assert broken == [(1, 3), (3, 4)]
+        assert violated_bracket(algebra, m) == (1, 3) == oracles.violated_bracket_dense(algebra, m)
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(
+        name=st.sampled_from(SMALL),
+        scales=st.lists(st.sampled_from(SCALES), min_size=6, max_size=6),
+        entries=st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]), min_size=36, max_size=36),
+    )
+    def test_small_random_maps(self, name, scales, entries):
+        algebra = load_algebra(name)
+        n = algebra.dim
+        algebra = algebra.in_basis(mx.diag(scales[:n]))
+        m = mx.identity(n) + mx.rmat([entries[r * n : (r + 1) * n] for r in range(n)])
+        assert violated_bracket(algebra, m) == oracles.violated_bracket_dense(algebra, m)
+        assert is_derivation(algebra, m - mx.identity(n)) == oracles.is_derivation_dense(algebra, m - mx.identity(n))
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 4), (4, 3)])
+    def test_wrong_shape_raises(self, shape):
+        algebra = heisenberg()
+        m = mx.zeros(*shape)
+        for i in range(min(shape)):
+            m[i, i] = Fraction(1)
+        m[0, -1] += 2
+        with pytest.raises(ValueError, match="matrix dimension mismatch"):
+            violated_bracket(algebra, m)
+        with pytest.raises(ValueError, match="matrix dimension mismatch"):
+            is_derivation(algebra, mx.zeros(*shape))

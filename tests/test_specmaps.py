@@ -9,7 +9,7 @@ from nilgrade import matrices as mx
 from nilgrade.fixtures import CORPUS_6DIM, load_algebra, load_holonomy, load_map
 from nilgrade.grading import classify, find_positive_weights, grading_from_weights, phi_p, preserved_by
 from nilgrade.liealg import LieAlgebra, derivations, is_automorphism
-from nilgrade.polynomials import Polynomial, poly_gcd
+from nilgrade.polynomials import Polynomial, poly_gcd, squarefree_part
 from nilgrade.specmaps import (
     expanding_to_positive_grading,
     is_expanding,
@@ -338,6 +338,15 @@ class TestNormProfile:
             for a, b in zip(got.entries, want.entries):
                 assert (a.factor, a.degree, a.value) == (b.factor, b.degree, b.value)
                 assert mx.mat_eq(a.subspace, b.subspace)
+
+    def test_charpoly_and_radical_read_off_the_factors(self):
+        # chi = prod p_i^(dim V_i / deg p_i) and its radical prod p_i, which
+        # `norm` reads instead of computing charpoly(M) again
+        for m in seeded_matrices(7, 60):
+            chi = mx.charpoly(m)
+            prof = norm_profile(m)
+            assert prof.charpoly == chi
+            assert prof.radical == squarefree_part(chi)
 
     def test_multiplicativity_on_brackets(self):
         # [V_i, V_j] nonzero lands in the class of value v_i * v_j
