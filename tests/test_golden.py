@@ -28,6 +28,13 @@ pairs are reported in weight order, not in column order.  Both accept a
 positive weight system and a positive grading that is not basis-aligned
 (heisenberg3 moved by exp(ad X_1)); a non-negative grading is accepted by
 `cohopf` only.
+The holonomy groups under `tests/golden/holonomy/` have more than one
+generator: order3 + swap (order 6) and order3 + swap + sign (order 12).
+Under them and the three bundled groups, `expand` and `cohopf` replay four
+certificates on heisenberg3: the commuting diag(2, 2, 4); diag(2, 3, 6),
+which commutes with sign only; the grading with weights (1, 1, 2), which
+every group preserves; and weights (1, 2, 3), which only sign preserves.
+A rejection names the first holonomy element that fails.
 
 `tests/golden/cli.json` holds the exit code and stdout of each invocation
 below, recorded once.  A refactor that changes any verdict, certificate or
@@ -57,6 +64,13 @@ LATPOW_DIR = "tests/golden/latpow"
 ALGEBRAS_DIR = "tests/golden/algebras"
 GOLDEN_MAPS_DIR = "tests/golden/maps"
 GOLDEN_GRADINGS_DIR = "tests/golden/gradings"
+GOLDEN_HOLONOMY_DIR = "tests/golden/holonomy"
+HOLONOMY_CERTIFICATES = (
+    f"{MAPS_DIR}/heisenberg3__diag224.json",
+    f"{MAPS_DIR}/heisenberg3__diag236.json",
+    f"{GOLDEN_GRADINGS_DIR}/heisenberg3__symmetric.json",
+    f"{GOLDEN_GRADINGS_DIR}/heisenberg3__positive-weights.json",
+)
 LADDER = ("l10-rescaled", "n32-rescaled")
 
 
@@ -100,12 +114,16 @@ def invocations() -> list[list[str]]:
         alg = path.stem.split("__")[0]
         rel = f"{GOLDEN_GRADINGS_DIR}/{path.name}"
         out += [["expand", alg, "--certificate", rel], ["cohopf", alg, "--certificate", rel]]
+    groups = list(HOLONOMY_FIXTURES) + [f"{GOLDEN_HOLONOMY_DIR}/{p.name}" for p in sorted((ROOT / GOLDEN_HOLONOMY_DIR).glob("*.json"))]
+    for hol in groups:
+        for cert in HOLONOMY_CERTIFICATES:
+            out += [[cmd, "heisenberg3", "--holonomy", hol, "--certificate", cert] for cmd in ("expand", "cohopf")]
     return out
 
 
 def run(argv: list[str]) -> dict:
     """Exit code and stdout, with repo-relative paths resolved."""
-    resolved = [str(ROOT / a) if a.startswith((MAPS_DIR, LATPOW_DIR, ALGEBRAS_DIR, GOLDEN_MAPS_DIR, GOLDEN_GRADINGS_DIR)) else a for a in argv]
+    resolved = [str(ROOT / a) if a.startswith((MAPS_DIR, LATPOW_DIR, ALGEBRAS_DIR, GOLDEN_MAPS_DIR, GOLDEN_GRADINGS_DIR, GOLDEN_HOLONOMY_DIR)) else a for a in argv]
     buf = io.StringIO()
     with redirect_stdout(buf):
         code = main(resolved)
