@@ -139,13 +139,6 @@ def _emit(verdict: Verdict, compact: bool) -> int:
     return 1
 
 
-def _validated(algebra: LieAlgebra, compact: bool) -> Verdict | int:
-    v = validate(algebra)
-    if not v.accepted():
-        return _emit(v, compact)
-    return v
-
-
 def _weight_search(algebra: LieAlgebra, group: HolonomyGroup, mode: str):
     """Weights invariant under the holonomy (None if there are none), or
     the unknown verdict when the holonomy is outside the search class."""
@@ -165,14 +158,14 @@ def _weight_search(algebra: LieAlgebra, group: HolonomyGroup, mode: str):
 # -- subcommands -------------------------------------------------------------
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> Verdict:
     algebra = _load_algebra(args.algebra)
     v = validate(algebra)
     if not v.accepted():
-        return _emit(v, args.json)
+        return v
     cls = v.certificate["nilpotency_class"]
     cn_flag = is_characteristically_nilpotent(algebra).accepted()
-    out = Verdict(
+    return Verdict(
         "accept",
         condition="valid-nilpotent-lie-algebra",
         certificate={
@@ -182,62 +175,54 @@ def cmd_check(args) -> int:
         },
         diagnostics=[f"nilpotency class {cls}", f"characteristically nilpotent: {cn_flag}"],
     )
-    return _emit(out, args.json)
 
 
-def cmd_grade(args) -> int:
+def cmd_grade(args) -> Verdict:
     algebra = _load_algebra(args.algebra)
-    pre = _validated(algebra, args.json)
-    if isinstance(pre, int):
-        return pre
+    v = validate(algebra)
+    if not v.accepted():
+        return v
     finder = find_positive_weights if args.mode == "positive" else find_nonneg_nontrivial_weights
     w = finder(algebra)
     if w is None:
         dim = weight_solution_space(algebra).shape[1]
-        return _emit(
-            Verdict(
-                "reject",
-                condition="basis-aligned-scope",
-                certificate={"solution_space_dim": dim},
-                diagnostics=[
-                    f"no basis-aligned {args.mode} grading"
-                    f" (weight solution space has dimension {dim});"
-                    " verdict is scoped to basis-aligned gradings"
-                ],
-            ),
-            args.json,
+        return Verdict(
+            "reject",
+            condition="basis-aligned-scope",
+            certificate={"solution_space_dim": dim},
+            diagnostics=[
+                f"no basis-aligned {args.mode} grading"
+                f" (weight solution space has dimension {dim});"
+                " verdict is scoped to basis-aligned gradings"
+            ],
         )
     g = grading_from_weights(algebra, w)
-    out = Verdict(
+    return Verdict(
         "accept",
         condition="grading-found",
         certificate={"weights": list(w), "grading": grading_to_dict(g)},
         diagnostics=[f"weights {list(w)}", f"classification: {classify(algebra, g)}"],
     )
-    return _emit(out, args.json)
 
 
-def cmd_expand(args) -> int:
+def cmd_expand(args) -> Verdict:
     algebra = _load_algebra(args.algebra)
-    pre = _validated(algebra, args.json)
-    if isinstance(pre, int):
-        return pre
+    v = validate(algebra)
+    if not v.accepted():
+        return v
     group = _load_holonomy(args.holonomy, algebra)
     if args.certificate:
         cert = _load_certificate(args.certificate, algebra)
-        return _emit(check_expinfra(algebra, group, cert), args.json)
+        return check_expinfra(algebra, group, cert)
     w = _weight_search(algebra, group, "positive")
     if isinstance(w, Verdict):
-        return _emit(w, args.json)
+        return w
     if w is None:
-        return _emit(
-            Verdict(
-                "reject",
-                condition="basis-aligned-scope",
-                certificate={"solution_space_dim": weight_solution_space(algebra).shape[1]},
-                diagnostics=["no positive basis-aligned grading (scope: basis-aligned search)"],
-            ),
-            args.json,
+        return Verdict(
+            "reject",
+            condition="basis-aligned-scope",
+            certificate={"solution_space_dim": weight_solution_space(algebra).shape[1]},
+            diagnostics=["no positive basis-aligned grading (scope: basis-aligned search)"],
         )
     g = grading_from_weights(algebra, w)
     phi = phi_p(algebra, g, args.prime)
@@ -246,7 +231,7 @@ def cmd_expand(args) -> int:
         raise RuntimeError(f"self-check failed: phi_{args.prime} is not expanding")
     if not commutes_with_all(phi, group):
         raise RuntimeError(f"self-check failed: phi_{args.prime} does not commute with the holonomy group")
-    out = Verdict(
+    return Verdict(
         "accept",
         condition="expinfra-cond-2",
         certificate={
@@ -263,28 +248,27 @@ def cmd_expand(args) -> int:
             f"commutes with all {len(group)} holonomy elements",
         ],
     )
-    return _emit(out, args.json)
 
 
-def cmd_cohopf(args) -> int:
+def cmd_cohopf(args) -> Verdict:
     algebra = _load_algebra(args.algebra)
-    pre = _validated(algebra, args.json)
-    if isinstance(pre, int):
-        return pre
+    v = validate(algebra)
+    if not v.accepted():
+        return v
     group = _load_holonomy(args.holonomy, algebra)
     if args.certificate:
         cert = _load_certificate(args.certificate, algebra)
         v = check_covinfra(algebra, group, cert)
         if v.accepted():
             v.diagnostics.insert(0, "not co-Hopfian (witnessed)")
-        return _emit(v, args.json)
+        return v
     w = _weight_search(algebra, group, "nonneg-nontrivial")
     if isinstance(w, Verdict):
-        return _emit(w, args.json)
+        return w
     if w is not None:
         g = grading_from_weights(algebra, w)
         phi = phi_p(algebra, g, 2)
-        out = Verdict(
+        return Verdict(
             "accept",
             condition="covinfra-cond-2",
             certificate={
@@ -300,62 +284,49 @@ def cmd_cohopf(args) -> int:
                 f"self-cover morphism phi_2 has det 2^{sum(w)}",
             ],
         )
-        return _emit(out, args.json)
     dim = weight_solution_space(algebra).shape[1]
     if dim == 0:
         cn = is_characteristically_nilpotent(algebra)
         if cn.accepted():
-            return _emit(
-                Verdict(
-                    "reject",
-                    condition="co-hopfian-characteristically-nilpotent",
-                    certificate=cn.certificate,
-                    diagnostics=[
-                        "co-Hopfian: certified via characteristic nilpotency",
-                        "every automorphism has determinant +-1;"
-                        " no non-trivial self-cover exists",
-                    ],
-                ),
-                args.json,
+            return Verdict(
+                "reject",
+                condition="co-hopfian-characteristically-nilpotent",
+                certificate=cn.certificate,
+                diagnostics=[
+                    "co-Hopfian: certified via characteristic nilpotency",
+                    "every automorphism has determinant +-1;"
+                    " no non-trivial self-cover exists",
+                ],
             )
-    return _emit(
-        Verdict(
-            "reject",
-            condition="no-basis-aligned-witness",
-            certificate={"solution_space_dim": dim},
-            diagnostics=[
-                "no basis-aligned witness found;"
-                " this does not certify that the group is co-Hopfian"
-            ],
-        ),
-        args.json,
+    return Verdict(
+        "reject",
+        condition="no-basis-aligned-witness",
+        certificate={"solution_space_dim": dim},
+        diagnostics=[
+            "no basis-aligned witness found;"
+            " this does not certify that the group is co-Hopfian"
+        ],
     )
 
 
-def cmd_norm(args) -> int:
+def cmd_norm(args) -> Verdict:
     algebra = _load_algebra(args.algebra)
-    pre = _validated(algebra, args.json)
-    if isinstance(pre, int):
-        return pre
+    v = validate(algebra)
+    if not v.accepted():
+        return v
     m = matrix_from_lists(_load_json(args.matrix))
     if m.shape != (algebra.dim, algebra.dim):
         raise CliError("matrix dimension does not match the algebra")
     det = mx.det(m)
     if det == 0:
-        return _emit(
-            Verdict("reject", condition="not-automorphism", diagnostics=["matrix is singular"]),
-            args.json,
-        )
+        return Verdict("reject", condition="not-automorphism", diagnostics=["matrix is singular"])
     bad = violated_bracket(algebra, m)
     if bad is not None:
-        return _emit(
-            Verdict(
-                "reject",
-                condition="not-automorphism",
-                certificate={"violated_bracket": list(bad)},
-                diagnostics=[f"bracket [X_{bad[0]}, X_{bad[1]}] is not preserved"],
-            ),
-            args.json,
+        return Verdict(
+            "reject",
+            condition="not-automorphism",
+            certificate={"violated_bracket": list(bad)},
+            diagnostics=[f"bracket [X_{bad[0]}, X_{bad[1]}] is not preserved"],
         )
     # one charpoly: the semisimple, expanding and Z[X] tests read it off the profile
     profile = specmaps.norm_profile(m)
@@ -376,11 +347,10 @@ def cmd_norm(args) -> int:
         notes.append("self-cover criteria hold: extracted a non-negative grading")
     else:
         notes.append("no grading extracted (map is neither expanding nor a self-cover witness)")
-    out = Verdict("accept", condition="norm-profile", certificate=cert, diagnostics=notes)
-    return _emit(out, args.json)
+    return Verdict("accept", condition="norm-profile", certificate=cert, diagnostics=notes)
 
 
-def cmd_latpow(args) -> int:
+def cmd_latpow(args) -> Verdict:
     data = _load_json(args.input)
     if not isinstance(data, dict) or "A" not in data:
         raise CliError('latpow input must be a JSON object with key "A"')
@@ -393,7 +363,7 @@ def cmd_latpow(args) -> int:
         if type(bound) is not int:
             raise CliError(f'"bound" must be a positive integer, got {json.dumps(bound)}')
         v = vector_from_list(data["v"])
-        return _emit(orbit_escapes_lattice(a, v, bound), args.json)
+        return orbit_escapes_lattice(a, v, bound)
     if "lattice" not in data:
         raise CliError('latpow input needs "lattice" (or "v" for orbit mode)')
     try:
@@ -403,19 +373,16 @@ def cmd_latpow(args) -> int:
     try:
         cert = power_into_lattice(a, lattice)
     except ObstructionPrime as e:
-        return _emit(
-            Verdict(
-                "reject",
-                condition="obstruction-prime",
-                certificate={"prime": e.prime},
-                diagnostics=[str(e)],
-            ),
-            args.json,
+        return Verdict(
+            "reject",
+            condition="obstruction-prime",
+            certificate={"prime": e.prime},
+            diagnostics=[str(e)],
         )
     limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit, as before 3.10.7
     if limit and cert.exceeds_digits(limit):
         raise CliError(f"Exceeds the limit ({limit} digits) for integer string conversion: P^-1 A^{cert.k} P")
-    out = Verdict(
+    return Verdict(
         "accept",
         condition="lattice-power",
         certificate=lattice_certificate_to_dict(cert),
@@ -424,7 +391,6 @@ def cmd_latpow(args) -> int:
             f" (proof bound: order {cert.order_bound} mod {cert.modulus})"
         ],
     )
-    return _emit(out, args.json)
 
 
 # -- entry point --------------------------------------------------------------
@@ -487,13 +453,14 @@ def main(argv=None) -> int:
             if not is_prime(args.prime):
                 raise CliError(f"{args.prime} is not prime")
         # looked up per call, so a wrapper bound to the module attribute runs
-        return globals()[f"cmd_{args.command}"](args)
+        verdict = globals()[f"cmd_{args.command}"](args)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    return _emit(verdict, args.json)
 
 
 if __name__ == "__main__":

@@ -5,6 +5,21 @@ theorem-level checks accept a certificate (a grading or a commuting
 automorphism) and report which condition it witnesses; the restricted
 search handles monomial holonomy by adding weight equalities along the
 induced basis permutations.
+
+Every condition is decided on the generators of F.  Being an
+automorphism, preserving a grading, commuting with a map and being
+monomial are each closed under products, so they hold on all of F iff
+they hold on its generators.  `close_group` only proves that F is finite
+within the cap and numbers its elements: breadth-first, identity first,
+so its first level `elements[1:1+k]` is the k distinct non-identity
+generators sorted by key.  The identity passes every test, and if some
+element fails then some generator fails, so the first failing element in
+that order is a generator, at index 1 + its position among them; a
+rejection names the same element as a loop over all of F would.  The
+equalities w_j = w_sigma(j) from the generators' permutations cut out the
+same subspace as those from all of F (its orbits on the basis are the
+generators' orbits), and `solve` returns the canonical point of that
+set, so the weights do not change either.
 """
 
 from __future__ import annotations
@@ -24,9 +39,17 @@ from .verdict import Verdict
 
 @dataclass(frozen=True)
 class HolonomyGroup:
-    """Explicit finite matrix group, identity first, deterministic order."""
+    """Explicit finite matrix group, identity first, deterministic order.
+
+    `generators` follow the identity in `elements`; when not given, every
+    element after the identity counts as a generator."""
 
     elements: tuple[np.ndarray, ...]
+    generators: tuple[np.ndarray, ...] | None = None
+
+    def __post_init__(self):
+        if self.generators is None:
+            object.__setattr__(self, "generators", self.elements[1:])
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -58,6 +81,7 @@ def close_group(generators: list[np.ndarray], cap: int = 1024) -> HolonomyGroup:
             raise ValueError("generators must be invertible")
         gens.append(g)
     ident = mx.identity(n)
+    n_gens = len({_key(g) for g in gens} - {_key(ident)})
     seen = {_key(ident)}
     ordered = [ident]
     level = [ident]
@@ -75,24 +99,24 @@ def close_group(generators: list[np.ndarray], cap: int = 1024) -> HolonomyGroup:
         nxt.sort(key=_key)
         ordered.extend(nxt)
         level = nxt
-    return HolonomyGroup(tuple(ordered))
+    return HolonomyGroup(tuple(ordered), tuple(ordered[1 : 1 + n_gens]))
 
 
 def holonomy_is_valid(algebra: LieAlgebra, group: HolonomyGroup) -> bool:
-    return all(is_automorphism(algebra, f) for f in group)
+    return all(is_automorphism(algebra, f) for f in group.generators)
 
 
 def preserves_grading_all(group: HolonomyGroup, grading: Grading) -> bool:
-    return all(preserved_by(grading, f) for f in group)
+    return all(preserved_by(grading, f) for f in group.generators)
 
 
 def commutes_with_all(m: np.ndarray, group: HolonomyGroup) -> bool:
-    return all(map(mx.commutes_with(m), group))
+    return all(map(mx.commutes_with(m), group.generators))
 
 
 def _first_failing(group: HolonomyGroup, ok) -> int | None:
-    """Index of the first element f with ok(f) false, if any."""
-    return next((i for i, f in enumerate(group) if not ok(f)), None)
+    """Index in `group.elements` of the first element f with ok(f) false, if any."""
+    return next((1 + i for i, f in enumerate(group.generators) if not ok(f)), None)
 
 
 def check_expinfra(algebra: LieAlgebra, group: HolonomyGroup, certificate) -> Verdict:
@@ -232,7 +256,7 @@ def equivariant_weight_search(
     if mode not in ("positive", "nonneg-nontrivial"):
         raise ValueError(f"unknown mode {mode!r}")
     eqs = weight_equations(algebra)
-    for f in group:
+    for f in group.generators:
         sigma = monomial_permutation(f)
         if sigma is None:
             raise ValueError("search unsupported, use certificate mode")

@@ -269,7 +269,10 @@ def is_derivation(algebra: LieAlgebra, d: np.ndarray) -> bool:
 # -- characteristic nilpotency ---------------------------------------------
 
 
-def is_characteristically_nilpotent(algebra: LieAlgebra, random_trials: int = 8) -> Verdict:
+PRE_FLAG_DRAWS = 8  # seeded witness draws tried before the flag
+
+
+def is_characteristically_nilpotent(algebra: LieAlgebra) -> Verdict:
     """Decide whether every derivation is nilpotent, exactly.
 
     The flag W_0 = Q^n, W_{i+1} = sum_a D_a W_i over the canonical
@@ -281,7 +284,7 @@ def is_characteristically_nilpotent(algebra: LieAlgebra, random_trials: int = 8)
     tr(D(t)^k), k <= n, is then a nonzero form of degree k, so by
     Schwartz-Zippel each draw is nilpotent with probability below 1/2.
 
-    `random_trials` seeded draws with t_a in [-3, 3] run before the flag.
+    `PRE_FLAG_DRAWS` seeded draws with t_a in [-3, 3] run before the flag.
     They can only find a reject witness sooner, never change the decision.
 
     Everything runs in ints on den D_a, for den the least common
@@ -316,7 +319,7 @@ def is_characteristically_nilpotent(algebra: LieAlgebra, random_trials: int = 8)
         )
 
     rng = random.Random(1729)  # fixed seed: deterministic output bytes
-    for _ in range(max(0, random_trials)):
+    for _ in range(PRE_FLAG_DRAWS):
         hit = reject_if_not_nilpotent([rng.randint(-3, 3) for _ in range(d)])
         if hit is not None:
             return hit

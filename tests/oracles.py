@@ -14,7 +14,8 @@ read only `LieAlgebra.dim` and the dense table that `dense_table` builds
 from `LieAlgebra.terms`.  The Fraction loop
 that `latpow`'s integer orbit scan replaced is kept the same way, and so
 is the characteristic-nilpotency test with its Engel flag and witness
-sums in Fractions.
+sums in Fractions, and the holonomy conditions tested on every element of
+F rather than on its generators.
 
 Also the ladder algebras L_n, H_{2m+1} and N_{r,c}, built from first
 principles (N_{r,c} from Lie words in the free associative algebra).
@@ -31,7 +32,10 @@ import numpy as np
 
 from nilgrade import matrices as mx
 from nilgrade.intutil import factor_int
-from nilgrade.liealg import LieAlgebra, derivations
+from nilgrade.grading import preserved_by, weight_equations
+from nilgrade.holonomy import monomial_permutation
+from nilgrade.liealg import LieAlgebra, derivations, is_automorphism
+from nilgrade.linineq import solve
 from nilgrade.polynomials import Polynomial, _integer_primitive, factor_order_key, squarefree_decomposition
 from nilgrade.verdict import Verdict
 
@@ -483,6 +487,40 @@ def is_characteristically_nilpotent_fraction(algebra, random_trials=8):
         if hit is not None:
             return hit
     raise RuntimeError("derivation flag stuck at a nonzero subspace but no witness found")
+
+
+# -- holonomy conditions on every element ------------------------------------
+
+
+def holonomy_is_valid_all(algebra, group):
+    return all(is_automorphism(algebra, f) for f in group)
+
+
+def preserves_grading_every(group, grading):
+    return all(preserved_by(grading, f) for f in group)
+
+
+def commutes_with_every(m, group):
+    return all(map(mx.commutes_with(m), group))
+
+
+def first_failing_all(group, ok):
+    """Index of the first element f of the group with ok(f) false, if any."""
+    return next((i for i, f in enumerate(group) if not ok(f)), None)
+
+
+def equivariant_weight_search_all(algebra, group, mode):
+    """`holonomy.equivariant_weight_search` with the equalities w_j = w_sigma(j)
+    of every element of the group."""
+    if mode not in ("positive", "nonneg-nontrivial"):
+        raise ValueError(f"unknown mode {mode!r}")
+    eqs = weight_equations(algebra)
+    for f in group:
+        sigma = monomial_permutation(f)
+        if sigma is None:
+            raise ValueError("search unsupported, use certificate mode")
+        eqs += [{j: 1, s: -1} for j, s in enumerate(sigma) if s != j]
+    return solve(eqs, [], [1 if mode == "positive" else 0] * algebra.dim)
 
 
 # -- the ladder ----------------------------------------------------------------

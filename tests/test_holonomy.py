@@ -1,7 +1,15 @@
+import itertools
+import json
+import random
+from pathlib import Path
+
 import pytest
 
+import oracles
+from nilgrade import holonomy
 from nilgrade import matrices as mx
-from nilgrade.fixtures import load_algebra, load_holonomy, load_map
+from nilgrade.cli import _load_holonomy
+from nilgrade.fixtures import HOLONOMY_FIXTURES, load_algebra, load_holonomy, load_map
 from nilgrade.grading import grading_from_weights, phi_p
 from nilgrade.holonomy import (
     HolonomyGroup,
@@ -15,7 +23,15 @@ from nilgrade.holonomy import (
     preserves_grading_all,
 )
 from nilgrade.liealg import LieAlgebra
+from nilgrade.serialize import holonomy_payload, matrix_to_lists
 from nilgrade.specmaps import expanding_to_positive_grading
+
+GOLDEN_HOLONOMY = Path(__file__).resolve().parent / "golden" / "holonomy"
+
+
+def golden_group(name):
+    with open(GOLDEN_HOLONOMY / f"{name}.json") as fh:
+        return close_group(*holonomy_payload(json.load(fh)))
 
 
 def heisenberg():
@@ -68,6 +84,27 @@ class TestCloseGroup:
                     acc = acc @ el
                     order += 1
                 assert len(group) % order == 0
+
+    def test_generators_are_the_first_level(self):
+        rot = mx.rmat([[0, -1], [1, 0]])
+        refl = mx.diag([1, -1])
+        group = close_group([rot, refl, rot, mx.identity(2)])
+        assert len(group.generators) == 2
+        assert all(mx.mat_eq(a, b) for a, b in zip(group.generators, group.elements[1:3]))
+        assert sorted(tuple(g.flat) for g in group.generators) == [tuple(g.flat) for g in group.generators]
+        assert {tuple(g.flat) for g in group.generators} == {tuple(rot.flat), tuple(refl.flat)}
+
+    def test_identity_generator_gives_no_generators(self):
+        assert close_group([mx.identity(2)]).generators == ()
+
+    def test_unloaded_holonomy_has_no_generators(self):
+        group = _load_holonomy(None, heisenberg())
+        assert len(group) == 1 and group.generators == ()
+
+    def test_group_from_elements_counts_every_non_identity_element(self):
+        d = mx.diag([2, 2, 2])
+        group = HolonomyGroup((mx.identity(3), d, -d))
+        assert len(group.generators) == 2 and group.generators[0] is d
 
 
 class TestPredicates:
@@ -235,3 +272,125 @@ class TestEquivariantSearch:
             assert preserves_grading_all(group, g)
             for p in (2, 3, 5):
                 assert commutes_with_all(phi_p(h, g, p), group)
+
+
+class TestRevalidation:
+    """check_expinfra and check_covinfra still raise on a holonomy group that
+    is not by automorphisms, at one is_automorphism call per generator."""
+
+    def count_calls(self, monkeypatch):
+        calls = []
+        real = holonomy.is_automorphism
+        monkeypatch.setattr(holonomy, "is_automorphism", lambda a, m: calls.append(m) or real(a, m))
+        return calls
+
+    def test_trivial_group_costs_nothing(self, monkeypatch):
+        h = heisenberg()
+        calls = self.count_calls(monkeypatch)
+        g = grading_from_weights(h, (1, 1, 2))
+        assert check_expinfra(h, _load_holonomy(None, h), g).accepted()
+        assert check_covinfra(h, _load_holonomy(None, h), g).accepted()
+        assert calls == []
+
+    def test_one_call_per_generator(self, monkeypatch):
+        h = heisenberg()
+        group = golden_group("heisenberg3_order3_swap_sign")
+        calls = self.count_calls(monkeypatch)
+        assert check_expinfra(h, group, grading_from_weights(h, (1, 1, 2))).accepted()
+        assert len(group) == 12 and len(calls) == 3
+
+    def test_non_automorphism_still_raises(self):
+        h = heisenberg()
+        bad = HolonomyGroup((mx.identity(3), mx.diag([2, 2, 2])))
+        for check in (check_expinfra, check_covinfra):
+            with pytest.raises(ValueError, match="must be automorphisms"):
+                check(h, bad, grading_from_weights(h, (1, 1, 2)))
+
+
+# -- the generator versions against the all-elements oracles ------------------
+
+
+def signed_permutation(rng, n):
+    m = mx.zeros(n, n)
+    for j, i in enumerate(rng.sample(range(n), n)):
+        m[i, j] = mx.frac(rng.choice((1, -1)))
+    return m
+
+
+def random_case(seed):
+    """A group generated by 1-3 seeded signed permutations: on the abelian
+    algebra of dim 2-4 (order at most 384), or on heisenberg3, where some
+    of them are not automorphisms."""
+    rng = random.Random(f"holonomy oracle {seed}")
+    algebra = heisenberg() if seed % 4 == 3 else LieAlgebra(rng.randint(2, 4), {})
+    gens = [signed_permutation(rng, algebra.dim) for _ in range(rng.randint(1, 3))]
+    return algebra, close_group(gens), rng
+
+
+def named_case(name):
+    group = load_holonomy(name) if name in HOLONOMY_FIXTURES else golden_group(name)
+    return heisenberg(), group, random.Random(name)
+
+
+def certificates(algebra, rng):
+    """Expanding automorphisms with Z[X] charpoly and |det| > 1, and positive
+    and non-negative non-trivial gradings, all diagonal in the basis."""
+    n = algebra.dim
+    if algebra.terms:  # heisenberg3: [X_1, X_2] = X_3
+        maps = [mx.diag([a, b, a * b]) for a, b in itertools.product((2, 3), repeat=2)]
+        positive = [(a, b, a + b) for a, b in itertools.product((1, 2), repeat=2)]
+        nonneg = [(0, 1, 1), (1, 0, 1)]
+    else:
+        maps = [mx.diag([2] * n)] + [mx.diag([rng.choice((2, 3)) for _ in range(n)]) for _ in range(3)]
+        positive = [(1,) * n] + [tuple(rng.choice((1, 2)) for _ in range(n)) for _ in range(3)]
+        nonneg = [tuple(rng.choice((0, 1)) for _ in range(n - 1)) + (1,) for _ in range(2)]
+    return maps, [grading_from_weights(algebra, w) for w in positive], [grading_from_weights(algebra, w) for w in nonneg]
+
+
+def assert_names_first_failure(v, group, idx, key, message):
+    if idx is None:
+        assert v.accepted(), v.diagnostics
+        return
+    assert v.decision == "reject"
+    assert v.certificate[key] == matrix_to_lists(group.elements[idx])
+    assert v.diagnostics == [message.format(idx)]
+
+
+CASES = [f"seed{i}" for i in range(24)] + list(HOLONOMY_FIXTURES) + ["heisenberg3_order3_swap", "heisenberg3_order3_swap_sign"]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_generators_decide_like_every_element(case):
+    algebra, group, rng = random_case(int(case[4:])) if case.startswith("seed") else named_case(case)
+    valid = oracles.holonomy_is_valid_all(algebra, group)
+    assert holonomy_is_valid(algebra, group) == valid
+    maps, positive, nonneg = certificates(algebra, rng)
+    for m in maps:
+        assert commutes_with_all(m, group) == oracles.commutes_with_every(m, group)
+    for g in positive + nonneg:
+        assert preserves_grading_all(group, g) == oracles.preserves_grading_every(group, g)
+
+    for mode in ("positive", "nonneg-nontrivial"):
+        try:
+            want = oracles.equivariant_weight_search_all(algebra, group, mode)
+        except ValueError as e:
+            with pytest.raises(ValueError, match=str(e)):
+                equivariant_weight_search(algebra, group, mode)
+        else:
+            assert equivariant_weight_search(algebra, group, mode) == want
+
+    if not valid:
+        for check in (check_expinfra, check_covinfra):
+            with pytest.raises(ValueError, match="must be automorphisms"):
+                check(algebra, group, maps[0])
+        return
+    for m in maps:
+        idx = oracles.first_failing_all(group, mx.commutes_with(m))
+        for check in (check_expinfra, check_covinfra):
+            v = check(algebra, group, m)
+            assert_names_first_failure(v, group, idx, "noncommuting_element", "map fails to commute with holonomy element {}")
+    for g, checks in [(g, (check_expinfra, check_covinfra)) for g in positive] + [(g, (check_covinfra,)) for g in nonneg]:
+        idx = oracles.first_failing_all(group, lambda f: holonomy.preserved_by(g, f))
+        for check in checks:
+            v = check(algebra, group, g)
+            assert_names_first_failure(v, group, idx, "violating_element", "holonomy element {} does not preserve the grading")

@@ -6,7 +6,7 @@ from math import lcm
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from nilgrade import matrices as mx
+from nilgrade import liealg, matrices as mx
 from nilgrade.fixtures import ALL_FIXTURES, load_algebra, load_map
 from nilgrade.grading import Grading, find_nonneg_nontrivial_weights, find_positive_weights, verify_grading
 from nilgrade.liealg import (
@@ -27,6 +27,13 @@ from nilgrade.liealg import (
 from nilgrade.specmaps import is_expanding
 
 import oracles
+
+
+def flag_only(algebra):
+    """is_characteristically_nilpotent without the seeded draws before the flag."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(liealg, "PRE_FLAG_DRAWS", 0)
+        return is_characteristically_nilpotent(algebra)
 
 
 def heisenberg():
@@ -186,8 +193,8 @@ class TestCharacteristicNilpotency:
     def test_deterministic_route_matches_fast_path(self):
         for name in ("heisenberg3", "abelian3", "filiform4"):
             algebra = load_algebra(name)
-            a = is_characteristically_nilpotent(algebra, random_trials=0)
-            b = is_characteristically_nilpotent(algebra, random_trials=8)
+            a = flag_only(algebra)
+            b = is_characteristically_nilpotent(algebra)
             assert a.decision == b.decision == "reject"
 
     def test_char_nilpotent_implies_zero_weight_space(self):
@@ -287,12 +294,12 @@ class TestEngelFlag:
     @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
     def test_matches_trace_enumeration(self, name):
         a = ORACLE_CASES[name]
-        assert is_characteristically_nilpotent(a, random_trials=0).accepted() == trace_enumeration(a)
+        assert flag_only(a).accepted() == trace_enumeration(a)
 
     def test_dixmier_lister_is_characteristically_nilpotent(self):
         a = dixmier_lister()
         assert validate(a).accepted()
-        assert is_characteristically_nilpotent(a, random_trials=0).accepted()
+        assert flag_only(a).accepted()
 
     def test_nilp5_direct_sum_past_the_old_size_cap(self):
         n5 = load_algebra("nilp5")
@@ -303,7 +310,7 @@ class TestEngelFlag:
     @pytest.mark.parametrize("a", [filiform(8), N24], ids=["L8", "N2,4"])
     def test_reject_without_seeded_draws_has_witness(self, a):
         t0 = time.monotonic()
-        v = is_characteristically_nilpotent(a, random_trials=0)
+        v = flag_only(a)
         # the trace enumeration this replaced took minutes on both
         assert time.monotonic() - t0 < 20.0
         assert v.decision == "reject"
@@ -479,9 +486,9 @@ def test_characteristic_nilpotency_matches_fraction_flag(name):
     a = LADDER[name]() if name in LADDER else load_algebra(name)
     rng = random.Random(f"rescale {name}")
     for b in (a, rescaled(a, rng), rescaled(a, rng)):
-        for trials in (8, 0):
-            got = is_characteristically_nilpotent(b, random_trials=trials)
-            assert got.to_json() == oracles.is_characteristically_nilpotent_fraction(b, random_trials=trials).to_json()
+        want = oracles.is_characteristically_nilpotent_fraction(b, random_trials=liealg.PRE_FLAG_DRAWS)
+        assert is_characteristically_nilpotent(b).to_json() == want.to_json()
+        assert flag_only(b).to_json() == oracles.is_characteristically_nilpotent_fraction(b, random_trials=0).to_json()
 
 
 def test_rescalings_raise_derivation_denominators():
