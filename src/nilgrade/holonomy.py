@@ -103,6 +103,9 @@ def close_group(generators: list[np.ndarray], cap: int = 1024) -> HolonomyGroup:
 
 
 def holonomy_is_valid(algebra: LieAlgebra, group: HolonomyGroup) -> bool:
+    # the identity is checked too: a group of the wrong size may have no generators
+    if group.elements[0].shape != (algebra.dim, algebra.dim):
+        raise ValueError("matrix dimension mismatch")
     return all(is_automorphism(algebra, f) for f in group.generators)
 
 

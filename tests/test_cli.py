@@ -17,6 +17,7 @@ from test_liealg import direct_sum, heisenberg_of_dim
 
 
 ROOT = Path(__file__).resolve().parent.parent
+MAPS = ROOT / "src" / "nilgrade" / "fixtures" / "maps"
 
 
 def run_cli(*argv):
@@ -414,6 +415,20 @@ class TestJsonBooleans:
         out = capsys.readouterr()
         assert out.out == ""
         assert "error:" in out.err
+
+
+class TestHolonomyDimension:
+    """A holonomy group of the wrong size is an input error, also when all
+    its generators are the identity and so none is left to test."""
+
+    @pytest.mark.parametrize("gen", [[["1", "0"], ["0", "1"]], [["0", "1"], ["1", "0"]]], ids=["identity", "swap"])
+    @pytest.mark.parametrize("cmd", [["expand"], ["cohopf"], ["expand", "--certificate", str(MAPS / "heisenberg3__diag224.json")]], ids=" ".join)
+    def test_rejected_with_exit_2(self, tmp_path, capsys, gen, cmd):
+        f = tmp_path / "hol.json"
+        f.write_text(json.dumps({"generators": [gen]}))
+        assert main([cmd[0], "heisenberg3", "--holonomy", str(f)] + cmd[1:]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == "error: matrix dimension mismatch\n"
 
 
 class TestDeterminism:
