@@ -453,14 +453,13 @@ def main(argv=None) -> int:
             if not is_prime(args.prime):
                 raise CliError(f"{args.prime} is not prime")
         # looked up per call, so a wrapper bound to the module attribute runs
-        verdict = globals()[f"cmd_{args.command}"](args)
+        return _emit(globals()[f"cmd_{args.command}"](args), args.json)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    return _emit(verdict, args.json)
 
 
 if __name__ == "__main__":
