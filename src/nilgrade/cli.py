@@ -14,19 +14,15 @@ import sys
 from functools import cache
 from pathlib import Path
 
-import numpy as np
-
 from . import matrices as mx
 from . import specmaps
 from .fixtures import fixtures_dir, resolve_algebra_path
 from .grading import (
-    Grading,
     classify,
     find_nonneg_nontrivial_weights,
     find_positive_weights,
     grading_from_weights,
     phi_p,
-    verify_grading,
     weight_solution_space,
 )
 from .holonomy import (
