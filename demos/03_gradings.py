@@ -10,8 +10,7 @@ from nilgrade import matrices as mx
 from nilgrade.fixtures import CORPUS_6DIM, load_algebra
 from nilgrade.grading import (
     classify,
-    find_nonneg_nontrivial_weights,
-    find_positive_weights,
+    find_weights,
     grading_from_weights,
     phi_p,
     weight_solution_space,
@@ -22,8 +21,8 @@ print(f"{'algebra':15s} {'dim':>3s} {'class':>5s} {'positive weights':>22s} {'no
 for name in CORPUS_6DIM + ("nilp5", "notcohopf"):
     algebra = load_algebra(name)
     assert validate(algebra).accepted()
-    pos = find_positive_weights(algebra)
-    nn = find_nonneg_nontrivial_weights(algebra)
+    pos = find_weights(algebra, positive=True)
+    nn = find_weights(algebra, positive=False)
     print(f"{name:15s} {algebra.dim:3d} {nilpotency_class(algebra):5d}"
           f" {str(pos):>22s} {str(nn):>22s}")
 
@@ -36,7 +35,7 @@ print("\nnilp5 weight solution space dimension:",
       weight_solution_space(n5).shape[1])
 
 nc = load_algebra("notcohopf")
-g = grading_from_weights(nc, find_nonneg_nontrivial_weights(nc))
+g = grading_from_weights(nc, find_weights(nc, positive=False))
 print("notcohopf grading:", [(w, s.shape[1]) for w, s in g.components],
       "->", classify(nc, g))
 
@@ -45,6 +44,6 @@ phi = phi_p(nc, g, 2)
 print("phi_2 =", [str(phi[i, i]) for i in range(7)], " det =", str(mx.det(phi)))
 
 heis = load_algebra("heisenberg3")
-gh = grading_from_weights(heis, find_positive_weights(heis))
+gh = grading_from_weights(heis, find_weights(heis, positive=True))
 print("\nHeisenberg (1,1,2) grading: phi_3 =",
       [str(e) for e in phi_p(heis, gh, 3).diagonal()])

@@ -9,13 +9,12 @@ itself becomes F-equivariant.
 
 from nilgrade import matrices as mx
 from nilgrade.fixtures import load_algebra, load_holonomy, load_map
-from nilgrade.grading import grading_from_weights, phi_p
+from nilgrade.grading import find_weights, grading_from_weights, phi_p
 from nilgrade.holonomy import (
     check_covinfra,
     check_expinfra,
     close_group,
     commutes_with_all,
-    equivariant_weight_search,
 )
 from nilgrade.liealg import is_characteristically_nilpotent
 
@@ -36,7 +35,7 @@ print("matrix certificate:", v.decision, "via", v.condition)
 # The swap holonomy permutes X1 and X2; the search adds w1 = w2 and still
 # finds the symmetric grading, whose phi_p commutes with all of F.
 swap = load_holonomy("heisenberg3_swap")
-w = equivariant_weight_search(heis, swap, "positive")
+w = find_weights(heis, positive=True, generators=swap.generators)
 print("\nswap-equivariant weights:", w)
 phi = phi_p(heis, grading_from_weights(heis, w), 5)
 print("phi_5 commutes with F:", commutes_with_all(phi, swap))
@@ -44,7 +43,7 @@ print("phi_5 commutes with F:", commutes_with_all(phi, swap))
 # Non-monomial holonomy is outside the search class: certificates only.
 order3 = load_holonomy("heisenberg3_order3")
 try:
-    equivariant_weight_search(heis, order3, "positive")
+    find_weights(heis, positive=True, generators=order3.generators)
 except ValueError as e:
     print("order-3 non-monomial holonomy:", e)
 

@@ -4,9 +4,9 @@ of rational nilpotent Lie algebras."""
 from .grading import (
     Grading,
     classify,
-    find_nonneg_nontrivial_weights,
-    find_positive_weights,
+    find_weights,
     grading_from_weights,
+    meets_criterion,
     phi_p,
     preserved_by,
     verify_grading,
@@ -18,7 +18,6 @@ from .holonomy import (
     check_expinfra,
     close_group,
     commutes_with_all,
-    equivariant_weight_search,
     preserves_grading_all,
 )
 from .latpow import (

@@ -17,23 +17,16 @@ from pathlib import Path
 from . import matrices as mx
 from . import specmaps
 from .fixtures import fixtures_dir, resolve_algebra_path
-from .grading import (
-    classify,
-    find_nonneg_nontrivial_weights,
-    find_positive_weights,
-    grading_from_weights,
-    phi_p,
-    weight_solution_space,
-)
+from .grading import find_weights, grading_from_weights, phi_p, weight_solution_space, weights_label
 from .holonomy import (
     HolonomyGroup,
     check_covinfra,
     check_expinfra,
     close_group,
     commutes_with_all,
-    equivariant_weight_search,
     holonomy_is_valid,
 )
+from .intutil import is_prime
 from .latpow import ObstructionPrime, orbit_escapes_lattice, power_into_lattice
 from .liealg import (
     LieAlgebra,
@@ -95,9 +88,10 @@ def _load_holonomy(arg: str | None, algebra: LieAlgebra) -> HolonomyGroup:
     try:
         gens, cap = holonomy_payload(_load_json(str(path)))
         group = close_group(gens, cap)
+        valid = holonomy_is_valid(algebra, group)
     except ValueError as e:
         raise CliError(f"{path}: {e}")
-    if not holonomy_is_valid(algebra, group):
+    if not valid:
         raise CliError(f"{path}: holonomy elements are not automorphisms of the algebra")
     return group
 
@@ -135,11 +129,11 @@ def _emit(verdict: Verdict, compact: bool) -> int:
     return 1
 
 
-def _weight_search(algebra: LieAlgebra, group: HolonomyGroup, mode: str):
+def _weight_search(algebra: LieAlgebra, group: HolonomyGroup, positive: bool):
     """Weights invariant under the holonomy (None if there are none), or
     the unknown verdict when the holonomy is outside the search class."""
     try:
-        return equivariant_weight_search(algebra, group, mode)
+        return find_weights(algebra, positive, group.generators)
     except ValueError:
         return Verdict(
             "unknown",
@@ -178,8 +172,7 @@ def cmd_grade(args) -> Verdict:
     v = validate(algebra)
     if not v.accepted():
         return v
-    finder = find_positive_weights if args.mode == "positive" else find_nonneg_nontrivial_weights
-    w = finder(algebra)
+    w = find_weights(algebra, args.mode == "positive")
     if w is None:
         dim = weight_solution_space(algebra).shape[1]
         return Verdict(
@@ -197,7 +190,7 @@ def cmd_grade(args) -> Verdict:
         "accept",
         condition="grading-found",
         certificate={"weights": list(w), "grading": grading_to_dict(g)},
-        diagnostics=[f"weights {list(w)}", f"classification: {classify(algebra, g)}"],
+        diagnostics=[f"weights {list(w)}", f"classification: {weights_label(g.weights)}"],
     )
 
 
@@ -210,7 +203,7 @@ def cmd_expand(args) -> Verdict:
     if args.certificate:
         cert = _load_certificate(args.certificate, algebra)
         return check_expinfra(algebra, group, cert)
-    w = _weight_search(algebra, group, "positive")
+    w = _weight_search(algebra, group, positive=True)
     if isinstance(w, Verdict):
         return w
     if w is None:
@@ -258,7 +251,7 @@ def cmd_cohopf(args) -> Verdict:
         if v.accepted():
             v.diagnostics.insert(0, "not co-Hopfian (witnessed)")
         return v
-    w = _weight_search(algebra, group, "nonneg-nontrivial")
+    w = _weight_search(algebra, group, positive=False)
     if isinstance(w, Verdict):
         return w
     if w is not None:
@@ -442,18 +435,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    from .intutil import is_prime
-
     try:
-        if getattr(args, "prime", None) is not None and args.command == "expand":
-            if not is_prime(args.prime):
-                raise CliError(f"{args.prime} is not prime")
+        if args.command == "expand" and not is_prime(args.prime):
+            raise CliError(f"{args.prime} is not prime")
         # looked up per call, so a wrapper bound to the module attribute runs
         return _emit(globals()[f"cmd_{args.command}"](args), args.json)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (CliError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

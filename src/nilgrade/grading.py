@@ -5,12 +5,17 @@ grading iff w_a + w_b = w_c on each nonzero structure constant c_ab^c.
 `weight_equations` is the one builder of those rows, as sparse
 {variable: coefficient} dicts, and `LieAlgebra.in_basis` poses them in
 any basis: `verify_grading` checks a grading on the algebra re-based on
-its stacked components.  The *search* for gradings is restricted to
-basis-aligned ones, one integer weight per basis vector; the rows plus
-exact Fourier-Motzkin feasibility (`linineq.solve`) decide existence of
-positive and non-negative gradings in this class, and the canonical
-returned weights minimize the maximum weight, then compare
-lexicographically.
+its stacked components.
+
+The expansion and self-cover criteria differ by one switch, `positive`:
+expansion needs a positive grading, a self-cover a non-negative
+non-trivial one.  `meets_criterion` says which grading label witnesses
+which.  `find_weights` is the one *search*, restricted to basis-aligned
+gradings (one integer weight per basis vector) and, under monomial
+holonomy, to weights constant on its orbits; the rows plus exact
+Fourier-Motzkin feasibility (`linineq.solve`) decide existence in this
+class, and the canonical returned weights minimize the maximum weight,
+then compare lexicographically.
 """
 
 from __future__ import annotations
@@ -112,6 +117,13 @@ def weights_label(ws: tuple[int, ...]) -> str:
     return "other"
 
 
+def meets_criterion(label: str, positive: bool) -> bool:
+    """Whether a grading with this label witnesses the expansion criterion
+    (positive) or the self-cover criterion (not positive).  A positive
+    grading is non-negative and non-trivial too."""
+    return label == "positive" or (not positive and label == "nonnegative-nontrivial")
+
+
 # -- basis-aligned weight systems -------------------------------------------
 
 
@@ -137,14 +149,41 @@ def weight_solution_space(algebra: LieAlgebra) -> np.ndarray:
     return mx.kernel(weight_equations(algebra), algebra.dim)
 
 
-def find_positive_weights(algebra: LieAlgebra) -> WeightSystem | None:
-    """Weight system with all w_i >= 1, or None; complete for this class."""
-    return solve(weight_equations(algebra), [], [1] * algebra.dim)
+def monomial_permutation(m: np.ndarray) -> list[int] | None:
+    """sigma with m e_j = c e_{sigma(j)} if m is monomial, else None."""
+    n = m.shape[0]
+    sigma = []
+    for j in range(n):
+        nz = [i for i in range(n) if m[i, j] != 0]
+        if len(nz) != 1:
+            return None
+        sigma.append(nz[0])
+    if sorted(sigma) != list(range(n)):
+        return None
+    return sigma
 
 
-def find_nonneg_nontrivial_weights(algebra: LieAlgebra) -> WeightSystem | None:
-    """Weight system with all w_i >= 0, some w_i >= 1, or None."""
-    return solve(weight_equations(algebra), [], [0] * algebra.dim)
+def find_weights(algebra: LieAlgebra, positive: bool, generators=()) -> WeightSystem | None:
+    """The canonical weight system with all w_i >= 1 (positive) or all
+    w_i >= 0 and some w_i >= 1 (not positive), constant on the orbits of
+    the group the monomial `generators` span; None if there is none.
+    Complete for basis-aligned gradings.
+
+    A monomial map m e_j = c e_sigma(j) preserves the basis-aligned grading
+    with weights w iff w_j = w_sigma(j) for all j.  The equalities from the
+    generators' permutations cut out the same subspace as those from every
+    element of the group (its orbits on the basis are the generators'
+    orbits), and `solve` returns the canonical point of that set, so the
+    weights are those of a search over all of the group.  Non-monomial
+    holonomy is outside the search class; supply a certificate instead.
+    """
+    eqs = weight_equations(algebra)
+    for f in generators:
+        sigma = monomial_permutation(f)
+        if sigma is None:
+            raise ValueError("search unsupported, use certificate mode")
+        eqs += [{j: 1, s: -1} for j, s in enumerate(sigma) if s != j]
+    return solve(eqs, [], [int(positive)] * algebra.dim)
 
 
 def grading_from_weights(algebra: LieAlgebra, weights) -> Grading:

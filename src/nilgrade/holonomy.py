@@ -2,9 +2,10 @@
 
 A holonomy group is an explicit finite set of automorphisms.  The two
 theorem-level checks accept a certificate (a grading or a commuting
-automorphism) and report which condition it witnesses; the restricted
-search handles monomial holonomy by adding weight equalities along the
-induced basis permutations.
+automorphism) and report which condition it witnesses.  Their grading
+conditions differ only by `positive`, which `grading.meets_criterion`
+reads; the search for a grading that monomial holonomy preserves is
+`grading.find_weights` on the generators of F.
 
 Every condition is decided on the generators of F.  Being an
 automorphism, preserving a grading, commuting with a map and being
@@ -15,11 +16,7 @@ so its first level `elements[1:1+k]` is the k distinct non-identity
 generators sorted by key.  The identity passes every test, and if some
 element fails then some generator fails, so the first failing element in
 that order is a generator, at index 1 + its position among them; a
-rejection names the same element as a loop over all of F would.  The
-equalities w_j = w_sigma(j) from the generators' permutations cut out the
-same subspace as those from all of F (its orbits on the basis are the
-generators' orbits), and `solve` returns the canonical point of that
-set, so the weights do not change either.
+rejection names the same element as a loop over all of F would.
 """
 
 from __future__ import annotations
@@ -30,9 +27,8 @@ import numpy as np
 
 from . import matrices as mx
 from . import specmaps
-from .grading import Grading, preserved_by, verify_grading, weight_equations, weights_label
+from .grading import Grading, meets_criterion, preserved_by, verify_grading, weights_label
 from .liealg import LieAlgebra, is_automorphism, violated_bracket
-from .linineq import solve
 from .serialize import grading_to_dict, matrix_to_lists
 from .verdict import Verdict
 
@@ -131,9 +127,7 @@ def check_expinfra(algebra: LieAlgebra, group: HolonomyGroup, certificate) -> Ve
     if not holonomy_is_valid(algebra, group):
         raise ValueError("holonomy elements must be automorphisms of the algebra")
     if isinstance(certificate, Grading):
-        return _check_grading_condition(
-            algebra, group, certificate, "expinfra", "positive"
-        )
+        return _check_grading_condition(algebra, group, certificate, positive=True)
     if isinstance(certificate, np.ndarray):
         m = certificate
         problems = []
@@ -154,9 +148,7 @@ def check_covinfra(algebra: LieAlgebra, group: HolonomyGroup, certificate) -> Ve
     if not holonomy_is_valid(algebra, group):
         raise ValueError("holonomy elements must be automorphisms of the algebra")
     if isinstance(certificate, Grading):
-        return _check_grading_condition(
-            algebra, group, certificate, "covinfra", "nonnegative-nontrivial"
-        )
+        return _check_grading_condition(algebra, group, certificate, positive=False)
     if isinstance(certificate, np.ndarray):
         m = certificate
         if m.shape != (algebra.dim, algebra.dim):
@@ -196,21 +188,21 @@ def _check_map_condition(group, m, cond, problems, certificate, note) -> Verdict
     return Verdict("accept", condition=cond, certificate=certificate, diagnostics=[note])
 
 
-def _check_grading_condition(algebra, group, grading, theorem, wanted) -> Verdict:
-    cond = f"{theorem}-cond-2"
+def _check_grading_condition(algebra, group, grading, positive) -> Verdict:
+    cond = "expinfra-cond-2" if positive else "covinfra-cond-2"
     v = verify_grading(algebra, grading)
     if not v.accepted():
         return Verdict(
             "reject", condition=cond, certificate=v.certificate, diagnostics=v.diagnostics
         )
     label = weights_label(grading.weights)
-    labels_ok = {"positive"} if wanted == "positive" else {"positive", "nonnegative-nontrivial"}
-    if label not in labels_ok:
+    if not meets_criterion(label, positive):
+        need = "positive" if positive else "nonnegative-nontrivial"
         return Verdict(
             "reject",
             condition=cond,
             certificate=grading_to_dict(grading),
-            diagnostics=[f"grading classifies as {label}, need {wanted}"],
+            diagnostics=[f"grading classifies as {label}, need {need}"],
         )
     bad = _first_failing(group, lambda f: preserved_by(grading, f))
     if bad is not None:
@@ -229,39 +221,3 @@ def _check_grading_condition(algebra, group, grading, theorem, wanted) -> Verdic
         certificate=grading_to_dict(grading),
         diagnostics=[f"{label} grading preserved by all {len(group)} holonomy elements"],
     )
-
-
-# -- restricted equivariant search -------------------------------------------
-
-
-def monomial_permutation(m: np.ndarray) -> list[int] | None:
-    """sigma with m e_j = c e_{sigma(j)} if m is monomial, else None."""
-    n = m.shape[0]
-    sigma = []
-    for j in range(n):
-        nz = [i for i in range(n) if m[i, j] != 0]
-        if len(nz) != 1:
-            return None
-        sigma.append(nz[0])
-    if sorted(sigma) != list(range(n)):
-        return None
-    return sigma
-
-
-def equivariant_weight_search(
-    algebra: LieAlgebra, group: HolonomyGroup, mode: str
-) -> tuple[int, ...] | None:
-    """Weight system invariant under a monomial holonomy group.
-
-    mode is "positive" or "nonneg-nontrivial".  Non-monomial holonomy is
-    outside the supported search class; supply a certificate instead.
-    """
-    if mode not in ("positive", "nonneg-nontrivial"):
-        raise ValueError(f"unknown mode {mode!r}")
-    eqs = weight_equations(algebra)
-    for f in group.generators:
-        sigma = monomial_permutation(f)
-        if sigma is None:
-            raise ValueError("search unsupported, use certificate mode")
-        eqs += [{j: 1, s: -1} for j, s in enumerate(sigma) if s != j]
-    return solve(eqs, [], [1 if mode == "positive" else 0] * algebra.dim)

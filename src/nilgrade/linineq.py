@@ -8,9 +8,10 @@ are eliminated once, by `matrices.gauss_jordan` on reversed variable
 indices: pivots then fall on the highest-index variables, so every
 dependent variable is a linear function of lower-index free ones.
 Rational feasibility of what is left is decided by Fourier-Motzkin
-elimination with Fractions; the systems here are tiny (one free variable
-per independent weight), so the classical doubly-exponential worst case
-never bites.  The canonical integer point is then found by shell
+elimination with Fractions.  Its doubly-exponential blow-up hits
+infeasible systems with mixed-sign rows (12 random infeasible rows over
+4 variables take seconds); the weight systems posed today are not of
+that shape.  The canonical integer point is then found by shell
 enumeration: smallest possible maximum coordinate first,
 lexicographically smallest within that shell, branching on free
 variables only and computing the dependent ones.  The enumeration needs

@@ -30,7 +30,7 @@ from math import ceil, lcm, log2, prod
 import numpy as np
 
 from . import matrices as mx
-from .grading import Grading, classify, preserved_by, weight_equations
+from .grading import Grading, classify, meets_criterion, preserved_by, weight_equations
 from .liealg import LieAlgebra, is_automorphism
 from .linineq import solve
 from .polynomials import Polynomial, factor_order_key, poly_xgcd, squarefree_part
@@ -164,21 +164,18 @@ def _norm_classes(profile: NormProfile) -> list[tuple[Fraction, np.ndarray]]:
     ]
 
 
-def _grading_from_classes(
-    algebra: LieAlgebra,
-    classes: list[tuple[Fraction, np.ndarray]],
-    zero_for_value_one: bool,
-) -> Grading:
+def _grading_from_classes(algebra: LieAlgebra, classes: list[tuple[Fraction, np.ndarray]]) -> Grading:
     """Integer weights for multiplicative norm classes, canonicalized.
 
     The weight equations are posed on the algebra re-based on the stacked
     classes, one variable per class: w_a + w_b = w_{a*b} whenever
     [V_a, V_b] != 0.  Each nonzero structure constant there must land in
     the class of the product value (multiplicativity of the norm on
-    brackets).  Weights strictly increase with the value, value-1 classes
-    pin to 0 when requested, everything else is >= 1.  Feasible by
-    construction (log of the values solves it over R and the system is
-    rational); infeasibility would be an internal invariant violation.
+    brackets).  Weights strictly increase with the value, a value-1 class
+    (which only a self-cover witness has) pins to 0, everything else is
+    >= 1.  Feasible by construction (log of the values solves it over R
+    and the system is rational); infeasibility would be an internal
+    invariant violation.
     """
     values = [v for v, _ in classes]
     nvars = len(values)
@@ -187,7 +184,7 @@ def _grading_from_classes(
     for (x, y), terms in rebased.terms.items():
         if any(values[var[z]] != values[var[x]] * values[var[y]] for z in terms):
             raise RuntimeError("norm multiplicativity violated on brackets")
-    pinned = [zero_for_value_one and v == 1 for v in values]
+    pinned = [v == 1 for v in values]
     eqs = weight_equations(rebased, var) + [{a: 1} for a in range(nvars) if pinned[a]]
     # strictly order-preserving renaming keeps distinct classes apart
     ineqs = [({a: 1, a - 1: -1}, 1) for a in range(1, nvars)]
@@ -212,11 +209,10 @@ def grading_from_profile(
     classes = _norm_classes(profile)
     if positive and any(v <= 1 for v, _ in classes):
         raise RuntimeError("expanding map produced a norm value <= 1")
-    g = _grading_from_classes(algebra, classes, zero_for_value_one=not positive)
-    allowed = {"positive"} if positive else {"positive", "nonnegative-nontrivial"}
+    g = _grading_from_classes(algebra, classes)
     label = classify(algebra, g)
-    if label not in allowed:
-        raise RuntimeError(f"extracted grading is {label}, not {' or '.join(sorted(allowed))}")
+    if not meets_criterion(label, positive):
+        raise RuntimeError(f"extracted grading is {label}, which does not meet the criterion")
     if not preserved_by(g, m):
         raise RuntimeError("extracted grading is not preserved by the input map")
     return g

@@ -32,8 +32,7 @@ import numpy as np
 
 from nilgrade import matrices as mx
 from nilgrade.intutil import factor_int
-from nilgrade.grading import preserved_by, weight_equations
-from nilgrade.holonomy import monomial_permutation
+from nilgrade.grading import monomial_permutation, preserved_by, weight_equations
 from nilgrade.liealg import LieAlgebra, derivations, is_automorphism
 from nilgrade.linineq import solve
 from nilgrade.polynomials import Polynomial, _integer_primitive, factor_order_key, squarefree_decomposition
@@ -509,18 +508,16 @@ def first_failing_all(group, ok):
     return next((i for i, f in enumerate(group) if not ok(f)), None)
 
 
-def equivariant_weight_search_all(algebra, group, mode):
-    """`holonomy.equivariant_weight_search` with the equalities w_j = w_sigma(j)
-    of every element of the group."""
-    if mode not in ("positive", "nonneg-nontrivial"):
-        raise ValueError(f"unknown mode {mode!r}")
+def equivariant_weight_search_all(algebra, group, positive):
+    """`grading.find_weights` with the equalities w_j = w_sigma(j) of every
+    element of the group."""
     eqs = weight_equations(algebra)
     for f in group:
         sigma = monomial_permutation(f)
         if sigma is None:
             raise ValueError("search unsupported, use certificate mode")
         eqs += [{j: 1, s: -1} for j, s in enumerate(sigma) if s != j]
-    return solve(eqs, [], [1 if mode == "positive" else 0] * algebra.dim)
+    return solve(eqs, [], [int(positive)] * algebra.dim)
 
 
 # -- the ladder ----------------------------------------------------------------

@@ -16,7 +16,7 @@ from nilgrade import liealg, matrices as mx
 from nilgrade.fixtures import CORPUS_6DIM, load_algebra, load_holonomy, load_map
 from nilgrade.grading import (
     classify,
-    find_positive_weights,
+    find_weights,
     grading_from_weights,
     phi_p,
     preserved_by,
@@ -47,7 +47,7 @@ def test_criterion_01_notcohopf_determinant():
 
 def test_criterion_02_notcohopf_negative():
     algebra = load_algebra("notcohopf")
-    assert find_positive_weights(algebra) is None
+    assert find_weights(algebra, positive=True) is None
     phi = load_map("notcohopf", "phi")
     assert is_expanding(phi) is False
     report(2, "no positive basis-aligned weights; phi is not expanding")
@@ -150,7 +150,7 @@ def test_criterion_07_grading_round_trip():
     count = 0
     for name in CORPUS_6DIM:
         algebra = load_algebra(name)
-        w = find_positive_weights(algebra)
+        w = find_weights(algebra, positive=True)
         assert w is not None
         g = grading_from_weights(algebra, w)
         for p in (2, 3, 5):
@@ -171,7 +171,7 @@ def test_criterion_08_dimension_spot_check():
     for name in CORPUS_6DIM:
         algebra = load_algebra(name)
         assert algebra.dim <= 6
-        w = find_positive_weights(algebra)
+        w = find_weights(algebra, positive=True)
         assert w is not None and all(x >= 1 for x in w)
     report(8, f"all {len(CORPUS_6DIM)} algebras of dimension <= 6 admit positive weights")
 
@@ -183,7 +183,7 @@ def test_criterion_09_projection_compatibility():
     cases.append(("notcohopf", load_map("notcohopf", "phi")))
     for name in CORPUS_6DIM:
         algebra = load_algebra(name)
-        w = find_positive_weights(algebra)
+        w = find_weights(algebra, positive=True)
         g = grading_from_weights(algebra, w)
         cases.append((name, phi_p(algebra, g, 2)))
     for name, m in cases:

@@ -428,7 +428,7 @@ class TestHolonomyDimension:
         f.write_text(json.dumps({"generators": [gen]}))
         assert main([cmd[0], "heisenberg3", "--holonomy", str(f)] + cmd[1:]) == 2
         out = capsys.readouterr()
-        assert out.out == "" and out.err == "error: matrix dimension mismatch\n"
+        assert out.out == "" and out.err == f"error: {f}: matrix dimension mismatch\n"
 
 
 class TestDeterminism:

@@ -10,9 +10,9 @@ from nilgrade.fixtures import ALL_FIXTURES, load_algebra, load_holonomy, load_ma
 from nilgrade.grading import (
     Grading,
     classify,
-    find_nonneg_nontrivial_weights,
-    find_positive_weights,
+    find_weights,
     grading_from_weights,
+    meets_criterion,
     phi_p,
     preserved_by,
     verify_grading,
@@ -101,7 +101,7 @@ def seeded_gradings(count: int, seed: int = 10):
     for i in range(count):
         a = algebras[ALL_FIXTURES[i % len(ALL_FIXTURES)]]
         n = a.dim
-        found = (find_positive_weights if i % 2 else find_nonneg_nontrivial_weights)(a)
+        found = find_weights(a, positive=bool(i % 2))
         ws = list(found) if found is not None and rng.random() < 0.6 else [rng.randint(-1, 3) for _ in range(n)]
         same_weight = rng.random() < 0.5
         p = mx.identity(n)
@@ -157,6 +157,20 @@ class TestClassify:
             classify(heisenberg(), g)
 
 
+@pytest.mark.parametrize(
+    "label, expansion, self_cover",
+    [
+        ("positive", True, True),
+        ("nonnegative-nontrivial", False, True),
+        ("trivial", False, False),
+        ("other", False, False),
+    ],
+)
+def test_meets_criterion_truth_table(label, expansion, self_cover):
+    assert meets_criterion(label, positive=True) is expansion
+    assert meets_criterion(label, positive=False) is self_cover
+
+
 class TestWeightSolutionSpace:
     def test_abelian_full(self):
         assert weight_solution_space(load_algebra("abelian3")).shape[1] == 3
@@ -181,23 +195,23 @@ class TestWeightSolutionSpace:
 
 class TestWeightSearch:
     def test_heisenberg_canonical(self):
-        assert find_positive_weights(heisenberg()) == (1, 1, 2)
+        assert find_weights(heisenberg(), positive=True) == (1, 1, 2)
 
     def test_nilp5_none(self):
         n5 = load_algebra("nilp5")
-        assert find_positive_weights(n5) is None
-        assert find_nonneg_nontrivial_weights(n5) is None
+        assert find_weights(n5, positive=True) is None
+        assert find_weights(n5, positive=False) is None
 
     def test_notcohopf_expected_weights(self):
         n = load_algebra("notcohopf")
-        assert find_positive_weights(n) is None
-        assert find_nonneg_nontrivial_weights(n) == (0, 1, 1, 1, 2, 2, 3)
+        assert find_weights(n, positive=True) is None
+        assert find_weights(n, positive=False) == (0, 1, 1, 1, 2, 2, 3)
 
     def test_gcd_one(self):
         from math import gcd
 
         for name in ALL_FIXTURES:
-            w = find_positive_weights(load_algebra(name))
+            w = find_weights(load_algebra(name), positive=True)
             if w:
                 assert gcd(*w) == 1 if len(w) > 1 else w[0] == 1
 
@@ -206,13 +220,13 @@ class TestWeightSearch:
         # [0, 6]^n nonzero (non-negative) on every bundled algebra
         for name in ALL_FIXTURES:
             algebra = load_algebra(name)
-            pos = find_positive_weights(algebra)
+            pos = find_weights(algebra, positive=True)
             brute = exhaustive_weights(algebra, 1, 6)
             assert (pos is not None) == bool(brute)
             if pos is not None:
                 assert pos in brute  # solver output satisfies the constraints
                 assert max(pos) == min(max(w) for w in brute)  # minimal max
-            nn = find_nonneg_nontrivial_weights(algebra)
+            nn = find_weights(algebra, positive=False)
             brute_nn = exhaustive_weights(algebra, 0, 6, nontrivial_nonneg=True)
             assert (nn is not None) == bool(brute_nn)
             if nn is not None:
@@ -222,7 +236,7 @@ class TestWeightSearch:
     def test_lex_minimality_at_minimal_max(self):
         for name in ("heisenberg3", "sixdim_class3", "notcohopf"):
             algebra = load_algebra(name)
-            w = find_positive_weights(algebra) or find_nonneg_nontrivial_weights(algebra)
+            w = find_weights(algebra, positive=True) or find_weights(algebra, positive=False)
             lo = 0 if 0 in w else 1
             brute = exhaustive_weights(algebra, lo, max(w), nontrivial_nonneg=(lo == 0))
             same_max = [x for x in brute if max(x) == max(w)]
@@ -254,7 +268,7 @@ class TestGradingFromWeights:
     def test_verify_accepts_result(self):
         for name in ALL_FIXTURES:
             algebra = load_algebra(name)
-            w = find_positive_weights(algebra)
+            w = find_weights(algebra, positive=True)
             if w is None:
                 continue
             g = grading_from_weights(algebra, w)
@@ -286,7 +300,7 @@ class TestPhiP:
     def test_eigenvalues_and_determinant(self):
         for name in ("heisenberg5", "filiform5", "sixdim_class4"):
             algebra = load_algebra(name)
-            w = find_positive_weights(algebra)
+            w = find_weights(algebra, positive=True)
             g = grading_from_weights(algebra, w)
             for p in (2, 3):
                 m = phi_p(algebra, g, p)

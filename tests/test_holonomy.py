@@ -10,16 +10,14 @@ from nilgrade import holonomy
 from nilgrade import matrices as mx
 from nilgrade.cli import _load_holonomy
 from nilgrade.fixtures import HOLONOMY_FIXTURES, load_algebra, load_holonomy, load_map
-from nilgrade.grading import grading_from_weights, phi_p
+from nilgrade.grading import find_weights, grading_from_weights, monomial_permutation, phi_p
 from nilgrade.holonomy import (
     HolonomyGroup,
     check_covinfra,
     check_expinfra,
     close_group,
     commutes_with_all,
-    equivariant_weight_search,
     holonomy_is_valid,
-    monomial_permutation,
     preserves_grading_all,
 )
 from nilgrade.liealg import LieAlgebra
@@ -222,24 +220,24 @@ class TestEquivariantSearch:
     def test_trivial_group_reduces_to_plain_search(self):
         h = heisenberg()
         group = close_group([mx.identity(3)])
-        assert equivariant_weight_search(h, group, "positive") == (1, 1, 2)
+        assert find_weights(h, True, group.generators) == (1, 1, 2)
 
     def test_swap_symmetric_weights(self):
         h = heisenberg()
         group = load_holonomy("heisenberg3_swap")
-        assert equivariant_weight_search(h, group, "positive") == (1, 1, 2)
+        assert find_weights(h, True, group.generators) == (1, 1, 2)
 
     def test_asymmetric_constraint_changes_answer(self):
         # free 2-dim abelian with a swap: weights must be equal
         a = LieAlgebra(2, {})
         swap = close_group([mx.rmat([[0, 1], [1, 0]])])
-        assert equivariant_weight_search(a, swap, "positive") == (1, 1)
+        assert find_weights(a, True, swap.generators) == (1, 1)
 
     def test_nilp5_none(self):
         n5 = load_algebra("nilp5")
         group = close_group([mx.identity(7)])
-        assert equivariant_weight_search(n5, group, "positive") is None
-        assert equivariant_weight_search(n5, group, "nonneg-nontrivial") is None
+        assert find_weights(n5, True, group.generators) is None
+        assert find_weights(n5, False, group.generators) is None
 
     def test_rotation_is_monomial(self):
         # 90-degree rotation is a signed permutation: search supports it
@@ -247,7 +245,7 @@ class TestEquivariantSearch:
         assert monomial_permutation(rot) == [1, 0, 2]
         h = heisenberg()
         group = close_group([rot])
-        assert equivariant_weight_search(h, group, "positive") == (1, 1, 2)
+        assert find_weights(h, True, group.generators) == (1, 1, 2)
 
     def test_non_monomial_rejected(self):
         h = heisenberg()
@@ -255,12 +253,12 @@ class TestEquivariantSearch:
         assert len(group) == 3
         assert any(monomial_permutation(f) is None for f in group)
         with pytest.raises(ValueError, match="search unsupported"):
-            equivariant_weight_search(h, group, "positive")
+            find_weights(h, True, group.generators)
 
     def test_result_is_preserved(self):
         h = heisenberg()
         group = load_holonomy("heisenberg3_swap")
-        w = equivariant_weight_search(h, group, "positive")
+        w = find_weights(h, True, group.generators)
         g = grading_from_weights(h, w)
         assert preserves_grading_all(group, g)
 
@@ -370,14 +368,14 @@ def test_generators_decide_like_every_element(case):
     for g in positive + nonneg:
         assert preserves_grading_all(group, g) == oracles.preserves_grading_every(group, g)
 
-    for mode in ("positive", "nonneg-nontrivial"):
+    for criterion in (True, False):
         try:
-            want = oracles.equivariant_weight_search_all(algebra, group, mode)
+            want = oracles.equivariant_weight_search_all(algebra, group, criterion)
         except ValueError as e:
             with pytest.raises(ValueError, match=str(e)):
-                equivariant_weight_search(algebra, group, mode)
+                find_weights(algebra, criterion, group.generators)
         else:
-            assert equivariant_weight_search(algebra, group, mode) == want
+            assert find_weights(algebra, criterion, group.generators) == want
 
     if not valid:
         for check in (check_expinfra, check_covinfra):

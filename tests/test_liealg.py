@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nilgrade import liealg, matrices as mx
 from nilgrade.fixtures import ALL_FIXTURES, load_algebra, load_map
-from nilgrade.grading import Grading, find_nonneg_nontrivial_weights, find_positive_weights, verify_grading
+from nilgrade.grading import Grading, find_weights, verify_grading
 from nilgrade.liealg import (
     LieAlgebra,
     abelianization,
@@ -351,7 +351,7 @@ def aligned_gradings(algebra):
     (rarely homogeneous)."""
     n = algebra.dim
     eye = mx.identity(n)
-    for ws in (find_positive_weights(algebra), find_nonneg_nontrivial_weights(algebra), range(1, n + 1)):
+    for ws in (find_weights(algebra, positive=True), find_weights(algebra, positive=False), range(1, n + 1)):
         if ws is not None:
             yield Grading(tuple((w, eye[:, [i for i in range(n) if ws[i] == w]]) for w in sorted(set(ws))))
 
@@ -611,7 +611,7 @@ class TestSparseMapChecks:
         # r, r^2, ... have mixed denominators, so the map clears over d > 1
         rng = random.Random(6143)
         n = algebra.dim
-        w = find_positive_weights(algebra) or (0,) * n
+        w = find_weights(algebra, positive=True) or (0,) * n
         ders = derivations(algebra)
         for r in (Fraction(2, 3), Fraction(-5, 4), Fraction(7, 6)):
             phi = mx.diag([r**x for x in w])

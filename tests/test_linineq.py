@@ -7,13 +7,17 @@ max coordinate, then lexicographically smallest, max >= 1) can be read
 off directly on small inputs.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
-from nilgrade.fixtures import ALL_FIXTURES, load_algebra, load_holonomy
-from nilgrade.grading import find_nonneg_nontrivial_weights, find_positive_weights, weight_equations
-from nilgrade.holonomy import equivariant_weight_search, monomial_permutation
+from nilgrade.fixtures import ALL_FIXTURES, HOLONOMY_FIXTURES, load_algebra, load_holonomy
+from nilgrade.grading import find_weights, monomial_permutation, weight_equations
+from nilgrade.holonomy import close_group
 from nilgrade.liealg import LieAlgebra
 from nilgrade.linineq import solve
+from nilgrade.serialize import holonomy_payload
 
 
 def enumerate_integer_points(eqs, lows, highs):
@@ -119,30 +123,45 @@ def test_weights_with_equalities_match_brute_force(name, low):
     check_against_oracle(eqs, [low] * n)
 
 
-@pytest.mark.parametrize("mode", ["positive", "nonneg-nontrivial"])
-@pytest.mark.parametrize("hol", ["heisenberg3_sign", "heisenberg3_swap"])
-def test_fixture_holonomy_matches_brute_force(hol, mode):
+GOLDEN_HOLONOMY = Path(__file__).resolve().parent / "golden" / "holonomy"
+HOLONOMY_GROUPS = list(HOLONOMY_FIXTURES) + [p.stem for p in sorted(GOLDEN_HOLONOMY.glob("*.json"))]
+
+
+def holonomy_group(name):
+    if name in HOLONOMY_FIXTURES:
+        return load_holonomy(name)
+    return close_group(*holonomy_payload(json.loads((GOLDEN_HOLONOMY / f"{name}.json").read_text())))
+
+
+@pytest.mark.parametrize("positive", [True, False], ids=["positive", "nonneg-nontrivial"])
+@pytest.mark.parametrize("hol", HOLONOMY_GROUPS)
+def test_fixture_holonomy_matches_brute_force(hol, positive):
     alg = load_algebra("heisenberg3")
-    group = load_holonomy(hol)
-    pairs = [(j, s) for f in group for j, s in enumerate(monomial_permutation(f)) if s != j]
-    low = 1 if mode == "positive" else 0
-    want = oracle(weight_equations(alg) + orbit_equalities(pairs), [low] * 3, 6)
-    assert equivariant_weight_search(alg, group, mode) == want
+    group = holonomy_group(hol)
+    sigmas = [monomial_permutation(f) for f in group]
+    if None in sigmas:
+        # monomial maps are closed under products, so some generator is not monomial
+        with pytest.raises(ValueError, match="search unsupported"):
+            find_weights(alg, positive, group.generators)
+        return
+    pairs = [(j, s) for sigma in sigmas for j, s in enumerate(sigma) if s != j]
+    want = oracle(weight_equations(alg) + orbit_equalities(pairs), [int(positive)] * 3, 6)
+    assert find_weights(alg, positive, group.generators) == want
 
 
 def test_characteristically_nilpotent_has_no_weights():
     nilp5 = load_algebra("nilp5")
-    assert find_positive_weights(nilp5) is None
-    assert find_nonneg_nontrivial_weights(nilp5) is None
+    assert find_weights(nilp5, positive=True) is None
+    assert find_weights(nilp5, positive=False) is None
     assert oracle(weight_equations(nilp5), [0] * 7, 6) is None
 
 
 def test_filiform_weights():
-    assert find_positive_weights(filiform(20)) == (1, 1) + tuple(range(2, 20))
+    assert find_weights(filiform(20), positive=True) == (1, 1) + tuple(range(2, 20))
 
 
 def test_filiform_past_max_weight_64():
-    assert find_positive_weights(filiform(66)) == (1, 1) + tuple(range(2, 66))
+    assert find_weights(filiform(66), positive=True) == (1, 1) + tuple(range(2, 66))
 
 
 # -- systems built by hand -----------------------------------------------------

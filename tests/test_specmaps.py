@@ -7,7 +7,7 @@ import pytest
 
 from nilgrade import matrices as mx
 from nilgrade.fixtures import CORPUS_6DIM, load_algebra, load_holonomy, load_map
-from nilgrade.grading import classify, find_positive_weights, grading_from_weights, phi_p, preserved_by
+from nilgrade.grading import classify, find_weights, grading_from_weights, phi_p, preserved_by
 from nilgrade.liealg import LieAlgebra, derivations, is_automorphism
 from nilgrade.polynomials import Polynomial, poly_gcd, squarefree_part
 from nilgrade.specmaps import (
@@ -91,7 +91,7 @@ class TestSchurChain:
 
     def test_phi_2_of_filiform_16_is_expanding(self):
         algebra = LieAlgebra(16, {(0, i - 1): [int(k == i) for k in range(16)] for i in range(2, 16)})
-        assert is_expanding(phi_p(algebra, grading_from_weights(algebra, find_positive_weights(algebra)), 2))
+        assert is_expanding(phi_p(algebra, grading_from_weights(algebra, find_weights(algebra, positive=True)), 2))
 
 
 class TestIsExpanding:
@@ -270,7 +270,7 @@ def seeded_nonsemisimple_automorphisms(seed):
     out = []
     for algebra in (oracles.filiform(5), oracles.filiform(7), oracles.heisenberg(2), oracles.heisenberg(3)):
         n = algebra.dim
-        g = grading_from_weights(algebra, find_positive_weights(algebra))
+        g = grading_from_weights(algebra, find_weights(algebra, positive=True))
         eye = mx.identity(n)
         for p in (2, 3):
             phi = phi_p(algebra, g, p)
@@ -427,7 +427,7 @@ class TestExpandingToPositiveGrading:
         # extraction from phi_p(G, p) recovers G's basis weight function
         for name in CORPUS_6DIM:
             algebra = load_algebra(name)
-            w = find_positive_weights(algebra)
+            w = find_weights(algebra, positive=True)
             g = grading_from_weights(algebra, w)
             for p in (2, 3):
                 extracted = expanding_to_positive_grading(algebra, phi_p(algebra, g, p))
@@ -504,7 +504,7 @@ class TestCompositeCriterion:
         # phi_p of the found grading is expanding, on every bundled algebra
         for name in CORPUS_6DIM + ("nilp5", "notcohopf"):
             algebra = load_algebra(name)
-            w = find_positive_weights(algebra)
+            w = find_weights(algebra, positive=True)
             if w is None:
                 # basis-aligned scope: the bundled witnesses must not expand
                 if name == "notcohopf":
