@@ -3,10 +3,15 @@
 Primality is deterministic Miller-Rabin, a proof below `PRIME_PROOF_LIMIT`
 and refused above it.  Factorization is plain trial division: desk-scale
 moduli, the small primes a factorization over Q works modulo, and the
-p^i - 1 (i <= n) that bound matrix orders mod p.
+p^i - 1 (i <= n) that bound matrix orders mod p.  The least exponent of a
+group element is found from a known multiple N by one product tree over
+the prime powers of N: each tree level raises by about log N bits of
+exponent in all, and no candidate exponent is raised from scratch.
 """
 
 from __future__ import annotations
+
+from math import prod
 
 # Miller-Rabin to the 13 prime bases 2..41 proves primality of every n below
 # this (Sorenson & Webster, Math. Comp. 86, 2017; the least strong
@@ -57,14 +62,31 @@ def factor_int(n: int) -> dict[int, int]:
     return out
 
 
-def least_exponent(multiple: int, holds) -> int:
-    """Least k >= 1 with holds(k), given holds(multiple).
+def least_exponent(multiple: int, x, power, holds) -> int:
+    """Least k >= 1 with holds(x^k), given holds(x^multiple).
 
-    Exact when the k with holds(k) form a subgroup of Z: the least one
-    divides `multiple`, and dividing out primes while holds() lasts finds it.
+    Exact when the k with holds(x^k) form a subgroup kZ of Z: then k
+    divides N = `multiple`, and for q^e exactly dividing N the q-part of k
+    is the least q^j with holds(x^(N / q^(e - j))), because that element
+    passes iff k divides N / q^(e - j).  The starting elements x^(N / q^e)
+    come from one product tree over the prime powers of N, and each leaf
+    steps y <- y^q.  `power(y, e)` is y^e in the group.
     """
-    k = multiple
-    for q in factor_int(multiple):
-        while k % q == 0 and holds(k // q):
-            k //= q
-    return k
+
+    def descend(y, leaves):
+        if len(leaves) == 1:
+            ((q, e),) = leaves
+            k = 1
+            for _ in range(e):
+                if holds(y):
+                    break
+                y, k = power(y, q), k * q
+            return k
+        half = len(leaves) // 2
+        left, right = leaves[:half], leaves[half:]
+        return descend(power(y, prod(q**e for q, e in right)), left) * descend(
+            power(y, prod(q**e for q, e in left)), right
+        )
+
+    leaves = list(factor_int(multiple).items())
+    return descend(x, leaves) if leaves else 1

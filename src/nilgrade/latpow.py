@@ -56,14 +56,18 @@ class LatticePowerCertificate:
             power, j = power @ power, 2 * j
 
 
-def denominator_primes(p: np.ndarray) -> tuple[list[int], int]:
-    """(primes, m): m multiplies every entry denominator of P and P^-1."""
-    if mx.det(p) == 0:
-        raise ValueError("matrix is singular")
+def denominator_primes(p: np.ndarray, p_inv: np.ndarray | None = None) -> tuple[list[int], int]:
+    """(primes, m): m multiplies every entry denominator of P and P^-1.
+
+    `p_inv` is P^-1 when the caller has it already; a singular P raises
+    ValueError from `mx.inverse`.
+    """
+    if p_inv is None:
+        p_inv = mx.inverse(p)
     m = 1
     for e in p.flat:
         m *= e.denominator
-    for e in mx.inverse(p).flat:
+    for e in p_inv.flat:
         m *= e.denominator
     return sorted(factor_int(m)), m
 
@@ -88,16 +92,22 @@ def power_into_lattice(a: np.ndarray, lattice: IntegerLattice) -> LatticePowerCe
     d = mx.det(a)
     if d == 0:
         raise ValueError("matrix is singular")
-    primes, m = denominator_primes(lattice.basis)
+    p_inv = mx.inverse(lattice.basis)
+    primes, m = denominator_primes(lattice.basis, p_inv)
     g = int_gcd(abs(int(d)), m)
     if g != 1:
         p = min(factor_int(g))
         raise ObstructionPrime(p)
     bound = mx.order_mod(a, m)
-    u, d1 = mx.cleared(mx.inverse(lattice.basis))
+    u, d1 = mx.cleared(p_inv)
     v, d2 = mx.cleared(lattice.basis)
     m0 = d1 * d2  # divides m, so the order bound still applies
-    k = least_exponent(bound, lambda k: ((u @ mx._mat_pow_mod(a_int, k, m0) @ v) % m0 == 0).all())
+    k = least_exponent(
+        bound,
+        a_int % m0,
+        lambda y, e: mx._mat_pow_mod(y, e, m0),
+        lambda y: ((u @ y @ v) % m0 == 0).all(),
+    )
     return LatticePowerCertificate(tuple(primes), m, k, bound, a.copy(), lattice.basis)
 
 
@@ -117,6 +127,20 @@ def orbit_escapes_lattice(a: np.ndarray, v: np.ndarray, bound: int) -> Verdict:
     integers: with M = d_A A and d_v v cleared once, A^k v = x / D for an
     integer vector x and one denominator D > 0, kept in lowest terms by one
     gcd per step, so A^k v is integral exactly when D = 1.
+
+    The scan stops as soon as the rest of the orbit is decided:
+    - D = 1 with d_A = 1 or x = 0: A is integral, or A^k v = 0, so every
+      later A^k v is integral too.
+    - p | D with p | d_A, p ∤ det M: M is in GL(n, Z_p), so it keeps the
+      p-adic valuation of x while D gains p^(v_p(d_A)) a step, and p never
+      leaves D.  These p are the primes of the part of d_A prime to det M.
+    - p | D with p | d_v, p ∤ d_A, k >= n (bit_length(d_v) - 1): A^k v is
+      p-integral iff d_v v lies in ker A^k on (Z/p^e)^n, e = v_p(d_v) <=
+      bit_length(d_v) - 1, a chain in a module of length n e, so constant
+      from k = n e on, and p never leaves D.
+    A prime dividing both d_A and det M settles nothing (A = [[0, 1/2],
+    [2, 0]] has period 2), so while D holds only such primes the scan goes
+    on to `bound`.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -125,6 +149,9 @@ def orbit_escapes_lattice(a: np.ndarray, v: np.ndarray, bound: int) -> Verdict:
         raise ValueError("dimension mismatch")
     m, d_a = mx.cleared(a)
     x, den = mx.cleared(v)
+    units = 1 if d_a == 1 else _part_prime_to(d_a, int(mx.det(a) * d_a**n))
+    fitting = _part_prime_to(den, d_a)
+    settle = n * (den.bit_length() - 1)
     integral_ks = []
     first_image = None
     for k in range(1, bound + 1):
@@ -138,6 +165,11 @@ def orbit_escapes_lattice(a: np.ndarray, v: np.ndarray, bound: int) -> Verdict:
             integral_ks.append(k)
             if first_image is None:
                 first_image = [str(e) for e in x]
+            if d_a == 1 or not any(x):
+                integral_ks.extend(range(k + 1, bound + 1))
+                break
+        elif int_gcd(den, units) != 1 or (k >= settle and int_gcd(den, fitting) != 1):
+            break
     if not integral_ks:
         return Verdict(
             "accept",
@@ -155,6 +187,13 @@ def orbit_escapes_lattice(a: np.ndarray, v: np.ndarray, bound: int) -> Verdict:
         },
         diagnostics=[f"A^k v is integral first at k = {integral_ks[0]}"],
     )
+
+
+def _part_prime_to(a: int, b: int) -> int:
+    """The largest divisor of a > 0 prime to b, without factoring (1 when b = 0)."""
+    while (g := int_gcd(a, b)) != 1:
+        a //= g
+    return a
 
 
 def obstruction_primes_pair(l1: IntegerLattice, l2: IntegerLattice) -> list[int]:

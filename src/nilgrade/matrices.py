@@ -435,7 +435,8 @@ def _mat_pow_mod(base: np.ndarray, k: int, modulus: int) -> np.ndarray:
 def order_mod(m: np.ndarray, modulus: int) -> int:
     """Smallest k >= 1 with M^k = I mod modulus (M integral, det invertible).
 
-    Descends from a multiple N of the order.  For p^e exactly dividing the
+    Descends from a multiple N of the order through `least_exponent`'s
+    product tree on M mod the modulus.  For p^e exactly dividing the
     modulus, the kernel of GL(n, Z/p^e) -> GL(n, F_p) has exponent
     p^(e-1); mod p the unipotent part of M dies at p^j >= n and the
     semisimple part has order dividing p^i - 1 for some i <= n (Celler &
@@ -456,4 +457,6 @@ def order_mod(m: np.ndarray, modulus: int) -> int:
         p_part = p ** (e - 1 + (n - 1).bit_length())  # p^(bit length of n - 1) >= n
         multiple = lcm(multiple, p_part, *(p**i - 1 for i in range(1, n + 1)))
     ident = np.identity(n, dtype=object)
-    return least_exponent(multiple, lambda k: (_mat_pow_mod(a, k, modulus) == ident).all())
+    return least_exponent(
+        multiple, a % modulus, lambda y, e: _mat_pow_mod(y, e, modulus), lambda y: (y == ident).all()
+    )

@@ -12,7 +12,8 @@ values, exponential in the degree), and the grading check that solves one
 linear system per nonzero bracket of two component basis vectors.  They
 read only `LieAlgebra.dim` and the dense table that `dense_table` builds
 from `LieAlgebra.terms`.  The Fraction loop
-that `latpow`'s integer orbit scan replaced is kept the same way, and so
+that `latpow`'s integer orbit scan replaced is kept the same way, as is
+the sequential least-exponent descent that the product tree replaced, and so
 is the characteristic-nilpotency test with its Engel flag and witness
 sums in Fractions, and the holonomy conditions tested on every element of
 F rather than on its generators.
@@ -385,6 +386,19 @@ def derivations_dense(algebra):
         return [mx.identity(1)] if n == 1 else []
     kernel = nullspace_dense(mx.rmat(rows))
     return [kernel[:, c].reshape(n, n) for c in range(kernel.shape[1])]
+
+
+# -- least exponents -------------------------------------------------------------
+
+
+def least_exponent_sequential(multiple, holds):
+    """`intutil.least_exponent` as a sequential descent on exponents: divide
+    each prime q of `multiple` out of k while holds(k // q)."""
+    k = multiple
+    for q in factor_int(multiple):
+        while k % q == 0 and holds(k // q):
+            k //= q
+    return k
 
 
 # -- lattice orbits --------------------------------------------------------------

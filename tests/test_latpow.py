@@ -235,6 +235,39 @@ def random_orbit_case(rng, n, kind):
     return a, mx.rvec([Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 4, 6, 9))) for _ in range(n)])
 
 
+def orbit_exit_case(rng, n, kind):
+    """(A, v) in dim n for one of the orbit scan's exits: integral A with a
+    composite d_v, A = M/q with q prime to det M, a scaled signed
+    permutation whose d_A = 2 divides det M (periodic cycles), singular A,
+    or zero A."""
+    dens = (1, 2, 3, 4, 6, 8, 9, 12)
+    if kind == "integral":
+        a = mx.rmat([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        dens = (4, 6, 8, 9, 12, 18)
+    elif kind == "unit":
+        q = rng.choice((2, 3, 5))
+        while True:
+            m = mx.rmat([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+            if int(mx.det(m)) % q:
+                break
+        a = m * Fraction(1, q)
+    elif kind == "periodic":
+        n = max(n, 2)  # in dim 1, d_A is prime to det M
+        while True:
+            scale = [rng.choice((-1, 0, 1)) for _ in range(n)]
+            if -1 in scale and sum(scale) > -n:
+                break
+        a = mx.zeros(n, n)
+        for i, j in enumerate(rng.sample(range(n), n)):
+            a[i, j] = Fraction(2) ** scale[i] * rng.choice((1, -1))
+    elif kind == "singular":
+        a = mx.rmat([[Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(n)] for _ in range(n)])
+        a[n - 1] = a[0] * rng.randint(-2, 2)
+    else:
+        a = mx.zeros(n, n)
+    return a, mx.rvec([Fraction(rng.randint(-8, 8), rng.choice(dens)) for _ in range(n)])
+
+
 class TestOrbitAgainstFraction:
     """The integer scan against the Fraction loop it replaced, as verdict JSON."""
 
@@ -266,6 +299,64 @@ class TestOrbitAgainstFraction:
     def test_edge_cases_match_the_oracle(self, a, v, bound):
         a, v = mx.rmat(a), mx.rvec(v)
         assert orbit_escapes_lattice(a, v, bound).to_json() == orbit_escapes_lattice_fraction(a, v, bound).to_json()
+
+    @pytest.mark.parametrize("kind", ["integral", "unit", "periodic", "singular", "zero"])
+    def test_each_exit_matches_the_oracle(self, kind):
+        rng = random.Random(f"orbit-exit-{kind}")
+        returns = 0
+        for trial in range(60):
+            a, v = orbit_exit_case(rng, 1 + trial % 4, kind)
+            bound = rng.randint(64, 128)
+            got = orbit_escapes_lattice(a, v, bound)
+            assert got.to_json() == orbit_escapes_lattice_fraction(a, v, bound).to_json()
+            returns += got.decision == "reject"
+        # A v = 0 for zero A; every other class both escapes and returns
+        assert returns == 60 if kind == "zero" else 0 < returns < 60
+
+    @pytest.mark.parametrize(
+        "a, v, first",
+        [
+            # ker A^k mod 2^e grows by one step at a time, so the first
+            # integral k is exactly n e = n (bit_length(d_v) - 1)
+            ([[0, 2], [1, 0]], ["1/8", 0], 6),
+            ([[0, 0, 2], [1, 0, 0], [0, 1, 0]], ["1/4", 0, 0], 6),
+            ([[0, 0, 2], [1, 0, 0], [0, 1, 0]], ["1/32", 0, 0], 15),
+            # the same chain next to a 3-part that never clears
+            ([[0, 2, 0], [1, 0, 0], [0, 0, 1]], ["1/8", 0, "1/3"], None),
+            # 2 divides d_A and det M: period 2, integral at every even k
+            ([[0, "1/2"], [2, 0]], [0, 1], 2),
+            # M/q with q prime to det M: integral while v_3 of x lasts
+            ([["2/3", "1/3"], ["1/3", "1/3"]], [27, 0], 1),
+            # nilpotent with a denominator: A^2 v = 0
+            ([[0, "1/2"], [0, 0]], ["1/3", 1], 2),
+        ],
+    )
+    def test_exits_at_their_sharp_steps(self, a, v, first):
+        a, v = mx.rmat(a), mx.rvec(v)
+        for bound in (first or 1, 64, 97):
+            got = orbit_escapes_lattice(a, v, bound)
+            assert got.to_json() == orbit_escapes_lattice_fraction(a, v, bound).to_json()
+        assert (got.certificate["integral_k"] or [None])[0] == first
+
+    @pytest.mark.parametrize(
+        "a, v, integral_k",
+        [
+            # integral A: integral from k = 6 on
+            ([[0, 2], [1, 0]], ["1/8", 0], range(6, 10**6 + 1)),
+            # integral A, and 2 never leaves D after n (bit_length(2) - 1) steps
+            ([[1, 1], [0, 1]], [0, "1/2"], []),
+            # unit prime 3: A^3 v = (13, 8), then 3 stays in D
+            ([["2/3", "1/3"], ["1/3", "1/3"]], [27, 0], [1, 2, 3]),
+            # 3 never leaves D, though 2 divides both d_A and det M
+            ([[0, "1/2", 0], [2, 0, 0], [0, 0, 1]], [0, 1, "1/3"], []),
+        ],
+    )
+    def test_million_step_bound_settles_early(self, a, v, integral_k):
+        got = orbit_escapes_lattice(mx.rmat(a), mx.rvec(v), 10**6)
+        assert got.certificate["integral_k"] == list(integral_k)
+        short = orbit_escapes_lattice_fraction(mx.rmat(a), mx.rvec(v), 128)
+        assert short.certificate["integral_k"] == list(integral_k)[: len(short.certificate["integral_k"])]
+        assert short.decision == got.decision
 
     def test_same_refusals(self):
         for a, v, bound in [(mx.identity(2), mx.rvec([0, 1]), 0), (mx.identity(2), mx.rvec([0, 1, 2]), 3)]:

@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import numpy as np
 import pytest
@@ -11,7 +11,15 @@ from nilgrade import matrices as mx
 from nilgrade.intutil import factor_int, least_exponent
 from nilgrade.matrices import IntegerLattice, hnf, hnf_membership, order_mod
 from nilgrade.polynomials import Polynomial
-from oracles import charpoly_fraction, col_basis_dense, eval_poly_fraction, minpoly, nullspace_dense, rref_dense
+from oracles import (
+    charpoly_fraction,
+    col_basis_dense,
+    eval_poly_fraction,
+    least_exponent_sequential,
+    minpoly,
+    nullspace_dense,
+    rref_dense,
+)
 
 
 def P(*coeffs):
@@ -327,7 +335,7 @@ class TestOrderMod:
             order_mod(mx.rmat([["1/2", 0], [0, 1]]), 3)
 
 
-# -- order by divisor descent against the former scan ------------------------
+# -- orders and least exponents against the former scan and descent ----------
 
 
 def int_mat_pow_mod(m, k, q):
@@ -390,11 +398,79 @@ class TestOrderByDescent:
             assert not is_identity_mod(a, order // q, 1013)
 
 
+def additive(k0):
+    """least_exponent's arguments for x = 1 in the additive group Z, where
+    x^k = k, and holds(k) iff k0 divides k."""
+    return 1, lambda y, e: y * e, lambda y: y % k0 == 0
+
+
 class TestLeastExponent:
     def test_subgroup(self):
-        assert least_exponent(360, lambda k: k % 12 == 0) == 12
-        assert least_exponent(7, lambda k: True) == 1
-        assert least_exponent(2**10, lambda k: k % 2**10 == 0) == 2**10
+        assert least_exponent(360, *additive(12)) == 12
+        assert least_exponent(7, 1, lambda y, e: y * e, lambda y: True) == 1
+        assert least_exponent(2**10, *additive(2**10)) == 2**10
+        assert least_exponent(1, *additive(1)) == 1
+
+    def test_matches_the_sequential_descent(self):
+        # multiples: 1, prime powers, and products of many primes; the
+        # subgroup kZ is drawn from the divisors of the multiple
+        rng = random.Random(5077)
+        primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43]
+        multiples = [1] + [q**e for q in primes[:6] for e in (1, 2, 5)]
+        for _ in range(60):
+            chosen = rng.sample(primes, rng.randint(2, len(primes)))
+            multiples.append(prod(q ** rng.randint(1, 3) for q in chosen))
+        for multiple in multiples:
+            for _ in range(4):
+                k0 = prod(q ** rng.randint(0, e) for q, e in factor_int(multiple).items())
+                got = least_exponent(multiple, *additive(k0))
+                assert got == k0
+                assert got == least_exponent_sequential(multiple, lambda k: k % k0 == 0)
+
+    def test_multiplicative_orders_mod_p(self):
+        # x in (Z/p)^*, multiple p - 1: the least exponent is the order of x
+        rng = random.Random(7919)
+        for p in (3, 101, 7919, 65537, 1_000_003):
+            for _ in range(5):
+                x = rng.randint(1, p - 1)
+                got = least_exponent(p - 1, x, lambda y, e: pow(y, e, p), lambda y: y == 1)
+                assert got == least_exponent_sequential(p - 1, lambda k: pow(x, k, p) == 1)
+                assert pow(x, got, p) == 1
+
+
+def order_by_powering(a, modulus, cap):
+    """Least k <= cap with A^k = I mod modulus, by one product per k; None past cap."""
+    ident = np.identity(a.shape[0], dtype=object)
+    base = mx.cleared(a)[0] % modulus
+    acc = base
+    for k in range(1, cap + 1):
+        if (acc == ident).all():
+            return k
+        acc = (acc @ base) % modulus
+    return None
+
+
+class TestOrderByBruteForce:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_powering(self, n):
+        rng = random.Random(8675309 + n)
+        compared = 0
+        for _ in range(12):
+            while True:
+                modulus = rng.randint(2, 200)
+                a = random_int_matrix(rng, n, -4, 4)
+                if gcd(int(mx.det(a)), modulus) == 1:
+                    break
+            order = order_mod(a, modulus)
+            brute = order_by_powering(a, modulus, 5_000)
+            if brute is None:
+                assert order > 5_000
+                assert is_identity_mod(a, order, modulus)
+                assert all(not is_identity_mod(a, order // q, modulus) for q in factor_int(order))
+            else:
+                compared += 1
+                assert order == brute
+        assert compared >= 8
 
 
 class TestCleared:
