@@ -30,11 +30,12 @@ class LatticePowerCertificate:
     order_bound: int  # order of A in GL(n, Z_m): the proof's witness power
     a: np.ndarray
     basis: np.ndarray
+    basis_inverse: np.ndarray  # P^-1, which `power_into_lattice` has computed anyway
 
     @cached_property
     def conjugated_power(self) -> np.ndarray:
         """P^-1 A^k P, built on first use: it has entries of ~k log10 rho(A) digits."""
-        return mx.matmul(mx.matmul(mx.inverse(self.basis), mx.mat_pow(self.a, self.k)), self.basis)
+        return mx.matmul(mx.matmul(self.basis_inverse, mx.mat_pow(self.a, self.k)), self.basis)
 
     def exceeds_digits(self, digits: int) -> bool:
         """True when some entry of P^-1 A^k P provably has more than `digits` digits.
@@ -108,7 +109,7 @@ def power_into_lattice(a: np.ndarray, lattice: IntegerLattice) -> LatticePowerCe
         lambda y, e: mx._mat_pow_mod(y, e, m0),
         lambda y: ((u @ y @ v) % m0 == 0).all(),
     )
-    return LatticePowerCertificate(tuple(primes), m, k, bound, a.copy(), lattice.basis)
+    return LatticePowerCertificate(tuple(primes), m, k, bound, a.copy(), lattice.basis, p_inv)
 
 
 class ObstructionPrime(ValueError):

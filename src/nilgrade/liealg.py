@@ -1,14 +1,22 @@
 """Rational nilpotent Lie algebras given by structure constants.
 
 The basis is fixed (and 1-indexed in the file format); internally indices
-are 0-based.  Only brackets [X_i, X_j] with i < j are stored, so
+are 0-based.  Only brackets [X_i, X_j] with i < j are given, so
 antisymmetry is structural rather than validated data.
+
+The exact kernels run on Python ints: the structure constants are cleared
+once, at construction, to one int table over one denominator, which the
+Jacobi loop, the lower central series, the derivation system and the map
+checks read.  The derivation basis is returned sparse, as int matrices
+over their denominators, and the characteristic-nilpotency test works on
+it directly; a `Fraction` is made only for an entry that is output.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -16,9 +24,19 @@ from . import matrices as mx
 from .verdict import Verdict
 
 
+_ZERO: dict[int, int] = {}  # the empty sparse vector for lookups that miss; never written
+
+
 class LieAlgebra:
     """dim plus the nonzero structure constants `terms` {(i, j): {k: c}},
-    built from the bracket table {(i, j): coefficient vector}."""
+    built from the bracket table {(i, j): coefficient vector}.
+
+    The exact kernels read `ints` instead: the constants cleared once to
+    ints C = e c over one denominator e = `den`, for both orientations
+    (i, j) and (j, i).  Scaling every constant by e is the isomorphism
+    x -> x / e, so Jacobi zeros, the lower central series and the
+    derivation kernel are those of C.
+    """
 
     def __init__(self, dim: int, brackets: dict[tuple[int, int], "np.ndarray | list"]):
         if dim < 1:
@@ -34,14 +52,12 @@ class LieAlgebra:
             terms = {k: c for k, c in enumerate(v) if c}
             if terms:
                 self.terms[(i, j)] = terms
-
-    def _terms(self, i: int, j: int) -> dict[int, Fraction]:
-        """[X_i, X_j] as {k: c}, for any i and j."""
-        if i < j:
-            return self.terms.get((i, j), {})
-        if i > j:
-            return {k: -c for k, c in self.terms.get((j, i), {}).items()}
-        return {}
+        flat, self.den = mx.cleared(np.array([c for t in self.terms.values() for c in t.values()], dtype=object))
+        constants = iter(flat.tolist())
+        self.ints: dict[tuple[int, int], dict[int, int]] = {}
+        for (i, j), terms in self.terms.items():
+            self.ints[(i, j)] = {k: next(constants) for k in terms}
+            self.ints[(j, i)] = {k: -c for k, c in self.ints[(i, j)].items()}
 
     def bracket(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         if x.shape != (self.dim,) or y.shape != (self.dim,):
@@ -57,23 +73,32 @@ class LieAlgebra:
     def in_basis(self, p: np.ndarray) -> "LieAlgebra":
         """The same algebra in the basis of P's columns: c'_ab = P^-1 [P e_a, P e_b].
 
-        Each bracket is summed over the nonzeros of the two columns only.
+        Runs in ints: with A = d P, B = d' P^-1 and the int constants
+        C = e c, c'_ab = B [A e_a, A e_b]_C / (d' e d^2), each bracket
+        summed over the nonzeros of the two columns only.
         """
         n = self.dim
         if p.shape != (n, n):
             raise ValueError("basis matrix dimension mismatch")
-        p_inv = mx.inverse(p)
-        cols = [{i: x for i, x in enumerate(p[:, a]) if x} for a in range(n)]
+        a_int, d = mx.cleared(p)
+        b_int, d_inv = mx.cleared(mx.inverse(p))
+        b_cols = b_int.T.tolist()
+        den = d_inv * self.den * d * d
+        cols = [{i: x for i, x in enumerate(col) if x} for col in a_int.T.tolist()]
         table = {}
         for a in range(n):
             for b in range(a + 1, n):
-                z: dict[int, Fraction] = {}
+                z: dict[int, int] = {}
                 for i, x in cols[a].items():
                     for j, y in cols[b].items():
-                        for k, c in self._terms(i, j).items():
+                        for k, c in self.ints.get((i, j), _ZERO).items():
                             z[k] = z.get(k, 0) + x * y * c
-                if any(z.values()):
-                    table[(a, b)] = _apply(p_inv, z)
+                out = [0] * n
+                for k, c in z.items():
+                    if c:
+                        out = [o + c * v for o, v in zip(out, b_cols[k])]
+                if any(out):
+                    table[(a, b)] = [Fraction(o, den) for o in out]
         return LieAlgebra(n, table)
 
 
@@ -84,29 +109,36 @@ def bracket(algebra: LieAlgebra, x, y) -> np.ndarray:
 # -- structure ------------------------------------------------------------
 
 
+def _subspace(rows, n: int) -> np.ndarray:
+    """The canonical column basis of the span of sparse rows: their RREF."""
+    return mx.from_rows(mx.gauss_jordan(rows)[0], n).T
+
+
 def derived_subalgebra(algebra: LieAlgebra) -> np.ndarray:
     """[n, n] as the canonical column basis: the RREF of the brackets."""
-    return mx.from_rows(mx.gauss_jordan(algebra.terms.values())[0], algebra.dim).T
+    return _subspace(algebra.terms.values(), algebra.dim)
 
 
-def _series_descent(algebra: LieAlgebra) -> tuple[list[np.ndarray], bool]:
-    """Lower central series and whether it reaches zero (nilpotency)."""
+def _series_descent(algebra: LieAlgebra) -> tuple[list[list[dict[int, int]]], bool]:
+    """Lower central series, each term as its primitive int echelon rows,
+    and whether it reaches zero (nilpotency)."""
     n = algebra.dim
-    prev = [{i: Fraction(1)} for i in range(n)]
-    series = [mx.identity(n)]
+    prev = [{i: 1} for i in range(n)]
+    series = [prev]
     while True:
         spans = []
         for a in range(n):
-            for v in prev:  # [X_a, v]
-                w: dict[int, Fraction] = {}
+            for v in prev:  # [X_a, v], times e
+                w: dict[int, int] = {}
                 for b, x in v.items():
-                    for k, c in algebra._terms(a, b).items():
+                    for k, c in algebra.ints.get((a, b), _ZERO).items():
                         w[k] = w.get(k, 0) + x * c
-                spans.append(w)
-        nxt = mx.gauss_jordan(spans)[0]
+                if w:
+                    spans.append(w)
+        nxt = mx.echelon(spans)
         if not nxt:
             return series, True
-        series.append(mx.from_rows(nxt, n).T)
+        series.append(nxt)
         if len(nxt) == len(prev):
             # gamma_{i+1} subseteq gamma_i, so equal dim means stabilized
             return series, False
@@ -115,7 +147,7 @@ def _series_descent(algebra: LieAlgebra) -> tuple[list[np.ndarray], bool]:
 
 def lower_central_series(algebra: LieAlgebra) -> list[np.ndarray]:
     """gamma_1 = n, gamma_{i+1} = [n, gamma_i]; the nonzero terms."""
-    return _series_descent(algebra)[0]
+    return [_subspace(rows, algebra.dim) for rows in _series_descent(algebra)[0]]
 
 
 def nilpotency_class(algebra: LieAlgebra) -> int:
@@ -126,30 +158,36 @@ def nilpotency_class(algebra: LieAlgebra) -> int:
 
 
 def validate(algebra: LieAlgebra) -> Verdict:
-    """Check Jacobi on all basis triples and nilpotency of the bracket."""
+    """Check Jacobi on all basis triples and nilpotency of the bracket.
+
+    Jacobi is summed in the int constants C = e c, so the residual is
+    e^2 times the rational one.
+    """
     n = algebra.dim
+    ints = algebra.ints
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 # [[X_i, X_j], X_k] + [[X_j, X_k], X_i] + [[X_k, X_i], X_j]
-                res: dict[int, Fraction] = {}
+                res: dict[int, int] = {}
                 for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    for l, x in algebra._terms(a, b).items():
-                        for m, y in algebra._terms(l, c).items():
+                    for l, x in ints.get((a, b), _ZERO).items():
+                        for m, y in ints.get((l, c), _ZERO).items():
                             res[m] = res.get(m, 0) + x * y
                 if any(res.values()):
+                    e2 = algebra.den**2
                     return Verdict(
                         "reject",
                         condition="jacobi",
                         certificate={
                             "triple": [i + 1, j + 1, k + 1],
-                            "residual": [str(res.get(m, 0)) for m in range(n)],
+                            "residual": [str(Fraction(res.get(m, 0), e2)) for m in range(n)],
                         },
                         diagnostics=[f"Jacobi identity fails on basis triple ({i+1},{j+1},{k+1})"],
                     )
     series, nilpotent = _series_descent(algebra)
     if not nilpotent:
-        last = series[-1]
+        last = _subspace(series[-1], n)
         return Verdict(
             "reject",
             condition="not-nilpotent",
@@ -170,25 +208,52 @@ def validate(algebra: LieAlgebra) -> Verdict:
 # -- derivations -----------------------------------------------------------
 
 
-def derivations(algebra: LieAlgebra) -> list[np.ndarray]:
-    """Canonical basis of Der: solutions of D[x,y] = [Dx,y] + [x,Dy]."""
+# (columns {i: {p: a}}, den): the map X_i -> sum_p a X_p / den
+SparseMap = tuple[dict[int, dict[int, int]], int]
+
+
+def derivations(algebra: LieAlgebra) -> list[SparseMap]:
+    """Canonical basis of Der, sparse: solutions of D[x,y] = [Dx,y] + [x,Dy].
+
+    The system is posed on the int constants C = e c; each of its
+    equations is e times the rational one, so the kernel is the same.
+    Unknown p n + i is the entry D[p, i].
+    """
     n = algebra.dim
-    rows: dict[tuple, None] = {}  # the distinct nonzero rows, in order
+    ints = algebra.ints
+    rows: dict[frozenset, None] = {}  # the distinct nonzero rows, in order
     for i in range(n):
         for j in range(i + 1, n):
-            block: list[dict[int, Fraction]] = [{} for _ in range(n)]
+            block: dict[int, dict[int, int]] = {}  # component k -> its equation
             for p in range(n):
-                for k, c in algebra._terms(p, j).items():
-                    block[k][p * n + i] = block[k].get(p * n + i, 0) + c
-                for k, c in algebra._terms(i, p).items():
-                    block[k][p * n + j] = block[k].get(p * n + j, 0) + c
-            for q, c in algebra._terms(i, j).items():
+                for k, c in ints.get((p, j), _ZERO).items():
+                    row = block.setdefault(k, {})
+                    row[p * n + i] = row.get(p * n + i, 0) + c
+                for k, c in ints.get((i, p), _ZERO).items():
+                    row = block.setdefault(k, {})
+                    row[p * n + j] = row.get(p * n + j, 0) + c
+            for q, c in ints.get((i, j), _ZERO).items():
                 for k in range(n):
-                    block[k][k * n + q] = block[k].get(k * n + q, 0) - c
-            rows.update(dict.fromkeys(tuple(sorted((v, c) for v, c in row.items() if c)) for row in block))
-    rows.pop((), None)
-    kernel = mx.kernel(map(dict, rows), n * n)
-    return [kernel[:, c].reshape(n, n) for c in range(kernel.shape[1])]
+                    row = block.setdefault(k, {})
+                    row[k * n + q] = row.get(k * n + q, 0) - c
+            rows.update(dict.fromkeys(frozenset((v, c) for v, c in row.items() if c) for row in block.values()))
+    rows.pop(frozenset(), None)
+    out = []
+    for vec, den in mx.sparse_kernel(map(dict, rows), n * n):
+        cols: dict[int, dict[int, int]] = {}
+        for v, a in vec.items():
+            cols.setdefault(v % n, {})[v // n] = a
+        out.append((cols, den))
+    return out
+
+
+def _image(cols: dict[int, dict[int, int]], v: dict[int, int]) -> dict[int, int]:
+    """A v for a sparse int map A (its columns) and a sparse int vector v."""
+    out: dict[int, int] = {}
+    for i, x in v.items():
+        for p, a in cols.get(i, _ZERO).items():
+            out[p] = out.get(p, 0) + x * a
+    return out
 
 
 def is_automorphism(algebra: LieAlgebra, m: np.ndarray) -> bool:
@@ -200,14 +265,6 @@ def is_automorphism(algebra: LieAlgebra, m: np.ndarray) -> bool:
     return violated_bracket(algebra, m) is None
 
 
-def _apply(m: np.ndarray, v: dict[int, Fraction]) -> np.ndarray:
-    """M v for v sparse ({k: c}): a sum of columns of M."""
-    out = mx.rvec([0] * m.shape[0])
-    for k, c in v.items():
-        out = out + c * m[:, k]
-    return out
-
-
 def _first_mismatch(
     algebra: LieAlgebra, lhs: np.ndarray, products: list[tuple[np.ndarray, np.ndarray]]
 ) -> tuple[int, int] | None:
@@ -215,21 +272,18 @@ def _first_mismatch(
 
         lhs C_ij != sum_(p<q) C_pq sum_(X, Y) (X_pi Y_qj - X_qi Y_pj),
 
-    summed over the nonzero brackets, cleared once to the ints C = e c,
+    summed over the nonzero brackets in the int constants C = e c,
     and the int matrix pairs (X, Y) in `products`; None if every pair
     agrees.
     """
     n = algebra.dim
     i, j = np.nonzero(~np.tri(n, dtype=bool))  # the pairs i < j, lexicographic
     sides = [(x[:, i], y[:, j]) for x, y in products]
-    cleared, _ = mx.cleared(np.array([c for t in algebra.terms.values() for c in t.values()], dtype=object))
-    constants = iter(cleared)
     diff = np.zeros((n, len(i)), dtype=object)
-    for (p, q), terms in algebra.terms.items():
+    for p, q in algebra.terms:
         minors = sum(xi[p] * yj[q] - xi[q] * yj[p] for xi, yj in sides)
         col = p * (2 * n - p - 1) // 2 + q - p - 1  # the index of (p, q) among the pairs
-        for k in terms:
-            c = next(constants)
+        for k, c in algebra.ints[(p, q)].items():
             diff[k] += c * minors
             diff[:, col] -= c * lhs[:, k]
     bad = np.flatnonzero((diff != 0).any(axis=0))
@@ -239,7 +293,7 @@ def _first_mismatch(
 def violated_bracket(algebra: LieAlgebra, m: np.ndarray) -> tuple[int, int] | None:
     """First basis pair (1-indexed) where M[x,y] != [Mx,My], if any.
 
-    Decided in ints: with A = d M and C = e c cleared once,
+    Decided in ints: with A = d M and the int constants C = e c,
 
         d A C_ij == sum_(p<q) C_pq (A_pi A_qj - A_qi A_pj)
 
@@ -253,7 +307,7 @@ def violated_bracket(algebra: LieAlgebra, m: np.ndarray) -> tuple[int, int] | No
 
 def is_derivation(algebra: LieAlgebra, d: np.ndarray) -> bool:
     """D[x,y] = [Dx,y] + [x,Dy] on every basis pair, decided in ints: with
-    A = s D and C = e c cleared once,
+    A = s D and the int constants C = e c,
 
         A C_ij == sum_(p<q) C_pq (A_pi I_qj - A_qi I_pj + I_pi A_qj - I_qi A_pj)
 
@@ -287,9 +341,11 @@ def is_characteristically_nilpotent(algebra: LieAlgebra) -> Verdict:
     `PRE_FLAG_DRAWS` seeded draws with t_a in [-3, 3] run before the flag.
     They can only find a reject witness sooner, never change the decision.
 
-    Everything runs in ints on den D_a, for den the least common
-    denominator of the basis: scaling changes neither nilpotency nor a
-    column space, so only a reject divides its witness by den.
+    Everything runs on the sparse int basis: a witness draw sums
+    (den / den_a) A_a for D_a = A_a / den_a and den the lcm of the den_a,
+    and the flag applies each A_a column by column to primitive int flag
+    rows.  Scaling changes neither nilpotency nor a span, so only a
+    reject's witness is made dense and divided by den.
     """
     n = algebra.dim
     ders = derivations(algebra)
@@ -302,11 +358,17 @@ def is_characteristically_nilpotent(algebra: LieAlgebra) -> Verdict:
             diagnostics=["derivation algebra is zero"],
         )
 
-    scaled, den = mx.cleared(np.array(ders))
+    den = lcm(*(e for _, e in ders))
 
     def reject_if_not_nilpotent(t: list[int]) -> Verdict | None:
-        witness = sum((c * D for c, D in zip(t, scaled) if c), np.zeros((n, n), dtype=object))
-        if mx.is_nilpotent(witness):
+        witness = [[0] * n for _ in range(n)]
+        for c, (cols, e) in zip(t, ders):
+            if c:
+                s = c * (den // e)
+                for i, col in cols.items():
+                    for p, a in col.items():
+                        witness[p][i] += s * a
+        if mx.is_nilpotent_int(np.array(witness, dtype=object)):
             return None
         return Verdict(
             "reject",
@@ -324,16 +386,15 @@ def is_characteristically_nilpotent(algebra: LieAlgebra) -> Verdict:
         if hit is not None:
             return hit
 
-    flag = mx.identity(n)
+    flag = [{i: 1} for i in range(n)]
     steps = 0
-    while flag.shape[1] > 0:
-        flag_int, _ = mx.cleared(flag)
-        nxt = mx.col_basis(mx.hstack([D @ flag_int for D in scaled]))
-        if nxt.shape[1] == flag.shape[1]:
+    while flag:
+        nxt = mx.echelon(_image(cols, w) for cols, _ in ders for w in flag)
+        if len(nxt) == len(flag):
             break
         flag = nxt
         steps += 1
-    if flag.shape[1] == 0:
+    if not flag:
         return Verdict(
             "accept",
             condition="characteristically-nilpotent",

@@ -4,7 +4,7 @@
 sparse rows {variable: coefficient} meaning sum(c * x) = 0, so they are
 homogeneous by type; inequalities are (row, rhs) pairs meaning
 sum(c * x) >= rhs.  Coefficients are ints or Fractions.  The equations
-are eliminated once, by `matrices.gauss_jordan` on reversed variable
+are eliminated once, by `matrices.echelon` on reversed variable
 indices: pivots then fall on the highest-index variables, so every
 dependent variable is a linear function of lower-index free ones.
 Rational feasibility of what is left is decided by Fourier-Motzkin
@@ -66,13 +66,15 @@ def feasible(ineqs: list[Constraint], nvars: int) -> bool:
 
 
 def _dependents(eqs: list[Row], nvars: int) -> Dependents:
-    """Solve the equations for their highest-index variables."""
-    red, pivots = mx.gauss_jordan({nvars - 1 - v: c for v, c in row.items()} for row in eqs)
+    """Solve the equations for their highest-index variables.
+
+    A primitive echelon row R with pivot p says x_p = sum -R[f] x_f / R[p],
+    and as R has content 1 its lead R[p] is already the least denominator.
+    """
     out: Dependents = {}
-    for row, pc in zip(red, pivots):
-        terms = [(nvars - 1 - c, -a) for c, a in row.items() if c != pc]
-        coeffs, d = mx.cleared(mx.rvec([a for _, a in terms]))
-        out[nvars - 1 - pc] = (d, [(f, c) for (f, _), c in zip(terms, coeffs.tolist())])
+    for row in mx.echelon({nvars - 1 - v: c for v, c in row.items()} for row in eqs):
+        pc = min(row)
+        out[nvars - 1 - pc] = (row[pc], [(nvars - 1 - c, -a) for c, a in row.items() if c != pc])
     return out
 
 

@@ -5,8 +5,12 @@ Matrices are plain `np.ndarray` with ``dtype=object`` holding
 product of such matrices is `matmul`, which runs in ints over one common
 denominator, and `commutes_with` decides M F = F M in ints.  Everything
 that numpy cannot do exactly on such arrays (determinants, inverses,
-echelon forms, kernels) is implemented here by elimination over Q;
-echelon forms and kernels by one Gauss-Jordan on sparse rows.
+echelon forms, kernels) is one fraction-free Gauss-Jordan on sparse int
+rows, `_reduce`, which keeps each pivot row primitive.  The dense entry
+points (`rref`, `det`, `inverse`, `nullspace`) clear their matrix once;
+`echelon` and `sparse_kernel` hand back int rows and int kernel columns
+to callers that need no `Fraction`, and the others make one `Fraction`
+per output entry.
 
 Also home to the integer-lattice utilities: column-style Hermite normal
 form, exact lattice membership, and matrix orders in GL(n, Z/m).
@@ -85,8 +89,11 @@ def is_integral(a: np.ndarray) -> bool:
 def cleared(m: np.ndarray) -> tuple[np.ndarray, int]:
     """(d M as ints in the shape of M, d) for the least d > 0 that makes d M
     integral; M is a matrix or a vector."""
-    d = lcm(*(e.denominator for e in m.flat))
-    return np.array([e.numerator * (d // e.denominator) for e in m.flat], dtype=object).reshape(m.shape), d
+    entries = m.ravel().tolist()
+    dens = [e.denominator for e in entries]
+    d = lcm(*dens)
+    ints = [e.numerator * (d // q) for e, q in zip(entries, dens)] if d != 1 else [e.numerator for e in entries]
+    return np.array(ints, dtype=object).reshape(m.shape), d
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -137,38 +144,90 @@ def _require_square(m: np.ndarray) -> int:
 # -- elimination ---------------------------------------------------------
 
 
-def _subtract(row: dict, f: Fraction, other: dict) -> None:
-    """row -= f * other, in place, keeping no zero entries."""
+def _int_row(row: dict) -> dict[int, int]:
+    """A sparse rational row ({column: value}) as ints, without zeros: the
+    row itself when every value is an int, else its `cleared` multiple."""
+    if all(type(v) is int for v in row.values()):
+        return {c: v for c, v in row.items() if v}
+    ints, _ = cleared(np.array(list(row.values()), dtype=object))
+    return {c: v for c, v in zip(row, ints.tolist()) if v}
+
+
+def _combine(row: dict[int, int], a: int, b: int, other: dict[int, int]) -> None:
+    """row <- a row - b other, in place, keeping no zero entries."""
+    if a != 1:
+        for c in row:
+            row[c] *= a
     for c, v in other.items():
-        x = row.get(c, 0) - f * v
+        x = row.get(c, 0) - b * v
         if x:
             row[c] = x
         else:
             row.pop(c, None)
 
 
-def _reduce(rows) -> tuple[dict[int, dict[int, Fraction]], list[Fraction]]:
-    """The Gauss-Jordan core: {pivot column: its row}, in the order the
-    pivot rows arose, and the leading entry of each before it was scaled.
+def _make_primitive(row: dict[int, int], lead: int) -> None:
+    """Divide a nonzero int row by ±gcd of its entries, signed so that the
+    entry at `lead` ends positive."""
+    g = int_gcd(*row.values())
+    if row[lead] < 0:
+        g = -g
+    if g != 1:
+        for c in row:
+            row[c] //= g
 
-    Each new row is reduced by the pivot rows so far, scaled to a leading 1
-    and cleared from the earlier pivot rows.
+
+def _reduce(rows) -> tuple[dict[int, dict[int, int]], list[tuple[int, int]]]:
+    """The fraction-free Gauss-Jordan core: {pivot column: its row}, in
+    the order the pivot rows arose, and for each pivot row its lead
+    before it was made primitive with the factor that row was scaled by.
+
+    Rows are sparse ({column: value}) over Q and are taken as ints; each
+    pivot row is kept primitive (content 1, positive leading entry).  A
+    new row r is reduced by each pivot row R whose column it meets, as
+    r <- (a/g) r - (r[p]/g) R for a = R[p] and g = gcd(a, r[p]), then made
+    primitive, and its lead is cleared from the earlier pivot rows the
+    same way (Bareiss, Math. Comp. 22, 1968, keeps such steps in ints).
+    The RREF row of pivot p is R / R[p].
+
+    A reduced row is s (r - v) for the one v in the span of the earlier
+    rows that agrees with r on their pivot columns, s the product of its
+    factors a/g, so lead / s is the pivot that forward elimination over Q
+    would find (`det` multiplies them).
     """
-    reduced: dict[int, dict[int, Fraction]] = {}  # pivot column -> its row
-    leads: list[Fraction] = []
+    reduced: dict[int, dict[int, int]] = {}
+    leads: list[tuple[int, int]] = []
+    holders: dict[int, set[int]] = {}  # column -> pivots whose rows may meet it
     for row in rows:
-        r = {c: v for c, v in row.items() if v}
+        r = _int_row(row)
+        s = 1
         for p in [c for c in r if c in reduced]:
-            _subtract(r, r[p], reduced[p])
-        if r:
-            lead = min(r)
-            leads.append(r[lead])
-            inv = Fraction(1) / r[lead]
-            r = {c: v * inv for c, v in r.items()}
-            for other in reduced.values():
-                if lead in other:
-                    _subtract(other, other[lead], r)
-            reduced[lead] = r
+            other = reduced[p]
+            if len(other) == 1:  # the primitive row e_p
+                del r[p]
+                continue
+            g = int_gcd(other[p], r[p])
+            a = other[p] // g
+            _combine(r, a, r[p] // g, other)
+            s *= a
+        if not r:
+            continue
+        lead = min(r)
+        leads.append((r[lead], s))
+        _make_primitive(r, lead)
+        a = r[lead]
+        rest = [c for c in r if c != lead]
+        for q in holders.pop(lead, ()):
+            other = reduced[q]
+            if lead in other:
+                g = int_gcd(a, other[lead])
+                _combine(other, a // g, other[lead] // g, r)
+                _make_primitive(other, q)
+                for c in rest:
+                    holders.setdefault(c, set()).add(q)
+        for c in rest:
+            holders.setdefault(c, set()).add(lead)
+        reduced[lead] = r
     return reduced, leads
 
 
@@ -181,7 +240,14 @@ def gauss_jordan(rows) -> tuple[list[dict[int, Fraction]], list[int]]:
     """
     reduced, _ = _reduce(rows)
     pivots = sorted(reduced)
-    return [reduced[p] for p in pivots], pivots
+    return [{c: Fraction(v, reduced[p][p]) for c, v in reduced[p].items()} for p in pivots], pivots
+
+
+def echelon(rows) -> list[dict[int, int]]:
+    """The RREF of sparse rows as primitive int rows, in pivot order: for
+    callers that need only the row space, with no Fraction built."""
+    reduced, _ = _reduce(rows)
+    return [reduced[p] for p in sorted(reduced)]
 
 
 def from_rows(rows: list[dict[int, Fraction]], nc: int) -> np.ndarray:
@@ -193,9 +259,19 @@ def from_rows(rows: list[dict[int, Fraction]], nc: int) -> np.ndarray:
     return out
 
 
+def _cleared_rows(a: np.ndarray) -> tuple[list[dict[int, int]], int]:
+    """(the rows of d A as sparse int rows, d): the nonzero entries are
+    `cleared` once, together, for the dense entry points.  Scaling every
+    row by the same d > 0 keeps the row space and the RREF."""
+    rows = [{c: v for c, v in enumerate(row) if v} for row in a.tolist()]
+    ints, d = cleared(np.array([v for row in rows for v in row.values()], dtype=object))
+    it = iter(ints.tolist())
+    return [{c: next(it) for c in row} for row in rows], d
+
+
 def rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form (copy) and its pivot columns."""
-    rows, pivots = gauss_jordan(dict(enumerate(row)) for row in a)
+    rows, pivots = gauss_jordan(_cleared_rows(a)[0])
     return from_rows(rows + [{}] * (a.shape[0] - len(rows)), a.shape[1]), pivots
 
 
@@ -204,31 +280,38 @@ def rank(a: np.ndarray) -> int:
 
 
 def det(a: np.ndarray) -> Fraction:
-    """The sign of the pivot permutation times the leading entries.
+    """det(A) = det(d A) / d^n: the sign of the pivot permutation times the
+    pivots lead / s of forward elimination, read off the core.
 
-    Reducing a row by the earlier rows and clearing it from them leaves the
-    determinant alone; scaling it by 1/lead divides it by lead.  The rows
-    end as the permutation matrix of row i -> its pivot column.  Sparser
-    rows go first, so a triangular matrix reduces without fill.
+    Subtracting from each row a combination of the rows before it leaves
+    the determinant alone and makes the matrix triangular up to the
+    permutation of row i -> its pivot column.  Sparser rows go first, so
+    a triangular matrix reduces without fill.
     """
     n = _require_square(a)
-    rows = [{c: v for c, v in enumerate(row) if v} for row in a.tolist()]
+    rows, d = _cleared_rows(a)
     order = sorted(range(n), key=lambda i: len(rows[i]))
     reduced, leads = _reduce(rows[i] for i in order)
     if len(leads) < n:
         return Fraction(0)
     pivot = dict(zip(order, reduced))
     inversions = sum(pivot[j] > pivot[i] for i in range(n) for j in range(i))
-    return (-1) ** inversions * prod(leads, start=Fraction(1))
+    return Fraction((-1) ** inversions * prod(x for x, _ in leads), prod(s for _, s in leads) * d**n)
 
 
 def inverse(a: np.ndarray) -> np.ndarray:
+    """The right half of the RREF of [d A | d I]."""
     n = _require_square(a)
-    aug = np.concatenate([a, identity(n)], axis=1)
-    red, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
+    rows, d = _cleared_rows(a)
+    reduced, _ = _reduce({**row, n + i: d} for i, row in enumerate(rows))
+    if sorted(reduced) != list(range(n)):
         raise ValueError("matrix is singular")
-    return red[:, n:]
+    out = zeros(n, n)
+    for i, row in reduced.items():
+        for c, v in row.items():
+            if c >= n:
+                out[i, c - n] = Fraction(v, row[i])
+    return out
 
 
 def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
@@ -246,18 +329,39 @@ def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
 
 def nullspace(a: np.ndarray) -> np.ndarray:
     """Canonical kernel basis as columns (free variable = 1 pattern)."""
-    return kernel((dict(enumerate(row)) for row in a), a.shape[1])
+    return kernel(_cleared_rows(a)[0], a.shape[1])
+
+
+def sparse_kernel(rows, nc: int) -> list[tuple[dict[int, int], int]]:
+    """The canonical kernel of sparse rows ({column: value}), one vector per
+    free column f, each as (int entries {index: value}, least denominator).
+
+    With R the primitive pivot rows, the vector is e_f minus R[f] / R[p]
+    at each pivot p whose row meets f.
+    """
+    reduced, _ = _reduce(rows)
+    meets: dict[int, list[int]] = {}  # column -> the pivots whose rows meet it
+    for p in sorted(reduced):
+        for c in reduced[p]:
+            if c != p:
+                meets.setdefault(c, []).append(p)
+    out = []
+    for f in range(nc):
+        if f in reduced:
+            continue
+        hits = [(p, reduced[p][p], reduced[p][f]) for p in meets.get(f, ())]
+        den = lcm(*(a // int_gcd(a, x) for _, a, x in hits))
+        out.append(({f: den, **{p: -x * den // a for p, a, x in hits}}, den))
+    return out
 
 
 def kernel(rows, nc: int) -> np.ndarray:
-    """`nullspace` of the system whose rows are sparse ({column: value})."""
-    red, pivots = gauss_jordan(rows)
-    free = sorted(set(range(nc)) - set(pivots))
-    out = zeros(nc, len(free))
-    for k, fc in enumerate(free):
-        out[fc, k] = Fraction(1)
-        for row, pc in zip(red, pivots):
-            out[pc, k] = -row.get(fc, Fraction(0))
+    """`sparse_kernel` as the dense matrix of its columns."""
+    cols = sparse_kernel(rows, nc)
+    out = zeros(nc, len(cols))
+    for k, (col, den) in enumerate(cols):
+        for c, v in col.items():
+            out[c, k] = Fraction(v, den)
     return out
 
 
@@ -323,11 +427,15 @@ def eval_poly(p: Polynomial, m: np.ndarray) -> np.ndarray:
 
 def is_nilpotent(m: np.ndarray) -> bool:
     """M^n = 0, by repeated squaring of an integer multiple of M (cheaper than Fractions)."""
-    n = _require_square(m)
-    power, _ = cleared(m)
+    return is_nilpotent_int(cleared(m)[0])
+
+
+def is_nilpotent_int(a: np.ndarray) -> bool:
+    """A^n = 0 for an int matrix A, by repeated squaring."""
+    n = _require_square(a)
     for _ in range((n - 1).bit_length()):
-        power = power @ power
-    return is_zero_mat(power)
+        a = a @ a
+    return is_zero_mat(a)
 
 
 def primary_decomposition(m: np.ndarray) -> list[tuple[Polynomial, np.ndarray]]:

@@ -2,21 +2,23 @@
 
 Each function here is the earlier library code, kept as the oracle the
 tests compare against: a dense Gauss-Jordan row loop on numpy object
-arrays, Faddeev-LeVerrier in Fractions, the bracket that loops over the
-whole table, the Jacobi loop and lower central series built on it, the
-dense derivation system, the dense automorphism and derivation checks,
-the minimal polynomial from the first linear dependence among the powers
-of a matrix, Horner's rule in Fractions, Kronecker's factorization over Q
-(rational roots, then an evaluate/interpolate search over divisors of
-values, exponential in the degree), and the grading check that solves one
-linear system per nonzero bracket of two component basis vectors.  They
-read only `LieAlgebra.dim` and the dense table that `dense_table` builds
-from `LieAlgebra.terms`.  The Fraction loop
-that `latpow`'s integer orbit scan replaced is kept the same way, as is
-the sequential least-exponent descent that the product tree replaced, and so
-is the characteristic-nilpotency test with its Engel flag and witness
-sums in Fractions, and the holonomy conditions tested on every element of
-F rather than on its generators.
+arrays, forward elimination for the determinant, Faddeev-LeVerrier in
+Fractions, the bracket that loops over the whole table, the Jacobi loop
+and lower central series built on it, the dense derivation system, the
+dense automorphism and derivation checks, the minimal polynomial from the
+first linear dependence among the powers of a matrix, Horner's rule in
+Fractions, Kronecker's factorization over Q (rational roots, then an
+evaluate/interpolate search over divisors of values, exponential in the
+degree), and the grading check that solves one linear system per nonzero
+bracket of two component basis vectors.  They read only `LieAlgebra.dim`
+and the dense table that `dense_table` builds from `LieAlgebra.terms`.
+The Fraction loop that `latpow`'s integer orbit scan replaced is kept the
+same way, as is the sequential least-exponent descent that the product
+tree replaced, and so is the characteristic-nilpotency test with its
+Engel flag and witness sums in Fractions on the dense derivation system,
+and the holonomy conditions tested on every element of F rather than on
+its generators.  `derivation_matrices` is no oracle: it densifies the
+library's sparse derivation basis for the tests that need matrices.
 
 Also the ladder algebras L_n, H_{2m+1} and N_{r,c}, built from first
 principles (N_{r,c} from Lie words in the free associative algebra).
@@ -78,6 +80,27 @@ def nullspace_dense(a):
 def col_basis_dense(a):
     red, pivots = rref_dense(a.T)
     return red[: len(pivots)].T.copy()
+
+
+def det_fraction(a):
+    """Forward elimination over Q: the product of the pivots, negated on
+    each row swap."""
+    m = [list(row) for row in a]
+    n = len(m)
+    out = Fraction(1)
+    for c in range(n):
+        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if pr is None:
+            return Fraction(0)
+        if pr != c:
+            m[c], m[pr] = m[pr], m[c]
+            out = -out
+        out *= m[c][c]
+        for i in range(c + 1, n):
+            f = m[i][c] / m[c][c]
+            if f:
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return out
 
 
 def charpoly_fraction(m):
@@ -388,6 +411,19 @@ def derivations_dense(algebra):
     return [kernel[:, c].reshape(n, n) for c in range(kernel.shape[1])]
 
 
+def derivation_matrices(algebra):
+    """`liealg.derivations`, whose basis is sparse ints, as dense Fraction
+    matrices: the one place the tests densify it."""
+    out = []
+    for cols, den in derivations(algebra):
+        d = mx.zeros(algebra.dim, algebra.dim)
+        for i, col in cols.items():
+            for p, a in col.items():
+                d[p, i] = Fraction(a, den)
+        out.append(d)
+    return out
+
+
 # -- least exponents -------------------------------------------------------------
 
 
@@ -445,9 +481,10 @@ def orbit_escapes_lattice_fraction(a, v, bound):
 
 def is_characteristically_nilpotent_fraction(algebra, random_trials=8):
     """`liealg.is_characteristically_nilpotent` with the witness sums and the
-    Engel flag products D_a W_i in Fractions."""
+    Engel flag products D_a W_i in Fractions, on the dense derivation
+    system."""
     n = algebra.dim
-    ders = derivations(algebra)
+    ders = derivations_dense(algebra)
     d = len(ders)
     if d == 0:
         return Verdict(

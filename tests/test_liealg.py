@@ -1,7 +1,7 @@
 import random
 import time
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -147,12 +147,12 @@ class TestDerivations:
     def test_leibniz_holds_exactly(self):
         for name in ("heisenberg3", "filiform5", "nilp5", "notcohopf"):
             algebra = load_algebra(name)
-            for d in derivations(algebra):
+            for d in oracles.derivation_matrices(algebra):
                 assert is_derivation(algebra, d)
 
     def test_nilp5_all_nilpotent(self):
         n5 = load_algebra("nilp5")
-        for d in derivations(n5):
+        for d in oracles.derivation_matrices(n5):
             assert mx.is_nilpotent(d)
 
 
@@ -260,7 +260,7 @@ def trace_enumeration(algebra):
     """
     n = algebra.dim
     ints = []
-    for der in derivations(algebra):
+    for der in oracles.derivation_matrices(algebra):
         den = lcm(*(e.denominator for e in der.flat))
         ints.append([[int(e * den) for e in row] for row in der])
 
@@ -317,7 +317,7 @@ class TestEngelFlag:
         w = mx.rmat([[Fraction(e) for e in row] for row in v.certificate["witness"]])
         assert is_derivation(a, w)
         assert not mx.is_nilpotent(w)
-        terms = zip(v.certificate["combination"], derivations(a))
+        terms = zip(v.certificate["combination"], oracles.derivation_matrices(a))
         assert mx.mat_eq(sum((c * d for c, d in terms), mx.zeros(a.dim, a.dim)), w)
 
 
@@ -466,7 +466,7 @@ LADDER = {
 @pytest.mark.parametrize("name", list(ALL_FIXTURES) + list(LADDER))
 def test_derivations_match_dense_system(name):
     a = LADDER[name]() if name in LADDER else load_algebra(name)
-    got, want = derivations(a), oracles.derivations_dense(a)
+    got, want = oracles.derivation_matrices(a), oracles.derivations_dense(a)
     assert len(got) == len(want)
     assert all(mx.mat_eq(g, w) for g, w in zip(got, want))
 
@@ -478,7 +478,7 @@ def rescaled(algebra, rng):
 
 
 def derivation_denominator(algebra):
-    return lcm(*(e.denominator for d in derivations(algebra) for e in d.flat))
+    return lcm(*(e.denominator for d in oracles.derivation_matrices(algebra) for e in d.flat))
 
 
 @pytest.mark.parametrize("name", list(ALL_FIXTURES) + list(LADDER))
@@ -489,6 +489,34 @@ def test_characteristic_nilpotency_matches_fraction_flag(name):
         want = oracles.is_characteristically_nilpotent_fraction(b, random_trials=liealg.PRE_FLAG_DRAWS)
         assert is_characteristically_nilpotent(b).to_json() == want.to_json()
         assert flag_only(b).to_json() == oracles.is_characteristically_nilpotent_fraction(b, random_trials=0).to_json()
+
+
+@pytest.mark.parametrize("name", list(ALL_FIXTURES) + list(LADDER))
+def test_derivations_are_sparse_ints_over_least_denominators(name):
+    a = LADDER[name]() if name in LADDER else load_algebra(name)
+    for cols, den in derivations(a):
+        values = [v for col in cols.values() for v in col.values()]
+        assert values and all(type(v) is int and v for v in values)
+        assert den > 0 and gcd(den, *values) == 1
+
+
+@pytest.mark.parametrize("draws", [liealg.PRE_FLAG_DRAWS, 0])
+@pytest.mark.parametrize("name", ["L10", "nilp5"])
+def test_characteristic_nilpotency_builds_no_dense_matrix(monkeypatch, name, draws):
+    # the derivation basis stays sparse ints: neither the dense kernel nor a
+    # clearing of a dense matrix runs, with or without the seeded draws
+    a = oracles.filiform(10) if name == "L10" else load_algebra(name)
+    monkeypatch.setattr(liealg, "PRE_FLAG_DRAWS", draws)
+    want = oracles.is_characteristically_nilpotent_fraction(a, random_trials=draws)
+
+    def dense(*args):
+        raise AssertionError("dense matrix built on the characteristic-nilpotency path")
+
+    monkeypatch.setattr(mx, "kernel", dense)
+    monkeypatch.setattr(mx, "cleared", dense)
+    got = is_characteristically_nilpotent(a)
+    assert got.to_json() == want.to_json()
+    assert got.decision == ("accept" if name == "nilp5" else "reject")
 
 
 def test_rescalings_raise_derivation_denominators():
@@ -569,7 +597,7 @@ class TestSparseMapChecks:
         derivation basis, each perturbed; counts the rejected maps and
         collects the derivation answers."""
         n = algebra.dim
-        ders = derivations(algebra)
+        ders = oracles.derivation_matrices(algebra)
         found, outcomes = 0, set()
         for _ in range(trials):
             m = self.perturbed(rng, mx.identity(n) + sum((rng.randint(-1, 1) * d for d in ders), mx.zeros(n, n)))
@@ -612,7 +640,7 @@ class TestSparseMapChecks:
         rng = random.Random(6143)
         n = algebra.dim
         w = find_weights(algebra, positive=True) or (0,) * n
-        ders = derivations(algebra)
+        ders = oracles.derivation_matrices(algebra)
         for r in (Fraction(2, 3), Fraction(-5, 4), Fraction(7, 6)):
             phi = mx.diag([r**x for x in w])
             if any(w):

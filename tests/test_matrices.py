@@ -14,6 +14,7 @@ from nilgrade.polynomials import Polynomial
 from oracles import (
     charpoly_fraction,
     col_basis_dense,
+    det_fraction,
     eval_poly_fraction,
     least_exponent_sequential,
     minpoly,
@@ -544,6 +545,102 @@ class TestGaussJordan:
         for _, a in seeded_cases():
             assert mx.mat_eq(mx.nullspace(a), nullspace_dense(a))
             assert mx.mat_eq(mx.col_basis(a), col_basis_dense(a))
+
+
+# -- the fraction-free core against the Fraction oracles ----------------------
+
+
+def sparse_system(rng, nr, nc):
+    """Seeded sparse rational rows: zero rows, rows repeated or scaled from
+    earlier ones, a negative first entry in half the rows, and entries of
+    about 30 digits."""
+    big = 10**30
+
+    def entry():
+        return rng.choice(
+            [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), rng.randint(-big, big), Fraction(rng.randint(-big, big), rng.randint(1, big))]
+        )
+
+    rows = []
+    for _ in range(nr):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append([Fraction(0)] * nc)
+        elif kind < 0.25 and rows:
+            rows.append([rng.choice([1, -2, Fraction(-1, 3)]) * x for x in rng.choice(rows)])
+        else:
+            row = [Fraction(entry()) if rng.random() < 0.35 else Fraction(0) for _ in range(nc)]
+            lead = next((c for c, x in enumerate(row) if x), None)
+            if lead is not None and rng.random() < 0.5:
+                row[lead] = -abs(row[lead])
+            rows.append(row)
+    return mx.rmat(rows) if nr else mx.zeros(0, nc)
+
+
+def sparse_systems():
+    rng = random.Random(1968)
+    for _ in range(40):
+        yield sparse_system(rng, rng.randint(1, 9), rng.randint(1, 9))
+
+
+class TestFractionFreeCore:
+    def test_rref_and_kernel_match_dense_oracles(self):
+        for a in sparse_systems():
+            red, pivots = mx.rref(a)
+            want, want_pivots = rref_dense(a)
+            assert pivots == want_pivots and mx.mat_eq(red, want)
+            assert mx.mat_eq(mx.nullspace(a), nullspace_dense(a))
+
+    def test_echelon_rows_are_primitive(self):
+        # content 1 and a positive lead: the int row is the one primitive
+        # multiple of its RREF row
+        leads = set()
+        for a in sparse_systems():
+            rows = [{c: v for c, v in enumerate(row) if v} for row in a]
+            red, pivots = mx.gauss_jordan(rows)
+            ints = mx.echelon(rows)
+            assert [min(r) for r in ints] == pivots
+            for r, want, p in zip(ints, red, pivots):
+                assert all(type(v) is int for v in r.values())
+                assert gcd(*r.values()) == 1 and r[p] > 0
+                assert {c: Fraction(v, r[p]) for c, v in r.items()} == want
+            leads |= {next((x for x in row if x), 0) < 0 for row in a}
+        assert leads == {True, False}
+
+    def test_sparse_kernel_columns_over_least_denominators(self):
+        for a in sparse_systems():
+            rows = [{c: v for c, v in enumerate(row) if v} for row in a]
+            cols = mx.sparse_kernel(rows, a.shape[1])
+            want = nullspace_dense(a)
+            assert len(cols) == want.shape[1]
+            for k, (col, den) in enumerate(cols):
+                assert den > 0 and gcd(den, *col.values()) == 1
+                assert all(type(v) is int for v in col.values())
+                assert [Fraction(col.get(c, 0), den) for c in range(a.shape[1])] == list(want[:, k])
+
+    def test_det_and_inverse_match_forward_elimination(self):
+        rng = random.Random(1968)
+        singular = 0
+        for _ in range(40):
+            n = rng.randint(1, 7)
+            a = sparse_system(rng, n, n)
+            if rng.random() < 0.3:  # a permuted triangular matrix
+                a = mx.rmat([[x if c >= r else 0 for c, x in enumerate(row)] for r, row in enumerate(a)])[rng.sample(range(n), n)]
+            d = mx.det(a)
+            assert d == det_fraction(a)
+            if d == 0:
+                singular += 1
+                with pytest.raises(ValueError):
+                    mx.inverse(a)
+            else:
+                assert mx.mat_eq(mx.matmul(mx.inverse(a), a), mx.identity(n))
+        assert 0 < singular < 40
+
+    def test_det_of_small_matrices_by_leibniz(self):
+        rng = random.Random(22)
+        for _ in range(30):
+            a = sparse_system(rng, 3, 3)
+            assert mx.det(a) == det_3x3_oracle(a)
 
 
 def test_charpoly_matches_fraction_faddeev_leverrier():
