@@ -81,7 +81,7 @@ class LieAlgebra:
         if p.shape != (n, n):
             raise ValueError("basis matrix dimension mismatch")
         a_int, d = mx.cleared(p)
-        b_int, d_inv = mx.cleared(mx.inverse(p))
+        b_int, d_inv = mx.inverse_cleared(p)
         b_cols = b_int.T.tolist()
         den = d_inv * self.den * d * d
         cols = [{i: x for i, x in enumerate(col) if x} for col in a_int.T.tolist()]
@@ -115,8 +115,9 @@ def _subspace(rows, n: int) -> np.ndarray:
 
 
 def derived_subalgebra(algebra: LieAlgebra) -> np.ndarray:
-    """[n, n] as the canonical column basis: the RREF of the brackets."""
-    return _subspace(algebra.terms.values(), algebra.dim)
+    """[n, n] as the canonical column basis: the RREF of the brackets,
+    read as the int constants C = e c, which span the same space."""
+    return _subspace((c for (i, j), c in algebra.ints.items() if i < j), algebra.dim)
 
 
 def _series_descent(algebra: LieAlgebra) -> tuple[list[list[dict[int, int]]], bool]:

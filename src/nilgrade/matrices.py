@@ -8,9 +8,9 @@ that numpy cannot do exactly on such arrays (determinants, inverses,
 echelon forms, kernels) is one fraction-free Gauss-Jordan on sparse int
 rows, `_reduce`, which keeps each pivot row primitive.  The dense entry
 points (`rref`, `det`, `inverse`, `nullspace`) clear their matrix once;
-`echelon` and `sparse_kernel` hand back int rows and int kernel columns
-to callers that need no `Fraction`, and the others make one `Fraction`
-per output entry.
+`echelon`, `sparse_kernel` and `inverse_cleared` hand back int rows, int
+kernel columns and an int inverse to callers that need no `Fraction`,
+and the others make one `Fraction` per output entry.
 
 Also home to the integer-lattice utilities: column-style Hermite normal
 form, exact lattice membership, and matrix orders in GL(n, Z/m).
@@ -92,7 +92,7 @@ def cleared(m: np.ndarray) -> tuple[np.ndarray, int]:
     entries = m.ravel().tolist()
     dens = [e.denominator for e in entries]
     d = lcm(*dens)
-    ints = [e.numerator * (d // q) for e, q in zip(entries, dens)] if d != 1 else [e.numerator for e in entries]
+    ints = [e.numerator * (d // q) for e, q in zip(entries, dens)]
     return np.array(ints, dtype=object).reshape(m.shape), d
 
 
@@ -146,7 +146,8 @@ def _require_square(m: np.ndarray) -> int:
 
 def _int_row(row: dict) -> dict[int, int]:
     """A sparse rational row ({column: value}) as ints, without zeros: the
-    row itself when every value is an int, else its `cleared` multiple."""
+    row itself when every value is an int (the common case, which builds
+    no array), else its `cleared` multiple."""
     if all(type(v) is int for v in row.values()):
         return {c: v for c, v in row.items() if v}
     ints, _ = cleared(np.array(list(row.values()), dtype=object))
@@ -203,9 +204,6 @@ def _reduce(rows) -> tuple[dict[int, dict[int, int]], list[tuple[int, int]]]:
         s = 1
         for p in [c for c in r if c in reduced]:
             other = reduced[p]
-            if len(other) == 1:  # the primitive row e_p
-                del r[p]
-                continue
             g = int_gcd(other[p], r[p])
             a = other[p] // g
             _combine(r, a, r[p] // g, other)
@@ -299,19 +297,40 @@ def det(a: np.ndarray) -> Fraction:
     return Fraction((-1) ** inversions * prod(x for x, _ in leads), prod(s for _, s in leads) * d**n)
 
 
-def inverse(a: np.ndarray) -> np.ndarray:
-    """The right half of the RREF of [d A | d I]."""
+def _inverse_rows(a: np.ndarray) -> tuple[dict[int, dict[int, int]], int]:
+    """The primitive pivot rows R_i of the RREF of [d A | d I], and n: row i
+    of A^-1 is the right half of R_i over R_i[i], in lowest terms."""
     n = _require_square(a)
     rows, d = _cleared_rows(a)
     reduced, _ = _reduce({**row, n + i: d} for i, row in enumerate(rows))
     if sorted(reduced) != list(range(n)):
         raise ValueError("matrix is singular")
+    return reduced, n
+
+
+def inverse(a: np.ndarray) -> np.ndarray:
+    """The right half of the RREF of [d A | d I]."""
+    reduced, n = _inverse_rows(a)
     out = zeros(n, n)
     for i, row in reduced.items():
         for c, v in row.items():
             if c >= n:
                 out[i, c - n] = Fraction(v, row[i])
     return out
+
+
+def inverse_cleared(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """`cleared(inverse(A))` with no Fraction built: the least denominator
+    of A^-1 is the lcm of the leads R_i[i], as each row is in lowest terms."""
+    reduced, n = _inverse_rows(a)
+    d = lcm(*(row[i] for i, row in reduced.items()))
+    out = np.zeros((n, n), dtype=object)
+    for i, row in reduced.items():
+        scale = d // row[i]
+        for c, v in row.items():
+            if c >= n:
+                out[i, c - n] = v * scale
+    return out, d
 
 
 def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:

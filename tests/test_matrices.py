@@ -636,6 +636,23 @@ class TestFractionFreeCore:
                 assert mx.mat_eq(mx.matmul(mx.inverse(a), a), mx.identity(n))
         assert 0 < singular < 40
 
+    def test_inverse_cleared_is_the_cleared_inverse(self):
+        rng = random.Random(68)
+        invertible = singular = 0
+        while invertible < 25:
+            n = rng.randint(1, 7)
+            a = sparse_system(rng, n, n)
+            if mx.det(a) == 0:
+                singular += 1
+                with pytest.raises(ValueError):
+                    mx.inverse_cleared(a)
+                continue
+            invertible += 1
+            b, d = mx.inverse_cleared(a)
+            want, want_d = mx.cleared(mx.inverse(a))
+            assert d == want_d and all(type(v) is int for v in b.flat) and mx.mat_eq(b, want)
+        assert singular > 0
+
     def test_det_of_small_matrices_by_leibniz(self):
         rng = random.Random(22)
         for _ in range(30):
