@@ -8,13 +8,13 @@ The exact kernels run on Python ints: the structure constants are cleared
 once, at construction, to one int table over one denominator, which the
 Jacobi loop, the lower central series, the derivation system and the map
 checks read.  The derivation basis is returned sparse, as int matrices
-over their denominators, and the characteristic-nilpotency test works on
-it directly; a `Fraction` is made only for an entry that is output.
+over their denominators, and the characteristic-nilpotency test (traces,
+the Engel flag and Cartan's criterion, with no draw) works on it
+directly; a `Fraction` is made only for an entry that is output.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from math import lcm
 
@@ -324,68 +324,60 @@ def is_derivation(algebra: LieAlgebra, d: np.ndarray) -> bool:
 # -- characteristic nilpotency ---------------------------------------------
 
 
-PRE_FLAG_DRAWS = 8  # seeded witness draws tried before the flag
+def _trace_product(a: dict[int, dict[int, int]], b: dict[int, dict[int, int]]) -> int:
+    """tr(A B) for sparse int maps A, B (their columns): sum A[p, i] B[i, p]."""
+    return sum(x * b.get(p, _ZERO).get(i, 0) for i, col in a.items() for p, x in col.items())
 
 
 def is_characteristically_nilpotent(algebra: LieAlgebra) -> Verdict:
-    """Decide whether every derivation is nilpotent, exactly.
+    """Decide whether every derivation is nilpotent, exactly and without
+    draws, over the canonical derivation basis D_a, in this order:
 
-    The flag W_0 = Q^n, W_{i+1} = sum_a D_a W_i over the canonical
-    derivation basis D_a only shrinks.  It reaches 0 iff every derivation
-    is nilpotent: then every product of n derivations vanishes; conversely
-    Der, a Lie algebra of nilpotent maps, is strictly triangularisable
-    (Engel).  A reject carries a non-nilpotent witness sum_a t_a D_a: a
-    basis derivation or a seeded draw with t_a in [-n, n].  Some
-    tr(D(t)^k), k <= n, is then a nonzero form of degree k, so by
-    Schwartz-Zippel each draw is nilpotent with probability below 1/2.
+    1. reject with the first D_a of nonzero trace;
+    2. accept when the Engel flag W_0 = Q^n, W_{i+1} = sum_a D_a W_i
+       reaches 0, which it does iff every derivation is nilpotent (Engel);
+    3. else reject with the first D_a that is not nilpotent;
+    4. else with D_a + D_b for the first a < b with tr(D_a D_b) != 0:
+       tr((D_a + D_b)^2) = 2 tr(D_a D_b), so it is not nilpotent.
 
-    `PRE_FLAG_DRAWS` seeded draws with t_a in [-3, 3] run before the flag.
-    They can only find a reject witness sooner, never change the decision.
+    Step 4 always finds a pair: were every D_a nilpotent and every
+    tr(D_a D_b) zero, the trace form of Der would vanish, so Der would be
+    solvable (Cartan's criterion), hence triangular over Q-bar with
+    diagonal entries linear in D (Lie's theorem), which vanish on the
+    basis; every derivation would be nilpotent and the flag reach 0.
 
-    Everything runs on the sparse int basis: a witness draw sums
-    (den / den_a) A_a for D_a = A_a / den_a and den the lcm of the den_a,
-    and the flag applies each A_a column by column to primitive int flag
-    rows.  Scaling changes neither nilpotency nor a span, so only a
-    reject's witness is made dense and divided by den.
+    All of it reads the sparse ints A_a = den_a D_a (scaling keeps a
+    trace's sign, nilpotency and a span); only a reject's witness, e_a or
+    e_a + e_b in the `combination`, is made dense and divided back.
     """
     n = algebra.dim
     ders = derivations(algebra)
-    d = len(ders)
-    if d == 0:
-        return Verdict(
-            "accept",
-            condition="characteristically-nilpotent",
-            certificate={"derivation_dim": 0},
-            diagnostics=["derivation algebra is zero"],
-        )
-
+    d = len(ders)  # >= 1 on a Lie algebra: ad n, or gl(n) if n is abelian
     den = lcm(*(e for _, e in ders))
 
-    def reject_if_not_nilpotent(t: list[int]) -> Verdict | None:
-        witness = [[0] * n for _ in range(n)]
-        for c, (cols, e) in zip(t, ders):
-            if c:
-                s = c * (den // e)
-                for i, col in cols.items():
-                    for p, a in col.items():
-                        witness[p][i] += s * a
-        if mx.is_nilpotent_int(np.array(witness, dtype=object)):
-            return None
+    def dense(*support: int) -> np.ndarray:  # den sum_(a in support) D_a, in ints
+        m = [[0] * n for _ in range(n)]
+        for a in support:
+            cols, e = ders[a]
+            for i, col in cols.items():
+                for p, x in col.items():
+                    m[p][i] += den // e * x
+        return np.array(m, dtype=object)
+
+    def reject(*support: int) -> Verdict:
         return Verdict(
             "reject",
             condition="non-nilpotent-derivation",
             certificate={
-                "witness": [[str(Fraction(e, den)) for e in row] for row in witness],
-                "combination": list(t),
+                "witness": [[str(Fraction(e, den)) for e in row] for row in dense(*support).tolist()],
+                "combination": [int(a in support) for a in range(d)],
             },
             diagnostics=["found a derivation with a nonzero eigenvalue"],
         )
 
-    rng = random.Random(1729)  # fixed seed: deterministic output bytes
-    for _ in range(PRE_FLAG_DRAWS):
-        hit = reject_if_not_nilpotent([rng.randint(-3, 3) for _ in range(d)])
-        if hit is not None:
-            return hit
+    for a, (cols, _) in enumerate(ders):
+        if sum(col.get(i, 0) for i, col in cols.items()):
+            return reject(a)
 
     flag = [{i: 1} for i in range(n)]
     steps = 0
@@ -403,13 +395,11 @@ def is_characteristically_nilpotent(algebra: LieAlgebra) -> Verdict:
             diagnostics=[f"the derivation flag reaches 0 in {steps} steps ({d} basis derivations)"],
         )
 
-    basis = [[int(a == b) for b in range(d)] for a in range(d)]
-    draws = [[rng.randint(-n, n) for _ in range(d)] for _ in range(64)]
-    for t in basis + draws:
-        hit = reject_if_not_nilpotent(t)
-        if hit is not None:
-            return hit
-    raise RuntimeError("derivation flag stuck at a nonzero subspace but no witness found")  # pragma: no cover
+    for a in range(d):
+        if not mx.is_nilpotent_int(dense(a)):
+            return reject(a)
+    pairs = ((a, b) for a in range(d) for b in range(a + 1, d))
+    return reject(*next((a, b) for a, b in pairs if _trace_product(ders[a][0], ders[b][0])))
 
 
 # -- abelianization ----------------------------------------------------------

@@ -21,6 +21,12 @@ def _bad(msg: str) -> ValueError:
     return ValueError(f"malformed input: {msg}")
 
 
+def _array(data, what: str, of=object) -> list:
+    if isinstance(data, list) and all(isinstance(x, of) for x in data):
+        return data
+    raise _bad(f"{what} must be a JSON array" + (" of objects" if of is dict else ""))
+
+
 def parse_fraction(s) -> Fraction:
     if isinstance(s, str):
         try:
@@ -72,16 +78,14 @@ def algebra_from_dict(data) -> LieAlgebra:
     if type(dim) is not int or dim < 1:
         raise _bad('"dim" must be a positive integer')
     table: dict[tuple[int, int], list[Fraction]] = {}
-    for entry in data.get("brackets", []):
-        if not isinstance(entry, dict):
-            raise _bad("bracket entries must be objects")
+    for entry in _array(data.get("brackets", []), '"brackets"', dict):
         i, j = entry.get("i"), entry.get("j")
         if not (type(i) is int and type(j) is int and 1 <= i < j <= dim):
             raise _bad(f"bracket indices must satisfy 1 <= i < j <= dim, got ({i}, {j})")
         if (i - 1, j - 1) in table:
             raise _bad(f"duplicate bracket ({i}, {j})")
         vec = [Fraction(0)] * dim
-        for term in entry.get("terms", []):
+        for term in _array(entry.get("terms", []), f"bracket ({i}, {j}) terms", dict):
             k = term.get("k")
             if not (type(k) is int and 1 <= k <= dim):
                 raise _bad(f"bracket ({i}, {j}) has target index {k} out of range")
@@ -115,13 +119,13 @@ def grading_from_dict(data) -> Grading:
     if not isinstance(data, dict) or "components" not in data:
         raise _bad('expected {"components": [...]}')
     comps = []
-    for entry in data["components"]:
+    for entry in _array(data["components"], '"components"'):
         if not isinstance(entry, dict) or "weight" not in entry or "basis" not in entry:
             raise _bad("each component needs a weight and a basis")
         w = entry["weight"]
         if type(w) is not int:
             raise _bad("component weights must be integers")
-        vecs = [vector_from_list(v) for v in entry["basis"]]
+        vecs = [vector_from_list(v) for v in _array(entry["basis"], "component basis")]
         if not vecs:
             raise _bad("component basis must be non-empty")
         comps.append((w, np.stack(vecs, axis=1)))
@@ -135,7 +139,7 @@ def grading_from_dict(data) -> Grading:
 def holonomy_payload(data) -> tuple[list[np.ndarray], int]:
     if not isinstance(data, dict) or "generators" not in data:
         raise _bad('expected {"generators": [...], "cap": n}')
-    gens = [matrix_from_lists(g) for g in data["generators"]]
+    gens = [matrix_from_lists(g) for g in _array(data["generators"], '"generators"')]
     cap = data.get("cap", 1024)
     if type(cap) is not int or cap < 1:
         raise _bad('"cap" must be a positive integer')

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, lcm, log2, prod
+from math import ceil, gcd, lcm, log2, prod
 
 import numpy as np
 
@@ -39,24 +39,24 @@ from .polynomials import Polynomial, factor_order_key, poly_xgcd, squarefree_par
 def schur_all_inside(p: Polynomial) -> bool:
     """All complex roots strictly inside the unit circle, exactly.
 
-    One Schur-Cohn step: with a0, am the outer coefficients, the roots of
-    p lie strictly inside iff am^2 - a0^2 > 0 and the reduced polynomial
-    (am*p - a0*reverse(p))/z does too.  A non-positive gap anywhere means
-    a root on or outside the circle (so strict stability fails), which is
-    exactly what the caller wants to know.  Each reduced polynomial is made
-    monic: its leading coefficient am^2 - a0^2 is positive, so scaling
-    keeps every later sign, and the coefficients stay small.
+    One Schur-Cohn step: with a0, am the outer coefficients of f, its roots
+    lie strictly inside iff am^2 - a0^2 > 0 and the reduced polynomial
+    (am*f - a0*reverse(f))/z does too; a non-positive gap anywhere means
+    a root on or outside the circle.  The chain runs on one int
+    coefficient list: p is cleared once, and each reduced polynomial,
+    whose leading coefficient am^2 - a0^2 is positive, is divided by its
+    content, which keeps every later sign and the coefficients small.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
-    f = p
-    for _ in range(p.degree):
-        a0, am = f.coeffs[0], f.coeffs[-1]
+    f = mx.cleared(np.array(p.coeffs, dtype=object))[0].tolist()
+    while len(f) > 1:
+        a0, am = f[0], f[-1]
         if am * am - a0 * a0 <= 0:
             return False
-        g = am * f - a0 * f.reciprocal()
-        assert g.coeffs[0] == 0 or g.is_zero()
-        f = Polynomial(g.coeffs[1:]).monic()
+        g = [am * x - a0 * y for x, y in zip(f[1:], f[-2::-1])]  # am f_k - a0 f_(m-k), k = 1..m
+        c = gcd(*g)
+        f = [x // c for x in g]
     return True
 
 

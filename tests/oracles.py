@@ -27,7 +27,6 @@ principles (N_{r,c} from Lie words in the free associative algebra).
 from __future__ import annotations
 
 import itertools
-import random
 from fractions import Fraction
 from math import gcd
 
@@ -479,40 +478,30 @@ def orbit_escapes_lattice_fraction(a, v, bound):
 # -- characteristic nilpotency ------------------------------------------------
 
 
-def is_characteristically_nilpotent_fraction(algebra, random_trials=8):
-    """`liealg.is_characteristically_nilpotent` with the witness sums and the
-    Engel flag products D_a W_i in Fractions, on the dense derivation
-    system."""
+def is_characteristically_nilpotent_fraction(algebra):
+    """`liealg.is_characteristically_nilpotent` in Fractions on the dense
+    derivation system: the same four steps (a basis derivation of nonzero
+    trace, the Engel flag, a non-nilpotent basis derivation, a pair with
+    tr(D_a D_b) != 0), with the flag products D_a W_i and the witness sums
+    in Fractions."""
     n = algebra.dim
     ders = derivations_dense(algebra)
     d = len(ders)
-    if d == 0:
-        return Verdict(
-            "accept",
-            condition="characteristically-nilpotent",
-            certificate={"derivation_dim": 0},
-            diagnostics=["derivation algebra is zero"],
-        )
 
-    def reject_if_not_nilpotent(t):
-        witness = sum((c * D for c, D in zip(t, ders) if c), mx.zeros(n, n))
-        if mx.is_nilpotent(witness):
-            return None
+    def reject(*support):
         return Verdict(
             "reject",
             condition="non-nilpotent-derivation",
             certificate={
-                "witness": [[str(e) for e in row] for row in witness],
-                "combination": list(t),
+                "witness": [[str(e) for e in row] for row in sum((ders[a] for a in support), mx.zeros(n, n))],
+                "combination": [int(a in support) for a in range(d)],
             },
             diagnostics=["found a derivation with a nonzero eigenvalue"],
         )
 
-    rng = random.Random(1729)
-    for _ in range(max(0, random_trials)):
-        hit = reject_if_not_nilpotent([rng.randint(-3, 3) for _ in range(d)])
-        if hit is not None:
-            return hit
+    for a in range(d):
+        if mx.trace(ders[a]) != 0:
+            return reject(a)
 
     flag = mx.identity(n)
     steps = 0
@@ -530,13 +519,14 @@ def is_characteristically_nilpotent_fraction(algebra, random_trials=8):
             diagnostics=[f"the derivation flag reaches 0 in {steps} steps ({d} basis derivations)"],
         )
 
-    basis = [[int(a == b) for b in range(d)] for a in range(d)]
-    draws = [[rng.randint(-n, n) for _ in range(d)] for _ in range(64)]
-    for t in basis + draws:
-        hit = reject_if_not_nilpotent(t)
-        if hit is not None:
-            return hit
-    raise RuntimeError("derivation flag stuck at a nonzero subspace but no witness found")
+    for a in range(d):
+        if not mx.is_nilpotent(ders[a]):
+            return reject(a)
+    for a in range(d):
+        for b in range(a + 1, d):
+            if mx.trace(ders[a] @ ders[b]) != 0:
+                return reject(a, b)
+    raise AssertionError("the flag stalled, but the trace form of Der vanishes")
 
 
 # -- holonomy conditions on every element ------------------------------------

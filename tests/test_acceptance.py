@@ -12,7 +12,7 @@ from math import gcd
 
 import numpy as np
 
-from nilgrade import liealg, matrices as mx
+from nilgrade import matrices as mx
 from nilgrade.fixtures import CORPUS_6DIM, load_algebra, load_holonomy, load_map
 from nilgrade.grading import (
     classify,
@@ -55,8 +55,7 @@ def test_criterion_02_notcohopf_negative():
     report(2, "no positive basis-aligned weights; phi is not expanding")
 
 
-def test_criterion_03_nilp5_characteristically_nilpotent(monkeypatch):
-    monkeypatch.setattr(liealg, "PRE_FLAG_DRAWS", 0)  # decide by the flag alone
+def test_criterion_03_nilp5_characteristically_nilpotent():
     algebra = load_algebra("nilp5")
     t0 = time.monotonic()
     verdict = is_characteristically_nilpotent(algebra)

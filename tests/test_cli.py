@@ -417,6 +417,36 @@ class TestJsonBooleans:
         assert "error:" in out.err
 
 
+MALFORMED_SHAPES = {
+    "brackets not an array": ("check", {"dim": 2, "brackets": 5}),
+    "terms not an array": ("check", {"dim": 2, "brackets": [{"i": 1, "j": 2, "terms": 7}]}),
+    "term not an object": ("check", {"dim": 2, "brackets": [{"i": 1, "j": 2, "terms": [[1, "1"]]}]}),
+    "generators not an array": ("holonomy", {"generators": 5}),
+    "generators null": ("holonomy", {"generators": None}),
+    "components not an array": ("cohopf", {"components": 5}),
+    "basis not an array": ("cohopf", {"components": [{"weight": 1, "basis": 5}]}),
+}
+
+
+class TestMalformedShapes:
+    """A JSON value of the wrong shape is an input error (exit 2), not a crash."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SHAPES))
+    def test_rejected_with_exit_2(self, tmp_path, capsys, case):
+        kind, data = MALFORMED_SHAPES[case]
+        f = tmp_path / "in.json"
+        f.write_text(json.dumps(data))
+        argv = {
+            "check": ["check", str(f)],
+            "holonomy": ["cohopf", "heisenberg3", "--holonomy", str(f)],
+            "cohopf": ["cohopf", "heisenberg3", "--certificate", str(f)],
+        }[kind]
+        assert main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "malformed input" in out.err and "Traceback" not in out.err
+
+
 class TestHolonomyDimension:
     """A holonomy group of the wrong size is an input error, also when all
     its generators are the identity and so none is left to test."""

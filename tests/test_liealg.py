@@ -29,11 +29,10 @@ from nilgrade.specmaps import is_expanding
 import oracles
 
 
-def flag_only(algebra):
-    """is_characteristically_nilpotent without the seeded draws before the flag."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(liealg, "PRE_FLAG_DRAWS", 0)
-        return is_characteristically_nilpotent(algebra)
+def sparse_maps(*matrices):
+    """Int matrices as `derivations` returns them: ({column: {row: entry}}, 1)."""
+    return [({i: col for i in range(len(m)) if (col := {p: row[i] for p, row in enumerate(m) if row[i]})}, 1)
+            for m in matrices]
 
 
 def heisenberg():
@@ -190,12 +189,39 @@ class TestCharacteristicNilpotency:
         v = is_characteristically_nilpotent(abelian(2))
         assert v.decision == "reject"
 
-    def test_deterministic_route_matches_fast_path(self):
-        for name in ("heisenberg3", "abelian3", "filiform4"):
-            algebra = load_algebra(name)
-            a = flag_only(algebra)
-            b = is_characteristically_nilpotent(algebra)
-            assert a.decision == b.decision == "reject"
+    def test_cartan_pair(self, monkeypatch):
+        # sl2 spanned by nilpotent maps: E12, E21 and H + E12 - E21, whose
+        # square is 0.  Traces vanish, the flag stalls at Q^2, and the first
+        # pair with a nonzero trace form is tr(E12 E21) = 1.
+        basis = sparse_maps([[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 1], [-1, -1]])
+        monkeypatch.setattr(liealg, "derivations", lambda algebra: basis)
+        v = is_characteristically_nilpotent(abelian(2))
+        assert v.decision == "reject"
+        assert v.certificate == {"witness": [["0", "1"], ["1", "0"]], "combination": [1, 1, 0]}
+
+    def test_nil_basis_accepts(self, monkeypatch):
+        units = [[[int((p, q) == (i, j)) for q in range(3)] for p in range(3)] for i, j in ((0, 1), (0, 2), (1, 2))]
+        basis = sparse_maps(*units)
+        monkeypatch.setattr(liealg, "derivations", lambda algebra: basis)
+        v = is_characteristically_nilpotent(abelian(3))
+        assert v.accepted()
+        assert v.certificate == {"derivation_dim": 3, "max_power": 3}
+
+    def test_decides_without_random_draws(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("random number generator used")
+
+        monkeypatch.setattr(random, "Random", no_draws)
+        for name in ALL_FIXTURES:
+            assert is_characteristically_nilpotent(load_algebra(name)).decision in ("accept", "reject")
+
+    def test_traceless_non_nilpotent_basis_derivation(self):
+        # Der(sl2) = ad sl2 is traceless, so the flag decides, it stalls, and
+        # the first basis derivation, diag(-1, 1, 0), is the witness
+        v = is_characteristically_nilpotent(sl2_like())
+        assert v.to_json() == oracles.is_characteristically_nilpotent_fraction(sl2_like()).to_json()
+        assert v.certificate["combination"] == [1, 0, 0]
+        assert v.certificate["witness"] == [["-1", "0", "0"], ["0", "1", "0"], ["0", "0", "0"]]
 
     def test_char_nilpotent_implies_zero_weight_space(self):
         from nilgrade.grading import weight_solution_space
@@ -294,12 +320,12 @@ class TestEngelFlag:
     @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
     def test_matches_trace_enumeration(self, name):
         a = ORACLE_CASES[name]
-        assert flag_only(a).accepted() == trace_enumeration(a)
+        assert is_characteristically_nilpotent(a).accepted() == trace_enumeration(a)
 
     def test_dixmier_lister_is_characteristically_nilpotent(self):
         a = dixmier_lister()
         assert validate(a).accepted()
-        assert flag_only(a).accepted()
+        assert is_characteristically_nilpotent(a).accepted()
 
     def test_nilp5_direct_sum_past_the_old_size_cap(self):
         n5 = load_algebra("nilp5")
@@ -310,7 +336,7 @@ class TestEngelFlag:
     @pytest.mark.parametrize("a", [filiform(8), N24], ids=["L8", "N2,4"])
     def test_reject_without_seeded_draws_has_witness(self, a):
         t0 = time.monotonic()
-        v = flag_only(a)
+        v = is_characteristically_nilpotent(a)
         # the trace enumeration this replaced took minutes on both
         assert time.monotonic() - t0 < 20.0
         assert v.decision == "reject"
@@ -486,9 +512,22 @@ def test_characteristic_nilpotency_matches_fraction_flag(name):
     a = LADDER[name]() if name in LADDER else load_algebra(name)
     rng = random.Random(f"rescale {name}")
     for b in (a, rescaled(a, rng), rescaled(a, rng)):
-        want = oracles.is_characteristically_nilpotent_fraction(b, random_trials=liealg.PRE_FLAG_DRAWS)
+        want = oracles.is_characteristically_nilpotent_fraction(b)
         assert is_characteristically_nilpotent(b).to_json() == want.to_json()
-        assert flag_only(b).to_json() == oracles.is_characteristically_nilpotent_fraction(b, random_trials=0).to_json()
+
+
+@pytest.mark.parametrize("name", list(ALL_FIXTURES) + list(LADDER))
+def test_reject_witness_is_a_basis_derivation_or_a_pair(name):
+    a = LADDER[name]() if name in LADDER else load_algebra(name)
+    rng = random.Random(f"rescale {name}")
+    for b in (a, rescaled(a, rng), rescaled(a, rng)):
+        v = is_characteristically_nilpotent(b)
+        if v.decision == "reject":
+            w = mx.rmat([[Fraction(e) for e in row] for row in v.certificate["witness"]])
+            assert is_derivation(b, w)
+            assert not mx.is_nilpotent(w)
+            t = v.certificate["combination"]
+            assert set(t) <= {0, 1} and sum(t) in (1, 2)
 
 
 @pytest.mark.parametrize("name", list(ALL_FIXTURES) + list(LADDER))
@@ -500,14 +539,12 @@ def test_derivations_are_sparse_ints_over_least_denominators(name):
         assert den > 0 and gcd(den, *values) == 1
 
 
-@pytest.mark.parametrize("draws", [liealg.PRE_FLAG_DRAWS, 0])
 @pytest.mark.parametrize("name", ["L10", "nilp5"])
-def test_characteristic_nilpotency_builds_no_dense_matrix(monkeypatch, name, draws):
+def test_characteristic_nilpotency_builds_no_dense_matrix(monkeypatch, name):
     # the derivation basis stays sparse ints: neither the dense kernel nor a
-    # clearing of a dense matrix runs, with or without the seeded draws
+    # clearing of a dense matrix runs
     a = oracles.filiform(10) if name == "L10" else load_algebra(name)
-    monkeypatch.setattr(liealg, "PRE_FLAG_DRAWS", draws)
-    want = oracles.is_characteristically_nilpotent_fraction(a, random_trials=draws)
+    want = oracles.is_characteristically_nilpotent_fraction(a)
 
     def dense(*args):
         raise AssertionError("dense matrix built on the characteristic-nilpotency path")
