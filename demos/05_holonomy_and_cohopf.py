@@ -3,8 +3,8 @@
 With a finite automorphism group F in play, expansion needs a positive
 grading preserved by all of F (equivalently an expanding automorphism
 commuting with F); self-covers need the non-negative analogue.  Both
-checks run on explicit certificates, and for monomial F the weight search
-itself becomes F-equivariant.
+checks run on explicit certificates, and the weight search itself is
+F-equivariant: it ties w_i = w_j wherever some generator has f_ij != 0.
 """
 
 from nilgrade import matrices as mx
@@ -40,12 +40,14 @@ print("\nswap-equivariant weights:", w)
 phi = phi_p(heis, grading_from_weights(heis, w), 5)
 print("phi_5 commutes with F:", commutes_with_all(phi, swap))
 
-# Non-monomial holonomy is outside the search class: certificates only.
+# The order-3 holonomy X1 -> X2 -> -X1 - X2 is not monomial; its nonzero
+# entries tie w1 = w2 just the same.
 order3 = load_holonomy("heisenberg3_order3")
-try:
-    find_weights(heis, positive=True, generators=order3.generators)
-except ValueError as e:
-    print("order-3 non-monomial holonomy:", e)
+w = find_weights(heis, positive=True, generators=order3.generators)
+print("order-3-equivariant weights:", w)
+phi = phi_p(heis, grading_from_weights(heis, w), 2)
+print(f"phi_2 = diag({', '.join(str(phi[i, i]) for i in range(3))}) commutes with F:",
+      commutes_with_all(phi, order3))
 
 # Self-covers: the 7-dimensional notcohopf algebra is witnessed by phi
 # with det 2^10; the characteristically nilpotent nilp5 can never have

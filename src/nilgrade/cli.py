@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import matrices as mx
 from . import specmaps
-from .fixtures import fixtures_dir, resolve_algebra_path
+from .fixtures import resolve_path
 from .grading import find_weights, grading_from_weights, phi_p, weight_solution_space, weights_label
 from .holonomy import (
     HolonomyGroup,
@@ -64,11 +64,15 @@ def _load_json(path: str):
         raise CliError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}")
 
 
-def _load_algebra(arg: str) -> LieAlgebra:
+def _resolve(arg: str, kind: str = "") -> Path:
     try:
-        path = resolve_algebra_path(arg)
+        return resolve_path(arg, kind)
     except FileNotFoundError as e:
         raise CliError(str(e))
+
+
+def _load_algebra(arg: str) -> LieAlgebra:
+    path = _resolve(arg)
     try:
         return algebra_from_dict(_load_json(str(path)))
     except ValueError as e:
@@ -78,13 +82,7 @@ def _load_algebra(arg: str) -> LieAlgebra:
 def _load_holonomy(arg: str | None, algebra: LieAlgebra) -> HolonomyGroup:
     if arg is None:
         return HolonomyGroup((mx.identity(algebra.dim),))
-    path = Path(arg)
-    if not path.exists():
-        candidate = fixtures_dir() / "holonomy" / f"{arg}.json"
-        if candidate.exists():
-            path = candidate
-        else:
-            raise CliError(f"cannot open holonomy file {arg}")
+    path = _resolve(arg, "holonomy")
     try:
         gens, cap = holonomy_payload(_load_json(str(path)))
         group = close_group(gens, cap)
@@ -127,22 +125,6 @@ def _emit(verdict: Verdict, compact: bool) -> int:
     if verdict.decision == "accept":
         return 0
     return 1
-
-
-def _weight_search(algebra: LieAlgebra, group: HolonomyGroup, positive: bool):
-    """Weights invariant under the holonomy (None if there are none), or
-    the unknown verdict when the holonomy is outside the search class."""
-    try:
-        return find_weights(algebra, positive, group.generators)
-    except ValueError:
-        return Verdict(
-            "unknown",
-            condition="search-unsupported",
-            diagnostics=[
-                "equivariant search supports monomial holonomy only;"
-                " provide a certificate (grading or commuting automorphism)"
-            ],
-        )
 
 
 # -- subcommands -------------------------------------------------------------
@@ -203,9 +185,7 @@ def cmd_expand(args) -> Verdict:
     if args.certificate:
         cert = _load_certificate(args.certificate, algebra)
         return check_expinfra(algebra, group, cert)
-    w = _weight_search(algebra, group, positive=True)
-    if isinstance(w, Verdict):
-        return w
+    w = find_weights(algebra, True, group.generators)
     if w is None:
         return Verdict(
             "reject",
@@ -251,9 +231,7 @@ def cmd_cohopf(args) -> Verdict:
         if v.accepted():
             v.diagnostics.insert(0, "not co-Hopfian (witnessed)")
         return v
-    w = _weight_search(algebra, group, positive=False)
-    if isinstance(w, Verdict):
-        return w
+    w = find_weights(algebra, False, group.generators)
     if w is not None:
         g = grading_from_weights(algebra, w)
         phi = phi_p(algebra, g, 2)

@@ -67,12 +67,13 @@ def load_holonomy(name: str) -> HolonomyGroup:
     return close_group(gens, cap)
 
 
-def resolve_algebra_path(arg: str) -> Path:
-    """A real path, or a bundled fixture name."""
+def resolve_path(arg: str, kind: str = "") -> Path:
+    """A real path, or the name of a bundled fixture: an algebra, or one
+    in the `kind` subdirectory (e.g. "holonomy")."""
     p = Path(arg)
     if p.exists():
         return p
-    candidate = fixture_path(arg)
+    candidate = fixtures_dir() / kind / f"{arg}.json"
     if candidate.exists():
         return candidate
     raise FileNotFoundError(f"no such file or bundled fixture: {arg}")

@@ -11,11 +11,11 @@ The expansion and self-cover criteria differ by one switch, `positive`:
 expansion needs a positive grading, a self-cover a non-negative
 non-trivial one.  `meets_criterion` says which grading label witnesses
 which.  `find_weights` is the one *search*, restricted to basis-aligned
-gradings (one integer weight per basis vector) and, under monomial
-holonomy, to weights constant on its orbits; the rows plus exact
-Fourier-Motzkin feasibility (`linineq.solve`) decide existence in this
-class, and the canonical returned weights minimize the maximum weight,
-then compare lexicographically.
+gradings (one integer weight per basis vector) and, under holonomy, to
+weights equal wherever some generator has a nonzero entry f_ij; the rows
+plus exact Fourier-Motzkin feasibility (`linineq.solve`) decide existence
+in this class, and the canonical returned weights minimize the maximum
+weight, then compare lexicographically.
 """
 
 from __future__ import annotations
@@ -149,41 +149,26 @@ def weight_solution_space(algebra: LieAlgebra) -> np.ndarray:
     return mx.kernel(weight_equations(algebra), algebra.dim)
 
 
-def monomial_permutation(m: np.ndarray) -> list[int] | None:
-    """sigma with m e_j = c e_{sigma(j)} if m is monomial, else None."""
-    n = m.shape[0]
-    sigma = []
-    for j in range(n):
-        nz = [i for i in range(n) if m[i, j] != 0]
-        if len(nz) != 1:
-            return None
-        sigma.append(nz[0])
-    if sorted(sigma) != list(range(n)):
-        return None
-    return sigma
-
-
 def find_weights(algebra: LieAlgebra, positive: bool, generators=()) -> WeightSystem | None:
     """The canonical weight system with all w_i >= 1 (positive) or all
-    w_i >= 0 and some w_i >= 1 (not positive), constant on the orbits of
-    the group the monomial `generators` span; None if there is none.
-    Complete for basis-aligned gradings.
+    w_i >= 0 and some w_i >= 1 (not positive) whose grading every map in
+    `generators` preserves; None if there is none.  Complete for
+    basis-aligned gradings.
 
-    A monomial map m e_j = c e_sigma(j) preserves the basis-aligned grading
-    with weights w iff w_j = w_sigma(j) for all j.  The equalities from the
-    generators' permutations cut out the same subspace as those from every
-    element of the group (its orbits on the basis are the generators'
-    orbits), and `solve` returns the canonical point of that set, so the
-    weights are those of a search over all of the group.  Non-monomial
-    holonomy is outside the search class; supply a certificate instead.
+    An invertible f preserves the basis-aligned grading with weights w iff
+    w_i = w_j wherever f_ij != 0: f must send each e_j into the span of
+    the basis vectors of weight w_j.  A grading preserved by the
+    generators is preserved by the group they span, so the equalities cut
+    out the same set as those of every element, and `solve` returns the
+    canonical point of that set.
     """
+    n = algebra.dim
     eqs = weight_equations(algebra)
     for f in generators:
-        sigma = monomial_permutation(f)
-        if sigma is None:
-            raise ValueError("search unsupported, use certificate mode")
-        eqs += [{j: 1, s: -1} for j, s in enumerate(sigma) if s != j]
-    return solve(eqs, [], [int(positive)] * algebra.dim)
+        if f.shape != (n, n):
+            raise ValueError("matrix dimension mismatch")
+        eqs += [{i: 1, j: -1} for i in range(n) for j in range(n) if i != j and f[i, j]]
+    return solve(eqs, [], [int(positive)] * n)
 
 
 def grading_from_weights(algebra: LieAlgebra, weights) -> Grading:

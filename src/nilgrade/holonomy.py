@@ -4,19 +4,19 @@ A holonomy group is an explicit finite set of automorphisms.  The two
 theorem-level checks accept a certificate (a grading or a commuting
 automorphism) and report which condition it witnesses.  Their grading
 conditions differ only by `positive`, which `grading.meets_criterion`
-reads; the search for a grading that monomial holonomy preserves is
-`grading.find_weights` on the generators of F.
+reads; the search for a grading that F preserves is `grading.find_weights`
+on the generators of F.
 
 Every condition is decided on the generators of F.  Being an
-automorphism, preserving a grading, commuting with a map and being
-monomial are each closed under products, so they hold on all of F iff
-they hold on its generators.  `close_group` only proves that F is finite
-within the cap and numbers its elements: breadth-first, identity first,
-so its first level `elements[1:1+k]` is the k distinct non-identity
-generators sorted by key.  The identity passes every test, and if some
-element fails then some generator fails, so the first failing element in
-that order is a generator, at index 1 + its position among them; a
-rejection names the same element as a loop over all of F would.
+automorphism, preserving a grading and commuting with a map are each
+closed under products, so they hold on all of F iff they hold on its
+generators.  `close_group` only proves that F is finite within the cap
+and numbers its elements: breadth-first, identity first, so its first
+level `elements[1:1+k]` is the k distinct non-identity generators sorted
+by key.  The identity passes every test, and if some element fails then
+some generator fails, so the first failing element in that order is a
+generator, at index 1 + its position among them; a rejection names the
+same element as a loop over all of F would.
 """
 
 from __future__ import annotations

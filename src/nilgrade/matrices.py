@@ -26,7 +26,7 @@ from math import gcd as int_gcd, lcm, prod
 import numpy as np
 
 from .intutil import factor_int, least_exponent
-from .polynomials import Polynomial
+from .polynomials import Polynomial, factor_over_q
 
 
 def frac(x) -> Fraction:
@@ -464,8 +464,6 @@ def primary_decomposition(m: np.ndarray) -> list[tuple[Polynomial, np.ndarray]]:
     coefficients); each subspace is a canonical column basis and is
     M-invariant.
     """
-    from .polynomials import factor_over_q
-
     _require_square(m)
     out = []
     for p, mult in factor_over_q(charpoly(m)):

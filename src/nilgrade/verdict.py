@@ -10,8 +10,9 @@ from dataclasses import dataclass, field
 class Verdict:
     """Decision plus a replayable certificate or witness.
 
-    decision is one of "accept", "reject", "unknown"; unknown only occurs
-    on unsupported-search paths (never as a silent failure).
+    decision is one of "accept", "reject", "unknown"; no check emits
+    unknown today, and the value is kept for a search that exhausts an
+    explicit work budget (never as a silent failure).
     """
 
     decision: str

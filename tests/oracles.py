@@ -17,8 +17,11 @@ same way, as is the sequential least-exponent descent that the product
 tree replaced, and so is the characteristic-nilpotency test with its
 Engel flag and witness sums in Fractions on the dense derivation system,
 and the holonomy conditions tested on every element of F rather than on
-its generators.  `derivation_matrices` is no oracle: it densifies the
-library's sparse derivation basis for the tests that need matrices.
+its generators.  `preserved_weights_brute_force` was never library code:
+it enumerates a box of weights and keeps those whose grading every
+element of F preserves, without the zero-pattern rule of `find_weights`.
+`derivation_matrices` is no oracle: it densifies the library's sparse
+derivation basis for the tests that need matrices.
 
 Also the ladder algebras L_n, H_{2m+1} and N_{r,c}, built from first
 principles (N_{r,c} from Lie words in the free associative algebra).
@@ -34,7 +37,7 @@ import numpy as np
 
 from nilgrade import matrices as mx
 from nilgrade.intutil import factor_int
-from nilgrade.grading import monomial_permutation, preserved_by, weight_equations
+from nilgrade.grading import grading_from_weights, preserved_by, weight_equations
 from nilgrade.liealg import LieAlgebra, derivations, is_automorphism
 from nilgrade.linineq import solve
 from nilgrade.polynomials import Polynomial, _integer_primitive, factor_order_key, squarefree_decomposition
@@ -550,15 +553,25 @@ def first_failing_all(group, ok):
 
 
 def equivariant_weight_search_all(algebra, group, positive):
-    """`grading.find_weights` with the equalities w_j = w_sigma(j) of every
-    element of the group."""
+    """`grading.find_weights` with the equalities w_i = w_j from the
+    nonzero entries f_ij of every element of the group."""
+    n = algebra.dim
     eqs = weight_equations(algebra)
     for f in group:
-        sigma = monomial_permutation(f)
-        if sigma is None:
-            raise ValueError("search unsupported, use certificate mode")
-        eqs += [{j: 1, s: -1} for j, s in enumerate(sigma) if s != j]
-    return solve(eqs, [], [int(positive)] * algebra.dim)
+        eqs += [{i: 1, j: -1} for i in range(n) for j in range(n) if i != j and f[i, j]]
+    return solve(eqs, [], [int(positive)] * n)
+
+
+def preserved_weights_brute_force(algebra, group, positive, high):
+    """The canonical point (least max weight, then lexicographically least,
+    max >= 1) of the weights in the box [positive, high]^n that satisfy the
+    weight equations and whose grading `preserved_by` accepts for every
+    element of the group; None if the box has none."""
+    eqs = weight_equations(algebra)
+    box = itertools.product(range(int(positive), high + 1), repeat=algebra.dim)
+    points = [w for w in box if max(w) >= 1 and not any(sum(c * w[v] for v, c in row.items()) for row in eqs)]
+    points.sort(key=lambda w: (max(w), w))
+    return next((w for w in points if all(preserved_by(grading_from_weights(algebra, w), f) for f in group)), None)
 
 
 # -- the ladder ----------------------------------------------------------------

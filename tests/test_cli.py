@@ -131,10 +131,18 @@ class TestExpand:
         assert code == 0
         assert v["certificate"]["det"] == "81"
 
-    def test_non_monomial_holonomy_unknown(self):
-        code, v, _ = run_cli("expand", "heisenberg3", "--prime", "2", "--holonomy", "heisenberg3_order3")
-        assert code == 1
-        assert v["decision"] == "unknown"
+    def test_non_monomial_holonomy_accepts(self, tmp_path):
+        hol = ("--holonomy", "heisenberg3_order3")
+        for cmd, cond in (("expand", "expinfra"), ("cohopf", "covinfra")):
+            code, v, _ = run_cli(cmd, "heisenberg3", *hol)
+            assert code == 0 and v["condition"] == f"{cond}-cond-2"
+            assert v["certificate"]["weights"] == [1, 1, 2]
+            assert v["certificate"]["phi_p"] == [["2", "0", "0"], ["0", "2", "0"], ["0", "0", "4"]]
+            for key, replayed in (("grading", f"{cond}-cond-2"), ("phi_p", f"{cond}-cond-3")):
+                cert = tmp_path / f"{cmd}-{key}.json"
+                cert.write_text(json.dumps({key: v["certificate"][key]}))
+                code2, v2, _ = run_cli(cmd, "heisenberg3", *hol, "--certificate", str(cert))
+                assert (code2, v2["condition"]) == (0, replayed)
 
     def test_non_prime_exit_2(self, capsys):
         assert main(["expand", "heisenberg3", "--prime", "6"]) == 2

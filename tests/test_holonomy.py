@@ -10,7 +10,7 @@ from nilgrade import holonomy
 from nilgrade import matrices as mx
 from nilgrade.cli import _load_holonomy
 from nilgrade.fixtures import HOLONOMY_FIXTURES, load_algebra, load_holonomy, load_map
-from nilgrade.grading import find_weights, grading_from_weights, monomial_permutation, phi_p
+from nilgrade.grading import find_weights, grading_from_weights, phi_p
 from nilgrade.holonomy import (
     HolonomyGroup,
     check_covinfra,
@@ -239,21 +239,29 @@ class TestEquivariantSearch:
         assert find_weights(n5, True, group.generators) is None
         assert find_weights(n5, False, group.generators) is None
 
-    def test_rotation_is_monomial(self):
-        # 90-degree rotation is a signed permutation: search supports it
+    def test_rotation(self):
+        # 90-degree rotation, a signed permutation swapping X_1 and X_2
         rot = load_map("heisenberg3", "rotation")
-        assert monomial_permutation(rot) == [1, 0, 2]
         h = heisenberg()
         group = close_group([rot])
         assert find_weights(h, True, group.generators) == (1, 1, 2)
 
-    def test_non_monomial_rejected(self):
+    def test_non_monomial_searched(self):
+        # X_1 -> X_2, X_2 -> -X_1 - X_2: the entries f_12 and f_21 tie w_1 = w_2
         h = heisenberg()
         group = load_holonomy("heisenberg3_order3")
         assert len(group) == 3
-        assert any(monomial_permutation(f) is None for f in group)
-        with pytest.raises(ValueError, match="search unsupported"):
-            find_weights(h, True, group.generators)
+        for positive in (True, False):
+            w = find_weights(h, positive, group.generators)
+            assert w == (1, 1, 2)
+            assert preserves_grading_all(group, grading_from_weights(h, w))
+        assert commutes_with_all(mx.diag([2, 2, 4]), group)
+
+    @pytest.mark.parametrize("shape", [4, 2])
+    def test_generator_of_the_wrong_shape_raises(self, shape):
+        swap = mx.identity(shape)[:, ::-1].copy()
+        with pytest.raises(ValueError, match="matrix dimension mismatch"):
+            find_weights(heisenberg(), True, [swap])
 
     def test_result_is_preserved(self):
         h = heisenberg()
@@ -369,13 +377,10 @@ def test_generators_decide_like_every_element(case):
         assert preserves_grading_all(group, g) == oracles.preserves_grading_every(group, g)
 
     for criterion in (True, False):
-        try:
-            want = oracles.equivariant_weight_search_all(algebra, group, criterion)
-        except ValueError as e:
-            with pytest.raises(ValueError, match=str(e)):
-                find_weights(algebra, criterion, group.generators)
-        else:
-            assert find_weights(algebra, criterion, group.generators) == want
+        want = oracles.equivariant_weight_search_all(algebra, group, criterion)
+        assert find_weights(algebra, criterion, group.generators) == want
+        # the answer depends only on the group, not on how it is generated
+        assert find_weights(algebra, criterion, group.elements) == want
 
     if not valid:
         for check in (check_expinfra, check_covinfra):
@@ -392,3 +397,60 @@ def test_generators_decide_like_every_element(case):
         for check in checks:
             v = check(algebra, group, g)
             assert_names_first_failure(v, group, idx, "violating_element", "holonomy element {} does not preserve the grading")
+
+
+# -- the weight search against a brute force over every element ---------------
+
+
+def is_monomial(m):
+    return all(sum(1 for x in m[:, j] if x) == 1 for j in range(m.shape[1]))
+
+
+def conjugated_case(seed):
+    """U G U^-1 on the abelian algebra of dim 2-4.  G is generated by 1-3
+    seeded signed permutations that each keep a seeded split of the basis
+    into contiguous blocks.  U = P T is unimodular and not monomial: T is a
+    product of transvections I + c E_ij (i < j, c > 0), so some entry above
+    its unit diagonal is positive, and P is a permutation.  Transvections
+    within a block keep the blocks' images invariant; one across blocks
+    may break that."""
+    rng = random.Random(f"conjugated holonomy {seed}")
+    n = rng.randint(2, 4)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+    blocks = [range(a, b) for a, b in zip([0] + cuts, cuts + [n])]
+    u = mx.identity(n)
+    for _ in range(rng.randint(1, 3)):
+        i, j = sorted(rng.sample(range(n), 2))
+        t = mx.identity(n)
+        t[i, j] = mx.frac(rng.choice((1, 2)))
+        u = mx.matmul(u, t)
+    u = mx.matmul(mx.identity(n)[:, rng.sample(range(n), n)], u)
+    assert not is_monomial(u) and abs(mx.det(u)) == 1
+    u_inv = mx.inverse(u)
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        g = mx.zeros(n, n)
+        for block in blocks:
+            for j, i in zip(block, rng.sample(block, len(block))):
+                g[i, j] = mx.frac(rng.choice((1, -1)))
+        gens.append(mx.matmul(mx.matmul(u, g), u_inv))
+    return LieAlgebra(n, {}), close_group(gens)
+
+
+BRUTE_FORCE_CASES = [f"seed{i}" for i in range(16)] + ["heisenberg3_order3", "heisenberg3_order3_swap", "heisenberg3_order3_swap_sign"]
+
+
+@pytest.mark.parametrize("case", BRUTE_FORCE_CASES)
+def test_search_matches_brute_force_over_every_element(case):
+    algebra, group = conjugated_case(int(case[4:])) if case.startswith("seed") else named_case(case)[:2]
+    for positive in (True, False):
+        want = oracles.preserved_weights_brute_force(algebra, group, positive, 3)
+        assert want is not None
+        assert find_weights(algebra, positive, group.generators) == want
+
+
+def test_conjugated_cases_are_informative():
+    # most groups leave the monomial class, and some split the basis
+    cases = [conjugated_case(int(case[4:])) for case in BRUTE_FORCE_CASES if case.startswith("seed")]
+    assert sum(not all(map(is_monomial, g.generators)) for _, g in cases) >= 12
+    assert sum(len(set(find_weights(a, False, g.generators))) > 1 for a, g in cases) >= 6
