@@ -22,7 +22,7 @@ heis = load_algebra("heisenberg3")
 
 # F = {1, diag(-1,-1,1)}: sign holonomy on the Heisenberg algebra.
 sign = load_holonomy("heisenberg3_sign")
-print("sign holonomy order:", len(sign))
+print("sign holonomy order:", sign.order)
 
 g = grading_from_weights(heis, (1, 1, 2))
 v = check_expinfra(heis, sign, g)

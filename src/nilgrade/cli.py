@@ -58,7 +58,7 @@ def _load_json(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except FileNotFoundError:
+    except OSError:
         raise CliError(f"cannot open {path}")
     except json.JSONDecodeError as e:
         raise CliError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}")
@@ -81,7 +81,7 @@ def _load_algebra(arg: str) -> LieAlgebra:
 
 def _load_holonomy(arg: str | None, algebra: LieAlgebra) -> HolonomyGroup:
     if arg is None:
-        return HolonomyGroup((mx.identity(algebra.dim),))
+        return HolonomyGroup(algebra.dim, (), 1)
     path = _resolve(arg, "holonomy")
     try:
         gens, cap = holonomy_payload(_load_json(str(path)))
@@ -214,7 +214,7 @@ def cmd_expand(args) -> Verdict:
         diagnostics=[
             f"positive grading with weights {list(w)}",
             f"phi_{args.prime} has det {args.prime}^{k} and is expanding",
-            f"commutes with all {len(group)} holonomy elements",
+            f"commutes with all {group.order} holonomy elements",
         ],
     )
 

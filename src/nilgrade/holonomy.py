@@ -1,22 +1,19 @@
 """Finite holonomy data and the equivariant expansion / self-cover criteria.
 
-A holonomy group is an explicit finite set of automorphisms.  The two
-theorem-level checks accept a certificate (a grading or a commuting
-automorphism) and report which condition it witnesses.  Their grading
-conditions differ only by `positive`, which `grading.meets_criterion`
-reads; the search for a grading that F preserves is `grading.find_weights`
-on the generators of F.
+A holonomy group is a finite group F of automorphisms, held as its
+generators and its order |F|.  The two theorem-level checks accept a
+certificate (a grading or a commuting automorphism) and report which
+condition it witnesses.  Their grading conditions differ only by
+`positive`, which `grading.meets_criterion` reads; the search for a
+grading that F preserves is `grading.find_weights` on the generators of F.
 
 Every condition is decided on the generators of F.  Being an
 automorphism, preserving a grading and commuting with a map are each
 closed under products, so they hold on all of F iff they hold on its
-generators.  `close_group` only proves that F is finite within the cap
-and numbers its elements: breadth-first, identity first, so its first
-level `elements[1:1+k]` is the k distinct non-identity generators sorted
-by key.  The identity passes every test, and if some element fails then
-some generator fails, so the first failing element in that order is a
-generator, at index 1 + its position among them; a rejection names the
-same element as a loop over all of F would.
+generators.  `close_group` proves F finite within the cap and finds |F|;
+a rejection names the first failing generator in key order, i, as
+holonomy element 1 + i, the place it had after the identity when all of
+F was listed breadth-first.
 """
 
 from __future__ import annotations
@@ -35,23 +32,12 @@ from .verdict import Verdict
 
 @dataclass(frozen=True)
 class HolonomyGroup:
-    """Explicit finite matrix group, identity first, deterministic order.
+    """A finite group F of dim x dim matrices: its distinct non-identity
+    generators, sorted by key, and its order |F|."""
 
-    `generators` follow the identity in `elements`; when not given, every
-    element after the identity counts as a generator."""
-
-    elements: tuple[np.ndarray, ...]
-    generators: tuple[np.ndarray, ...] | None = None
-
-    def __post_init__(self):
-        if self.generators is None:
-            object.__setattr__(self, "generators", self.elements[1:])
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
+    dim: int
+    generators: tuple[np.ndarray, ...]
+    order: int
 
 
 def _key(m: np.ndarray) -> tuple:
@@ -59,7 +45,7 @@ def _key(m: np.ndarray) -> tuple:
 
 
 def close_group(generators: list[np.ndarray], cap: int = 1024) -> HolonomyGroup:
-    """Close under products (breadth-first, lexicographic within levels).
+    """Close under products breadth-first, counting |F|.
 
     A finite set of invertible matrices closed under multiplication is a
     group, so inverses come for free once the closure stabilizes; if it
@@ -69,17 +55,16 @@ def close_group(generators: list[np.ndarray], cap: int = 1024) -> HolonomyGroup:
     if not generators:
         raise ValueError("at least one generator required")
     n = generators[0].shape[0]
-    gens = []
     for g in generators:
         if g.shape != (n, n):
             raise ValueError("generator dimensions disagree")
         if mx.det(g) == 0:
             raise ValueError("generators must be invertible")
-        gens.append(g)
     ident = mx.identity(n)
-    n_gens = len({_key(g) for g in gens} - {_key(ident)})
+    distinct = {_key(g): g for g in generators}
+    distinct.pop(_key(ident), None)
+    gens = tuple(distinct[k] for k in sorted(distinct))
     seen = {_key(ident)}
-    ordered = [ident]
     level = [ident]
     while level:
         nxt = []
@@ -92,15 +77,13 @@ def close_group(generators: list[np.ndarray], cap: int = 1024) -> HolonomyGroup:
                     nxt.append(prod)
                     if len(seen) > cap:
                         raise ValueError(f"not finite within bound {cap}")
-        nxt.sort(key=_key)
-        ordered.extend(nxt)
         level = nxt
-    return HolonomyGroup(tuple(ordered), tuple(ordered[1 : 1 + n_gens]))
+    return HolonomyGroup(n, gens, len(seen))
 
 
 def holonomy_is_valid(algebra: LieAlgebra, group: HolonomyGroup) -> bool:
-    # the identity is checked too: a group of the wrong size may have no generators
-    if group.elements[0].shape != (algebra.dim, algebra.dim):
+    # the dim is checked too: a group of the wrong size may have no generators
+    if group.dim != algebra.dim:
         raise ValueError("matrix dimension mismatch")
     return all(is_automorphism(algebra, f) for f in group.generators)
 
@@ -114,7 +97,8 @@ def commutes_with_all(m: np.ndarray, group: HolonomyGroup) -> bool:
 
 
 def _first_failing(group: HolonomyGroup, ok) -> int | None:
-    """Index in `group.elements` of the first element f with ok(f) false, if any."""
+    """1 + i for the first generator i with ok false, if any: its number
+    as a holonomy element, after the identity."""
     return next((1 + i for i, f in enumerate(group.generators) if not ok(f)), None)
 
 
@@ -181,7 +165,7 @@ def _check_map_condition(group, m, cond, problems, certificate, note) -> Verdict
             condition=cond,
             certificate={
                 "matrix": matrix_to_lists(m),
-                "noncommuting_element": matrix_to_lists(group.elements[bad]),
+                "noncommuting_element": matrix_to_lists(group.generators[bad - 1]),
             },
             diagnostics=[f"map fails to commute with holonomy element {bad}"],
         )
@@ -211,7 +195,7 @@ def _check_grading_condition(algebra, group, grading, positive) -> Verdict:
             condition=cond,
             certificate={
                 "grading": grading_to_dict(grading),
-                "violating_element": matrix_to_lists(group.elements[bad]),
+                "violating_element": matrix_to_lists(group.generators[bad - 1]),
             },
             diagnostics=[f"holonomy element {bad} does not preserve the grading"],
         )
@@ -219,5 +203,5 @@ def _check_grading_condition(algebra, group, grading, positive) -> Verdict:
         "accept",
         condition=cond,
         certificate=grading_to_dict(grading),
-        diagnostics=[f"{label} grading preserved by all {len(group)} holonomy elements"],
+        diagnostics=[f"{label} grading preserved by all {group.order} holonomy elements"],
     )

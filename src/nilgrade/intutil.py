@@ -1,4 +1,5 @@
-"""Small integer helpers: primality, factorization, least exponents.
+"""Small integer helpers: rationals as ints over one denominator,
+primality, factorization, least exponents.
 
 Primality is deterministic Miller-Rabin, a proof below `PRIME_PROOF_LIMIT`
 and refused above it.  Factorization is plain trial division: desk-scale
@@ -11,7 +12,8 @@ exponent in all, and no candidate exponent is raised from scratch.
 
 from __future__ import annotations
 
-from math import prod
+from fractions import Fraction
+from math import lcm, prod
 
 # Miller-Rabin to the 13 prime bases 2..41 proves primality of every n below
 # this (Sorenson & Webster, Math. Comp. 86, 2017; the least strong
@@ -90,3 +92,19 @@ def least_exponent(multiple: int, x, power, holds) -> int:
 
     leaves = list(factor_int(multiple).items())
     return descend(x, leaves) if leaves else 1
+
+
+def frac(x) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, (int, str)):
+        return Fraction(x)
+    raise TypeError(f"cannot interpret {x!r} as a rational number")
+
+
+def cleared(values) -> tuple[list[int], int]:
+    """(d v as ints, d) for the least d > 0 that makes d v integral, for a
+    sequence v of rationals."""
+    dens = [e.denominator for e in values]
+    d = lcm(*dens)
+    return [e.numerator * (d // q) for e, q in zip(values, dens)], d

@@ -21,6 +21,7 @@ from math import lcm
 import numpy as np
 
 from . import matrices as mx
+from .intutil import cleared
 from .verdict import Verdict
 
 
@@ -52,8 +53,8 @@ class LieAlgebra:
             terms = {k: c for k, c in enumerate(v) if c}
             if terms:
                 self.terms[(i, j)] = terms
-        flat, self.den = mx.cleared(np.array([c for t in self.terms.values() for c in t.values()], dtype=object))
-        constants = iter(flat.tolist())
+        flat, self.den = cleared([c for t in self.terms.values() for c in t.values()])
+        constants = iter(flat)
         self.ints: dict[tuple[int, int], dict[int, int]] = {}
         for (i, j), terms in self.terms.items():
             self.ints[(i, j)] = {k: next(constants) for k in terms}
@@ -405,8 +406,9 @@ def is_characteristically_nilpotent(algebra: LieAlgebra) -> Verdict:
 # -- abelianization ----------------------------------------------------------
 
 
-def abelianization(algebra: LieAlgebra) -> tuple[int, np.ndarray]:
-    """Quotient by [n, n]: (quotient dim, projection matrix q x n).
+def _quotient(algebra: LieAlgebra) -> tuple[np.ndarray, np.ndarray]:
+    """The projection onto n/[n, n] (q x n) and its free-coordinate
+    section (n x q), from one pass over [n, n].
 
     Coordinates on the quotient are the non-pivot coordinates of
     x - (derived-subalgebra correction); the derived basis is in column
@@ -416,31 +418,29 @@ def abelianization(algebra: LieAlgebra) -> tuple[int, np.ndarray]:
     der = derived_subalgebra(algebra)
     pivots = [next(i for i in range(n) if der[i, c] != 0) for c in range(der.shape[1])]
     free = [i for i in range(n) if i not in pivots]
-    q = len(free)
-    proj = mx.zeros(q, n)
+    proj = mx.zeros(len(free), n)
+    sec = mx.zeros(n, len(free))
     for a, f in enumerate(free):
-        proj[a, f] = Fraction(1)
+        proj[a, f] = sec[f, a] = Fraction(1)
         for b, p in enumerate(pivots):
             proj[a, p] = -der[f, b]
-    return q, proj
+    return proj, sec
+
+
+def abelianization(algebra: LieAlgebra) -> tuple[int, np.ndarray]:
+    """Quotient by [n, n]: (quotient dim, projection matrix q x n)."""
+    proj, _ = _quotient(algebra)
+    return proj.shape[0], proj
 
 
 def quotient_section(algebra: LieAlgebra) -> np.ndarray:
     """Right inverse of the abelianization projection (free-coordinate lift)."""
-    n = algebra.dim
-    der = derived_subalgebra(algebra)
-    pivots = [next(i for i in range(n) if der[i, c] != 0) for c in range(der.shape[1])]
-    free = [i for i in range(n) if i not in pivots]
-    sec = mx.zeros(n, len(free))
-    for a, f in enumerate(free):
-        sec[f, a] = Fraction(1)
-    return sec
+    return _quotient(algebra)[1]
 
 
 def induced_map(algebra: LieAlgebra, m: np.ndarray) -> np.ndarray:
     """Matrix induced on n/[n,n] by an automorphism."""
     if not is_automorphism(algebra, m):
         raise ValueError("matrix is not an automorphism of the algebra")
-    _, proj = abelianization(algebra)
-    sec = quotient_section(algebra)
+    proj, sec = _quotient(algebra)
     return mx.matmul(mx.matmul(proj, m), sec)

@@ -25,16 +25,9 @@ from math import gcd as int_gcd, lcm, prod
 
 import numpy as np
 
-from .intutil import factor_int, least_exponent
+from . import intutil
+from .intutil import factor_int, frac, least_exponent
 from .polynomials import Polynomial, factor_over_q
-
-
-def frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, str)):
-        return Fraction(x)
-    raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 
 def rvec(entries) -> np.ndarray:
@@ -89,10 +82,7 @@ def is_integral(a: np.ndarray) -> bool:
 def cleared(m: np.ndarray) -> tuple[np.ndarray, int]:
     """(d M as ints in the shape of M, d) for the least d > 0 that makes d M
     integral; M is a matrix or a vector."""
-    entries = m.ravel().tolist()
-    dens = [e.denominator for e in entries]
-    d = lcm(*dens)
-    ints = [e.numerator * (d // q) for e, q in zip(entries, dens)]
+    ints, d = intutil.cleared(m.ravel().tolist())
     return np.array(ints, dtype=object).reshape(m.shape), d
 
 
@@ -150,8 +140,8 @@ def _int_row(row: dict) -> dict[int, int]:
     no array), else its `cleared` multiple."""
     if all(type(v) is int for v in row.values()):
         return {c: v for c, v in row.items() if v}
-    ints, _ = cleared(np.array(list(row.values()), dtype=object))
-    return {c: v for c, v in zip(row, ints.tolist()) if v}
+    ints, _ = intutil.cleared(list(row.values()))
+    return {c: v for c, v in zip(row, ints) if v}
 
 
 def _combine(row: dict[int, int], a: int, b: int, other: dict[int, int]) -> None:
@@ -262,8 +252,8 @@ def _cleared_rows(a: np.ndarray) -> tuple[list[dict[int, int]], int]:
     `cleared` once, together, for the dense entry points.  Scaling every
     row by the same d > 0 keeps the row space and the RREF."""
     rows = [{c: v for c, v in enumerate(row) if v} for row in a.tolist()]
-    ints, d = cleared(np.array([v for row in rows for v in row.values()], dtype=object))
-    it = iter(ints.tolist())
+    ints, d = intutil.cleared([v for row in rows for v in row.values()])
+    it = iter(ints)
     return [{c: next(it) for c in row} for row in rows], d
 
 
@@ -297,32 +287,22 @@ def det(a: np.ndarray) -> Fraction:
     return Fraction((-1) ** inversions * prod(x for x, _ in leads), prod(s for _, s in leads) * d**n)
 
 
-def _inverse_rows(a: np.ndarray) -> tuple[dict[int, dict[int, int]], int]:
-    """The primitive pivot rows R_i of the RREF of [d A | d I], and n: row i
-    of A^-1 is the right half of R_i over R_i[i], in lowest terms."""
-    n = _require_square(a)
-    rows, d = _cleared_rows(a)
-    reduced, _ = _reduce({**row, n + i: d} for i, row in enumerate(rows))
-    if sorted(reduced) != list(range(n)):
-        raise ValueError("matrix is singular")
-    return reduced, n
-
-
 def inverse(a: np.ndarray) -> np.ndarray:
-    """The right half of the RREF of [d A | d I]."""
-    reduced, n = _inverse_rows(a)
-    out = zeros(n, n)
-    for i, row in reduced.items():
-        for c, v in row.items():
-            if c >= n:
-                out[i, c - n] = Fraction(v, row[i])
-    return out
+    """A^-1, from `inverse_cleared`."""
+    ints, d = inverse_cleared(a)
+    return ints * Fraction(1, d)
 
 
 def inverse_cleared(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """`cleared(inverse(A))` with no Fraction built: the least denominator
-    of A^-1 is the lcm of the leads R_i[i], as each row is in lowest terms."""
-    reduced, n = _inverse_rows(a)
+    """`cleared(inverse(A))` with no Fraction built: from the primitive pivot
+    rows R_i of the RREF of [d A | d I], row i of A^-1 is the right half of
+    R_i over R_i[i], in lowest terms, so the least denominator of A^-1 is
+    the lcm of the leads R_i[i]."""
+    n = _require_square(a)
+    rows, d_a = _cleared_rows(a)
+    reduced, _ = _reduce({**row, n + i: d_a} for i, row in enumerate(rows))
+    if sorted(reduced) != list(range(n)):
+        raise ValueError("matrix is singular")
     d = lcm(*(row[i] for i, row in reduced.items()))
     out = np.zeros((n, n), dtype=object)
     for i, row in reduced.items():
@@ -432,7 +412,7 @@ def eval_poly(p: Polynomial, m: np.ndarray) -> np.ndarray:
     if p.is_zero():
         return zeros(n, n)
     a, d = cleared(m)
-    coeffs, den = cleared(np.array(p.coeffs, dtype=object))
+    coeffs, den = intutil.cleared(p.coeffs)
     deg = p.degree
     acc = np.zeros((n, n), dtype=object)
     for k in range(deg, -1, -1):

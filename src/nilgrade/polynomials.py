@@ -15,18 +15,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd as int_gcd, isqrt, lcm
+from math import gcd as int_gcd, isqrt
 from typing import Iterable, Sequence
 
-from .intutil import is_prime
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, str)):
-        return Fraction(x)
-    raise TypeError(f"cannot interpret {x!r} as a rational number")
+from .intutil import cleared, frac, is_prime
 
 
 class Polynomial:
@@ -35,7 +27,7 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable):
-        cs = [_frac(c) for c in coeffs]
+        cs = [frac(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
@@ -173,7 +165,7 @@ X = Polynomial([0, 1])
 def from_roots(roots: Sequence) -> Polynomial:
     p = ONE
     for r in roots:
-        p = p * Polynomial([-_frac(r), 1])
+        p = p * Polynomial([-frac(r), 1])
     return p
 
 
@@ -237,14 +229,6 @@ def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
 
 
 # -- factorization over Q ----------------------------------------------
-
-
-def _integer_primitive(p: Polynomial) -> list[int]:
-    """Scale a nonzero rational polynomial to a primitive integer one."""
-    den = lcm(*(c.denominator for c in p.coeffs))
-    ints = [int(c * den) for c in p.coeffs]
-    g = int_gcd(*ints)
-    return [c // g for c in ints]
 
 
 # Integer polynomials below are ascending coefficient lists without a zero
@@ -481,7 +465,7 @@ def factor_over_q(p: Polynomial) -> list[tuple[Polynomial, int]]:
 
 def _factor_squarefree(s: Polynomial) -> list[Polynomial]:
     """Irreducible monic factors of a squarefree rational polynomial."""
-    f = _integer_primitive(s)
+    f = _primitive(cleared(s.coeffs)[0])
     if f[0] == 0:  # X divides s once
         return [X] + (_factor_squarefree(Polynomial(f[1:])) if len(f) > 2 else [])
     return [Polynomial(g).monic() for g in _zassenhaus(f)]

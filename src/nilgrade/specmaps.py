@@ -31,6 +31,7 @@ import numpy as np
 
 from . import matrices as mx
 from .grading import Grading, classify, meets_criterion, preserved_by, weight_equations
+from .intutil import cleared
 from .liealg import LieAlgebra, is_automorphism
 from .linineq import solve
 from .polynomials import Polynomial, factor_order_key, poly_xgcd, squarefree_part
@@ -49,7 +50,7 @@ def schur_all_inside(p: Polynomial) -> bool:
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
-    f = mx.cleared(np.array(p.coeffs, dtype=object))[0].tolist()
+    f = cleared(p.coeffs)[0]
     while len(f) > 1:
         a0, am = f[0], f[-1]
         if am * am - a0 * a0 <= 0:

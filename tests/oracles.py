@@ -17,7 +17,8 @@ same way, as is the sequential least-exponent descent that the product
 tree replaced, and so is the characteristic-nilpotency test with its
 Engel flag and witness sums in Fractions on the dense derivation system,
 and the holonomy conditions tested on every element of F rather than on
-its generators.  `preserved_weights_brute_force` was never library code:
+its generators, with `group_elements`, the breadth-first closure that
+once listed F in `HolonomyGroup`.  `preserved_weights_brute_force` was never library code:
 it enumerates a box of weights and keeps those whose grading every
 element of F preserves, without the zero-pattern rule of `find_weights`.
 `derivation_matrices` is no oracle: it densifies the library's sparse
@@ -36,11 +37,11 @@ from math import gcd
 import numpy as np
 
 from nilgrade import matrices as mx
-from nilgrade.intutil import factor_int
+from nilgrade.intutil import cleared, factor_int
 from nilgrade.grading import grading_from_weights, preserved_by, weight_equations
 from nilgrade.liealg import LieAlgebra, derivations, is_automorphism
 from nilgrade.linineq import solve
-from nilgrade.polynomials import Polynomial, _integer_primitive, factor_order_key, squarefree_decomposition
+from nilgrade.polynomials import Polynomial, _primitive, factor_order_key, squarefree_decomposition
 from nilgrade.verdict import Verdict
 
 
@@ -212,14 +213,14 @@ def factor_kronecker(p):
     Kronecker's interpolation search."""
     found = {}
     for sqf, mult in squarefree_decomposition(p):
-        ints = _integer_primitive(sqf)
+        ints = _primitive(cleared(sqf.coeffs)[0])
         work = Polynomial(ints)
         irreducibles = []
         for r in _rational_roots(ints):
             irreducibles.append(Polynomial([-r, 1]))
             work = work // Polynomial([-r, 1])
         while work.degree > 0:
-            g = _kronecker_factor(Polynomial(_integer_primitive(work)), work.degree // 2) if work.degree > 3 else None
+            g = _kronecker_factor(Polynomial(_primitive(cleared(work.coeffs)[0])), work.degree // 2) if work.degree > 3 else None
             if g is None:
                 irreducibles.append(work.monic())
                 break
@@ -535,34 +536,57 @@ def is_characteristically_nilpotent_fraction(algebra):
 # -- holonomy conditions on every element ------------------------------------
 
 
-def holonomy_is_valid_all(algebra, group):
-    return all(is_automorphism(algebra, f) for f in group)
+def group_elements(generators):
+    """Every element of the group that the invertible matrices generate,
+    breadth-first: the identity, then each level sorted by entries, so the
+    first level is the distinct non-identity generators in key order."""
+    def key(m):
+        return tuple(m.flat)
+
+    ident = mx.identity(generators[0].shape[0])
+    seen = {key(ident)}
+    ordered = level = [ident]
+    while level:
+        nxt = []
+        for a in level:
+            for g in generators:
+                prod = mx.matmul(a, g)
+                if key(prod) not in seen:
+                    seen.add(key(prod))
+                    nxt.append(prod)
+        level = sorted(nxt, key=key)
+        ordered = ordered + level
+    return ordered
 
 
-def preserves_grading_every(group, grading):
-    return all(preserved_by(grading, f) for f in group)
+def holonomy_is_valid_all(algebra, elements):
+    return all(is_automorphism(algebra, f) for f in elements)
 
 
-def commutes_with_every(m, group):
-    return all(map(mx.commutes_with(m), group))
+def preserves_grading_every(elements, grading):
+    return all(preserved_by(grading, f) for f in elements)
 
 
-def first_failing_all(group, ok):
-    """Index of the first element f of the group with ok(f) false, if any."""
-    return next((i for i, f in enumerate(group) if not ok(f)), None)
+def commutes_with_every(m, elements):
+    return all(map(mx.commutes_with(m), elements))
 
 
-def equivariant_weight_search_all(algebra, group, positive):
+def first_failing_all(elements, ok):
+    """Index of the first element f with ok(f) false, if any."""
+    return next((i for i, f in enumerate(elements) if not ok(f)), None)
+
+
+def equivariant_weight_search_all(algebra, elements, positive):
     """`grading.find_weights` with the equalities w_i = w_j from the
     nonzero entries f_ij of every element of the group."""
     n = algebra.dim
     eqs = weight_equations(algebra)
-    for f in group:
+    for f in elements:
         eqs += [{i: 1, j: -1} for i in range(n) for j in range(n) if i != j and f[i, j]]
     return solve(eqs, [], [int(positive)] * n)
 
 
-def preserved_weights_brute_force(algebra, group, positive, high):
+def preserved_weights_brute_force(algebra, elements, positive, high):
     """The canonical point (least max weight, then lexicographically least,
     max >= 1) of the weights in the box [positive, high]^n that satisfy the
     weight equations and whose grading `preserved_by` accepts for every
@@ -571,7 +595,7 @@ def preserved_weights_brute_force(algebra, group, positive, high):
     box = itertools.product(range(int(positive), high + 1), repeat=algebra.dim)
     points = [w for w in box if max(w) >= 1 and not any(sum(c * w[v] for v, c in row.items()) for row in eqs)]
     points.sort(key=lambda w: (max(w), w))
-    return next((w for w in points if all(preserved_by(grading_from_weights(algebra, w), f) for f in group)), None)
+    return next((w for w in points if all(preserved_by(grading_from_weights(algebra, w), f) for f in elements)), None)
 
 
 # -- the ladder ----------------------------------------------------------------

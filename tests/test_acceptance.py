@@ -141,7 +141,7 @@ def _commuting_companions(algebra_name, algebra, m):
             if mx.mat_eq(psi @ m, m @ psi):
                 out.append(psi)
         for hol in ("heisenberg3_sign", "heisenberg3_swap"):
-            for f in load_holonomy(hol):
+            for f in oracles.group_elements(load_holonomy(hol).generators):
                 if mx.mat_eq(f @ m, m @ f):
                     out.append(f)
     return out

@@ -455,6 +455,26 @@ class TestMalformedShapes:
         assert "malformed input" in out.err and "Traceback" not in out.err
 
 
+class TestDirectoryPath:
+    """An input path that names a directory is an input error (exit 2)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "{d}"],
+            ["expand", "heisenberg3", "--holonomy", "{d}"],
+            ["cohopf", "heisenberg3", "--certificate", "{d}"],
+            ["norm", "heisenberg3", "{d}"],
+            ["latpow", "{d}"],
+        ],
+        ids=["algebra", "holonomy", "certificate", "norm-matrix", "latpow-input"],
+    )
+    def test_rejected_with_exit_2(self, tmp_path, capsys, argv):
+        assert main([a.format(d=tmp_path) for a in argv]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == f"error: cannot open {tmp_path}\n"
+
+
 class TestHolonomyDimension:
     """A holonomy group of the wrong size is an input error, also when all
     its generators are the identity and so none is left to test."""

@@ -20,7 +20,7 @@ from nilgrade.grading import (
 )
 from nilgrade.liealg import LieAlgebra, is_automorphism, is_derivation
 from nilgrade.polynomials import from_roots
-from oracles import dense_table, verify_grading_pairwise
+from oracles import dense_table, group_elements, verify_grading_pairwise
 
 
 def heisenberg():
@@ -348,7 +348,7 @@ class TestCommutation:
         g = grading_from_weights(h, (1, 1, 2))
         maps = [mx.identity(3), phi_p(h, g, 3), phi_p(h, g, 5)]
         for group_name in ("heisenberg3_sign", "heisenberg3_swap"):
-            maps.extend(load_holonomy(group_name).elements)
+            maps.extend(group_elements(load_holonomy(group_name).generators))
         m2 = phi_p(h, g, 2)
         for psi in maps:
             if preserved_by(g, psi):

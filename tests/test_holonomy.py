@@ -1,6 +1,8 @@
 import itertools
 import json
+import math
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -38,15 +40,15 @@ def heisenberg():
 
 class TestCloseGroup:
     def test_identity_only(self):
-        assert len(close_group([mx.identity(2)])) == 1
+        assert close_group([mx.identity(2)]).order == 1
 
     def test_minus_identity(self):
-        assert len(close_group([-mx.identity(2)])) == 2
+        assert close_group([-mx.identity(2)]).order == 2
 
     def test_rotation_order_4(self):
         rot = mx.rmat([[0, -1], [1, 0]])
         group = close_group([rot])
-        assert len(group) == 4
+        assert group.order == 4
         # oracle: direct powering gives 4 distinct elements
         powers = {tuple(mx.mat_pow(rot, k).flat) for k in range(1, 5)}
         assert len(powers) == 4
@@ -54,14 +56,16 @@ class TestCloseGroup:
     def test_dihedral_8(self):
         rot = mx.rmat([[0, -1], [1, 0]])
         refl = mx.diag([1, -1])
-        assert len(close_group([rot, refl])) == 8
+        assert close_group([rot, refl]).order == 8
 
-    def test_identity_comes_first_and_order_deterministic(self):
+    def test_generators_do_not_depend_on_the_input_order(self):
         rot = mx.rmat([[0, -1], [1, 0]])
-        g1 = close_group([rot])
-        g2 = close_group([rot])
-        assert mx.mat_eq(g1.elements[0], mx.identity(2))
-        assert all(mx.mat_eq(a, b) for a, b in zip(g1, g2))
+        refl = mx.diag([1, -1])
+        g1 = close_group([rot, refl])
+        g2 = close_group([refl, mx.identity(2), rot, refl])
+        assert (g1.dim, g1.order) == (g2.dim, g2.order) == (2, 8)
+        assert len(g1.generators) == len(g2.generators) == 2
+        assert all(mx.mat_eq(a, b) for a, b in zip(g1.generators, g2.generators))
 
     def test_infinite_group_capped(self):
         shear = mx.rmat([[1, 1], [0, 1]])
@@ -75,34 +79,32 @@ class TestCloseGroup:
     def test_lagrange_orders_divide(self):
         for name in ("heisenberg3_sign", "heisenberg3_swap"):
             group = load_holonomy(name)
-            for el in group:
+            for el in oracles.group_elements(group.generators):
                 order = 1
                 acc = el
                 while not mx.mat_eq(acc, mx.identity(el.shape[0])):
                     acc = acc @ el
                     order += 1
-                assert len(group) % order == 0
+                assert group.order % order == 0
 
     def test_generators_are_the_first_level(self):
         rot = mx.rmat([[0, -1], [1, 0]])
         refl = mx.diag([1, -1])
-        group = close_group([rot, refl, rot, mx.identity(2)])
+        gens = [rot, refl, rot, mx.identity(2)]
+        group = close_group(gens)
         assert len(group.generators) == 2
-        assert all(mx.mat_eq(a, b) for a, b in zip(group.generators, group.elements[1:3]))
+        assert all(mx.mat_eq(a, b) for a, b in zip(group.generators, oracles.group_elements(gens)[1:3]))
         assert sorted(tuple(g.flat) for g in group.generators) == [tuple(g.flat) for g in group.generators]
         assert {tuple(g.flat) for g in group.generators} == {tuple(rot.flat), tuple(refl.flat)}
 
     def test_identity_generator_gives_no_generators(self):
         assert close_group([mx.identity(2)]).generators == ()
 
-    def test_unloaded_holonomy_has_no_generators(self):
-        group = _load_holonomy(None, heisenberg())
-        assert len(group) == 1 and group.generators == ()
-
-    def test_group_from_elements_counts_every_non_identity_element(self):
-        d = mx.diag([2, 2, 2])
-        group = HolonomyGroup((mx.identity(3), d, -d))
-        assert len(group.generators) == 2 and group.generators[0] is d
+    @pytest.mark.parametrize("name", ["heisenberg3", "notcohopf"])
+    def test_unloaded_holonomy_is_the_trivial_group(self, name):
+        algebra = load_algebra(name)
+        group = _load_holonomy(None, algebra)
+        assert group.dim == algebra.dim and group.order == 1 and group.generators == ()
 
 
 class TestPredicates:
@@ -137,7 +139,10 @@ class TestPredicates:
     def test_holonomy_validation(self):
         h = heisenberg()
         assert holonomy_is_valid(h, load_holonomy("heisenberg3_sign"))
-        assert not holonomy_is_valid(h, HolonomyGroup((mx.identity(3), mx.diag([2, 2, 2]))))
+        assert not holonomy_is_valid(h, HolonomyGroup(3, (-mx.identity(3),), 2))
+        # a group of the wrong size is refused, also when it has no generators
+        with pytest.raises(ValueError, match="matrix dimension mismatch"):
+            holonomy_is_valid(h, HolonomyGroup(2, (), 1))
 
 
 class TestCheckExpinfra:
@@ -250,7 +255,7 @@ class TestEquivariantSearch:
         # X_1 -> X_2, X_2 -> -X_1 - X_2: the entries f_12 and f_21 tie w_1 = w_2
         h = heisenberg()
         group = load_holonomy("heisenberg3_order3")
-        assert len(group) == 3
+        assert group.order == 3
         for positive in (True, False):
             w = find_weights(h, positive, group.generators)
             assert w == (1, 1, 2)
@@ -303,11 +308,11 @@ class TestRevalidation:
         group = golden_group("heisenberg3_order3_swap_sign")
         calls = self.count_calls(monkeypatch)
         assert check_expinfra(h, group, grading_from_weights(h, (1, 1, 2))).accepted()
-        assert len(group) == 12 and len(calls) == 3
+        assert group.order == 12 and len(calls) == 3
 
     def test_non_automorphism_still_raises(self):
         h = heisenberg()
-        bad = HolonomyGroup((mx.identity(3), mx.diag([2, 2, 2])))
+        bad = HolonomyGroup(3, (-mx.identity(3),), 2)
         for check in (check_expinfra, check_covinfra):
             with pytest.raises(ValueError, match="must be automorphisms"):
                 check(h, bad, grading_from_weights(h, (1, 1, 2)))
@@ -324,18 +329,18 @@ def signed_permutation(rng, n):
 
 
 def random_case(seed):
-    """A group generated by 1-3 seeded signed permutations: on the abelian
-    algebra of dim 2-4 (order at most 384), or on heisenberg3, where some
-    of them are not automorphisms."""
+    """1-3 seeded signed permutations: on the abelian algebra of dim 2-4
+    (they generate a group of order at most 384), or on heisenberg3, where
+    some of them are not automorphisms."""
     rng = random.Random(f"holonomy oracle {seed}")
     algebra = heisenberg() if seed % 4 == 3 else LieAlgebra(rng.randint(2, 4), {})
     gens = [signed_permutation(rng, algebra.dim) for _ in range(rng.randint(1, 3))]
-    return algebra, close_group(gens), rng
+    return algebra, gens, rng
 
 
 def named_case(name):
     group = load_holonomy(name) if name in HOLONOMY_FIXTURES else golden_group(name)
-    return heisenberg(), group, random.Random(name)
+    return heisenberg(), list(group.generators), random.Random(name)
 
 
 def certificates(algebra, rng):
@@ -353,12 +358,12 @@ def certificates(algebra, rng):
     return maps, [grading_from_weights(algebra, w) for w in positive], [grading_from_weights(algebra, w) for w in nonneg]
 
 
-def assert_names_first_failure(v, group, idx, key, message):
+def assert_names_first_failure(v, elements, idx, key, message):
     if idx is None:
         assert v.accepted(), v.diagnostics
         return
     assert v.decision == "reject"
-    assert v.certificate[key] == matrix_to_lists(group.elements[idx])
+    assert v.certificate[key] == matrix_to_lists(elements[idx])
     assert v.diagnostics == [message.format(idx)]
 
 
@@ -367,20 +372,21 @@ CASES = [f"seed{i}" for i in range(24)] + list(HOLONOMY_FIXTURES) + ["heisenberg
 
 @pytest.mark.parametrize("case", CASES)
 def test_generators_decide_like_every_element(case):
-    algebra, group, rng = random_case(int(case[4:])) if case.startswith("seed") else named_case(case)
-    valid = oracles.holonomy_is_valid_all(algebra, group)
+    algebra, gens, rng = random_case(int(case[4:])) if case.startswith("seed") else named_case(case)
+    group, elements = close_group(gens), oracles.group_elements(gens)
+    valid = oracles.holonomy_is_valid_all(algebra, elements)
     assert holonomy_is_valid(algebra, group) == valid
     maps, positive, nonneg = certificates(algebra, rng)
     for m in maps:
-        assert commutes_with_all(m, group) == oracles.commutes_with_every(m, group)
+        assert commutes_with_all(m, group) == oracles.commutes_with_every(m, elements)
     for g in positive + nonneg:
-        assert preserves_grading_all(group, g) == oracles.preserves_grading_every(group, g)
+        assert preserves_grading_all(group, g) == oracles.preserves_grading_every(elements, g)
 
     for criterion in (True, False):
-        want = oracles.equivariant_weight_search_all(algebra, group, criterion)
+        want = oracles.equivariant_weight_search_all(algebra, elements, criterion)
         assert find_weights(algebra, criterion, group.generators) == want
         # the answer depends only on the group, not on how it is generated
-        assert find_weights(algebra, criterion, group.elements) == want
+        assert find_weights(algebra, criterion, elements) == want
 
     if not valid:
         for check in (check_expinfra, check_covinfra):
@@ -388,15 +394,15 @@ def test_generators_decide_like_every_element(case):
                 check(algebra, group, maps[0])
         return
     for m in maps:
-        idx = oracles.first_failing_all(group, mx.commutes_with(m))
+        idx = oracles.first_failing_all(elements, mx.commutes_with(m))
         for check in (check_expinfra, check_covinfra):
             v = check(algebra, group, m)
-            assert_names_first_failure(v, group, idx, "noncommuting_element", "map fails to commute with holonomy element {}")
+            assert_names_first_failure(v, elements, idx, "noncommuting_element", "map fails to commute with holonomy element {}")
     for g, checks in [(g, (check_expinfra, check_covinfra)) for g in positive] + [(g, (check_covinfra,)) for g in nonneg]:
-        idx = oracles.first_failing_all(group, lambda f: holonomy.preserved_by(g, f))
+        idx = oracles.first_failing_all(elements, lambda f: holonomy.preserved_by(g, f))
         for check in checks:
             v = check(algebra, group, g)
-            assert_names_first_failure(v, group, idx, "violating_element", "holonomy element {} does not preserve the grading")
+            assert_names_first_failure(v, elements, idx, "violating_element", "holonomy element {} does not preserve the grading")
 
 
 # -- the weight search against a brute force over every element ---------------
@@ -434,7 +440,7 @@ def conjugated_case(seed):
             for j, i in zip(block, rng.sample(block, len(block))):
                 g[i, j] = mx.frac(rng.choice((1, -1)))
         gens.append(mx.matmul(mx.matmul(u, g), u_inv))
-    return LieAlgebra(n, {}), close_group(gens)
+    return LieAlgebra(n, {}), gens
 
 
 BRUTE_FORCE_CASES = [f"seed{i}" for i in range(16)] + ["heisenberg3_order3", "heisenberg3_order3_swap", "heisenberg3_order3_swap_sign"]
@@ -442,15 +448,43 @@ BRUTE_FORCE_CASES = [f"seed{i}" for i in range(16)] + ["heisenberg3_order3", "he
 
 @pytest.mark.parametrize("case", BRUTE_FORCE_CASES)
 def test_search_matches_brute_force_over_every_element(case):
-    algebra, group = conjugated_case(int(case[4:])) if case.startswith("seed") else named_case(case)[:2]
+    algebra, gens = conjugated_case(int(case[4:])) if case.startswith("seed") else named_case(case)[:2]
+    elements = oracles.group_elements(gens)
     for positive in (True, False):
-        want = oracles.preserved_weights_brute_force(algebra, group, positive, 3)
+        want = oracles.preserved_weights_brute_force(algebra, elements, positive, 3)
         assert want is not None
-        assert find_weights(algebra, positive, group.generators) == want
+        assert find_weights(algebra, positive, close_group(gens).generators) == want
 
 
 def test_conjugated_cases_are_informative():
     # most groups leave the monomial class, and some split the basis
     cases = [conjugated_case(int(case[4:])) for case in BRUTE_FORCE_CASES if case.startswith("seed")]
-    assert sum(not all(map(is_monomial, g.generators)) for _, g in cases) >= 12
-    assert sum(len(set(find_weights(a, False, g.generators))) > 1 for a, g in cases) >= 6
+    assert sum(not all(map(is_monomial, close_group(g).generators)) for _, g in cases) >= 12
+    assert sum(len(set(find_weights(a, False, close_group(g).generators))) > 1 for a, g in cases) >= 6
+
+
+# -- the order and the generators against the enumeration of every element ----
+
+
+def hyperoctahedral(n):
+    """Generators of B_n, the signed permutations of order 2^n n!: a
+    transposition, an n-cycle and one sign change."""
+    swap = mx.identity(n)[:, [1, 0] + list(range(2, n))]
+    cycle = mx.identity(n)[:, list(range(1, n)) + [0]]
+    sign = mx.identity(n)
+    sign[0, 0] = Fraction(-1)
+    return [swap, cycle, sign]
+
+
+@pytest.mark.parametrize("case", [f"seed{i}" for i in range(16)] + ["B3", "B4"])
+def test_order_and_generators_match_the_enumeration(case):
+    gens = conjugated_case(int(case[4:]))[1] if case.startswith("seed") else hyperoctahedral(int(case[1:]))
+    group = close_group(gens)
+    elements = oracles.group_elements(gens)
+    assert group.order == len(elements)
+    if not case.startswith("seed"):
+        n = int(case[1:])
+        assert group.order == 2**n * math.factorial(n)
+    # the first level: the distinct non-identity generators, in key order
+    k = len({tuple(g.flat) for g in gens} - {tuple(elements[0].flat)})
+    assert [tuple(g.flat) for g in group.generators] == [tuple(f.flat) for f in elements[1 : 1 + k]]

@@ -18,6 +18,7 @@ from nilgrade.holonomy import close_group
 from nilgrade.liealg import LieAlgebra
 from nilgrade.linineq import solve
 from nilgrade.serialize import holonomy_payload
+from oracles import group_elements
 
 
 def enumerate_integer_points(eqs, lows, highs):
@@ -138,7 +139,7 @@ def holonomy_group(name):
 def test_fixture_holonomy_matches_brute_force(hol, positive):
     alg = load_algebra("heisenberg3")
     group = holonomy_group(hol)
-    pairs = [(i, j) for f in group for i in range(3) for j in range(3) if i != j and f[i, j]]
+    pairs = [(i, j) for f in group_elements(group.generators) for i in range(3) for j in range(3) if i != j and f[i, j]]
     want = oracle(weight_equations(alg) + orbit_equalities(pairs), [int(positive)] * 3, 6)
     assert find_weights(alg, positive, group.generators) == want
 

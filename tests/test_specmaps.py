@@ -493,7 +493,7 @@ class TestCommutingPreservation:
         h = load_algebra("heisenberg3")
         m = mx.diag([2, 3, 6])
         g = expanding_to_positive_grading(h, m)
-        swap = load_holonomy("heisenberg3_swap").elements[1]
+        swap = load_holonomy("heisenberg3_swap").generators[0]
         assert not mx.mat_eq(m @ swap, swap @ m)
         assert not preserved_by(g, swap)
 
