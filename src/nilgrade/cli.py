@@ -299,7 +299,7 @@ def cmd_norm(args) -> Verdict:
     profile = specmaps.norm_profile(m)
     chi = profile.charpoly
     notes = []
-    if not mx.is_zero_mat(mx.eval_poly(profile.radical, m)):
+    if not mx.annihilates(profile.radical, m):
         notes.append("map is not semisimple; profile taken on its semisimple part")
     cert = {"profile": profile_to_dict(profile)}
     if specmaps.schur_all_inside(chi.reciprocal()):

@@ -205,7 +205,14 @@ def phi_p(algebra: LieAlgebra, grading: Grading, p: int) -> np.ndarray:
 
 
 def preserved_by(grading: Grading, psi: np.ndarray) -> bool:
-    """True iff psi maps every component onto itself."""
+    """True iff psi maps every component onto itself, decided in ints:
+    scaling psi and a component's columns by positive ints changes no
+    column space, so (d psi)(e S) is compared with e S."""
     if mx.det(psi) == 0:
         raise ValueError("singular map cannot preserve a grading")
-    return all(mx.col_spaces_equal(mx.matmul(psi, s), s) for _, s in grading.components)
+    psi_int, _ = mx.cleared(psi)
+    for _, s in grading.components:
+        s_int, _ = mx.cleared(s)
+        if not mx.col_spaces_equal(psi_int @ s_int, s_int):
+            return False
+    return True

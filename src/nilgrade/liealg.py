@@ -16,7 +16,7 @@ directly; a `Fraction` is made only for an entry that is output.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -53,12 +53,32 @@ class LieAlgebra:
             terms = {k: c for k, c in enumerate(v) if c}
             if terms:
                 self.terms[(i, j)] = terms
-        flat, self.den = cleared([c for t in self.terms.values() for c in t.values()])
+        flat, den = cleared([c for t in self.terms.values() for c in t.values()])
         constants = iter(flat)
+        self._store_ints({ij: {k: next(constants) for k in terms} for ij, terms in self.terms.items()}, den)
+
+    def _store_ints(self, upper: dict[tuple[int, int], dict[int, int]], den: int) -> None:
+        """Set `ints` and `den` from the nonzero int constants of the pairs
+        i < j over the least denominator den."""
+        self.den = den
         self.ints: dict[tuple[int, int], dict[int, int]] = {}
-        for (i, j), terms in self.terms.items():
-            self.ints[(i, j)] = {k: next(constants) for k in terms}
-            self.ints[(j, i)] = {k: -c for k, c in self.ints[(i, j)].items()}
+        for (i, j), terms in upper.items():
+            self.ints[(i, j)] = terms
+            self.ints[(j, i)] = {k: -c for k, c in terms.items()}
+
+    @classmethod
+    def _from_ints(cls, dim: int, upper: dict[tuple[int, int], dict[int, int]], den: int) -> "LieAlgebra":
+        """The algebra with constants upper[(i, j)][k] / den, nonzero, i < j,
+        without the constructor's parsing: the ints and den are divided by
+        their gcd once, which leaves den the least denominator, and `terms`
+        gets one Fraction per nonzero constant."""
+        g = gcd(den, *(c for t in upper.values() for c in t.values()))
+        upper = {ij: {k: c // g for k, c in t.items()} for ij, t in upper.items()}
+        out = cls.__new__(cls)
+        out.dim = dim
+        out.terms = {ij: {k: Fraction(c, den // g) for k, c in t.items()} for ij, t in upper.items()}
+        out._store_ints(upper, den // g)
+        return out
 
     def bracket(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         if x.shape != (self.dim,) or y.shape != (self.dim,):
@@ -76,7 +96,8 @@ class LieAlgebra:
 
         Runs in ints: with A = d P, B = d' P^-1 and the int constants
         C = e c, c'_ab = B [A e_a, A e_b]_C / (d' e d^2), each bracket
-        summed over the nonzeros of the two columns only.
+        summed over the nonzeros of the two columns only, and the int
+        table goes to the new algebra as it is (`_from_ints`).
         """
         n = self.dim
         if p.shape != (n, n):
@@ -99,8 +120,8 @@ class LieAlgebra:
                     if c:
                         out = [o + c * v for o, v in zip(out, b_cols[k])]
                 if any(out):
-                    table[(a, b)] = [Fraction(o, den) for o in out]
-        return LieAlgebra(n, table)
+                    table[(a, b)] = {k: o for k, o in enumerate(out) if o}
+        return LieAlgebra._from_ints(n, table, den)
 
 
 def bracket(algebra: LieAlgebra, x, y) -> np.ndarray:
@@ -110,15 +131,10 @@ def bracket(algebra: LieAlgebra, x, y) -> np.ndarray:
 # -- structure ------------------------------------------------------------
 
 
-def _subspace(rows, n: int) -> np.ndarray:
-    """The canonical column basis of the span of sparse rows: their RREF."""
-    return mx.from_rows(mx.gauss_jordan(rows)[0], n).T
-
-
 def derived_subalgebra(algebra: LieAlgebra) -> np.ndarray:
     """[n, n] as the canonical column basis: the RREF of the brackets,
     read as the int constants C = e c, which span the same space."""
-    return _subspace((c for (i, j), c in algebra.ints.items() if i < j), algebra.dim)
+    return mx.span_basis((c for (i, j), c in algebra.ints.items() if i < j), algebra.dim)
 
 
 def _series_descent(algebra: LieAlgebra) -> tuple[list[list[dict[int, int]]], bool]:
@@ -149,7 +165,7 @@ def _series_descent(algebra: LieAlgebra) -> tuple[list[list[dict[int, int]]], bo
 
 def lower_central_series(algebra: LieAlgebra) -> list[np.ndarray]:
     """gamma_1 = n, gamma_{i+1} = [n, gamma_i]; the nonzero terms."""
-    return [_subspace(rows, algebra.dim) for rows in _series_descent(algebra)[0]]
+    return [mx.span_basis(rows, algebra.dim) for rows in _series_descent(algebra)[0]]
 
 
 def nilpotency_class(algebra: LieAlgebra) -> int:
@@ -189,7 +205,7 @@ def validate(algebra: LieAlgebra) -> Verdict:
                     )
     series, nilpotent = _series_descent(algebra)
     if not nilpotent:
-        last = _subspace(series[-1], n)
+        last = mx.span_basis(series[-1], n)
         return Verdict(
             "reject",
             condition="not-nilpotent",

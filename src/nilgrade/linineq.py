@@ -8,13 +8,14 @@ are eliminated once, by `matrices.echelon` on reversed variable
 indices: pivots then fall on the highest-index variables, so every
 dependent variable is a linear function of lower-index free ones.
 Rational feasibility of what is left is decided by Fourier-Motzkin
-elimination with Fractions.  Its doubly-exponential blow-up hits
-infeasible systems with mixed-sign rows (12 random infeasible rows over
-4 variables take seconds); the weight systems posed today are not of
-that shape.  The canonical integer point is then found by shell
-enumeration: smallest possible maximum coordinate first,
-lexicographically smallest within that shell, branching on free
-variables only and computing the dependent ones.  The enumeration needs
+elimination on int rows, each divided by its content with its sign
+kept, so that positive multiples of one row meet as one row.  Its
+doubly-exponential blow-up hits infeasible systems with mixed-sign rows
+(12 random infeasible rows over 4 variables take seconds); the weight
+systems posed today are not of that shape.  The canonical integer
+point is then found by shell enumeration: smallest possible maximum
+coordinate first, lexicographically smallest within that shell,
+branching on free variables only and computing the dependent ones.  The enumeration needs
 no upper bound on the coordinates: a feasible system of the supported
 shape has a rational point, and that point times its common denominator
 is an integer point in some finite shell.  Canonical output makes the
@@ -24,45 +25,48 @@ solver reproducible across implementations.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from . import matrices as mx
+from .intutil import cleared
 
 Row = dict[int, int | Fraction]
 Inequality = tuple[Row, int | Fraction]
-# a dense inequality over all variables, as Fourier-Motzkin works on it
+# a dense inequality over all variables, as `feasible` takes it
 Constraint = tuple[tuple[Fraction, ...], Fraction]
 # dependent variable -> (denominator d, [(free variable f, integer a_f)]):
 # x = sum(a_f * x_f) / d over free variables f of lower index
 Dependents = dict[int, tuple[int, list[tuple[int, int]]]]
 
 
-def _normalized(coeffs, rhs) -> Constraint:
-    scale = next((abs(c) for c in coeffs if c != 0), None)
-    if scale is None:
-        return tuple(coeffs), rhs
-    return tuple(c / scale for c in coeffs), rhs / scale
+def _primitive(row: tuple[int, ...]) -> tuple[int, ...]:
+    """The int row divided by its content, sign kept: the one
+    representative of its positive multiples."""
+    g = gcd(*row)
+    return row if g <= 1 else tuple(c // g for c in row)
 
 
 def feasible(ineqs: list[Constraint], nvars: int) -> bool:
     """Rational feasibility of {every ineq holds}, by Fourier-Motzkin
-    elimination with row normalization/dedup."""
-    rows = {_normalized(coeffs, rhs) for coeffs, rhs in ineqs}
+    elimination.  Each inequality is one int row (coefficients, then the
+    rhs), cleared once and kept primitive, so duplicates drop out of the
+    row sets."""
+    rows = {_primitive(tuple(cleared([*coeffs, rhs])[0])) for coeffs, rhs in ineqs}
     for j in range(nvars):
         pos, neg, rest = [], [], set()
-        for coeffs, rhs in rows:
-            if coeffs[j] > 0:
-                pos.append((coeffs, rhs))
-            elif coeffs[j] < 0:
-                neg.append((coeffs, rhs))
+        for row in rows:
+            if row[j] > 0:
+                pos.append(row)
+            elif row[j] < 0:
+                neg.append(row)
             else:
-                rest.add((coeffs, rhs))
-        for cp, bp in pos:
-            for cn, bn in neg:
-                lam, mu = -cn[j], cp[j]
-                combo = [lam * a + mu * b for a, b in zip(cp, cn)]
-                rest.add(_normalized(combo, lam * bp + mu * bn))
+                rest.add(row)
+        for rp in pos:
+            for rn in neg:
+                lam, mu = -rn[j], rp[j]
+                rest.add(_primitive(tuple(lam * a + mu * b for a, b in zip(rp, rn))))
         rows = rest
-    return all(rhs <= 0 for _, rhs in rows)
+    return all(row[-1] <= 0 for row in rows)
 
 
 def _dependents(eqs: list[Row], nvars: int) -> Dependents:

@@ -7,10 +7,19 @@ denominator, and `commutes_with` decides M F = F M in ints.  Everything
 that numpy cannot do exactly on such arrays (determinants, inverses,
 echelon forms, kernels) is one fraction-free Gauss-Jordan on sparse int
 rows, `_reduce`, which keeps each pivot row primitive.  The dense entry
-points (`rref`, `det`, `inverse`, `nullspace`) clear their matrix once;
+points (`rref`, `det`, `inverse`, `rank`) clear their matrix once;
 `echelon`, `sparse_kernel` and `inverse_cleared` hand back int rows, int
 kernel columns and an int inverse to callers that need no `Fraction`,
-and the others make one `Fraction` per output entry.
+and the others make one `Fraction` per output entry.  Two column spaces
+are compared by rank alone (rank A = rank B = rank [A | B]), with no
+canonical basis built.
+
+Polynomials in M are evaluated by Horner in ints on M cleared once
+(`_poly_at`), so `eval_poly` divides once and `annihilates` divides
+never.  The primary components are the kernels of int multiples of
+p(M)^e, one per irreducible factor p^e of the characteristic
+polynomial: `primary_decomposition` makes a `Fraction` only for the
+canonical basis it returns.
 
 Also home to the integer-lattice utilities: column-style Hermite normal
 form, exact lattice membership, and matrix orders in GL(n, Z/m).
@@ -247,11 +256,21 @@ def from_rows(rows: list[dict[int, Fraction]], nc: int) -> np.ndarray:
     return out
 
 
+def span_basis(rows, nc: int) -> np.ndarray:
+    """The canonical basis of the span of sparse rows ({column: value}) as
+    the columns of an nc x rank matrix: their RREF, transposed."""
+    return from_rows(gauss_jordan(rows)[0], nc).T
+
+
+def _sparse_rows(a: np.ndarray) -> list[dict]:
+    return [{c: v for c, v in enumerate(row) if v} for row in a.tolist()]
+
+
 def _cleared_rows(a: np.ndarray) -> tuple[list[dict[int, int]], int]:
     """(the rows of d A as sparse int rows, d): the nonzero entries are
     `cleared` once, together, for the dense entry points.  Scaling every
     row by the same d > 0 keeps the row space and the RREF."""
-    rows = [{c: v for c, v in enumerate(row) if v} for row in a.tolist()]
+    rows = _sparse_rows(a)
     ints, d = intutil.cleared([v for row in rows for v in row.values()])
     it = iter(ints)
     return [{c: next(it) for c in row} for row in rows], d
@@ -264,7 +283,8 @@ def rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
 
 def rank(a: np.ndarray) -> int:
-    return len(rref(a)[1])
+    """The number of pivot rows `_reduce` keeps from the cleared rows of A."""
+    return len(_reduce(_cleared_rows(a)[0])[0])
 
 
 def det(a: np.ndarray) -> Fraction:
@@ -326,11 +346,6 @@ def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     return x
 
 
-def nullspace(a: np.ndarray) -> np.ndarray:
-    """Canonical kernel basis as columns (free variable = 1 pattern)."""
-    return kernel(_cleared_rows(a)[0], a.shape[1])
-
-
 def sparse_kernel(rows, nc: int) -> list[tuple[dict[int, int], int]]:
     """The canonical kernel of sparse rows ({column: value}), one vector per
     free column f, each as (int entries {index: value}, least denominator).
@@ -371,14 +386,18 @@ def col_basis(a: np.ndarray) -> np.ndarray:
     """Canonical basis of the column space, as columns (echelon form).
 
     Two matrices span the same column space iff their col_basis arrays
-    are identical, so subspace equality is array equality.
+    are identical.
     """
-    red, pivots = rref(a.T)
-    return red[: len(pivots)].T.copy()
+    return span_basis(_cleared_rows(a.T)[0], a.shape[0])
 
 
 def col_spaces_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    return mat_eq(col_basis(a), col_basis(b))
+    """Whether the columns of A and of B span the same space:
+    rank A = rank B = rank [A | B], with no RREF made."""
+    if a.shape[0] != b.shape[0]:
+        return False
+    r = rank(a)
+    return r == rank(b) == rank(hstack([a, b]))
 
 
 def hstack(mats: list[np.ndarray]) -> np.ndarray:
@@ -401,17 +420,15 @@ def charpoly(m: np.ndarray) -> Polynomial:
     power = np.zeros((n, n), dtype=object)
     for k in range(1, n + 1):
         power = a @ (power + coeffs_desc[-1] * np.identity(n, dtype=object))
-        coeffs_desc.append(-trace(power) // k)
+        coeffs_desc.append(-power.trace() // k)
     return Polynomial(reversed([Fraction(c, d**k) for k, c in enumerate(coeffs_desc)]))
 
 
-def eval_poly(p: Polynomial, m: np.ndarray) -> np.ndarray:
-    """p(M), by Horner in ints on A = d M and the cleared coefficients L c_k:
-    the sum of L c_k d^(deg-k) A^k is L d^deg p(M)."""
-    n = _require_square(m)
-    if p.is_zero():
-        return zeros(n, n)
-    a, d = cleared(m)
+def _poly_at(p: Polynomial, a: np.ndarray, d: int) -> tuple[np.ndarray, int]:
+    """(s p(M) as ints, s) for a nonzero p and A = d M an int matrix, by
+    Horner in ints on A and the cleared coefficients L c_k: the sum of
+    L c_k d^(deg-k) A^k is s p(M) for s = L d^deg."""
+    n = a.shape[0]
     coeffs, den = intutil.cleared(p.coeffs)
     deg = p.degree
     acc = np.zeros((n, n), dtype=object)
@@ -421,7 +438,22 @@ def eval_poly(p: Polynomial, m: np.ndarray) -> np.ndarray:
         c = coeffs[k] * d ** (deg - k)
         for i in range(n):
             acc[i, i] += c
-    return acc * Fraction(1, den * d**deg)
+    return acc, den * d**deg
+
+
+def eval_poly(p: Polynomial, m: np.ndarray) -> np.ndarray:
+    """p(M): `_poly_at` on M cleared once, divided once."""
+    n = _require_square(m)
+    if p.is_zero():
+        return zeros(n, n)
+    acc, s = _poly_at(p, *cleared(m))
+    return acc * Fraction(1, s)
+
+
+def annihilates(p: Polynomial, m: np.ndarray) -> bool:
+    """p(M) = 0, decided on the int multiple of p(M) with no Fraction built."""
+    _require_square(m)
+    return p.is_zero() or is_zero_mat(_poly_at(p, *cleared(m))[0])
 
 
 def is_nilpotent(m: np.ndarray) -> bool:
@@ -442,13 +474,23 @@ def primary_decomposition(m: np.ndarray) -> list[tuple[Polynomial, np.ndarray]]:
 
     Components come back in the canonical factor order (degree, then
     coefficients); each subspace is a canonical column basis and is
-    M-invariant.
+    M-invariant.  All in ints: M is cleared once, K_i = s p_i(M) is
+    `_poly_at`'s int multiple, divided by its content and raised to e_i
+    by int products, and ker K_i^e_i = ker p_i(M)^e_i is the
+    `sparse_kernel` of its rows, whose int columns `span_basis` reduces
+    to the canonical basis; a Fraction is made only for that output.
     """
-    _require_square(m)
+    n = _require_square(m)
+    a, d = cleared(m)
     out = []
     for p, mult in factor_over_q(charpoly(m)):
-        k = mat_pow(eval_poly(p, m), mult)
-        out.append((p, col_basis(nullspace(k))))
+        k = _poly_at(p, a, d)[0]
+        k = k // (int_gcd(*k.flat) or 1)  # p(M) = 0 when p is the minimal polynomial
+        power = k
+        for _ in range(mult - 1):
+            power = power @ k
+        kernel_cols = [col for col, _ in sparse_kernel(_sparse_rows(power), n)]
+        out.append((p, span_basis(kernel_cols, n)))
     return out
 
 

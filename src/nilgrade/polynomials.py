@@ -1,13 +1,17 @@
 """Univariate polynomials over the rationals, with exact factorization.
 
-Coefficients are `fractions.Fraction`, stored ascending by degree.  The
-factorization is squarefree (Yun) decomposition, then Zassenhaus on each
-squarefree part: factor mod a small prime (distinct-degree, then
-Cantor-Zassenhaus equal-degree splitting with a fixed seed), Hensel-lift
-the factors quadratically, and recombine them by exact trial division
-over Z.  Polynomial time except for the recombination, which is
-exponential only in the number of modular factors that no rational
-factor accounts for; the result does not depend on the prime or the seed.
+Coefficients are `fractions.Fraction`, stored ascending by degree; the
+algorithms run on the primitive int multiple of a polynomial, as int
+coefficient lists.  Squarefree (Yun) decomposition is done in Z[X]: gcds
+by the primitive remainder sequence, and every division exact in Z[X]
+by Gauss's lemma, since each divisor is a primitive gcd.  The
+factorization hands Yun's primitive int parts straight to Zassenhaus:
+factor mod a small prime (distinct-degree, then Cantor-Zassenhaus
+equal-degree splitting with a fixed seed), Hensel-lift the factors
+quadratically, and recombine them by exact trial division over Z.
+Polynomial time except for the recombination, which is exponential only
+in the number of modular factors that no rational factor accounts for;
+the result does not depend on the prime or the seed.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd as int_gcd, isqrt
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .intutil import cleared, frac, is_prime
 
@@ -103,17 +107,12 @@ class Polynomial:
         return self + (-other)
 
     def __mul__(self, other) -> "Polynomial":
+        """The product, in Z[X] on both operands cleared once, divided once."""
         if isinstance(other, (int, Fraction)):
             return Polynomial(c * other for c in self.coeffs)
-        if self.is_zero() or other.is_zero():
-            return ZERO
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
+        a, da = cleared(self.coeffs)
+        b, db = cleared(other.coeffs)
+        return Polynomial(Fraction(c, da * db) for c in _mul(a, b))
 
     __rmul__ = __mul__
 
@@ -162,20 +161,6 @@ ONE = Polynomial([1])
 X = Polynomial([0, 1])
 
 
-def from_roots(roots: Sequence) -> Polynomial:
-    p = ONE
-    for r in roots:
-        p = p * Polynomial([-frac(r), 1])
-    return p
-
-
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd; gcd(0, 0) = 0."""
-    while not b.is_zero():
-        a, b = b, a % b
-    return a if a.is_zero() else a.monic()
-
-
 def poly_xgcd(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
     """(g, u, v) with u*a + v*b = g, g the monic gcd."""
     r0, r1 = a, b
@@ -193,42 +178,7 @@ def poly_xgcd(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Pol
     return r0.monic(), u0 * inv, v0 * inv
 
 
-def squarefree_part(p: Polynomial) -> Polynomial:
-    """p / gcd(p, p'), made monic: the radical of p."""
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    g = poly_gcd(p, p.derivative())
-    if g.degree <= 0:
-        return p.monic()
-    return (p // g).monic()
-
-
-def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
-    """Yun decomposition: p = lc * prod s_i^i with the s_i squarefree, coprime."""
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    p = p.monic()
-    if p.degree == 0:
-        return []
-    dp = p.derivative()
-    g = poly_gcd(p, dp)
-    out: list[tuple[Polynomial, int]] = []
-    if g.degree == 0:
-        return [(p, 1)]
-    c = p // g
-    d = dp // g - c.derivative()
-    i = 1
-    while c.degree > 0:
-        a = poly_gcd(c, d)
-        if a.degree > 0:
-            out.append((a, i))
-        c = c // a if a.degree > 0 else c
-        d = (d // a if a.degree > 0 else d) - c.derivative()
-        i += 1
-    return out
-
-
-# -- factorization over Q ----------------------------------------------
+# -- integer polynomials -----------------------------------------------
 
 
 # Integer polynomials below are ascending coefficient lists without a zero
@@ -241,12 +191,14 @@ def _trim(a: list[int]) -> list[int]:
     return a
 
 
-def _add(a: list[int], b: list[int], m: int) -> list[int]:
+def _add(a: list[int], b: list[int], m: int = 0) -> list[int]:
+    """a + b, reduced mod m unless m = 0."""
     n = max(len(a), len(b))
-    return _trim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % m for i in range(n)])
+    out = [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
+    return _trim([c % m for c in out] if m else out)
 
 
-def _sub(a: list[int], b: list[int], m: int) -> list[int]:
+def _sub(a: list[int], b: list[int], m: int = 0) -> list[int]:
     return _add(a, [-c for c in b], m)
 
 
@@ -260,6 +212,90 @@ def _mul(a: list[int], b: list[int], m: int = 0) -> list[int]:
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return _trim([c % m for c in out] if m else out)
+
+
+def _primitive(a: list[int]) -> list[int]:
+    g = int_gcd(*a)
+    return [c // g for c in a]
+
+
+def _derivative(a: list[int]) -> list[int]:
+    return _trim([k * c for k, c in enumerate(a)][1:])
+
+
+# -- squarefree decomposition in Z[X] ------------------------------------
+
+
+def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """(q, r) with s a = q b + r over Z and deg r < deg b, for an int s > 0
+    that scales the running remainder only where a quotient coefficient
+    would not be an int: s = 1, and q is the exact quotient, when b
+    divides a in Z[X]."""
+    lc = b[-1]
+    r = list(a)
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(q) - 1, -1, -1):
+        t = r[k + len(b) - 1]
+        if t % lc:
+            g = abs(lc) // int_gcd(lc, t)
+            r, q, t = [c * g for c in r], [c * g for c in q], t * g
+        c = q[k] = t // lc
+        if c:
+            for j, y in enumerate(b):
+                r[k + j] -= c * y
+    return _trim(q), _trim(r[: len(b) - 1])
+
+
+def _zgcd(a: list[int], b: list[int]) -> list[int]:
+    """The primitive gcd in Z[X], positive leading coefficient, by the
+    primitive remainder sequence: each pseudo-remainder is divided by its
+    content, which keeps the coefficients as small as the gcd allows."""
+    while b:
+        a, b = b, _primitive(_pseudo_divmod(a, b)[1])
+    g = _primitive(a)
+    return g if not g or g[-1] > 0 else [-c for c in g]
+
+
+def _yun(f: list[int]) -> list[tuple[list[int], int]]:
+    """Yun's squarefree decomposition of a primitive f in Z[X]: the pairs
+    (s_i, i) with f = +-prod s_i^i over the s_i of degree >= 1, each
+    primitive with positive leading coefficient, squarefree, and pairwise
+    coprime.  Each division is exact in Z[X] by Gauss's lemma: the divisor
+    is a primitive gcd, which divides the dividend over Q."""
+    df = _derivative(f)
+    g = _zgcd(f, df)
+    c, d = _pseudo_divmod(f, g)[0], _pseudo_divmod(df, g)[0]
+    out, i = [], 1
+    while len(c) > 1:
+        d = _sub(d, _derivative(c))
+        a = _zgcd(c, d)
+        if len(a) > 1:
+            out.append((a, i))
+        c, d = _pseudo_divmod(c, a)[0], _pseudo_divmod(d, a)[0]
+        i += 1
+    return out
+
+
+def _int_part(p: Polynomial) -> list[int]:
+    """The primitive int multiple of a nonzero rational polynomial."""
+    if p.is_zero():
+        raise ValueError("zero polynomial")
+    return _primitive(cleared(p.coeffs)[0])
+
+
+def squarefree_part(p: Polynomial) -> Polynomial:
+    """p / gcd(p, p'), made monic: the radical of p, computed in Z[X]."""
+    f = _int_part(p)
+    return Polynomial(_pseudo_divmod(f, _zgcd(f, _derivative(f)))[0]).monic()
+
+
+def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
+    """Yun decomposition: p = lc * prod s_i^i with the s_i monic,
+    squarefree and coprime, computed in Z[X] (`_yun`)."""
+    return [(Polynomial(s).monic(), i) for s, i in _yun(_int_part(p))]
+
+
+# -- factorization over Q ----------------------------------------------
 
 
 def _divmod(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
@@ -367,11 +403,6 @@ def _hensel(f: list[int], us: list[list[int]], p: int, big: int) -> list[list[in
     return _hensel(g, us[:half], p, big) + _hensel(h, us[half:], p, big)
 
 
-def _primitive(a: list[int]) -> list[int]:
-    g = int_gcd(*a)
-    return [c // g for c in a]
-
-
 def _lifted_product(lead: int, us: list[list[int]], big: int) -> list[int]:
     """lead * product(us) mod big, as symmetric residues."""
     out = [lead]
@@ -423,7 +454,7 @@ def _zassenhaus(f: list[int]) -> list[list[int]]:
     while tried < _PRIMES_TRIED:
         if lead % p and is_prime(p):
             fp = _monic([c % p for c in f], p)
-            if len(_gcd(fp, _trim([k * c % p for k, c in enumerate(fp)][1:]), p)) == 1:
+            if len(_gcd(fp, _trim([c % p for c in _derivative(fp)]), p)) == 1:
                 tried += 1
                 ddf = _distinct_degree(fp, p)
                 count = sum((len(g) - 1) // d for g, d in ddf)
@@ -457,15 +488,14 @@ def factor_over_q(p: Polynomial) -> list[tuple[Polynomial, int]]:
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     found: dict[Polynomial, int] = {}
-    for sqf, mult in squarefree_decomposition(p):
+    for sqf, mult in _yun(_int_part(p)):
         for irr in _factor_squarefree(sqf):
             found[irr] = found.get(irr, 0) + mult
     return sorted(found.items(), key=lambda fm: factor_order_key(fm[0]))
 
 
-def _factor_squarefree(s: Polynomial) -> list[Polynomial]:
-    """Irreducible monic factors of a squarefree rational polynomial."""
-    f = _primitive(cleared(s.coeffs)[0])
-    if f[0] == 0:  # X divides s once
-        return [X] + (_factor_squarefree(Polynomial(f[1:])) if len(f) > 2 else [])
+def _factor_squarefree(f: list[int]) -> list[Polynomial]:
+    """Irreducible monic factors of a primitive squarefree f in Z[X]."""
+    if f[0] == 0:  # X divides f once
+        return [X] + (_factor_squarefree(f[1:]) if len(f) > 2 else [])
     return [Polynomial(g).monic() for g in _zassenhaus(f)]

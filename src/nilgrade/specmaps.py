@@ -3,9 +3,7 @@
 - expansion (every eigenvalue strictly outside the unit circle) via a
   Schur-Cohn chain on the reciprocal characteristic polynomial;
 - characteristic polynomials in Z[X] (with |det| > 1: a self-cover witness);
-- the semisimple part over Q by Newton iteration (Jordan-Chevalley), and
-  semisimplicity as g(M) = 0 for g the radical of the characteristic
-  polynomial;
+- the semisimple part over Q by Newton iteration (Jordan-Chevalley);
 - norm profiles: each primary component of a map is tagged with
   |p_i(0)|^(lcm/deg), a fixed positive power of the absolute field norm of
   its eigenvalues.  A map and its semisimple part have the same primary
@@ -15,6 +13,13 @@
   classes assemble into the positive / non-negative gradings promised by
   the expansion and self-cover criteria (`grading_from_profile`, which
   takes the profile already computed).
+
+The norm path runs in ints up to its output: the factors come from Yun
+in Z[X] and Zassenhaus, each component is the kernel of an int multiple
+of p_i(M)^e_i (`matrices.primary_decomposition`), the grading's
+preservation is a rank test on the cleared map times each cleared
+component (`grading.preserved_by`), and the algebra re-based on the
+classes is built from its int table (`LieAlgebra.in_basis`).
 
 The splitting field itself is never constructed: a common positive power
 of the norms preserves equality classes, ordering, the >1 predicate and
@@ -91,16 +96,6 @@ def semisimple_part(m: np.ndarray) -> np.ndarray:
             return s
         s = s - mx.matmul(gs, mx.eval_poly(u, s))
     raise RuntimeError("Newton iteration failed to converge")
-
-
-def is_semisimple(m: np.ndarray) -> bool:
-    """g(M) = 0 for g the squarefree part of the characteristic polynomial.
-
-    The minimal polynomial is squarefree iff it divides g, the radical of
-    the characteristic polynomial.
-    """
-    g = squarefree_part(mx.charpoly(m))
-    return mx.is_zero_mat(mx.eval_poly(g, m))
 
 
 # -- norm profiles ------------------------------------------------------------

@@ -10,7 +10,13 @@ first linear dependence among the powers of a matrix, Horner's rule in
 Fractions, Kronecker's factorization over Q (rational roots, then an
 evaluate/interpolate search over divisors of values, exponential in the
 degree), and the grading check that solves one linear system per nonzero
-bracket of two component basis vectors.  They read only `LieAlgebra.dim`
+bracket of two component basis vectors.  The norm path's Fraction
+kernels are kept the same way: Euclid's gcd and Yun's squarefree
+decomposition on `Polynomial`s, the primary decomposition through p(M)
+by Horner in Fractions, its power and the dense kernel and column basis,
+the column-space test that compares canonical bases, the semisimplicity
+test g(M) = 0, and Fourier-Motzkin on Fraction rows scaled by their
+first coefficient.  They read only `LieAlgebra.dim`
 and the dense table that `dense_table` builds from `LieAlgebra.terms`.
 The Fraction loop that `latpow`'s integer orbit scan replaced is kept the
 same way, as is the sequential least-exponent descent that the product
@@ -41,7 +47,7 @@ from nilgrade.intutil import cleared, factor_int
 from nilgrade.grading import grading_from_weights, preserved_by, weight_equations
 from nilgrade.liealg import LieAlgebra, derivations, is_automorphism
 from nilgrade.linineq import solve
-from nilgrade.polynomials import Polynomial, _primitive, factor_order_key, squarefree_decomposition
+from nilgrade.polynomials import ONE, Polynomial, _primitive, factor_order_key, factor_over_q
 from nilgrade.verdict import Verdict
 
 
@@ -142,6 +148,81 @@ def eval_poly_fraction(p, m):
     return acc
 
 
+def primary_decomposition_fraction(m):
+    """`matrices.primary_decomposition` as p(M) by Horner in Fractions,
+    raised to the multiplicity by Fraction products, and the canonical
+    column basis of its kernel, both by dense Gauss-Jordan."""
+    out = []
+    for p, mult in factor_over_q(mx.charpoly(m)):
+        pm = k = eval_poly_fraction(p, m)
+        for _ in range(mult - 1):
+            k = k @ pm
+        out.append((p, col_basis_dense(nullspace_dense(k))))
+    return out
+
+
+def col_spaces_equal_basis(a, b):
+    """`matrices.col_spaces_equal` as equality of canonical column bases."""
+    return mx.mat_eq(col_basis_dense(a), col_basis_dense(b))
+
+
+def is_semisimple(m):
+    """g(M) = 0 for g the squarefree part of the characteristic polynomial."""
+    g = squarefree_part_fraction(mx.charpoly(m))
+    return mx.is_zero_mat(eval_poly_fraction(g, m))
+
+
+# -- polynomials over Q in Fractions ----------------------------------------------
+
+
+def from_roots(roots):
+    p = ONE
+    for r in roots:
+        p = p * Polynomial([-Fraction(r), 1])
+    return p
+
+
+def poly_gcd(a, b):
+    """Monic gcd by Euclid in Fractions; gcd(0, 0) = 0."""
+    while not b.is_zero():
+        a, b = b, a % b
+    return a if a.is_zero() else a.monic()
+
+
+def squarefree_part_fraction(p):
+    """p / gcd(p, p'), made monic, in Fractions."""
+    if p.is_zero():
+        raise ValueError("zero polynomial")
+    g = poly_gcd(p, p.derivative())
+    return p.monic() if g.degree <= 0 else (p // g).monic()
+
+
+def squarefree_decomposition_fraction(p):
+    """Yun's decomposition in Fractions: p = lc * prod s_i^i, s_i monic."""
+    if p.is_zero():
+        raise ValueError("zero polynomial")
+    p = p.monic()
+    if p.degree == 0:
+        return []
+    dp = p.derivative()
+    g = poly_gcd(p, dp)
+    if g.degree == 0:
+        return [(p, 1)]
+    out = []
+    c = p // g
+    d = dp // g - c.derivative()
+    i = 1
+    while c.degree > 0:
+        a = poly_gcd(c, d)
+        if a.degree > 0:
+            out.append((a, i))
+            c = c // a
+            d = d // a
+        d = d - c.derivative()
+        i += 1
+    return out
+
+
 # -- Kronecker's factorization over Q ------------------------------------------
 
 
@@ -212,7 +293,7 @@ def factor_kronecker(p):
     """`factor_over_q` by Yun's squarefree decomposition, rational roots and
     Kronecker's interpolation search."""
     found = {}
-    for sqf, mult in squarefree_decomposition(p):
+    for sqf, mult in squarefree_decomposition_fraction(p):
         ints = _primitive(cleared(sqf.coeffs)[0])
         work = Polynomial(ints)
         irreducibles = []
@@ -229,6 +310,37 @@ def factor_kronecker(p):
         for irr in irreducibles:
             found[irr] = found.get(irr, 0) + mult
     return sorted(found.items(), key=lambda fm: factor_order_key(fm[0]))
+
+
+# -- Fourier-Motzkin in Fractions ----------------------------------------------
+
+
+def _normalized(coeffs, rhs):
+    scale = next((abs(c) for c in coeffs if c != 0), None)
+    if scale is None:
+        return tuple(coeffs), rhs
+    return tuple(c / scale for c in coeffs), rhs / scale
+
+
+def feasible_fraction(ineqs, nvars):
+    """`linineq.feasible` with each row (coefficients, rhs) in Fractions,
+    divided by the absolute value of its first nonzero coefficient."""
+    rows = {_normalized(tuple(map(Fraction, coeffs)), Fraction(rhs)) for coeffs, rhs in ineqs}
+    for j in range(nvars):
+        pos, neg, rest = [], [], set()
+        for coeffs, rhs in rows:
+            if coeffs[j] > 0:
+                pos.append((coeffs, rhs))
+            elif coeffs[j] < 0:
+                neg.append((coeffs, rhs))
+            else:
+                rest.add((coeffs, rhs))
+        for cp, bp in pos:
+            for cn, bn in neg:
+                lam, mu = -cn[j], cp[j]
+                rest.add(_normalized([lam * a + mu * b for a, b in zip(cp, cn)], lam * bp + mu * bn))
+        rows = rest
+    return all(rhs <= 0 for _, rhs in rows)
 
 
 # -- Lie algebras on the dense table ----------------------------------------

@@ -19,8 +19,7 @@ from nilgrade.grading import (
     weight_solution_space,
 )
 from nilgrade.liealg import LieAlgebra, is_automorphism, is_derivation
-from nilgrade.polynomials import from_roots
-from oracles import dense_table, group_elements, verify_grading_pairwise
+from oracles import dense_table, from_roots, group_elements, verify_grading_pairwise
 
 
 def heisenberg():

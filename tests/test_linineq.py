@@ -7,7 +7,10 @@ max coordinate, then lexicographically smallest, max >= 1) can be read
 off directly on small inputs.
 """
 
+import itertools
 import json
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,9 +19,9 @@ from nilgrade.fixtures import ALL_FIXTURES, HOLONOMY_FIXTURES, load_algebra, loa
 from nilgrade.grading import find_weights, weight_equations
 from nilgrade.holonomy import close_group
 from nilgrade.liealg import LieAlgebra
-from nilgrade.linineq import solve
+from nilgrade.linineq import feasible, solve
 from nilgrade.serialize import holonomy_payload
-from oracles import group_elements
+from oracles import feasible_fraction, group_elements
 
 
 def enumerate_integer_points(eqs, lows, highs):
@@ -191,6 +194,31 @@ def test_infeasible_systems():
     assert solve([row(1, 1)], [], [0, 0]) is None
     # w_2 >= w_1 + 1 and w_1 >= w_2 + 1
     assert solve([], [(row(-1, 1), 1), (row(1, -1), 1)], [0, 0]) is None
+
+
+def random_constraints(rng, nvars):
+    """A few dense inequalities with small int and Fraction entries, about
+    half of them infeasible together."""
+    entries = [0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]
+    return [
+        (tuple(rng.choice(entries) for _ in range(nvars)), rng.choice([0, 1, -1, Fraction(1, 3)]))
+        for _ in range(rng.randint(1, 6))
+    ]
+
+
+def test_integer_fourier_motzkin_matches_the_fraction_rows():
+    rng = random.Random(1827)
+    verdicts = []
+    for _ in range(300):
+        nvars = rng.randint(1, 4)
+        ineqs = random_constraints(rng, nvars)
+        want = feasible_fraction(ineqs, nvars)
+        assert feasible(ineqs, nvars) == want
+        # positive multiples of a row are one row; the decision does not move
+        scaled = [(tuple(c * k for c in row), rhs * k) for (row, rhs), k in zip(ineqs, itertools.cycle([3, Fraction(2, 5)]))]
+        assert feasible(ineqs + scaled, nvars) == want
+        verdicts.append(want)
+    assert 50 <= sum(verdicts) <= 250
 
 
 def test_precondition_enforced():

@@ -14,17 +14,26 @@ from nilgrade.polynomials import Polynomial
 from oracles import (
     charpoly_fraction,
     col_basis_dense,
+    col_spaces_equal_basis,
     det_fraction,
     eval_poly_fraction,
     least_exponent_sequential,
     minpoly,
     nullspace_dense,
+    primary_decomposition_fraction,
     rref_dense,
 )
+from test_liealg import unimodular
+from test_specmaps import block_diag, jordan_block
 
 
 def P(*coeffs):
     return Polynomial(coeffs)
+
+
+def kernel_of(a):
+    """`matrices.kernel` on the rows of the dense matrix A."""
+    return mx.kernel([{c: v for c, v in enumerate(row) if v} for row in a.tolist()], a.shape[1])
 
 
 def random_int_matrix(rng, n, lo=-4, hi=4):
@@ -128,7 +137,7 @@ class TestKernelAndSpaces:
         rng = random.Random(19)
         for _ in range(20):
             m = mx.rmat([[rng.randint(-3, 3) for _ in range(4)] for _ in range(2)])
-            k = mx.nullspace(m)
+            k = kernel_of(m)
             assert k.shape[1] == 4 - mx.rank(m)
             assert mx.is_zero_mat(m @ k) or k.shape[1] == 0
 
@@ -190,7 +199,7 @@ class TestPrimaryDecomposition:
         comps = mx.primary_decomposition(m)
         # oracle: eigenlines are the kernels of (A - I) and (A - 2I)
         for (p, s), lam in zip(comps, (1, 2)):
-            oracle = mx.col_basis(mx.nullspace(m - lam * mx.identity(2)))
+            oracle = mx.col_basis(kernel_of(m - lam * mx.identity(2)))
             assert mx.mat_eq(s, oracle)
 
     def test_irreducible_charpoly_single_component(self):
@@ -543,7 +552,7 @@ class TestGaussJordan:
 
     def test_wrappers_match_dense(self):
         for _, a in seeded_cases():
-            assert mx.mat_eq(mx.nullspace(a), nullspace_dense(a))
+            assert mx.mat_eq(kernel_of(a), nullspace_dense(a))
             assert mx.mat_eq(mx.col_basis(a), col_basis_dense(a))
 
 
@@ -589,7 +598,7 @@ class TestFractionFreeCore:
             red, pivots = mx.rref(a)
             want, want_pivots = rref_dense(a)
             assert pivots == want_pivots and mx.mat_eq(red, want)
-            assert mx.mat_eq(mx.nullspace(a), nullspace_dense(a))
+            assert mx.mat_eq(kernel_of(a), nullspace_dense(a))
 
     def test_echelon_rows_are_primitive(self):
         # content 1 and a positive lead: the int row is the one primitive
@@ -697,7 +706,7 @@ def rational(*rows):
 
 
 class TestMatmul:
-    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @settings(max_examples=200)
     @given(pair=matrix_pair())
     @example(pair=(mx.zeros(3, 0), mx.zeros(0, 2)))
     @example(pair=(mx.zeros(0, 3), mx.zeros(3, 2)))
@@ -710,7 +719,7 @@ class TestMatmul:
         assert got.shape == want.shape and (got == want).all()
         assert all(type(e) is Fraction for e in got.flat)
 
-    @settings(max_examples=50, deadline=None, database=None, derandomize=True)
+    @settings(max_examples=50)
     @given(pair=matrix_pair(), extra=st.integers(1, 3))
     def test_shape_mismatch_raises_as_matmul_does(self, pair, extra):
         a, _ = pair
@@ -722,7 +731,7 @@ class TestMatmul:
 
 
 class TestCommutesWith:
-    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @settings(max_examples=200)
     @given(pair=matrix_pair(square=True), kind=st.sampled_from(["drawn", "polynomial", "scalar"]))
     @example(pair=(rational(["1/2", 1], [0, "-1/3"]), rational([2, 0], [0, 2])), kind="drawn")
     @example(pair=(rational(["1/2", 1], [0, "-1/3"]), rational([1, "1/5"], [0, 1])), kind="drawn")
@@ -739,3 +748,78 @@ class TestCommutesWith:
         test = mx.commutes_with(m)
         verdicts = [test(f) for f in (mx.identity(2), rational([0, 1], [1, 0]), rational([-1, 0], [0, "1/7"]))]
         assert verdicts == [True, False, True]
+
+
+# -- the norm path's int kernels against their Fraction oracles ------------
+
+
+@st.composite
+def jordan_conjugates(draw):
+    """P B P^-1 of dim 1-8: B is block diagonal in Jordan blocks of size
+    1-3 (eigenvalues from a short list, so they repeat) and companions of
+    X^2 + 1, X^2 - 2, X^2 - X - 1 or their squares; P is unimodular times
+    a rational diagonal."""
+    n = draw(st.integers(1, 8))
+    blocks, size = [], 0
+    while size < n:
+        room = n - size
+        if room >= 2 and draw(st.booleans()):
+            q = draw(st.sampled_from([P(1, 0, 1), P(-2, 0, 1), P(-1, -1, 1)]))
+            blocks.append(companion(q * q if room >= 4 and draw(st.booleans()) else q))
+        else:
+            blocks.append(jordan_block(draw(st.sampled_from([-1, 0, 1, 2, Fraction(1, 2)])), draw(st.integers(1, min(3, room)))))
+        size += blocks[-1].shape[0]
+    scales = draw(st.lists(st.sampled_from([1, -1, 2, Fraction(1, 3), Fraction(-3, 2)]), min_size=n, max_size=n))
+    p = mx.diag(scales)
+    if n > 1:
+        ops = draw(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7), st.sampled_from([-2, -1, 1, 2])), max_size=6))
+        p = mx.matmul(unimodular(n, ops), p)
+    return mx.matmul(mx.matmul(p, block_diag(blocks)), mx.inverse(p))
+
+
+class TestPrimaryDecompositionInIntegers:
+    @settings(max_examples=80)
+    @given(m=jordan_conjugates())
+    def test_matches_fraction_decomposition(self, m):
+        got, want = mx.primary_decomposition(m), primary_decomposition_fraction(m)
+        assert [p for p, _ in got] == [p for p, _ in want]
+        assert all(mx.mat_eq(a, b) for (_, a), (_, b) in zip(got, want))
+
+    def test_minimal_polynomial_factor_and_scalar_map(self):
+        # p(M) = 0 for the factor p: its int multiple is zero, the kernel everything
+        for m in (companion(P(1, 0, 1)), 3 * mx.identity(3), mx.zeros(2, 2)):
+            got = mx.primary_decomposition(m)
+            assert len(got) == 1 and mx.mat_eq(got[0][1], mx.identity(m.shape[0]))
+            assert [p for p, _ in got] == [p for p, _ in primary_decomposition_fraction(m)]
+
+
+@st.composite
+def column_space_pairs(draw):
+    """(A, B) with the same number of rows: B = A R for a drawn square R
+    (the same space when R is invertible), B = A without its last column,
+    or B drawn on its own."""
+    n, k = draw(st.integers(1, 5)), draw(st.integers(0, 4))
+    a = object_matrix(draw(st.lists(rationals, min_size=n * k, max_size=n * k)), n, k)
+    kind = draw(st.sampled_from(["product", "dropped", "drawn"]))
+    if kind == "product":
+        r = object_matrix(draw(st.lists(rationals, min_size=k * k, max_size=k * k)), k, k)
+        return a, a @ r
+    if kind == "dropped":
+        return a, a[:, : max(k - 1, 0)]
+    kb = draw(st.integers(0, 4))
+    return a, object_matrix(draw(st.lists(rationals, min_size=n * kb, max_size=n * kb)), n, kb)
+
+
+class TestColumnSpacesByRank:
+    @settings(max_examples=200)
+    @given(pair=column_space_pairs())
+    def test_matches_canonical_basis_equality(self, pair):
+        a, b = pair
+        assert mx.col_spaces_equal(a, b) == col_spaces_equal_basis(a, b) == col_spaces_equal_basis(b, a)
+
+    def test_both_answers_and_row_mismatch(self):
+        a = rational([1, 0], [2, "1/2"], [0, 0])
+        assert mx.col_spaces_equal(a, a @ rational([2, 1], [0, -3]))
+        assert not mx.col_spaces_equal(a, a[:, :1])
+        assert not mx.col_spaces_equal(a, a[:2])
+        assert mx.col_spaces_equal(mx.zeros(3, 0), mx.zeros(3, 2))

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilgrade.polynomials import (
     ONE,
@@ -9,13 +10,17 @@ from nilgrade.polynomials import (
     X,
     factor_order_key,
     factor_over_q,
-    from_roots,
-    poly_gcd,
     poly_xgcd,
     squarefree_decomposition,
     squarefree_part,
 )
-from oracles import factor_kronecker
+from oracles import (
+    factor_kronecker,
+    from_roots,
+    poly_gcd,
+    squarefree_decomposition_fraction,
+    squarefree_part_fraction,
+)
 
 
 def P(*coeffs):
@@ -93,6 +98,62 @@ class TestSquarefree:
     def test_yun_squarefree_input(self):
         p = P(-2, 0, 1)
         assert squarefree_decomposition(p) == [(p, 1)]
+
+
+rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+@st.composite
+def repeated_factor_products(draw):
+    """c * prod f_i^e_i for a rational c != 0 and up to three drawn factors
+    f_i of degree 1-3 with rational, non-monic coefficients and
+    multiplicities e_i of 1-3 (drawn factors may share roots)."""
+    p = Polynomial([draw(st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 5)))])
+    for _ in range(draw(st.integers(0, 3))):
+        deg = draw(st.integers(1, 3))
+        f = Polynomial(draw(st.lists(rationals, min_size=deg + 1, max_size=deg + 1).filter(lambda cs: cs[-1] != 0)))
+        p = p * _power(f, draw(st.integers(1, 3)))
+    return p
+
+
+def _power(f, e):
+    out = ONE
+    for _ in range(e):
+        out = out * f
+    return out
+
+
+class TestYunInIntegers:
+    @settings(max_examples=150)
+    @given(p=repeated_factor_products())
+    def test_matches_fraction_yun(self, p):
+        got = squarefree_decomposition(p)
+        assert got == squarefree_decomposition_fraction(p)
+        assert squarefree_part(p) == squarefree_part_fraction(p)
+        assert _product(got) == p.monic()
+
+    def test_repeated_non_monic_rational_factors(self):
+        # -3/7 (2X - 1/3)^3 (X^2/5 + 3)^2 (X - 1/3): monic parts X - 1/3
+        # once, X^2 + 15 twice and X - 1/6 three times
+        p = P(Fraction(-3, 7)) * _power(P(Fraction(-1, 3), 2), 3) * _power(P(3, 0, Fraction(1, 5)), 2) * P(Fraction(-1, 3), 1)
+        want = [(P(Fraction(-1, 3), 1), 1), (P(15, 0, 1), 2), (P(Fraction(-1, 6), 1), 3)]
+        assert squarefree_decomposition(p) == want == squarefree_decomposition_fraction(p)
+        assert squarefree_part(p) == P(Fraction(-1, 3), 1) * P(15, 0, 1) * P(Fraction(-1, 6), 1)
+
+    def test_constants(self):
+        assert squarefree_decomposition(P(Fraction(-2, 3))) == []
+        assert squarefree_part(P(Fraction(-2, 3))) == ONE
+        with pytest.raises(ValueError):
+            squarefree_decomposition(P())
+        with pytest.raises(ValueError):
+            squarefree_part(P())
+
+
+def _product(parts):
+    out = ONE
+    for s, i in parts:
+        out = out * _power(s, i)
+    return out
 
 
 class TestFactorization:

@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from nilgrade import matrices as mx
-from nilgrade.fixtures import CORPUS_6DIM, load_algebra, load_holonomy, load_map
+from nilgrade.fixtures import CORPUS_6DIM, FIXTURE_MAPS, load_algebra, load_holonomy, load_map
 from nilgrade.grading import classify, find_weights, grading_from_weights, phi_p, preserved_by
 from nilgrade.liealg import LieAlgebra, is_automorphism
-from nilgrade.polynomials import Polynomial, poly_gcd, squarefree_part
+from nilgrade.polynomials import Polynomial, squarefree_part
 from nilgrade.specmaps import (
     expanding_to_positive_grading,
     is_expanding,
-    is_semisimple,
     is_z_charpoly,
     norm_profile,
     schur_all_inside,
@@ -21,7 +20,7 @@ from nilgrade.specmaps import (
     semisimple_part,
 )
 import oracles
-from oracles import minpoly
+from oracles import is_semisimple, minpoly, poly_gcd
 from test_liealg import unimodular
 
 
@@ -371,6 +370,50 @@ class TestNormProfile:
                             ]
                             assert product_entries
                             assert mx.solve(mx.hstack(product_entries), z) is not None
+
+
+class TestNormProfileUnderConjugation:
+    """M and U M U^-1 have the same profile up to U: the same factors,
+    values and component dimensions, and U carries each component of M
+    onto the matching component of U M U^-1."""
+
+    @staticmethod
+    def conjugators(n, rng):
+        """An integral unimodular U and a rational P of det 2 * (units and
+        powers of 3 and 5/7), so P is neither integral nor unimodular."""
+        ops = [(rng.randrange(8), rng.randrange(8), rng.choice([-2, -1, 1, 2])) for _ in range(rng.randint(1, 6))]
+        u = unimodular(n, ops) if n > 1 else mx.identity(1)
+        scales = [2] + [rng.choice([1, -1, Fraction(1, 3), -3, Fraction(5, 7)]) for _ in range(n - 1)]
+        p = mx.matmul(unimodular(n, ops[::-1]), mx.diag(scales)) if n > 1 else mx.diag(scales)
+        assert mx.det(u) in (1, -1) and abs(mx.det(p)) != 1
+        return u, p
+
+    @staticmethod
+    def assert_carried(m, u):
+        conj = mx.matmul(mx.matmul(u, m), mx.inverse(u))
+        want, got = norm_profile(m), norm_profile(conj)
+        assert got.lcm_degree == want.lcm_degree
+        assert [(e.factor, e.degree, e.value, e.subspace.shape[1]) for e in got.entries] == [
+            (e.factor, e.degree, e.value, e.subspace.shape[1]) for e in want.entries
+        ]
+        for a, b in zip(want.entries, got.entries):
+            assert mx.col_spaces_equal(mx.matmul(u, a.subspace), b.subspace)
+
+    @pytest.mark.parametrize("name, map_name", [(a, m) for a, ms in FIXTURE_MAPS.items() for m in ms])
+    def test_fixture_maps(self, name, map_name):
+        m = load_map(name, map_name)
+        rng = random.Random(map_name)
+        for _ in range(3):
+            for u in self.conjugators(m.shape[0], rng):
+                self.assert_carried(m, u)
+
+    def test_ladder_maps(self):
+        maps = [m for algebra, m in seeded_nonsemisimple_automorphisms(11) if algebra.terms]
+        assert len(maps) >= 16
+        rng = random.Random(13)
+        for m in maps:
+            for u in self.conjugators(m.shape[0], rng):
+                self.assert_carried(m, u)
 
 
 class TestExpandingToPositiveGrading:
