@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from functools import cache
 from pathlib import Path
 
@@ -91,7 +92,7 @@ def _load_holonomy(arg: str | None, algebra: LieAlgebra) -> HolonomyGroup:
         raise CliError(f"{path}: {e}")
     if not valid:
         raise CliError(f"{path}: holonomy elements are not automorphisms of the algebra")
-    return group
+    return replace(group, checked_on=algebra)
 
 
 def _load_certificate(arg: str, algebra: LieAlgebra):

@@ -7,6 +7,13 @@ grading iff w_a + w_b = w_c on each nonzero structure constant c_ab^c.
 any basis: `verify_grading` checks a grading on the algebra re-based on
 its stacked components.
 
+A grading is read in its own basis P, the stacked components, which it
+clears to the int matrices A = d P and B = d' P^-1 once
+(`Grading.cleared_basis`, `Grading.cleared_inverse`).  The re-based
+algebra, the witness phi_p = (A diag(p^w)) B / (d d') and the
+preservation test (B psi A block diagonal) all read that one inverse,
+in ints, with a `Fraction` made only for an entry of phi_p.
+
 The expansion and self-cover criteria differ by one switch, `positive`:
 expansion needs a positive grading, a self-cover a non-negative
 non-trivial one.  `meets_criterion` says which grading label witnesses
@@ -23,6 +30,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -52,19 +60,51 @@ class Grading:
     def weights(self) -> tuple[int, ...]:
         return tuple(w for w, _ in self.components)
 
+    @property
+    def column_weights(self) -> list[int]:
+        """The weight of each column of `basis`."""
+        return [w for w, s in self.components for _ in range(s.shape[1])]
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """P: the component bases side by side, in weight order."""
+        return mx.hstack([s for _, s in self.components])
+
+    @cached_property
+    def cleared_basis(self) -> tuple[np.ndarray, int]:
+        """(d P as ints, d), by `mx.cleared`."""
+        return mx.cleared(self.basis)
+
+    @cached_property
+    def cleared_inverse(self) -> tuple[np.ndarray, int]:
+        """(d' P^-1 as ints, d'), by `mx.inverse_cleared`: computed once per
+        grading.  ValueError when P is not square or is singular, that is,
+        when the components are not a direct sum of some Q^n."""
+        return mx.inverse_cleared(self.basis)
+
+    def first_inhomogeneous(self, rebased: LieAlgebra) -> tuple[int, int, int, int] | None:
+        """The least (w_a, w_b, a, b) over the nonzero brackets [X_a, X_b]
+        of `rebased`, the algebra in this grading's basis, that leave the
+        weight-(w_a + w_b) component; None when the grading is homogeneous."""
+        ws = self.column_weights
+        bad = (
+            (ws[a], ws[b], a, b) for (a, b), terms in rebased.terms.items() if any(ws[c] != ws[a] + ws[b] for c in terms)
+        )
+        return min(bad, default=None)
+
 
 def verify_grading(algebra: LieAlgebra, grading: Grading) -> Verdict:
     """Direct sum plus homogeneity [n_i, n_j] subseteq n_{i+j}.
 
     The stacked components are a direct sum iff they form a basis, which
-    the one elimination that re-bases the algebra on them decides.
-    Homogeneity is read off the algebra in that basis: each nonzero
-    c'_ab^c needs w_c = w_a + w_b.  A failure reports the least failing
-    pair by (w_a, w_b, a, b).
+    the grading's one inverse decides, and the algebra is re-based on
+    them with that inverse.  Homogeneity is read off the algebra in that
+    basis: each nonzero c'_ab^c needs w_c = w_a + w_b.  A failure reports
+    the least failing pair by (w_a, w_b, a, b).
     """
-    stacked = mx.hstack([s for _, s in grading.components])
+    stacked = grading.basis
     try:
-        rebased = algebra.in_basis(stacked)
+        rebased = algebra.in_basis(stacked, grading.cleared_inverse)
     except ValueError:  # not square, or singular
         return Verdict(
             "reject",
@@ -72,14 +112,9 @@ def verify_grading(algebra: LieAlgebra, grading: Grading) -> Verdict:
             certificate={"total_columns": int(stacked.shape[1])},
             diagnostics=["components do not decompose the algebra as a direct sum"],
         )
-    ws = [w for w, s in grading.components for _ in range(s.shape[1])]
-    bad = [
-        (ws[a], ws[b], a, b)
-        for (a, b), terms in rebased.terms.items()
-        if any(ws[c] != ws[a] + ws[b] for c in terms)
-    ]
-    if bad:
-        wi, wj, a, b = min(bad)
+    bad = grading.first_inhomogeneous(rebased)
+    if bad is not None:
+        wi, wj, a, b = bad
         z = algebra.bracket(stacked[:, a], stacked[:, b])
         return Verdict(
             "reject",
@@ -191,28 +226,44 @@ def grading_from_weights(algebra: LieAlgebra, weights) -> Grading:
 
 
 def phi_p(algebra: LieAlgebra, grading: Grading, p: int) -> np.ndarray:
-    """Automorphism scaling the weight-i component by p^i."""
+    """Automorphism scaling the weight-i component by p^i: P diag(p^w) P^-1.
+
+    Built in ints from the grading's A = d P and B = d' P^-1 as
+    (A diag(p^(w - w0))) B / (d d' p^-w0), where w0 = min(0, least weight)
+    keeps every power integral; one Fraction is made per entry.
+    """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     v = verify_grading(algebra, grading)
     if not v.accepted():
         raise ValueError(f"grading does not verify: {v.diagnostics}")
-    cols = mx.hstack([s for _, s in grading.components])
-    scales = np.array(
-        [Fraction(p) ** w for w, s in grading.components for _ in range(s.shape[1])], dtype=object
-    )
-    return mx.matmul(cols * scales, mx.inverse(cols))
+    a, d = grading.cleared_basis
+    b, d_inv = grading.cleared_inverse
+    ws = grading.column_weights
+    w0 = min(0, ws[0])  # the columns are in ascending weight order
+    scaled = a * np.array([p ** (w - w0) for w in ws], dtype=object)
+    den = d * d_inv * p**-w0
+    return np.array([[Fraction(x, den) for x in row] for row in (scaled @ b).tolist()], dtype=object)
 
 
 def preserved_by(grading: Grading, psi: np.ndarray) -> bool:
-    """True iff psi maps every component onto itself, decided in ints:
-    scaling psi and a component's columns by positive ints changes no
-    column space, so (d psi)(e S) is compared with e S."""
+    """True iff psi maps every component onto itself.  Precondition: the
+    components are a direct sum (`verify_grading` accepts the grading).
+
+    Decided in ints: with A = d P and B = d' P^-1, B (d_psi psi) A is a
+    positive multiple of P^-1 psi P, psi in the grading's basis, which is
+    block diagonal iff psi maps each component into, and so (psi being
+    invertible) onto, itself.
+    """
     if mx.det(psi) == 0:
         raise ValueError("singular map cannot preserve a grading")
-    psi_int, _ = mx.cleared(psi)
+    a, _ = grading.cleared_basis
+    b, _ = grading.cleared_inverse
+    m = b @ mx.cleared(psi)[0] @ a
+    lo = 0
     for _, s in grading.components:
-        s_int, _ = mx.cleared(s)
-        if not mx.col_spaces_equal(psi_int @ s_int, s_int):
+        hi = lo + s.shape[1]
+        if m[:lo, lo:hi].any() or m[hi:, lo:hi].any():
             return False
+        lo = hi
     return True

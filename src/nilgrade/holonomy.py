@@ -18,7 +18,7 @@ F was listed breadth-first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,11 +33,18 @@ from .verdict import Verdict
 @dataclass(frozen=True)
 class HolonomyGroup:
     """A finite group F of dim x dim matrices: its distinct non-identity
-    generators, sorted by key, and its order |F|."""
+    generators, sorted by key, and its order |F|.
+
+    `checked_on` is an algebra that the generators are known to be
+    automorphisms of: `holonomy_is_valid` passes the group on it without
+    testing them again.  A loader sets it after its own check, so each
+    generator is tested once per query.
+    """
 
     dim: int
     generators: tuple[np.ndarray, ...]
     order: int
+    checked_on: LieAlgebra | None = field(default=None, compare=False, repr=False)
 
 
 def _key(m: np.ndarray) -> tuple:
@@ -85,7 +92,7 @@ def holonomy_is_valid(algebra: LieAlgebra, group: HolonomyGroup) -> bool:
     # the dim is checked too: a group of the wrong size may have no generators
     if group.dim != algebra.dim:
         raise ValueError("matrix dimension mismatch")
-    return all(is_automorphism(algebra, f) for f in group.generators)
+    return group.checked_on is algebra or all(is_automorphism(algebra, f) for f in group.generators)
 
 
 def preserves_grading_all(group: HolonomyGroup, grading: Grading) -> bool:

@@ -6,11 +6,15 @@ antisymmetry is structural rather than validated data.
 
 The exact kernels run on Python ints: the structure constants are cleared
 once, at construction, to one int table over one denominator, which the
-Jacobi loop, the lower central series, the derivation system and the map
-checks read.  The derivation basis is returned sparse, as int matrices
-over their denominators, and the characteristic-nilpotency test (traces,
-the Engel flag and Cartan's criterion, with no draw) works on it
-directly; a `Fraction` is made only for an entry that is output.
+Jacobi sums, the lower central series, the derivation system and the map
+checks read.  The table is also indexed by its left index, so Jacobi is
+summed only over the nonzero products c_ab^l c_lc^m and the series
+brackets a vector only with the basis elements it meets: both cost what
+the nonzero constants do, not C(n, 3) triples or n brackets a vector.
+The derivation basis is returned sparse, as int matrices over their
+denominators, and the characteristic-nilpotency test (traces, the Engel
+flag and Cartan's criterion, with no draw) works on it directly; a
+`Fraction` is made only for an entry that is output.
 """
 
 from __future__ import annotations
@@ -34,9 +38,10 @@ class LieAlgebra:
 
     The exact kernels read `ints` instead: the constants cleared once to
     ints C = e c over one denominator e = `den`, for both orientations
-    (i, j) and (j, i).  Scaling every constant by e is the isomorphism
-    x -> x / e, so Jacobi zeros, the lower central series and the
-    derivation kernel are those of C.
+    (i, j) and (j, i), and `by_left`, the same table as
+    by_left[i][j] = ints[(i, j)].  Scaling every constant by e is the
+    isomorphism x -> x / e, so Jacobi zeros, the lower central series and
+    the derivation kernel are those of C.
     """
 
     def __init__(self, dim: int, brackets: dict[tuple[int, int], "np.ndarray | list"]):
@@ -62,9 +67,12 @@ class LieAlgebra:
         i < j over the least denominator den."""
         self.den = den
         self.ints: dict[tuple[int, int], dict[int, int]] = {}
+        self.by_left: dict[int, dict[int, dict[int, int]]] = {}
         for (i, j), terms in upper.items():
             self.ints[(i, j)] = terms
-            self.ints[(j, i)] = {k: -c for k, c in terms.items()}
+            self.ints[(j, i)] = negated = {k: -c for k, c in terms.items()}
+            self.by_left.setdefault(i, {})[j] = terms
+            self.by_left.setdefault(j, {})[i] = negated
 
     @classmethod
     def _from_ints(cls, dim: int, upper: dict[tuple[int, int], dict[int, int]], den: int) -> "LieAlgebra":
@@ -91,19 +99,20 @@ class LieAlgebra:
                     out[k] += c * v
         return np.array(out, dtype=object)
 
-    def in_basis(self, p: np.ndarray) -> "LieAlgebra":
+    def in_basis(self, p: np.ndarray, inverse: tuple[np.ndarray, int] | None = None) -> "LieAlgebra":
         """The same algebra in the basis of P's columns: c'_ab = P^-1 [P e_a, P e_b].
 
         Runs in ints: with A = d P, B = d' P^-1 and the int constants
         C = e c, c'_ab = B [A e_a, A e_b]_C / (d' e d^2), each bracket
         summed over the nonzeros of the two columns only, and the int
-        table goes to the new algebra as it is (`_from_ints`).
+        table goes to the new algebra as it is (`_from_ints`).  `inverse`
+        is (B, d') = `mx.inverse_cleared(P)` when the caller has it.
         """
         n = self.dim
         if p.shape != (n, n):
             raise ValueError("basis matrix dimension mismatch")
         a_int, d = mx.cleared(p)
-        b_int, d_inv = mx.inverse_cleared(p)
+        b_int, d_inv = mx.inverse_cleared(p) if inverse is None else inverse
         b_cols = b_int.T.tolist()
         den = d_inv * self.den * d * d
         cols = [{i: x for i, x in enumerate(col) if x} for col in a_int.T.tolist()]
@@ -139,20 +148,24 @@ def derived_subalgebra(algebra: LieAlgebra) -> np.ndarray:
 
 def _series_descent(algebra: LieAlgebra) -> tuple[list[list[dict[int, int]]], bool]:
     """Lower central series, each term as its primitive int echelon rows,
-    and whether it reaches zero (nilpotency)."""
+    and whether it reaches zero (nilpotency).
+
+    gamma_{i+1} is spanned by the [v, X_a] for v in gamma_i's rows, and
+    [v, X_a] = sum_b v_b [X_b, X_a] is zero unless X_a meets some X_b in
+    the support of v, so only those a are bracketed."""
     n = algebra.dim
     prev = [{i: 1} for i in range(n)]
     series = [prev]
     while True:
         spans = []
-        for a in range(n):
-            for v in prev:  # [X_a, v], times e
-                w: dict[int, int] = {}
-                for b, x in v.items():
-                    for k, c in algebra.ints.get((a, b), _ZERO).items():
+        for v in prev:
+            brackets: dict[int, dict[int, int]] = {}  # a -> [v, X_a], times e
+            for b, x in v.items():
+                for a, terms in algebra.by_left.get(b, _ZERO).items():
+                    w = brackets.setdefault(a, {})
+                    for k, c in terms.items():
                         w[k] = w.get(k, 0) + x * c
-                if w:
-                    spans.append(w)
+            spans += brackets.values()
         nxt = mx.echelon(spans)
         if not nxt:
             return series, True
@@ -178,31 +191,36 @@ def nilpotency_class(algebra: LieAlgebra) -> int:
 def validate(algebra: LieAlgebra) -> Verdict:
     """Check Jacobi on all basis triples and nilpotency of the bracket.
 
-    Jacobi is summed in the int constants C = e c, so the residual is
-    e^2 times the rational one.
+    The Jacobi sum of i < j < k is sum_l C_ab^l C_lc^m over its cyclic
+    orders (a, b, c), in the int constants C = e c, so the residual is e^2
+    times the rational one.  Only nonzero products are visited: each
+    nonzero C_ab^l meets the C_lc^m in `by_left[l]`, and the product goes
+    to the triple {a, b, c} when (a, b, c) is a cyclic order of it, which
+    holds for one of the two orientations of (a, b).  The least triple
+    with a nonzero sum fails, with that sum.
     """
     n = algebra.dim
-    ints = algebra.ints
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                # [[X_i, X_j], X_k] + [[X_j, X_k], X_i] + [[X_k, X_i], X_j]
-                res: dict[int, int] = {}
-                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    for l, x in ints.get((a, b), _ZERO).items():
-                        for m, y in ints.get((l, c), _ZERO).items():
-                            res[m] = res.get(m, 0) + x * y
-                if any(res.values()):
-                    e2 = algebra.den**2
-                    return Verdict(
-                        "reject",
-                        condition="jacobi",
-                        certificate={
-                            "triple": [i + 1, j + 1, k + 1],
-                            "residual": [str(Fraction(res.get(m, 0), e2)) for m in range(n)],
-                        },
-                        diagnostics=[f"Jacobi identity fails on basis triple ({i+1},{j+1},{k+1})"],
-                    )
+    sums: dict[tuple[int, int, int], dict[int, int]] = {}
+    for (a, b), terms in algebra.ints.items():
+        for l, x in terms.items():
+            for c, product in algebra.by_left.get(l, _ZERO).items():
+                if a < b < c or b < c < a or c < a < b:
+                    res = sums.setdefault(tuple(sorted((a, b, c))), {})
+                    for m, y in product.items():
+                        res[m] = res.get(m, 0) + x * y
+    failing = [t for t, res in sums.items() if any(res.values())]
+    if failing:
+        i, j, k = triple = min(failing)
+        res, e2 = sums[triple], algebra.den**2
+        return Verdict(
+            "reject",
+            condition="jacobi",
+            certificate={
+                "triple": [i + 1, j + 1, k + 1],
+                "residual": [str(Fraction(res.get(m, 0), e2)) for m in range(n)],
+            },
+            diagnostics=[f"Jacobi identity fails on basis triple ({i+1},{j+1},{k+1})"],
+        )
     series, nilpotent = _series_descent(algebra)
     if not nilpotent:
         last = mx.span_basis(series[-1], n)

@@ -7,12 +7,12 @@ denominator, and `commutes_with` decides M F = F M in ints.  Everything
 that numpy cannot do exactly on such arrays (determinants, inverses,
 echelon forms, kernels) is one fraction-free Gauss-Jordan on sparse int
 rows, `_reduce`, which keeps each pivot row primitive.  The dense entry
-points (`rref`, `det`, `inverse`, `rank`) clear their matrix once;
-`echelon`, `sparse_kernel` and `inverse_cleared` hand back int rows, int
-kernel columns and an int inverse to callers that need no `Fraction`,
-and the others make one `Fraction` per output entry.  Two column spaces
-are compared by rank alone (rank A = rank B = rank [A | B]), with no
-canonical basis built.
+points (`rref`, `det`, `inverse`) clear their matrix once; `echelon`,
+`sparse_kernel` and `inverse_cleared` hand back int rows, int kernel
+columns and an int inverse to callers that need no `Fraction`, and the
+others make one `Fraction` per output entry.  Subspaces are compared
+where they are used: a grading reads maps in its own basis, through one
+`inverse_cleared` (`grading.preserved_by`).
 
 Polynomials in M are evaluated by Horner in ints on M cleared once
 (`_poly_at`), so `eval_poly` divides once and `annihilates` divides
@@ -282,11 +282,6 @@ def rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return from_rows(rows + [{}] * (a.shape[0] - len(rows)), a.shape[1]), pivots
 
 
-def rank(a: np.ndarray) -> int:
-    """The number of pivot rows `_reduce` keeps from the cleared rows of A."""
-    return len(_reduce(_cleared_rows(a)[0])[0])
-
-
 def det(a: np.ndarray) -> Fraction:
     """det(A) = det(d A) / d^n: the sign of the pivot permutation times the
     pivots lead / s of forward elimination, read off the core.
@@ -389,15 +384,6 @@ def col_basis(a: np.ndarray) -> np.ndarray:
     are identical.
     """
     return span_basis(_cleared_rows(a.T)[0], a.shape[0])
-
-
-def col_spaces_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether the columns of A and of B span the same space:
-    rank A = rank B = rank [A | B], with no RREF made."""
-    if a.shape[0] != b.shape[0]:
-        return False
-    r = rank(a)
-    return r == rank(b) == rank(hstack([a, b]))
 
 
 def hstack(mats: list[np.ndarray]) -> np.ndarray:

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import matrices as mx
 from .grading import Grading
+from .intutil import cleared
 from .liealg import LieAlgebra
 
 
@@ -72,26 +73,32 @@ def algebra_to_dict(algebra: LieAlgebra) -> dict:
 
 
 def algebra_from_dict(data) -> LieAlgebra:
+    """The algebra of the file, its int table built directly: the terms of
+    a bracket are summed per target k, zero sums dropped, and the nonzero
+    constants cleared once over one denominator (`LieAlgebra._from_ints`)."""
     if not isinstance(data, dict):
         raise _bad("algebra file must contain a JSON object")
     dim = data.get("dim")
     if type(dim) is not int or dim < 1:
         raise _bad('"dim" must be a positive integer')
-    table: dict[tuple[int, int], list[Fraction]] = {}
+    table: dict[tuple[int, int], dict[int, Fraction]] = {}
     for entry in _array(data.get("brackets", []), '"brackets"', dict):
         i, j = entry.get("i"), entry.get("j")
         if not (type(i) is int and type(j) is int and 1 <= i < j <= dim):
             raise _bad(f"bracket indices must satisfy 1 <= i < j <= dim, got ({i}, {j})")
         if (i - 1, j - 1) in table:
             raise _bad(f"duplicate bracket ({i}, {j})")
-        vec = [Fraction(0)] * dim
+        sums: dict[int, Fraction] = {}
         for term in _array(entry.get("terms", []), f"bracket ({i}, {j}) terms", dict):
             k = term.get("k")
             if not (type(k) is int and 1 <= k <= dim):
                 raise _bad(f"bracket ({i}, {j}) has target index {k} out of range")
-            vec[k - 1] += parse_fraction(term.get("c"))
-        table[(i - 1, j - 1)] = vec
-    return LieAlgebra(dim, table)
+            sums[k - 1] = sums.get(k - 1, 0) + parse_fraction(term.get("c"))
+        table[(i - 1, j - 1)] = {k: c for k, c in sorted(sums.items()) if c}
+    upper = {ij: terms for ij, terms in table.items() if terms}
+    flat, den = cleared([c for terms in upper.values() for c in terms.values()])
+    ints = iter(flat)
+    return LieAlgebra._from_ints(dim, {ij: {k: next(ints) for k in terms} for ij, terms in upper.items()}, den)
 
 
 # -- weights and gradings --------------------------------------------------

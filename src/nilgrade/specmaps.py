@@ -16,10 +16,11 @@
 
 The norm path runs in ints up to its output: the factors come from Yun
 in Z[X] and Zassenhaus, each component is the kernel of an int multiple
-of p_i(M)^e_i (`matrices.primary_decomposition`), the grading's
-preservation is a rank test on the cleared map times each cleared
-component (`grading.preserved_by`), and the algebra re-based on the
-classes is built from its int table (`LieAlgebra.in_basis`).
+of p_i(M)^e_i (`matrices.primary_decomposition`), the algebra re-based
+on the classes is built once, from its int table (`LieAlgebra.in_basis`),
+and both the weights and the homogeneity guard read it, and the
+grading's preservation is a block-diagonal test on the map in the
+grading's basis (`grading.preserved_by`).
 
 The splitting field itself is never constructed: a common positive power
 of the norms preserves equality classes, ordering, the >1 predicate and
@@ -35,7 +36,7 @@ from math import ceil, gcd, lcm, log2, prod
 import numpy as np
 
 from . import matrices as mx
-from .grading import Grading, classify, meets_criterion, preserved_by, weight_equations
+from .grading import Grading, meets_criterion, preserved_by, weight_equations, weights_label
 from .intutil import cleared
 from .liealg import LieAlgebra, is_automorphism
 from .linineq import solve
@@ -160,8 +161,12 @@ def _norm_classes(profile: NormProfile) -> list[tuple[Fraction, np.ndarray]]:
     ]
 
 
-def _grading_from_classes(algebra: LieAlgebra, classes: list[tuple[Fraction, np.ndarray]]) -> Grading:
-    """Integer weights for multiplicative norm classes, canonicalized.
+def _grading_from_classes(
+    algebra: LieAlgebra, classes: list[tuple[Fraction, np.ndarray]]
+) -> tuple[Grading, LieAlgebra]:
+    """Integer weights for multiplicative norm classes, canonicalized, and
+    the algebra re-based on the stacked classes, which is the grading's
+    basis (weights increase with the value, so the order is kept).
 
     The weight equations are posed on the algebra re-based on the stacked
     classes, one variable per class: w_a + w_b = w_{a*b} whenever
@@ -187,7 +192,7 @@ def _grading_from_classes(algebra: LieAlgebra, classes: list[tuple[Fraction, np.
     w = solve(eqs, ineqs, [0 if p else 1 for p in pinned])
     if w is None:
         raise RuntimeError("integer re-weighting infeasible; invariant violation")
-    return Grading(tuple((w[a], classes[a][1]) for a in range(nvars)))
+    return Grading(tuple((w[a], classes[a][1]) for a in range(nvars))), rebased
 
 
 def grading_from_profile(
@@ -205,8 +210,10 @@ def grading_from_profile(
     classes = _norm_classes(profile)
     if positive and any(v <= 1 for v, _ in classes):
         raise RuntimeError("expanding map produced a norm value <= 1")
-    g = _grading_from_classes(algebra, classes)
-    label = classify(algebra, g)
+    g, rebased = _grading_from_classes(algebra, classes)
+    if g.first_inhomogeneous(rebased) is not None:
+        raise RuntimeError("extracted grading is not homogeneous")
+    label = weights_label(g.weights)
     if not meets_criterion(label, positive):
         raise RuntimeError(f"extracted grading is {label}, which does not meet the criterion")
     if not preserved_by(g, m):

@@ -14,10 +14,18 @@ bracket of two component basis vectors.  The norm path's Fraction
 kernels are kept the same way: Euclid's gcd and Yun's squarefree
 decomposition on `Polynomial`s, the primary decomposition through p(M)
 by Horner in Fractions, its power and the dense kernel and column basis,
-the column-space test that compares canonical bases, the semisimplicity
+the column-space test that compares canonical bases and the one that
+compares ranks (rank A = rank B = rank [A | B]), the semisimplicity
 test g(M) = 0, and Fourier-Motzkin on Fraction rows scaled by their
 first coefficient.  They read only `LieAlgebra.dim`
 and the dense table that `dense_table` builds from `LieAlgebra.terms`.
+The grading witnesses are kept as they were before they read the
+grading's one cleared inverse: phi_p as Fraction products with a
+Fraction inverse, and the preservation test that compares the column
+spaces of psi S and S by rank, component by component.  So is the int
+Jacobi check on `LieAlgebra.ints` that visits all C(n, 3) basis
+triples, with the lower central series that brackets every row with
+every basis element.
 The Fraction loop that `latpow`'s integer orbit scan replaced is kept the
 same way, as is the sequential least-exponent descent that the product
 tree replaced, and so is the characteristic-nilpotency test with its
@@ -43,8 +51,8 @@ from math import gcd
 import numpy as np
 
 from nilgrade import matrices as mx
-from nilgrade.intutil import cleared, factor_int
-from nilgrade.grading import grading_from_weights, preserved_by, weight_equations
+from nilgrade.intutil import cleared, factor_int, is_prime
+from nilgrade.grading import grading_from_weights, verify_grading, weight_equations
 from nilgrade.liealg import LieAlgebra, derivations, is_automorphism
 from nilgrade.linineq import solve
 from nilgrade.polynomials import ONE, Polynomial, _primitive, factor_order_key, factor_over_q
@@ -162,8 +170,22 @@ def primary_decomposition_fraction(m):
 
 
 def col_spaces_equal_basis(a, b):
-    """`matrices.col_spaces_equal` as equality of canonical column bases."""
+    """`col_spaces_equal` as equality of canonical column bases."""
     return mx.mat_eq(col_basis_dense(a), col_basis_dense(b))
+
+
+def rank(a):
+    """The number of pivot rows of the RREF of A."""
+    return len(mx.echelon({c: v for c, v in enumerate(row) if v} for row in a.tolist()))
+
+
+def col_spaces_equal(a, b):
+    """Whether the columns of A and of B span the same space:
+    rank A = rank B = rank [A | B], with no RREF made."""
+    if a.shape[0] != b.shape[0]:
+        return False
+    r = rank(a)
+    return r == rank(b) == rank(mx.hstack([a, b]))
 
 
 def is_semisimple(m):
@@ -441,6 +463,76 @@ def verify_grading_pairwise(algebra, grading) -> Verdict:
     )
 
 
+def series_all_pairs(algebra):
+    """The lower central series as primitive int echelon rows, each term
+    from the brackets of every basis element with every row of the last,
+    and whether it reaches zero."""
+    n = algebra.dim
+    prev = [{i: 1} for i in range(n)]
+    series = [prev]
+    while True:
+        spans = []
+        for a in range(n):
+            for v in prev:  # [X_a, v], times e
+                w = {}
+                for b, x in v.items():
+                    for k, c in algebra.ints.get((a, b), {}).items():
+                        w[k] = w.get(k, 0) + x * c
+                if w:
+                    spans.append(w)
+        nxt = mx.echelon(spans)
+        if not nxt:
+            return series, True
+        series.append(nxt)
+        if len(nxt) == len(prev):
+            return series, False
+        prev = nxt
+
+
+def validate_all_triples(algebra) -> Verdict:
+    """`liealg.validate` as the int Jacobi loop over every basis triple
+    i < j < k in order, then `series_all_pairs`."""
+    n = algebra.dim
+    ints = algebra.ints
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                res = {}
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    for l, x in ints.get((a, b), {}).items():
+                        for m, y in ints.get((l, c), {}).items():
+                            res[m] = res.get(m, 0) + x * y
+                if any(res.values()):
+                    e2 = algebra.den**2
+                    return Verdict(
+                        "reject",
+                        condition="jacobi",
+                        certificate={
+                            "triple": [i + 1, j + 1, k + 1],
+                            "residual": [str(Fraction(res.get(m, 0), e2)) for m in range(n)],
+                        },
+                        diagnostics=[f"Jacobi identity fails on basis triple ({i+1},{j+1},{k+1})"],
+                    )
+    series, nilpotent = series_all_pairs(algebra)
+    if not nilpotent:
+        last = mx.span_basis(series[-1], n)
+        return Verdict(
+            "reject",
+            condition="not-nilpotent",
+            certificate={
+                "stabilized_dimension": int(last.shape[1]),
+                "stabilized_subspace": [[str(e) for e in last[:, c]] for c in range(last.shape[1])],
+            },
+            diagnostics=["lower central series stabilizes at a nonzero subspace"],
+        )
+    return Verdict(
+        "accept",
+        condition="nilpotent-lie-algebra",
+        certificate={"nilpotency_class": len(series)},
+        diagnostics=[f"Jacobi holds; nilpotency class {len(series)}"],
+    )
+
+
 def validate_dense(algebra) -> Verdict:
     n = algebra.dim
     for i in range(n):
@@ -671,12 +763,46 @@ def group_elements(generators):
     return ordered
 
 
+# -- grading witnesses in Fractions ------------------------------------------
+
+
+def phi_p_fraction(algebra, grading, p):
+    """P diag(p^w) P^-1 as a Fraction product with `mx.inverse`, after the
+    same primality and verification refusals as `grading.phi_p`."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    v = verify_grading(algebra, grading)
+    if not v.accepted():
+        raise ValueError(f"grading does not verify: {v.diagnostics}")
+    cols = mx.hstack([s for _, s in grading.components])
+    scales = np.array(
+        [Fraction(p) ** w for w, s in grading.components for _ in range(s.shape[1])], dtype=object
+    )
+    return mx.matmul(cols * scales, mx.inverse(cols))
+
+
+def preserved_by_rank(grading, psi):
+    """Whether psi maps every component onto itself, by comparing the
+    column spaces of (d psi)(e S) and e S by rank for each component S."""
+    if mx.det(psi) == 0:
+        raise ValueError("singular map cannot preserve a grading")
+    psi_int, _ = mx.cleared(psi)
+    for _, s in grading.components:
+        s_int, _ = mx.cleared(s)
+        if not col_spaces_equal(psi_int @ s_int, s_int):
+            return False
+    return True
+
+
+# -- holonomy conditions on every element ------------------------------------
+
+
 def holonomy_is_valid_all(algebra, elements):
     return all(is_automorphism(algebra, f) for f in elements)
 
 
 def preserves_grading_every(elements, grading):
-    return all(preserved_by(grading, f) for f in elements)
+    return all(preserved_by_rank(grading, f) for f in elements)
 
 
 def commutes_with_every(m, elements):
@@ -707,7 +833,7 @@ def preserved_weights_brute_force(algebra, elements, positive, high):
     box = itertools.product(range(int(positive), high + 1), repeat=algebra.dim)
     points = [w for w in box if max(w) >= 1 and not any(sum(c * w[v] for v, c in row.items()) for row in eqs)]
     points.sort(key=lambda w: (max(w), w))
-    return next((w for w in points if all(preserved_by(grading_from_weights(algebra, w), f) for f in elements)), None)
+    return next((w for w in points if all(preserved_by_rank(grading_from_weights(algebra, w), f) for f in elements)), None)
 
 
 # -- the ladder ----------------------------------------------------------------

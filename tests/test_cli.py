@@ -311,6 +311,30 @@ class TestNorm:
         assert calls == {"semisimple_part": 0, "primary_decomposition": 1, "charpoly": 1, "violated_bracket": 1}
 
 
+class TestWitnessTraffic:
+    """A grading's witnesses read its one cleared inverse."""
+
+    @pytest.mark.parametrize("argv", [["expand", "filiform5"], ["expand", "heisenberg5", "--prime", "3"], ["cohopf", "notcohopf"]])
+    def test_one_inverse_per_accept(self, monkeypatch, argv):
+        # verify_grading re-bases with it and phi_p multiplies by it, in ints
+        calls = counted(monkeypatch, matrices, "inverse_cleared")
+        counted(monkeypatch, matrices, "inverse", calls)
+        counted(monkeypatch, matrices, "matmul", calls)
+        code, v, _ = run_cli(*argv)
+        assert (code, v["decision"]) == (0, "accept")
+        assert calls == {"inverse_cleared": 1, "inverse": 0, "matmul": 0}
+
+    @pytest.mark.parametrize("algebra, name", [("heisenberg3", "heisenberg3__jordan224"), ("abelian3", "abelian3__jordan112")])
+    def test_norm_rebases_once(self, monkeypatch, algebra, name):
+        # the weights and the homogeneity guard read one re-based algebra;
+        # the class basis is inverted for it and once more, as the
+        # grading's, for the preservation test
+        calls = counted(monkeypatch, liealg.LieAlgebra, "in_basis")
+        counted(monkeypatch, matrices, "inverse_cleared", calls)
+        code, v, _ = run_cli("norm", algebra, str(ROOT / "tests" / "golden" / "maps" / f"{name}.json"))
+        assert code == 0 and "grading" in v["certificate"]
+        assert calls == {"in_basis": 1, "inverse_cleared": 2}
+
 class TestLatpow:
     def test_power_certificate(self, tmp_path):
         f = tmp_path / "in.json"
@@ -455,6 +479,25 @@ class TestMalformedShapes:
         assert "malformed input" in out.err and "Traceback" not in out.err
 
 
+MALFORMED_ALGEBRAS = {
+    "not an object": ([], "algebra file must contain a JSON object"),
+    "dim": ({"dim": 0}, '"dim" must be a positive integer'),
+    "indices": ({"dim": 2, "brackets": [{"i": 2, "j": 1}]}, "bracket indices must satisfy 1 <= i < j <= dim, got (2, 1)"),
+    "duplicate": ({"dim": 2, "brackets": [{"i": 1, "j": 2}, {"i": 1, "j": 2, "terms": []}]}, "duplicate bracket (1, 2)"),
+    "target": ({"dim": 2, "brackets": [{"i": 1, "j": 2, "terms": [{"k": 3, "c": "1"}]}]}, "bracket (1, 2) has target index 3 out of range"),
+    "rational": ({"dim": 2, "brackets": [{"i": 1, "j": 2, "terms": [{"k": 1, "c": "1/0"}]}]}, "cannot parse rational '1/0'"),
+    "float": ({"dim": 2, "brackets": [{"i": 1, "j": 2, "terms": [{"k": 1, "c": 0.5}]}]}, "rational entries must be strings or integers, got float"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ALGEBRAS))
+def test_malformed_algebra_message(tmp_path, capsys, case):
+    data, message = MALFORMED_ALGEBRAS[case]
+    f = tmp_path / "a.json"
+    f.write_text(json.dumps(data))
+    assert main(["check", str(f)]) == 2
+    assert capsys.readouterr().err == f"error: {f}: malformed input: {message}\n"
+
 class TestDirectoryPath:
     """An input path that names a directory is an input error (exit 2)."""
 
@@ -488,6 +531,28 @@ class TestHolonomyDimension:
         out = capsys.readouterr()
         assert out.out == "" and out.err == f"error: {f}: matrix dimension mismatch\n"
 
+
+class TestHolonomyChecks:
+    """Each generator of a loaded group is tested once, on the search and
+    the replay path alike, and an invalid group is an input error."""
+
+    HOLONOMY = str(ROOT / "tests" / "golden" / "holonomy" / "heisenberg3_order3_swap_sign.json")
+    GRADING = str(ROOT / "tests" / "golden" / "gradings" / "heisenberg3__symmetric.json")
+
+    @pytest.mark.parametrize("cmd", [["expand"], ["cohopf"], ["expand", "--certificate", GRADING], ["cohopf", "--certificate", GRADING]], ids=" ".join)
+    def test_one_check_per_generator(self, monkeypatch, cmd):
+        calls = counted(monkeypatch, holonomy, "is_automorphism")
+        code, _, _ = run_cli(cmd[0], "heisenberg3", "--holonomy", self.HOLONOMY, *cmd[1:])
+        assert code == 0
+        assert calls == {"is_automorphism": 3}
+
+    @pytest.mark.parametrize("cmd", [["expand"], ["cohopf"], ["expand", "--certificate", GRADING], ["cohopf", "--certificate", str(MAPS / "heisenberg3__diag224.json")]], ids=" ".join)
+    def test_invalid_group_exit_2(self, tmp_path, capsys, cmd):
+        f = tmp_path / "hol.json"
+        f.write_text(json.dumps({"generators": [[["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "-1"]]]}))
+        assert main([cmd[0], "heisenberg3", "--holonomy", str(f)] + cmd[1:]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == f"error: {f}: holonomy elements are not automorphisms of the algebra\n"
 
 class TestDeterminism:
     def test_repeat_runs_byte_identical(self):

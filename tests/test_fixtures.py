@@ -1,3 +1,7 @@
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
 from nilgrade import matrices as mx
 from nilgrade.fixtures import (
     ALL_FIXTURES,
@@ -9,7 +13,7 @@ from nilgrade.fixtures import (
     load_map,
 )
 from nilgrade.holonomy import holonomy_is_valid
-from nilgrade.liealg import is_automorphism, validate
+from nilgrade.liealg import LieAlgebra, is_automorphism, validate
 from nilgrade.serialize import algebra_from_dict, algebra_to_dict
 
 
@@ -49,3 +53,39 @@ def test_algebra_serialization_roundtrip():
         back = algebra_from_dict(algebra_to_dict(algebra))
         assert back.dim == algebra.dim
         assert back.terms == algebra.terms
+
+
+@st.composite
+def algebra_files(draw):
+    """Algebra file data whose brackets repeat targets k, some of them
+    summing to zero, and some brackets with no nonzero term left."""
+    n = draw(st.integers(1, 5))
+    pairs = draw(st.lists(st.sampled_from([(i, j) for j in range(1, n + 1) for i in range(1, j)] or [None]), unique=True))
+    coefficient = st.sampled_from(["1", "-1", "1/2", "-1/2", "2/3", "-4", 3])
+    brackets = [
+        {"i": i, "j": j, "terms": [{"k": k, "c": c} for k, c in draw(st.lists(st.tuples(st.integers(1, n), coefficient), max_size=6))]}
+        for i, j in (p for p in pairs if p)
+    ]
+    return {"dim": n, "brackets": brackets}
+
+
+def dense_algebra(data):
+    """The constructor's reading of an algebra file: one dense vector per
+    bracket, the terms added into it."""
+    n = data["dim"]
+    table = {}
+    for entry in data["brackets"]:
+        vec = [Fraction(0)] * n
+        for term in entry["terms"]:
+            vec[term["k"] - 1] += Fraction(term["c"])
+        table[(entry["i"] - 1, entry["j"] - 1)] = vec
+    return LieAlgebra(n, table)
+
+
+@settings(max_examples=200)
+@given(data=algebra_files())
+def test_algebra_from_dict_builds_the_constructors_table(data):
+    got, want = algebra_from_dict(data), dense_algebra(data)
+    assert got.dim == want.dim
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert (got.ints, got.den, got.by_left) == (want.ints, want.den, want.by_left)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -19,7 +20,14 @@ from nilgrade.grading import (
     weight_solution_space,
 )
 from nilgrade.liealg import LieAlgebra, is_automorphism, is_derivation
-from oracles import dense_table, from_roots, group_elements, verify_grading_pairwise
+from oracles import (
+    dense_table,
+    from_roots,
+    group_elements,
+    phi_p_fraction,
+    preserved_by_rank,
+    verify_grading_pairwise,
+)
 
 
 def heisenberg():
@@ -352,3 +360,81 @@ class TestCommutation:
         for psi in maps:
             if preserved_by(g, psi):
                 assert mx.mat_eq(m2 @ psi, psi @ m2)
+
+
+# -- the witnesses in the grading's basis against the Fraction oracles -------
+
+
+def direct_sums(count: int, seed: int):
+    """The gradings of `seeded_gradings` whose components are a direct sum:
+    basis-aligned ones and ones moved by a unimodular P, with any weights."""
+    for a, g in seeded_gradings(count, seed):
+        if verify_grading(a, g).condition != "not-direct-sum":
+            yield a, g
+
+
+def test_phi_p_matches_fraction_products():
+    # basis-aligned and re-based gradings, negative weights included; a
+    # grading that does not verify is refused by both with one message
+    rng = random.Random(31)
+    seen = Counter()
+    a3 = load_algebra("abelian3")
+    negative = [
+        (a3, grading_from_weights(a3, (-3, -1, 0))),
+        (a3, Grading(((-2, span([1, 1, 0])), (0, span([0, 1, 0])), (1, span([0, "1/2", 3]))))),
+    ]
+    for a, g in itertools.chain(seeded_gradings(300, seed=11), negative):
+        p = rng.choice([2, 3, 5])
+        try:
+            want = phi_p_fraction(a, g, p)
+        except ValueError as e:
+            with pytest.raises(ValueError, match=re.escape(str(e))):
+                phi_p(a, g, p)
+            seen["refused"] += 1
+            continue
+        got = phi_p(a, g, p)
+        assert got.shape == want.shape and mx.mat_eq(got, want)
+        assert all(type(e) is Fraction for e in got.flat)
+        seen["aligned" if all(e in (0, 1) for e in g.basis.flat) else "moved"] += 1
+        seen["negative"] += g.weights[0] < 0
+    assert min(seen.values()) >= 4 and seen["aligned"] + seen["moved"] >= 80, seen
+
+
+def block_diagonal_map(g: Grading, rng: random.Random):
+    """P D P^-1 for P the grading's basis and D block diagonal with random
+    invertible blocks, one per component."""
+    n = g.basis.shape[0]
+    d = mx.zeros(n, n)
+    lo = 0
+    for _, s in g.components:
+        hi = lo + s.shape[1]
+        while True:
+            block = mx.rmat([[rng.choice([0, 1, -1, 2, Fraction(1, 2)]) for _ in range(lo, hi)] for _ in range(lo, hi)])
+            if mx.det(block) != 0:
+                break
+        d[lo:hi, lo:hi] = block
+        lo = hi
+    return mx.matmul(mx.matmul(g.basis, d), mx.inverse(g.basis))
+
+
+def test_preserved_by_matches_rank_test():
+    # P blockdiag P^-1 preserves the grading; one entry changed mostly does
+    # not; a singular map is refused by both
+    rng = random.Random(47)
+    seen = Counter()
+    for _, g in direct_sums(300, seed=12):
+        psi = block_diagonal_map(g, rng)
+        assert preserved_by(g, psi) and preserved_by_rank(g, psi)
+        n = psi.shape[0]
+        bent = psi.copy()
+        bent[rng.randrange(n), rng.randrange(n)] += rng.choice([1, -1, Fraction(1, 3)])
+        if mx.det(bent) == 0:
+            for test in (preserved_by, preserved_by_rank):
+                with pytest.raises(ValueError, match="singular map"):
+                    test(g, bent)
+            seen["singular"] += 1
+            continue
+        got = preserved_by(g, bent)
+        assert got == preserved_by_rank(g, bent)
+        seen[got] += 1
+    assert seen[True] >= 20 and seen[False] >= 100, seen

@@ -1,7 +1,10 @@
+import json
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -24,6 +27,7 @@ from nilgrade.liealg import (
     validate,
     violated_bracket,
 )
+from nilgrade.serialize import algebra_from_dict
 from nilgrade.specmaps import is_expanding
 
 import oracles
@@ -619,6 +623,51 @@ def test_validate_matches_bracket_based_loop():
         assert list(a.bracket(x, y)) == list(oracles.bracket_dense(a, x, y))
     assert seen == {"jacobi", "not-nilpotent", "nilpotent-lie-algebra"}
     assert any(v.certificate["triple"] != [1, 2, 3] for v in map(validate, cases) if v.condition == "jacobi")
+
+
+GOLDEN_ALGEBRAS = sorted((Path(__file__).resolve().parent / "golden" / "algebras").glob("*.json"))
+
+
+@st.composite
+def sparse_tables(draw):
+    """A table with a few random nonzero constants, in dim 3-7: most of
+    them violate Jacobi, on some triple and with some residual."""
+    n = draw(st.integers(3, 7))
+    values = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+    entries = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, n - 1), values), max_size=2 * n))
+    table = {}
+    for i, j, k, c in entries:
+        if i != j:
+            table.setdefault((min(i, j), max(i, j)), [0] * n)[k] += c
+    return LieAlgebra(n, table)
+
+
+def assert_validates_like_all_triples(a):
+    got = validate(a)
+    assert got.to_json() == oracles.validate_all_triples(a).to_json()
+    if got.condition != "jacobi":
+        assert liealg._series_descent(a) == oracles.series_all_pairs(a)
+    return got
+
+
+def test_validate_matches_all_triples_on_files_and_rebases():
+    # the fixtures, the golden algebras (Jacobi violators, sl2, the one that
+    # stabilises) and each in two unimodular bases
+    rng = random.Random(2718)
+    files = [load_algebra(name) for name in ALL_FIXTURES]
+    files += [algebra_from_dict(json.loads(path.read_text())) for path in GOLDEN_ALGEBRAS]
+    seen = Counter()
+    for a in files:
+        ops = [[(rng.randrange(8), rng.randrange(8), rng.choice([-2, -1, 1, 2])) for _ in range(4)] for _ in range(2)]
+        for b in [a] + [a.in_basis(unimodular(a.dim, o)) for o in ops]:
+            seen[assert_validates_like_all_triples(b).condition] += 1
+    assert set(seen) == {"jacobi", "not-nilpotent", "nilpotent-lie-algebra"}, seen
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+@given(a=sparse_tables())
+def test_validate_matches_all_triples_on_random_tables(a):
+    assert_validates_like_all_triples(a)
 
 
 class TestSparseMapChecks:
