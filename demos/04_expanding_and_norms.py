@@ -13,7 +13,7 @@ from nilgrade.grading import classify, preserved_by
 from nilgrade.specmaps import (
     expanding_to_positive_grading,
     is_expanding,
-    is_z_charpoly,
+    map_problems,
     norm_profile,
     selfcover_to_nonneg_grading,
     semisimple_part,
@@ -28,9 +28,10 @@ print("companion(X^2-3X+1) expanding:", is_expanding(comp))
 rot = mx.rmat([[0, -1], [1, 0]])
 print("quarter turn (|eigenvalues| = 1) expanding:", is_expanding(rot))
 
-# integer-like = integral charpoly and det +-1
+# integer-like = integral charpoly and det +-1: of the self-cover map test
+# (charpoly in Z[X] and |det| > 1), only the determinant fails
 b = mx.rmat([["5/2", "1/2"], ["1/2", "1/2"]])
-print("\n[[5/2,1/2],[1/2,1/2]] integer-like:", is_z_charpoly(b) and abs(mx.det(b)) == 1)
+print("\n[[5/2,1/2],[1/2,1/2]] self-cover map test:", map_problems(mx.charpoly(b), mx.det(b), positive=False))
 
 # The semisimple part strips nilpotent shear without touching eigenvalues
 # or primary components, so a map and its semisimple part share a profile.

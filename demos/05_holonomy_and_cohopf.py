@@ -2,20 +2,16 @@
 
 With a finite automorphism group F in play, expansion needs a positive
 grading preserved by all of F (equivalently an expanding automorphism
-commuting with F); self-covers need the non-negative analogue.  Both
-checks run on explicit certificates, and the weight search itself is
-F-equivariant: it ties w_i = w_j wherever some generator has f_ij != 0.
+commuting with F); self-covers need the non-negative analogue.  One
+check, `check_criterion` with its `positive` switch, runs both on
+explicit certificates, and the weight search itself is F-equivariant: it
+ties w_i = w_j wherever some generator has f_ij != 0.
 """
 
 from nilgrade import matrices as mx
 from nilgrade.fixtures import load_algebra, load_holonomy, load_map
 from nilgrade.grading import find_weights, grading_from_weights, phi_p
-from nilgrade.holonomy import (
-    check_covinfra,
-    check_expinfra,
-    close_group,
-    commutes_with_all,
-)
+from nilgrade.holonomy import check_criterion, close_group, commutes_with_all
 from nilgrade.liealg import is_characteristically_nilpotent
 
 heis = load_algebra("heisenberg3")
@@ -25,11 +21,11 @@ sign = load_holonomy("heisenberg3_sign")
 print("sign holonomy order:", sign.order)
 
 g = grading_from_weights(heis, (1, 1, 2))
-v = check_expinfra(heis, sign, g)
+v = check_criterion(heis, sign, g, positive=True)
 print("grading certificate:", v.decision, "via", v.condition)
 
 m = mx.diag([2, 2, 4])
-v = check_expinfra(heis, sign, m)
+v = check_criterion(heis, sign, m, positive=True)
 print("matrix certificate:", v.decision, "via", v.condition)
 
 # The swap holonomy permutes X1 and X2; the search adds w1 = w2 and still
@@ -54,7 +50,7 @@ print(f"phi_2 = diag({', '.join(str(phi[i, i]) for i in range(3))}) commutes wit
 # one, which certifies co-Hopficity of every full subgroup.
 nc = load_algebra("notcohopf")
 trivial = close_group([mx.identity(7)])
-v = check_covinfra(nc, trivial, load_map("notcohopf", "phi"))
+v = check_criterion(nc, trivial, load_map("notcohopf", "phi"), positive=False)
 print("\nnotcohopf self-cover certificate:", v.decision, "det =", v.certificate["det"])
 
 n5 = load_algebra("nilp5")

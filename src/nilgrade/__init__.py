@@ -14,8 +14,7 @@ from .grading import (
 )
 from .holonomy import (
     HolonomyGroup,
-    check_covinfra,
-    check_expinfra,
+    check_criterion,
     close_group,
     commutes_with_all,
     preserves_grading_all,
@@ -48,7 +47,7 @@ from .specmaps import (
     expanding_to_positive_grading,
     grading_from_profile,
     is_expanding,
-    is_z_charpoly,
+    map_problems,
     norm_profile,
     selfcover_to_nonneg_grading,
     semisimple_part,

@@ -19,14 +19,7 @@ from . import matrices as mx
 from . import specmaps
 from .fixtures import resolve_path
 from .grading import find_weights, grading_from_weights, phi_p, weight_solution_space, weights_label
-from .holonomy import (
-    HolonomyGroup,
-    check_covinfra,
-    check_expinfra,
-    close_group,
-    commutes_with_all,
-    holonomy_is_valid,
-)
+from .holonomy import HolonomyGroup, check_criterion, close_group, commutes_with_all, holonomy_is_valid
 from .intutil import is_prime
 from .latpow import ObstructionPrime, orbit_escapes_lattice, power_into_lattice
 from .liealg import (
@@ -177,104 +170,82 @@ def cmd_grade(args) -> Verdict:
     )
 
 
-def cmd_expand(args) -> Verdict:
+def cmd_criterion(args) -> Verdict:
+    """`expand` (the expansion criterion) and `cohopf` (the self-cover
+    criterion, with `prime` 2): replay a certificate, or search a
+    basis-aligned grading that the holonomy preserves and build phi_p."""
+    positive = args.command == "expand"
     algebra = _load_algebra(args.algebra)
     v = validate(algebra)
     if not v.accepted():
         return v
     group = _load_holonomy(args.holonomy, algebra)
     if args.certificate:
-        cert = _load_certificate(args.certificate, algebra)
-        return check_expinfra(algebra, group, cert)
-    w = find_weights(algebra, True, group.generators)
-    if w is None:
-        return Verdict(
-            "reject",
-            condition="basis-aligned-scope",
-            certificate={"solution_space_dim": weight_solution_space(algebra).shape[1]},
-            diagnostics=["no positive basis-aligned grading (scope: basis-aligned search)"],
-        )
-    g = grading_from_weights(algebra, w)
-    phi = phi_p(algebra, g, args.prime)
-    k = sum(w)
-    if not specmaps.is_expanding(phi):
-        raise RuntimeError(f"self-check failed: phi_{args.prime} is not expanding")
-    if not commutes_with_all(phi, group):
-        raise RuntimeError(f"self-check failed: phi_{args.prime} does not commute with the holonomy group")
-    return Verdict(
-        "accept",
-        condition="expinfra-cond-2",
-        certificate={
-            "weights": list(w),
-            "grading": grading_to_dict(g),
-            "phi_p": matrix_to_lists(phi),
-            "prime": args.prime,
-            "det": str(mx.det(phi)),
-            "det_exponent": k,
-        },
-        diagnostics=[
-            f"positive grading with weights {list(w)}",
-            f"phi_{args.prime} has det {args.prime}^{k} and is expanding",
-            f"commutes with all {group.order} holonomy elements",
-        ],
-    )
-
-
-def cmd_cohopf(args) -> Verdict:
-    algebra = _load_algebra(args.algebra)
-    v = validate(algebra)
-    if not v.accepted():
-        return v
-    group = _load_holonomy(args.holonomy, algebra)
-    if args.certificate:
-        cert = _load_certificate(args.certificate, algebra)
-        v = check_covinfra(algebra, group, cert)
-        if v.accepted():
+        v = check_criterion(algebra, group, _load_certificate(args.certificate, algebra), positive)
+        if v.accepted() and not positive:
             v.diagnostics.insert(0, "not co-Hopfian (witnessed)")
         return v
-    w = find_weights(algebra, False, group.generators)
-    if w is not None:
-        g = grading_from_weights(algebra, w)
-        phi = phi_p(algebra, g, 2)
-        return Verdict(
-            "accept",
-            condition="covinfra-cond-2",
-            certificate={
-                "weights": list(w),
-                "grading": grading_to_dict(g),
-                "phi_p": matrix_to_lists(phi),
-                "prime": 2,
-                "det": str(mx.det(phi)),
-            },
-            diagnostics=[
-                "not co-Hopfian (witnessed)",
-                f"non-negative non-trivial grading with weights {list(w)}",
-                f"self-cover morphism phi_2 has det 2^{sum(w)}",
-            ],
-        )
-    dim = weight_solution_space(algebra).shape[1]
-    if dim == 0:
-        cn = is_characteristically_nilpotent(algebra)
-        if cn.accepted():
+    w = find_weights(algebra, positive, group.generators)
+    if w is None:
+        dim = weight_solution_space(algebra).shape[1]
+        if positive:
             return Verdict(
                 "reject",
-                condition="co-hopfian-characteristically-nilpotent",
-                certificate=cn.certificate,
-                diagnostics=[
-                    "co-Hopfian: certified via characteristic nilpotency",
-                    "every automorphism has determinant +-1;"
-                    " no non-trivial self-cover exists",
-                ],
+                condition="basis-aligned-scope",
+                certificate={"solution_space_dim": dim},
+                diagnostics=["no positive basis-aligned grading (scope: basis-aligned search)"],
             )
-    return Verdict(
-        "reject",
-        condition="no-basis-aligned-witness",
-        certificate={"solution_space_dim": dim},
-        diagnostics=[
-            "no basis-aligned witness found;"
-            " this does not certify that the group is co-Hopfian"
-        ],
-    )
+        if dim == 0:
+            cn = is_characteristically_nilpotent(algebra)
+            if cn.accepted():
+                return Verdict(
+                    "reject",
+                    condition="co-hopfian-characteristically-nilpotent",
+                    certificate=cn.certificate,
+                    diagnostics=[
+                        "co-Hopfian: certified via characteristic nilpotency",
+                        "every automorphism has determinant +-1;"
+                        " no non-trivial self-cover exists",
+                    ],
+                )
+        return Verdict(
+            "reject",
+            condition="no-basis-aligned-witness",
+            certificate={"solution_space_dim": dim},
+            diagnostics=[
+                "no basis-aligned witness found;"
+                " this does not certify that the group is co-Hopfian"
+            ],
+        )
+    g = grading_from_weights(algebra, w)
+    p, k = args.prime, sum(w)
+    phi = phi_p(algebra, g, p)
+    if positive and not specmaps.is_expanding(phi):
+        raise RuntimeError(f"self-check failed: phi_{p} is not expanding")
+    if not commutes_with_all(phi, group):
+        raise RuntimeError(f"self-check failed: phi_{p} does not commute with the holonomy group")
+    cert = {
+        "weights": list(w),
+        "grading": grading_to_dict(g),
+        "phi_p": matrix_to_lists(phi),
+        "prime": p,
+        "det": str(mx.det(phi)),
+    }
+    if positive:
+        cert["det_exponent"] = k
+        notes = [
+            f"positive grading with weights {list(w)}",
+            f"phi_{p} has det {p}^{k} and is expanding",
+            f"commutes with all {group.order} holonomy elements",
+        ]
+    else:
+        notes = [
+            "not co-Hopfian (witnessed)",
+            f"non-negative non-trivial grading with weights {list(w)}",
+            f"self-cover morphism phi_{p} has det {p}^{k}",
+        ]
+    cond = "expinfra-cond-2" if positive else "covinfra-cond-2"
+    return Verdict("accept", condition=cond, certificate=cert, diagnostics=notes)
 
 
 def cmd_norm(args) -> Verdict:
@@ -296,23 +267,23 @@ def cmd_norm(args) -> Verdict:
             certificate={"violated_bracket": list(bad)},
             diagnostics=[f"bracket [X_{bad[0]}, X_{bad[1]}] is not preserved"],
         )
-    # one charpoly: the semisimple, expanding and Z[X] tests read it off the profile
+    # one charpoly: the semisimple test and both criteria read it off the profile
     profile = specmaps.norm_profile(m)
     chi = profile.charpoly
     notes = []
     if not mx.annihilates(profile.radical, m):
         notes.append("map is not semisimple; profile taken on its semisimple part")
     cert = {"profile": profile_to_dict(profile)}
-    if specmaps.schur_all_inside(chi.reciprocal()):
-        g = specmaps.grading_from_profile(algebra, m, profile, positive=True)
-        cert["grading"] = grading_to_dict(g)
-        cert["classification"] = "positive"
-        notes.append("expanding: extracted a positive grading preserved by the map")
-    elif all(c.denominator == 1 for c in chi.coeffs) and abs(det) > 1:
-        g = specmaps.grading_from_profile(algebra, m, profile, positive=False)
-        cert["grading"] = grading_to_dict(g)
-        cert["classification"] = "nonnegative-nontrivial"
-        notes.append("self-cover criteria hold: extracted a non-negative grading")
+    for positive, label, note in (
+        (True, "positive", "expanding: extracted a positive grading preserved by the map"),
+        (False, "nonnegative-nontrivial", "self-cover criteria hold: extracted a non-negative grading"),
+    ):
+        if not specmaps.map_problems(chi, det, positive):
+            g = specmaps.grading_from_profile(algebra, m, profile, positive)
+            cert["grading"] = grading_to_dict(g)
+            cert["classification"] = label
+            notes.append(note)
+            break
     else:
         notes.append("no grading extracted (map is neither expanding nor a self-cover witness)")
     return Verdict("accept", condition="norm-profile", certificate=cert, diagnostics=notes)
@@ -397,6 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("algebra")
     p.add_argument("--holonomy")
     p.add_argument("--certificate")
+    p.set_defaults(prime=2)
     common(p)
 
     p = sub.add_parser("norm", help="norm profile and grading extraction")
@@ -417,8 +389,10 @@ def main(argv=None) -> int:
     try:
         if args.command == "expand" and not is_prime(args.prime):
             raise CliError(f"{args.prime} is not prime")
-        # looked up per call, so a wrapper bound to the module attribute runs
-        return _emit(globals()[f"cmd_{args.command}"](args), args.json)
+        # expand and cohopf share cmd_criterion; looked up per call, so a
+        # wrapper bound to the module attribute runs
+        name = "criterion" if args.command in ("expand", "cohopf") else args.command
+        return _emit(globals()[f"cmd_{name}"](args), args.json)
     except (CliError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

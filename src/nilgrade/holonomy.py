@@ -1,11 +1,13 @@
 """Finite holonomy data and the equivariant expansion / self-cover criteria.
 
 A holonomy group is a finite group F of automorphisms, held as its
-generators and its order |F|.  The two theorem-level checks accept a
-certificate (a grading or a commuting automorphism) and report which
-condition it witnesses.  Their grading conditions differ only by
-`positive`, which `grading.meets_criterion` reads; the search for a
-grading that F preserves is `grading.find_weights` on the generators of F.
+generators and its order |F|.  `check_criterion` is the one
+theorem-level check: it accepts a certificate (a grading or a commuting
+automorphism) and reports which condition it witnesses.  The expansion
+and self-cover criteria differ only by `positive`, which
+`grading.meets_criterion` reads for a grading and `specmaps.map_problems`
+for a map; the search for a grading that F preserves is
+`grading.find_weights` on the generators of F.
 
 Every condition is decided on the generators of F.  Being an
 automorphism, preserving a grading and commuting with a map are each
@@ -109,74 +111,47 @@ def _first_failing(group: HolonomyGroup, ok) -> int | None:
     return next((1 + i for i, f in enumerate(group.generators) if not ok(f)), None)
 
 
-def check_expinfra(algebra: LieAlgebra, group: HolonomyGroup, certificate) -> Verdict:
-    """Expansion criterion: certificate witnesses condition 2 or 3.
+def check_criterion(algebra: LieAlgebra, group: HolonomyGroup, certificate, positive: bool) -> Verdict:
+    """The expansion (positive) or self-cover criterion: which condition
+    the certificate witnesses.
 
-    Condition 2: a verified positive grading preserved by all of F.
-    Condition 3: an expanding automorphism commuting with all of F.
+    Condition 2: a verified grading preserved by all of F, positive for
+    expansion, non-negative and non-trivial for a self-cover.
+    Condition 3: an automorphism commuting with all of F that is
+    expanding, or, for a self-cover, has its characteristic polynomial in
+    Z[X] and |det| > 1 (`specmaps.map_problems`).
     """
     if not holonomy_is_valid(algebra, group):
         raise ValueError("holonomy elements must be automorphisms of the algebra")
     if isinstance(certificate, Grading):
-        return _check_grading_condition(algebra, group, certificate, positive=True)
-    if isinstance(certificate, np.ndarray):
-        m = certificate
-        problems = []
-        if not is_automorphism(algebra, m):
-            problems.append("certificate map is not an automorphism")
-        elif not specmaps.is_expanding(m):
-            problems.append("certificate map is not expanding")
-        return _check_map_condition(
-            group, m, "expinfra-cond-3", problems, {"matrix": matrix_to_lists(m)},
-            "expanding automorphism commutes with the holonomy group",
-        )
-    raise ValueError("certificate must be a Grading or an automorphism matrix")
-
-
-def check_covinfra(algebra: LieAlgebra, group: HolonomyGroup, certificate) -> Verdict:
-    """Self-cover criterion: non-negative nontrivial grading, or a commuting
-    automorphism with Z[X] characteristic polynomial and |det| > 1."""
-    if not holonomy_is_valid(algebra, group):
-        raise ValueError("holonomy elements must be automorphisms of the algebra")
-    if isinstance(certificate, Grading):
-        return _check_grading_condition(algebra, group, certificate, positive=False)
-    if isinstance(certificate, np.ndarray):
-        m = certificate
-        if m.shape != (algebra.dim, algebra.dim):
-            raise ValueError("matrix dimension mismatch")
-        det = mx.det(m)
-        problems = []
-        if det == 0 or violated_bracket(algebra, m) is not None:
-            problems.append("certificate map is not an automorphism")
-        else:
-            if not specmaps.is_z_charpoly(m):
-                problems.append("characteristic polynomial is not in Z[X]")
-            if abs(det) <= 1:
-                problems.append("|det| is not > 1")
-        return _check_map_condition(
-            group, m, "covinfra-cond-3", problems, {"matrix": matrix_to_lists(m), "det": str(det)},
-            "self-cover automorphism commutes with the holonomy group",
-        )
-    raise ValueError("certificate must be a Grading or an automorphism matrix")
-
-
-def _check_map_condition(group, m, cond, problems, certificate, note) -> Verdict:
-    """Reject on the problems found with the map m or on the first holonomy
-    element that m does not commute with; else accept with certificate."""
+        return _check_grading_condition(algebra, group, certificate, positive)
+    if not isinstance(certificate, np.ndarray):
+        raise ValueError("certificate must be a Grading or an automorphism matrix")
+    m = certificate
+    if m.shape != (algebra.dim, algebra.dim):
+        raise ValueError("matrix dimension mismatch")
+    cond = "expinfra-cond-3" if positive else "covinfra-cond-3"
+    det = mx.det(m)
+    if det == 0 or violated_bracket(algebra, m) is not None:
+        problems = ["certificate map is not an automorphism"]
+    else:
+        problems = specmaps.map_problems(mx.charpoly(m), det, positive)
+    cert = {"matrix": matrix_to_lists(m)}
     if problems:
-        return Verdict("reject", condition=cond, certificate={"matrix": matrix_to_lists(m)}, diagnostics=problems)
+        return Verdict("reject", condition=cond, certificate=cert, diagnostics=problems)
     bad = _first_failing(group, mx.commutes_with(m))
     if bad is not None:
         return Verdict(
             "reject",
             condition=cond,
-            certificate={
-                "matrix": matrix_to_lists(m),
-                "noncommuting_element": matrix_to_lists(group.generators[bad - 1]),
-            },
+            certificate={**cert, "noncommuting_element": matrix_to_lists(group.generators[bad - 1])},
             diagnostics=[f"map fails to commute with holonomy element {bad}"],
         )
-    return Verdict("accept", condition=cond, certificate=certificate, diagnostics=[note])
+    if not positive:
+        cert["det"] = str(det)
+    kind = "expanding" if positive else "self-cover"
+    note = f"{kind} automorphism commutes with the holonomy group"
+    return Verdict("accept", condition=cond, certificate=cert, diagnostics=[note])
 
 
 def _check_grading_condition(algebra, group, grading, positive) -> Verdict:

@@ -2,8 +2,12 @@
 
 - expansion (every eigenvalue strictly outside the unit circle) via a
   Schur-Cohn chain on the reciprocal characteristic polynomial;
-- characteristic polynomials in Z[X] (with |det| > 1: a self-cover witness);
-- the semisimple part over Q by Newton iteration (Jordan-Chevalley);
+- condition 3 of the expansion and self-cover criteria as one predicate
+  on a characteristic polynomial and determinant already computed
+  (`map_problems`): expanding, or, with `positive` off, in Z[X] with
+  |det| > 1;
+- the semisimple part over Q by Newton iteration (Jordan-Chevalley), run
+  until it is exact;
 - norm profiles: each primary component of a map is tagged with
   |p_i(0)|^(lcm/deg), a fixed positive power of the absolute field norm of
   its eigenvalues.  A map and its semisimple part have the same primary
@@ -20,7 +24,8 @@ of p_i(M)^e_i (`matrices.primary_decomposition`), the algebra re-based
 on the classes is built once, from its int table (`LieAlgebra.in_basis`),
 and both the weights and the homogeneity guard read it, and the
 grading's preservation is a block-diagonal test on the map in the
-grading's basis (`grading.preserved_by`).
+grading's basis (`grading.preserved_by`), which reads the inverse that
+re-based the algebra: the class basis is inverted once.
 
 The splitting field itself is never constructed: a common positive power
 of the norms preserves equality classes, ordering, the >1 predicate and
@@ -31,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, gcd, lcm, log2, prod
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -75,28 +80,40 @@ def is_expanding(m: np.ndarray) -> bool:
     return schur_all_inside(p.reciprocal())
 
 
-def is_z_charpoly(m: np.ndarray) -> bool:
-    return all(c.denominator == 1 for c in mx.charpoly(m).coeffs)
+def map_problems(chi: Polynomial, det, positive: bool) -> list[str]:
+    """Why an automorphism with characteristic polynomial chi and
+    determinant det != 0 fails condition 3 of the expansion (positive)
+    or self-cover criterion; empty when it meets it.
+
+    Expansion: every eigenvalue outside the unit circle, that is, every
+    root of the reciprocal of chi inside it.  Self-cover: chi in Z[X]
+    and |det| > 1.
+    """
+    if positive:
+        return [] if schur_all_inside(chi.reciprocal()) else ["certificate map is not expanding"]
+    problems = []
+    if any(c.denominator != 1 for c in chi.coeffs):
+        problems.append("characteristic polynomial is not in Z[X]")
+    if abs(det) <= 1:
+        problems.append("|det| is not > 1")
+    return problems
 
 
 def semisimple_part(m: np.ndarray) -> np.ndarray:
     """Jordan-Chevalley semisimple part over Q (a polynomial in M).
 
     Newton iteration against the squarefree part g of the characteristic
-    polynomial: S <- S - g(S) * u(S) with u an inverse of g' modulo g;
-    quadratic convergence gives g(S) = 0 after ceil(log2 n) steps.
+    polynomial: S <- S - g(S) * u(S) with u an inverse of g' modulo g,
+    run until g(S) = 0.  With S the semisimple part and N = M - S, the
+    error S_k - S lies in N^(2^k) Q[M], so it vanishes after at most
+    ceil(log2 n) steps.
     """
-    n = m.shape[0]
     g = squarefree_part(mx.charpoly(m))
-    gd = g.derivative()
-    _, u, _ = poly_xgcd(gd, g)
+    _, u, _ = poly_xgcd(g.derivative(), g)
     s = m
-    for _ in range(max(1, ceil(log2(max(2, n)))) + 2):
-        gs = mx.eval_poly(g, s)
-        if mx.is_zero_mat(gs):
-            return s
+    while not mx.is_zero_mat(gs := mx.eval_poly(g, s)):
         s = s - mx.matmul(gs, mx.eval_poly(u, s))
-    raise RuntimeError("Newton iteration failed to converge")
+    return s
 
 
 # -- norm profiles ------------------------------------------------------------
@@ -166,7 +183,9 @@ def _grading_from_classes(
 ) -> tuple[Grading, LieAlgebra]:
     """Integer weights for multiplicative norm classes, canonicalized, and
     the algebra re-based on the stacked classes, which is the grading's
-    basis (weights increase with the value, so the order is kept).
+    basis (weights increase with the value, so the order is kept).  The
+    grading is handed that basis and its one cleared inverse, so
+    `preserved_by` does not invert it again.
 
     The weight equations are posed on the algebra re-based on the stacked
     classes, one variable per class: w_a + w_b = w_{a*b} whenever
@@ -181,7 +200,9 @@ def _grading_from_classes(
     values = [v for v, _ in classes]
     nvars = len(values)
     var = [a for a, (_, s) in enumerate(classes) for _ in range(s.shape[1])]
-    rebased = algebra.in_basis(mx.hstack([s for _, s in classes]))
+    basis = mx.hstack([s for _, s in classes])
+    inverse = mx.inverse_cleared(basis)
+    rebased = algebra.in_basis(basis, inverse)
     for (x, y), terms in rebased.terms.items():
         if any(values[var[z]] != values[var[x]] * values[var[y]] for z in terms):
             raise RuntimeError("norm multiplicativity violated on brackets")
@@ -192,7 +213,9 @@ def _grading_from_classes(
     w = solve(eqs, ineqs, [0 if p else 1 for p in pinned])
     if w is None:
         raise RuntimeError("integer re-weighting infeasible; invariant violation")
-    return Grading(tuple((w[a], classes[a][1]) for a in range(nvars))), rebased
+    grading = Grading(tuple((w[a], classes[a][1]) for a in range(nvars)))
+    vars(grading).update(basis=basis, cleared_inverse=inverse)  # its cached properties
+    return grading, rebased
 
 
 def grading_from_profile(
@@ -237,8 +260,8 @@ def selfcover_to_nonneg_grading(algebra: LieAlgebra, m: np.ndarray) -> Grading:
     """
     if not is_automorphism(algebra, m):
         raise ValueError("matrix is not an automorphism of the algebra")
-    if not is_z_charpoly(m):
-        raise ValueError("characteristic polynomial is not in Z[X]")
-    if abs(mx.det(m)) <= 1:
-        raise ValueError("|det| > 1 required")
-    return grading_from_profile(algebra, m, norm_profile(m), positive=False)
+    profile = norm_profile(m)
+    problems = map_problems(profile.charpoly, mx.det(m), positive=False)
+    if problems:
+        raise ValueError("; ".join(problems))
+    return grading_from_profile(algebra, m, profile, positive=False)

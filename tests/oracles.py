@@ -37,6 +37,10 @@ it enumerates a box of weights and keeps those whose grading every
 element of F preserves, without the zero-pattern rule of `find_weights`.
 `derivation_matrices` is no oracle: it densifies the library's sparse
 derivation basis for the tests that need matrices.
+The expansion and self-cover checks are kept as the two functions they
+were, `check_expinfra` and `check_covinfra`, each with its own map test
+(`is_expanding`, and `is_z_charpoly` with |det| > 1) and the shared
+`_check_map_condition`; so is `semisimple_part` with its iteration cap.
 
 Also the ladder algebras L_n, H_{2m+1} and N_{r,c}, built from first
 principles (N_{r,c} from Lie words in the free associative algebra).
@@ -46,16 +50,19 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import ceil, gcd, log2
 
 import numpy as np
 
+from nilgrade import holonomy
 from nilgrade import matrices as mx
 from nilgrade.intutil import cleared, factor_int, is_prime
-from nilgrade.grading import grading_from_weights, verify_grading, weight_equations
-from nilgrade.liealg import LieAlgebra, derivations, is_automorphism
+from nilgrade.grading import Grading, grading_from_weights, verify_grading, weight_equations
+from nilgrade.liealg import LieAlgebra, derivations, is_automorphism, violated_bracket
 from nilgrade.linineq import solve
-from nilgrade.polynomials import ONE, Polynomial, _primitive, factor_order_key, factor_over_q
+from nilgrade.polynomials import ONE, Polynomial, _primitive, factor_order_key, factor_over_q, poly_xgcd, squarefree_part
+from nilgrade.serialize import matrix_to_lists
+from nilgrade.specmaps import is_expanding
 from nilgrade.verdict import Verdict
 
 
@@ -834,6 +841,101 @@ def preserved_weights_brute_force(algebra, elements, positive, high):
     points = [w for w in box if max(w) >= 1 and not any(sum(c * w[v] for v, c in row.items()) for row in eqs)]
     points.sort(key=lambda w: (max(w), w))
     return next((w for w in points if all(preserved_by_rank(grading_from_weights(algebra, w), f) for f in elements)), None)
+
+
+# -- the two criteria as separate checks ----------------------------------------
+
+
+def is_z_charpoly(m):
+    return all(c.denominator == 1 for c in mx.charpoly(m).coeffs)
+
+
+def check_expinfra(algebra, group, certificate) -> Verdict:
+    """Expansion criterion: certificate witnesses condition 2 or 3.
+
+    Condition 2: a verified positive grading preserved by all of F.
+    Condition 3: an expanding automorphism commuting with all of F.
+    """
+    if not holonomy.holonomy_is_valid(algebra, group):
+        raise ValueError("holonomy elements must be automorphisms of the algebra")
+    if isinstance(certificate, Grading):
+        return holonomy._check_grading_condition(algebra, group, certificate, positive=True)
+    if isinstance(certificate, np.ndarray):
+        m = certificate
+        problems = []
+        if not is_automorphism(algebra, m):
+            problems.append("certificate map is not an automorphism")
+        elif not is_expanding(m):
+            problems.append("certificate map is not expanding")
+        return _check_map_condition(
+            group, m, "expinfra-cond-3", problems, {"matrix": matrix_to_lists(m)},
+            "expanding automorphism commutes with the holonomy group",
+        )
+    raise ValueError("certificate must be a Grading or an automorphism matrix")
+
+
+def check_covinfra(algebra, group, certificate) -> Verdict:
+    """Self-cover criterion: non-negative nontrivial grading, or a commuting
+    automorphism with Z[X] characteristic polynomial and |det| > 1."""
+    if not holonomy.holonomy_is_valid(algebra, group):
+        raise ValueError("holonomy elements must be automorphisms of the algebra")
+    if isinstance(certificate, Grading):
+        return holonomy._check_grading_condition(algebra, group, certificate, positive=False)
+    if isinstance(certificate, np.ndarray):
+        m = certificate
+        if m.shape != (algebra.dim, algebra.dim):
+            raise ValueError("matrix dimension mismatch")
+        det = mx.det(m)
+        problems = []
+        if det == 0 or violated_bracket(algebra, m) is not None:
+            problems.append("certificate map is not an automorphism")
+        else:
+            if not is_z_charpoly(m):
+                problems.append("characteristic polynomial is not in Z[X]")
+            if abs(det) <= 1:
+                problems.append("|det| is not > 1")
+        return _check_map_condition(
+            group, m, "covinfra-cond-3", problems, {"matrix": matrix_to_lists(m), "det": str(det)},
+            "self-cover automorphism commutes with the holonomy group",
+        )
+    raise ValueError("certificate must be a Grading or an automorphism matrix")
+
+
+def _check_map_condition(group, m, cond, problems, certificate, note) -> Verdict:
+    """Reject on the problems found with the map m or on the first holonomy
+    element that m does not commute with; else accept with certificate."""
+    if problems:
+        return Verdict("reject", condition=cond, certificate={"matrix": matrix_to_lists(m)}, diagnostics=problems)
+    bad = holonomy._first_failing(group, mx.commutes_with(m))
+    if bad is not None:
+        return Verdict(
+            "reject",
+            condition=cond,
+            certificate={
+                "matrix": matrix_to_lists(m),
+                "noncommuting_element": matrix_to_lists(group.generators[bad - 1]),
+            },
+            diagnostics=[f"map fails to commute with holonomy element {bad}"],
+        )
+    return Verdict("accept", condition=cond, certificate=certificate, diagnostics=[note])
+
+
+# -- the semisimple part with an iteration cap ------------------------------------
+
+
+def semisimple_part_capped(m):
+    """Newton iteration for the Jordan-Chevalley semisimple part, stopped
+    after ceil(log2 n) + 2 steps with a RuntimeError."""
+    n = m.shape[0]
+    g = squarefree_part(mx.charpoly(m))
+    _, u, _ = poly_xgcd(g.derivative(), g)
+    s = m
+    for _ in range(max(1, ceil(log2(max(2, n)))) + 2):
+        gs = mx.eval_poly(g, s)
+        if mx.is_zero_mat(gs):
+            return s
+        s = s - mx.matmul(gs, mx.eval_poly(u, s))
+    raise RuntimeError("Newton iteration failed to converge")
 
 
 # -- the ladder ----------------------------------------------------------------

@@ -167,17 +167,33 @@ class TestExpand:
         assert v2["condition"] == "expinfra-cond-2"
 
     @pytest.mark.parametrize(
-        "patch, message",
+        "patch, message, argv",
         [
-            ("specmaps.is_expanding = lambda m: False", "phi_2 is not expanding"),
-            ("cli.commutes_with_all = lambda m, group: False", "phi_2 does not commute with the holonomy group"),
+            pytest.param(
+                "specmaps.is_expanding = lambda m: False",
+                "phi_2 is not expanding",
+                ["expand", "heisenberg3", "--prime", "2"],
+                id="specmaps.is_expanding = lambda m: False-phi_2 is not expanding",
+            ),
+            pytest.param(
+                "cli.commutes_with_all = lambda m, group: False",
+                "phi_2 does not commute with the holonomy group",
+                ["expand", "heisenberg3", "--prime", "2"],
+                id="cli.commutes_with_all = lambda m, group: False-phi_2 does not commute with the holonomy group",
+            ),
+            pytest.param(
+                "cli.commutes_with_all = lambda m, group: False",
+                "phi_2 does not commute with the holonomy group",
+                ["cohopf", "heisenberg3", "--holonomy", "heisenberg3_sign"],
+                id="cohopf-phi_2 does not commute with the holonomy group",
+            ),
         ],
     )
-    def test_self_checks_survive_optimize(self, patch, message):
+    def test_self_checks_survive_optimize(self, patch, message, argv):
         code = (
             "import sys; from nilgrade import cli, specmaps; "
             f"sys.flags.optimize or sys.exit(3); {patch}; "
-            "sys.exit(cli.main(['expand', 'heisenberg3', '--prime', '2']))"
+            f"sys.exit(cli.main({argv!r}))"
         )
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         done = subprocess.run(
@@ -324,16 +340,25 @@ class TestWitnessTraffic:
         assert (code, v["decision"]) == (0, "accept")
         assert calls == {"inverse_cleared": 1, "inverse": 0, "matmul": 0}
 
-    @pytest.mark.parametrize("algebra, name", [("heisenberg3", "heisenberg3__jordan224"), ("abelian3", "abelian3__jordan112")])
-    def test_norm_rebases_once(self, monkeypatch, algebra, name):
-        # the weights and the homogeneity guard read one re-based algebra;
-        # the class basis is inverted for it and once more, as the
-        # grading's, for the preservation test
+    @pytest.mark.parametrize(
+        "algebra, path",
+        [
+            ("heisenberg3", ROOT / "tests" / "golden" / "maps" / "heisenberg3__jordan224.json"),
+            ("abelian3", ROOT / "tests" / "golden" / "maps" / "abelian3__jordan112.json"),
+            ("heisenberg3", MAPS / "heisenberg3__diag122.json"),
+            ("heisenberg3", MAPS / "heisenberg3__diag224.json"),
+            ("heisenberg3", MAPS / "heisenberg3__diag236.json"),
+        ],
+        ids=lambda x: getattr(x, "stem", x),
+    )
+    def test_norm_rebases_once(self, monkeypatch, algebra, path):
+        # the weights and the homogeneity guard read one re-based algebra,
+        # and the preservation test reads the inverse that re-based it
         calls = counted(monkeypatch, liealg.LieAlgebra, "in_basis")
         counted(monkeypatch, matrices, "inverse_cleared", calls)
-        code, v, _ = run_cli("norm", algebra, str(ROOT / "tests" / "golden" / "maps" / f"{name}.json"))
+        code, v, _ = run_cli("norm", algebra, str(path))
         assert code == 0 and "grading" in v["certificate"]
-        assert calls == {"in_basis": 1, "inverse_cleared": 2}
+        assert calls == {"in_basis": 1, "inverse_cleared": 1}
 
 class TestLatpow:
     def test_power_certificate(self, tmp_path):

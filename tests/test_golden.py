@@ -38,9 +38,11 @@ A rejection names the first holonomy element that fails.
 
 `tests/golden/cli.json` holds the exit code and stdout of each invocation
 below, recorded once.  A refactor that changes any verdict, certificate or
-diagnostic shows up here as a byte difference.  Paths are stored relative
-to the repository root so the file does not depend on where it is checked
-out.
+diagnostic shows up here as a byte difference.  The snapshot is also read
+as a law: every grading, weight system and map that a `grade`, `expand`
+or `cohopf` accept carries replays through `holonomy.check_criterion`.
+Paths are stored relative to the repository root so the file does not
+depend on where it is checked out.
 
 Re-record (only when an output change is intended and reviewed):
 
@@ -49,13 +51,17 @@ Re-record (only when an output change is intended and reviewed):
 
 import io
 import json
+from collections import Counter
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from nilgrade.cli import main
+from nilgrade.cli import _load_algebra, _load_holonomy, build_parser, main
 from nilgrade.fixtures import ALL_FIXTURES, FIXTURE_MAPS, HOLONOMY_FIXTURES
+from nilgrade.grading import grading_from_weights
+from nilgrade.holonomy import check_criterion
+from nilgrade.serialize import grading_from_dict, matrix_from_lists, weights_from_dict
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli.json"
@@ -121,12 +127,16 @@ def invocations() -> list[list[str]]:
     return out
 
 
+def resolved(argv: list[str]) -> list[str]:
+    """argv with its repo-relative paths made absolute."""
+    return [str(ROOT / a) if a.startswith((MAPS_DIR, LATPOW_DIR, ALGEBRAS_DIR, GOLDEN_MAPS_DIR, GOLDEN_GRADINGS_DIR, GOLDEN_HOLONOMY_DIR)) else a for a in argv]
+
+
 def run(argv: list[str]) -> dict:
     """Exit code and stdout, with repo-relative paths resolved."""
-    resolved = [str(ROOT / a) if a.startswith((MAPS_DIR, LATPOW_DIR, ALGEBRAS_DIR, GOLDEN_MAPS_DIR, GOLDEN_GRADINGS_DIR, GOLDEN_HOLONOMY_DIR)) else a for a in argv]
     buf = io.StringIO()
     with redirect_stdout(buf):
-        code = main(resolved)
+        code = main(resolved(argv))
     return {"argv": argv, "exit": code, "stdout": buf.getvalue()}
 
 
@@ -143,6 +153,44 @@ def test_snapshot_covers_every_invocation():
 def test_output_matches_snapshot(argv):
     want = _recorded()[" ".join(argv)]
     assert run(argv) == want
+
+
+# the exit-0 conditions with no replay path yet, and how many snapshots carry each
+REPLAY_FREE = {"valid-nilpotent-lie-algebra": 15, "norm-profile": 12, "lattice-power": 4, "orbit-escapes": 1}
+
+
+def test_every_criterion_accept_replays():
+    """Each `grade`, `expand` and `cohopf` accept replays every grading,
+    weight system and map it carries through `check_criterion`, with the
+    matching `positive` and the same holonomy; every other exit-0
+    condition is one of REPLAY_FREE."""
+    unreplayed = Counter()
+    replayed = 0
+    for record in json.loads(GOLDEN.read_text()):
+        if record["exit"]:
+            continue
+        args = build_parser().parse_args(resolved(record["argv"]))
+        v = json.loads(record["stdout"])
+        if args.command not in ("grade", "expand", "cohopf"):
+            unreplayed[v["condition"]] += 1
+            continue
+        positive = args.command == "expand" or getattr(args, "mode", None) == "positive"
+        algebra = _load_algebra(args.algebra)
+        group = _load_holonomy(getattr(args, "holonomy", None), algebra)
+        cert = v["certificate"]
+        witnesses = [("cond-2", grading_from_dict(cert))] if "components" in cert else []
+        if "grading" in cert:
+            witnesses.append(("cond-2", grading_from_dict(cert["grading"])))
+        if "weights" in cert:
+            witnesses.append(("cond-2", grading_from_weights(algebra, weights_from_dict(cert))))
+        witnesses += [("cond-3", matrix_from_lists(cert[key])) for key in ("phi_p", "matrix") if key in cert]
+        assert witnesses, record["argv"]
+        for cond, witness in witnesses:
+            r = check_criterion(algebra, group, witness, positive)
+            assert (r.decision, r.condition) == ("accept", f"{'expinfra' if positive else 'covinfra'}-{cond}"), record["argv"]
+            replayed += 1
+    assert unreplayed == REPLAY_FREE
+    assert replayed == 170
 
 
 if __name__ == "__main__":

@@ -1,7 +1,9 @@
+import functools
 import itertools
 import json
 import math
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,20 +13,20 @@ import oracles
 from nilgrade import holonomy
 from nilgrade import matrices as mx
 from nilgrade.cli import _load_holonomy
-from nilgrade.fixtures import HOLONOMY_FIXTURES, load_algebra, load_holonomy, load_map
-from nilgrade.grading import find_weights, grading_from_weights, phi_p
+from nilgrade.fixtures import ALL_FIXTURES, FIXTURE_MAPS, HOLONOMY_FIXTURES, load_algebra, load_holonomy, load_map
+from nilgrade.grading import Grading, find_weights, grading_from_weights, phi_p
 from nilgrade.holonomy import (
     HolonomyGroup,
-    check_covinfra,
-    check_expinfra,
+    check_criterion,
     close_group,
     commutes_with_all,
     holonomy_is_valid,
     preserves_grading_all,
 )
 from nilgrade.liealg import LieAlgebra
-from nilgrade.serialize import holonomy_payload, matrix_to_lists
+from nilgrade.serialize import algebra_from_dict, holonomy_payload, matrix_from_lists, matrix_to_lists
 from nilgrade.specmaps import expanding_to_positive_grading
+from test_liealg import unimodular
 
 GOLDEN_HOLONOMY = Path(__file__).resolve().parent / "golden" / "holonomy"
 
@@ -150,26 +152,26 @@ class TestCheckExpinfra:
         h = heisenberg()
         group = load_holonomy("heisenberg3_sign")
         g = grading_from_weights(h, (1, 1, 2))
-        v = check_expinfra(h, group, g)
+        v = check_criterion(h, group, g, True)
         assert v.accepted() and v.condition == "expinfra-cond-2"
 
     def test_condition_3_matrix(self):
         h = heisenberg()
         group = load_holonomy("heisenberg3_sign")
-        v = check_expinfra(h, group, mx.diag([2, 2, 4]))
+        v = check_criterion(h, group, mx.diag([2, 2, 4]), True)
         assert v.accepted() and v.condition == "expinfra-cond-3"
 
     def test_condition_3_commutation_failure_names_witness(self):
         h = heisenberg()
         group = load_holonomy("heisenberg3_swap")
-        v = check_expinfra(h, group, mx.diag([2, 3, 6]))
+        v = check_criterion(h, group, mx.diag([2, 3, 6]), True)
         assert v.decision == "reject"
         assert "noncommuting_element" in v.certificate
 
     def test_non_expanding_certificate_rejected(self):
         h = heisenberg()
         group = load_holonomy("heisenberg3_sign")
-        v = check_expinfra(h, group, mx.diag([1, 2, 2]))
+        v = check_criterion(h, group, mx.diag([1, 2, 2]), True)
         assert v.decision == "reject"
 
     def test_cond3_witness_yields_cond2_grading(self):
@@ -178,10 +180,10 @@ class TestCheckExpinfra:
         for group_name in ("heisenberg3_sign", "heisenberg3_swap"):
             group = load_holonomy(group_name)
             m = mx.diag([2, 2, 4])
-            v3 = check_expinfra(h, group, m)
+            v3 = check_criterion(h, group, m, True)
             assert v3.accepted()
             g = expanding_to_positive_grading(h, m)
-            v2 = check_expinfra(h, group, g)
+            v2 = check_criterion(h, group, g, True)
             assert v2.accepted() and v2.condition == "expinfra-cond-2"
 
 
@@ -189,7 +191,7 @@ class TestCheckCovinfra:
     def test_notcohopf_phi_condition_3(self):
         n = load_algebra("notcohopf")
         group = close_group([mx.identity(7)])
-        v = check_covinfra(n, group, load_map("notcohopf", "phi"))
+        v = check_criterion(n, group, load_map("notcohopf", "phi"), False)
         assert v.accepted() and v.condition == "covinfra-cond-3"
         assert v.certificate["det"] == "1024"
 
@@ -197,27 +199,27 @@ class TestCheckCovinfra:
         n = load_algebra("notcohopf")
         group = close_group([mx.identity(7)])
         g = grading_from_weights(n, (0, 1, 1, 1, 2, 2, 3))
-        v = check_covinfra(n, group, g)
+        v = check_criterion(n, group, g, False)
         assert v.accepted() and v.condition == "covinfra-cond-2"
 
     def test_positive_grading_also_witnesses(self):
         h = heisenberg()
         group = close_group([mx.identity(3)])
         g = grading_from_weights(h, (1, 1, 2))
-        assert check_covinfra(h, group, g).accepted()
+        assert check_criterion(h, group, g, False).accepted()
 
     def test_nilp5_diagonal_candidates_rejected(self):
         n5 = load_algebra("nilp5")
         group = close_group([mx.identity(7)])
         for d in ([1, 2, 2, 2, 4, 4, 8], [2] * 7):
-            v = check_covinfra(n5, group, mx.diag(d))
+            v = check_criterion(n5, group, mx.diag(d), False)
             assert v.decision == "reject"
 
     def test_trivial_grading_rejected(self):
         a = load_algebra("abelian3")
         group = close_group([mx.identity(3)])
         g = grading_from_weights(a, (0, 0, 0))
-        v = check_covinfra(a, group, g)
+        v = check_criterion(a, group, g, False)
         assert v.decision == "reject"
 
 
@@ -286,8 +288,8 @@ class TestEquivariantSearch:
 
 
 class TestRevalidation:
-    """check_expinfra and check_covinfra still raise on a holonomy group that
-    is not by automorphisms, at one is_automorphism call per generator."""
+    """check_criterion still raises on a holonomy group that is not by
+    automorphisms, at one is_automorphism call per generator."""
 
     def count_calls(self, monkeypatch):
         calls = []
@@ -299,23 +301,23 @@ class TestRevalidation:
         h = heisenberg()
         calls = self.count_calls(monkeypatch)
         g = grading_from_weights(h, (1, 1, 2))
-        assert check_expinfra(h, _load_holonomy(None, h), g).accepted()
-        assert check_covinfra(h, _load_holonomy(None, h), g).accepted()
+        assert check_criterion(h, _load_holonomy(None, h), g, True).accepted()
+        assert check_criterion(h, _load_holonomy(None, h), g, False).accepted()
         assert calls == []
 
     def test_one_call_per_generator(self, monkeypatch):
         h = heisenberg()
         group = golden_group("heisenberg3_order3_swap_sign")
         calls = self.count_calls(monkeypatch)
-        assert check_expinfra(h, group, grading_from_weights(h, (1, 1, 2))).accepted()
+        assert check_criterion(h, group, grading_from_weights(h, (1, 1, 2)), True).accepted()
         assert group.order == 12 and len(calls) == 3
 
     def test_non_automorphism_still_raises(self):
         h = heisenberg()
         bad = HolonomyGroup(3, (-mx.identity(3),), 2)
-        for check in (check_expinfra, check_covinfra):
+        for positive in (True, False):
             with pytest.raises(ValueError, match="must be automorphisms"):
-                check(h, bad, grading_from_weights(h, (1, 1, 2)))
+                check_criterion(h, bad, grading_from_weights(h, (1, 1, 2)), positive)
 
 
 # -- the generator versions against the all-elements oracles ------------------
@@ -389,19 +391,19 @@ def test_generators_decide_like_every_element(case):
         assert find_weights(algebra, criterion, elements) == want
 
     if not valid:
-        for check in (check_expinfra, check_covinfra):
+        for criterion in (True, False):
             with pytest.raises(ValueError, match="must be automorphisms"):
-                check(algebra, group, maps[0])
+                check_criterion(algebra, group, maps[0], criterion)
         return
     for m in maps:
         idx = oracles.first_failing_all(elements, mx.commutes_with(m))
-        for check in (check_expinfra, check_covinfra):
-            v = check(algebra, group, m)
+        for criterion in (True, False):
+            v = check_criterion(algebra, group, m, criterion)
             assert_names_first_failure(v, elements, idx, "noncommuting_element", "map fails to commute with holonomy element {}")
-    for g, checks in [(g, (check_expinfra, check_covinfra)) for g in positive] + [(g, (check_covinfra,)) for g in nonneg]:
+    for g, criteria in [(g, (True, False)) for g in positive] + [(g, (False,)) for g in nonneg]:
         idx = oracles.first_failing_all(elements, lambda f: holonomy.preserved_by(g, f))
-        for check in checks:
-            v = check(algebra, group, g)
+        for criterion in criteria:
+            v = check_criterion(algebra, group, g, criterion)
             assert_names_first_failure(v, elements, idx, "violating_element", "holonomy element {} does not preserve the grading")
 
 
@@ -488,3 +490,129 @@ def test_order_and_generators_match_the_enumeration(case):
     # the first level: the distinct non-identity generators, in key order
     k = len({tuple(g.flat) for g in gens} - {tuple(elements[0].flat)})
     assert [tuple(g.flat) for g in group.generators] == [tuple(f.flat) for f in elements[1 : 1 + k]]
+
+
+# -- check_criterion against the two checks it replaced ------------------------
+
+
+TESTS = Path(__file__).resolve().parent
+GOLDEN_ALGEBRAS = sorted((TESTS / "golden" / "algebras").glob("*.json"))
+CRITERION_ALGEBRAS = list(ALL_FIXTURES) + [p.stem for p in GOLDEN_ALGEBRAS]
+CRITERION_GROUPS = ["trivial", *HOLONOMY_FIXTURES, *(p.stem for p in sorted(GOLDEN_HOLONOMY.glob("*.json")))]
+
+
+def criterion_algebra(name):
+    if name in ALL_FIXTURES:
+        return load_algebra(name)
+    with open(TESTS / "golden" / "algebras" / f"{name}.json") as fh:
+        return algebra_from_dict(json.load(fh))
+
+
+def reshaped(s, rng):
+    """S U for a seeded unimodular U: the same subspace in another basis."""
+    k = s.shape[1]
+    if k == 1:
+        return -s
+    return mx.matmul(s, unimodular(k, [(rng.randrange(k), rng.randrange(k), rng.choice((-1, 1, 2))) for _ in range(2 * k)]))
+
+
+def criterion_certificates(name, algebra, group, rng):
+    """Gradings and maps that reach every accept and reject of both criteria.
+
+    Gradings: those found with and without the holonomy, the same moved
+    within their components and across them by unimodular matrices, one
+    with a component dropped, the trivial grading and the negated found
+    ones ("other").  Maps: phi_2 and phi_3 of the found gradings,
+    diag(r^w) for r = 3/2 (expanding or not, never in Z[X]) and r = 1/2,
+    the fixture and golden maps of the algebra, a singular map, 2 I and -I
+    (automorphisms only of an abelian algebra), I (unit det) and a
+    seeded unimodular map.
+    """
+    n = algebra.dim
+    found = sorted({find_weights(algebra, positive, gens) for positive in (True, False) for gens in ((), group.generators)} - {None})
+    gradings = [grading_from_weights(algebra, w) for w in found]
+    certs = list(gradings)
+    for g in gradings:
+        certs.append(Grading(tuple((w, reshaped(s, rng)) for w, s in g.components)))
+        p = unimodular(n, [(rng.randrange(n), rng.randrange(n), rng.choice((-1, 1))) for _ in range(n)])
+        certs.append(Grading(tuple((w, mx.matmul(p, s)) for w, s in g.components)))
+        if len(g.components) > 1:
+            certs.append(Grading(g.components[1:]))
+    certs += [grading_from_weights(algebra, w) for w in [(0,) * n] + [tuple(-x for x in w) for w in found]]
+    for g in gradings:
+        certs += [phi_p(algebra, g, 2), phi_p(algebra, g, 3)]
+        certs += [mx.diag([r**w for w in g.column_weights]) for r in (Fraction(3, 2), Fraction(1, 2))]
+    certs += [load_map(name, m) for m in FIXTURE_MAPS.get(name, ())]
+    certs += [matrix_from_lists(json.loads(p.read_text())) for p in sorted((TESTS / "golden" / "maps").glob(f"{name}__*.json"))]
+    certs += [mx.diag([0] + [1] * (n - 1)), mx.diag([2] * n), -mx.identity(n), mx.identity(n)]
+    certs.append(unimodular(n, [(rng.randrange(n), rng.randrange(n), 1) for _ in range(n)]))
+    return certs
+
+
+def outcome(check, *args):
+    try:
+        return check(*args).to_json()
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+@functools.cache
+def criterion_outcomes(name):
+    """(positive, oracle output, check_criterion output) for every group
+    of the algebra's dimension and every certificate."""
+    algebra = criterion_algebra(name)
+    out = []
+    for group_name in CRITERION_GROUPS:
+        if group_name == "trivial":
+            group = close_group([mx.identity(algebra.dim)])
+        else:
+            group = close_group(named_case(group_name)[1])
+        rng = random.Random(f"criterion oracle {name} {group_name}")
+        certs = criterion_certificates(name, algebra, group, rng) if group.dim == algebra.dim else [mx.identity(algebra.dim)]
+        for positive, oracle in ((True, oracles.check_expinfra), (False, oracles.check_covinfra)):
+            out += [(positive, outcome(oracle, algebra, group, c), outcome(check_criterion, algebra, group, c, positive)) for c in certs]
+    return out
+
+
+@pytest.mark.parametrize("name", CRITERION_ALGEBRAS)
+def test_check_criterion_matches_the_two_checks(name):
+    for positive, want, got in criterion_outcomes(name):
+        assert got == want, (positive, want)
+
+
+def test_criterion_certificates_reach_every_verdict():
+    # each accept and reject of both criteria, told apart by condition and
+    # first diagnostic, with the numbers in it blanked, and the refusal of
+    # a group that is not by automorphisms
+    seen = set()
+    for name in CRITERION_ALGEBRAS:
+        for positive, want, _ in criterion_outcomes(name):
+            if want.startswith("ValueError"):
+                seen.add((positive, want))
+            else:
+                v = json.loads(want)
+                seen.add((v["decision"], v["condition"], re.sub(r"\d+", "#", v["diagnostics"][0])))
+    for positive in (True, False):
+        assert (positive, "ValueError: holonomy elements must be automorphisms of the algebra") in seen
+    for kind, need in (("expinfra", "positive"), ("covinfra", "nonnegative-nontrivial")):
+        grading_rejects = [
+            "components do not decompose the algebra as a direct sum",
+            "bracket of components (#, #) leaves the weight-# component",
+            f"grading classifies as trivial, need {need}",
+            f"grading classifies as other, need {need}",
+            "holonomy element # does not preserve the grading",
+        ]
+        map_rejects = ["certificate map is not an automorphism", "map fails to commute with holonomy element #"]
+        assert {("reject", f"{kind}-cond-2", d) for d in grading_rejects} <= seen
+        assert {("reject", f"{kind}-cond-3", d) for d in map_rejects} <= seen
+    assert {
+        ("accept", "expinfra-cond-2", "positive grading preserved by all # holonomy elements"),
+        ("accept", "expinfra-cond-3", "expanding automorphism commutes with the holonomy group"),
+        ("reject", "expinfra-cond-2", "grading classifies as nonnegative-nontrivial, need positive"),
+        ("reject", "expinfra-cond-3", "certificate map is not expanding"),
+        ("accept", "covinfra-cond-2", "positive grading preserved by all # holonomy elements"),
+        ("accept", "covinfra-cond-2", "nonnegative-nontrivial grading preserved by all # holonomy elements"),
+        ("accept", "covinfra-cond-3", "self-cover automorphism commutes with the holonomy group"),
+        ("reject", "covinfra-cond-3", "characteristic polynomial is not in Z[X]"),
+        ("reject", "covinfra-cond-3", "|det| is not > #"),
+    } <= seen

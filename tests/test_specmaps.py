@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import lcm
+from math import ceil, lcm, log2, prod
 
 import numpy as np
 import pytest
@@ -13,14 +13,15 @@ from nilgrade.polynomials import Polynomial, squarefree_part
 from nilgrade.specmaps import (
     expanding_to_positive_grading,
     is_expanding,
-    is_z_charpoly,
+    map_problems,
     norm_profile,
     schur_all_inside,
     selfcover_to_nonneg_grading,
     semisimple_part,
 )
 import oracles
-from oracles import is_semisimple, minpoly, poly_gcd
+from oracles import is_semisimple, is_z_charpoly, minpoly, poly_gcd
+from test_cli import counted
 from test_liealg import unimodular
 
 
@@ -160,6 +161,32 @@ class TestIntegerLike:
         assert not is_integer_like(m)
 
 
+class TestMapProblems:
+    """Condition 3 of both criteria, read off a characteristic polynomial
+    and determinant."""
+
+    @pytest.mark.parametrize(
+        "m, expanding, selfcover",
+        [
+            (mx.diag([2, 3]), [], []),
+            (mx.rmat([[0, -1], [1, 0]]), ["certificate map is not expanding"], ["|det| is not > 1"]),
+            (mx.diag([Fraction(5, 2), 2]), [], ["characteristic polynomial is not in Z[X]"]),
+            (
+                mx.diag([Fraction(1, 2), Fraction(1, 2)]),
+                ["certificate map is not expanding"],
+                ["characteristic polynomial is not in Z[X]", "|det| is not > 1"],
+            ),
+            (mx.diag([1, 2]), ["certificate map is not expanding"], []),
+        ],
+    )
+    def test_both_criteria(self, m, expanding, selfcover):
+        chi, det = mx.charpoly(m), mx.det(m)
+        assert map_problems(chi, det, True) == expanding
+        assert map_problems(chi, det, False) == selfcover
+        assert (not expanding) == is_expanding(m)
+        assert (not selfcover) == (is_z_charpoly(m) and abs(det) > 1)
+
+
 class TestSemisimplePart:
     def test_already_semisimple_fixed(self):
         m = mx.diag([2, 3])
@@ -187,6 +214,28 @@ class TestSemisimplePart:
             assert poly_gcd(mp, mp.derivative()).degree == 0
             # nilpotent difference
             assert mx.is_nilpotent(m - s)
+
+    @pytest.mark.parametrize("kind, size", [("jordan", n) for n in range(2, 17)] + [("x2+1", e) for e in range(1, 9)])
+    def test_newton_ends_within_log2_n_steps(self, monkeypatch, kind, size):
+        # a unimodular conjugate of the Jordan block J_n(2) or of the
+        # companion of (X^2 + 1)^e: the error of step k lies in N^(2^k) Q[M]
+        if kind == "jordan":
+            m = mx.identity(size) * 2
+            for i in range(size - 1):
+                m[i, i + 1] = Fraction(1)
+        else:
+            m = companion(prod([P(1, 0, 1)] * size))
+        n = m.shape[0]
+        rng = random.Random(f"semisimple {kind} {size}")
+        u = unimodular(n, [(rng.randrange(n), rng.randrange(n), rng.choice([-2, -1, 1, 2])) for _ in range(2 * n)])
+        m = mx.matmul(mx.matmul(u, m), mx.inverse(u))
+        want = oracles.semisimple_part_capped(m)
+        steps = counted(monkeypatch, mx, "matmul")  # one product per Newton step
+        s = semisimple_part(m)
+        assert steps["matmul"] <= ceil(log2(n))
+        assert mx.mat_eq(s, want)
+        assert mx.is_nilpotent(m - s)
+        assert mx.mat_eq(s @ m, m @ s)
 
     def test_commutes_with_commutant(self):
         m = mx.rmat([[2, 1, 0], [0, 2, 0], [0, 0, 3]])
