@@ -22,7 +22,7 @@ from nilgrade.specmaps import (
 # Exact unit-circle decisions: 2 and 3 expand, the golden-ratio-like
 # companion matrix does not (one root is inside), and eigenvalues of
 # absolute value exactly 1 never count as expanding.
-print("diag(2,3) expanding:", is_expanding(mx.diag([2, 3])))
+print("diag(2,3) expanding:", is_expanding(mx.rmat([[2, 0], [0, 3]])))
 comp = mx.rmat([[0, -1], [1, 3]])  # companion of X^2 - 3X + 1
 print("companion(X^2-3X+1) expanding:", is_expanding(comp))
 rot = mx.rmat([[0, -1], [1, 0]])
@@ -43,12 +43,13 @@ print("same norm profile:", [e.value for e in norm_profile(j).entries]
 # Norm profiles on the Heisenberg algebra: diag(2,3,6) has three layers
 # whose values multiply along brackets (2 * 3 = 6).
 heis = load_algebra("heisenberg3")
-prof = norm_profile(mx.diag([2, 3, 6]))
+d236 = mx.rmat([[2, 0, 0], [0, 3, 0], [0, 0, 6]])
+prof = norm_profile(d236)
 print("\nnorm profile of diag(2,3,6):",
       [(str(e.factor), str(e.value)) for e in prof.entries])
-g = expanding_to_positive_grading(heis, mx.diag([2, 3, 6]))
+g = expanding_to_positive_grading(heis, d236)
 print("extracted grading weights:", g.weights, "->", classify(heis, g))
-print("preserved by the map:", preserved_by(g, mx.diag([2, 3, 6])))
+print("preserved by the map:", preserved_by(g, d236))
 
 # The headline example: a 7-dimensional algebra with no expanding
 # automorphism but a self-cover of determinant 2^10.  Its norm layers

@@ -24,7 +24,7 @@ g = grading_from_weights(heis, (1, 1, 2))
 v = check_criterion(heis, sign, g, positive=True)
 print("grading certificate:", v.decision, "via", v.condition)
 
-m = mx.diag([2, 2, 4])
+m = mx.rmat([[2, 0, 0], [0, 2, 0], [0, 0, 4]])
 v = check_criterion(heis, sign, m, positive=True)
 print("matrix certificate:", v.decision, "via", v.condition)
 

@@ -198,6 +198,7 @@ def _part_prime_to(a: int, b: int) -> int:
 
 
 def obstruction_primes_pair(l1: IntegerLattice, l2: IntegerLattice) -> list[int]:
-    """Primes of the change-of-basis matrix between two lattices."""
+    """Primes of the change-of-basis matrix between two lattices: library
+    surface that no CLI path calls, shown in `demos/02_lattice_powers.py`."""
     change = mx.matmul(mx.inverse(l1.basis), l2.basis)
     return denominator_primes(change)[0]

@@ -68,24 +68,12 @@ def identity(n: int) -> np.ndarray:
     return out
 
 
-def diag(entries) -> np.ndarray:
-    es = [frac(e) for e in entries]
-    out = zeros(len(es), len(es))
-    for i, e in enumerate(es):
-        out[i, i] = e
-    return out
-
-
 def mat_eq(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and bool((a == b).all())
 
 
 def is_zero_mat(a: np.ndarray) -> bool:
     return bool((a == Fraction(0)).all())
-
-
-def is_integral(a: np.ndarray) -> bool:
-    return all(e.denominator == 1 for e in a.flat)
 
 
 def cleared(m: np.ndarray) -> tuple[np.ndarray, int]:
@@ -326,19 +314,6 @@ def inverse_cleared(a: np.ndarray) -> tuple[np.ndarray, int]:
             if c >= n:
                 out[i, c - n] = v * scale
     return out, d
-
-
-def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """One exact solution of a x = b (free variables 0), or None."""
-    nr, nc = a.shape
-    aug = np.concatenate([a, b.reshape(nr, 1)], axis=1)
-    red, pivots = rref(aug)
-    if nc in pivots:
-        return None
-    x = np.array([Fraction(0)] * nc, dtype=object)
-    for r, c in enumerate(pivots):
-        x[c] = red[r, nc]
-    return x
 
 
 def sparse_kernel(rows, nc: int) -> list[tuple[dict[int, int], int]]:

@@ -4,10 +4,14 @@ Rationals travel as "p/q" strings (the "/q" omitted when q = 1, which is
 exactly `str(Fraction)`); matrices as row-major nested arrays of such
 strings; algebras as {"dim": n, "brackets": [{"i", "j", "terms"}]} with
 1-indexed i < j and omitted brackets zero.
+
+A rational is read exactly as `fractions.Fraction(str)` reads it ("0.5" and
+" 3 " too) or from a JSON int; -?[0-9]+(/[0-9]+)? skips Fraction's parser.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -28,10 +32,16 @@ def _array(data, what: str, of=object) -> list:
     raise _bad(f"{what} must be a JSON array" + (" of objects" if of is dict else ""))
 
 
+_PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_fraction(s) -> Fraction:
     if isinstance(s, str):
+        plain = _PLAIN_RATIONAL.fullmatch(s)
         try:
-            return Fraction(s)
+            if plain is None:
+                return Fraction(s)
+            return Fraction(int(plain[1])) if plain[2] is None else Fraction(int(plain[1]), int(plain[2]))
         except (ValueError, ZeroDivisionError) as e:
             raise _bad(f"cannot parse rational {s!r}") from e
     if type(s) is int:  # not bool, which JSON's true and false become

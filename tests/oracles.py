@@ -36,7 +36,9 @@ once listed F in `HolonomyGroup`.  `preserved_weights_brute_force` was never lib
 it enumerates a box of weights and keeps those whose grading every
 element of F preserves, without the zero-pattern rule of `find_weights`.
 `derivation_matrices` is no oracle: it densifies the library's sparse
-derivation basis for the tests that need matrices.
+derivation basis for the tests that need matrices, and neither are
+`diag`, `is_integral` and `solve_linear` (one exact solution of A x = b
+by `rref`), small matrix helpers that no library code calls.
 The expansion and self-cover checks are kept as the two functions they
 were, `check_expinfra` and `check_covinfra`, each with its own map test
 (`is_expanding`, and `is_z_charpoly` with |det| > 1) and the shared
@@ -56,7 +58,7 @@ import numpy as np
 
 from nilgrade import holonomy
 from nilgrade import matrices as mx
-from nilgrade.intutil import cleared, factor_int, is_prime
+from nilgrade.intutil import cleared, factor_int, frac, is_prime
 from nilgrade.grading import Grading, grading_from_weights, verify_grading, weight_equations
 from nilgrade.liealg import LieAlgebra, derivations, is_automorphism, violated_bracket
 from nilgrade.linineq import solve
@@ -64,6 +66,31 @@ from nilgrade.polynomials import ONE, Polynomial, _primitive, factor_order_key, 
 from nilgrade.serialize import matrix_to_lists
 from nilgrade.specmaps import is_expanding
 from nilgrade.verdict import Verdict
+
+
+def diag(entries) -> np.ndarray:
+    es = [frac(e) for e in entries]
+    out = mx.zeros(len(es), len(es))
+    for i, e in enumerate(es):
+        out[i, i] = e
+    return out
+
+
+def is_integral(a: np.ndarray) -> bool:
+    return all(e.denominator == 1 for e in a.flat)
+
+
+def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """One exact solution of a x = b (free variables 0), or None."""
+    nr, nc = a.shape
+    aug = np.concatenate([a, b.reshape(nr, 1)], axis=1)
+    red, pivots = mx.rref(aug)
+    if nc in pivots:
+        return None
+    x = np.array([Fraction(0)] * nc, dtype=object)
+    for r, c in enumerate(pivots):
+        x[c] = red[r, nc]
+    return x
 
 
 def rref_dense(a):
@@ -148,7 +175,7 @@ def minpoly(m):
     for k in range(1, n + 1):
         powers.append(powers[-1] @ m)
         stacked = np.stack([p.reshape(n * n) for p in powers[:k]], axis=1)
-        x = mx.solve(stacked, powers[k].reshape(n * n))
+        x = solve_linear(stacked, powers[k].reshape(n * n))
         if x is not None:
             return Polynomial(list(-x) + [Fraction(1)])
     raise AssertionError("Cayley-Hamilton violated")
@@ -452,7 +479,7 @@ def verify_grading_pairwise(algebra, grading) -> Verdict:
                     z = bracket_dense(algebra, si[:, a], sj[:, b])
                     if (z == Fraction(0)).all():
                         continue
-                    if target is None or mx.solve(target, z) is None:
+                    if target is None or solve_linear(target, z) is None:
                         return Verdict(
                             "reject",
                             condition="not-homogeneous",

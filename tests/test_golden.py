@@ -155,6 +155,19 @@ def test_output_matches_snapshot(argv):
     assert run(argv) == want
 
 
+def test_no_verdict_needs_the_pure_python_encoder(monkeypatch):
+    """Every snapshot prints through `json`'s C encoder: with the
+    pure-Python one refused, each stdout stays byte-identical."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json's pure-Python encoder was called")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    recorded = _recorded()
+    for argv in invocations():
+        assert run(argv) == recorded[" ".join(argv)], argv
+
+
 # the exit-0 conditions with no replay path yet, and how many snapshots carry each
 REPLAY_FREE = {"valid-nilpotent-lie-algebra": 15, "norm-profile": 12, "lattice-power": 4, "orbit-escapes": 1}
 

@@ -20,6 +20,7 @@ from nilgrade.grading import (
     weight_solution_space,
 )
 from nilgrade.liealg import LieAlgebra, is_automorphism, is_derivation
+import oracles
 from oracles import (
     dense_table,
     from_roots,
@@ -197,7 +198,7 @@ class TestWeightSolutionSpace:
             algebra = load_algebra(name)
             k = weight_solution_space(algebra)
             for c in range(k.shape[1]):
-                assert is_derivation(algebra, mx.diag(list(k[:, c])))
+                assert is_derivation(algebra, oracles.diag(list(k[:, c])))
 
 
 class TestWeightSearch:
@@ -286,14 +287,14 @@ class TestPhiP:
     def test_heisenberg_p2(self):
         g = grading_from_weights(heisenberg(), (1, 1, 2))
         m = phi_p(heisenberg(), g, 2)
-        assert mx.mat_eq(m, mx.diag([2, 2, 4]))
+        assert mx.mat_eq(m, oracles.diag([2, 2, 4]))
         assert mx.det(m) == 16
 
     def test_notcohopf_p2_det_2_to_10(self):
         n = load_algebra("notcohopf")
         g = grading_from_weights(n, (0, 1, 1, 1, 2, 2, 3))
         m = phi_p(n, g, 2)
-        assert mx.mat_eq(m, mx.diag([1, 2, 2, 2, 4, 4, 8]))
+        assert mx.mat_eq(m, oracles.diag([1, 2, 2, 2, 4, 4, 8]))
         assert mx.det(m) == 2**10
         assert is_automorphism(n, m)
 
@@ -323,7 +324,7 @@ class TestPhiP:
     def test_non_basis_aligned_grading(self):
         g = Grading(((1, span([1, 1, 0], [1, -1, 0])), (2, span([0, 0, 1]))))
         m = phi_p(heisenberg(), g, 2)
-        assert mx.mat_eq(m, mx.diag([2, 2, 4]))  # same subspaces, same map
+        assert mx.mat_eq(m, oracles.diag([2, 2, 4]))  # same subspaces, same map
         assert is_automorphism(heisenberg(), m)
 
 

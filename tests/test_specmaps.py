@@ -96,7 +96,7 @@ class TestSchurChain:
 
 class TestIsExpanding:
     def test_diag_2_3(self):
-        assert is_expanding(mx.diag([2, 3]))
+        assert is_expanding(oracles.diag([2, 3]))
 
     def test_companion_golden_like(self):
         # X^2 - 3X + 1 has the root (3 - sqrt 5)/2 < 1
@@ -114,8 +114,8 @@ class TestIsExpanding:
         assert not is_expanding(mx.rmat([[1, 1], [0, 1]]))
 
     def test_rational_spectra(self):
-        assert is_expanding(mx.diag([Fraction(3, 2), -2]))
-        assert not is_expanding(mx.diag([Fraction(1, 2), 3]))
+        assert is_expanding(oracles.diag([Fraction(3, 2), -2]))
+        assert not is_expanding(oracles.diag([Fraction(1, 2), 3]))
 
     def test_singular_rejected(self):
         with pytest.raises(ValueError):
@@ -156,7 +156,7 @@ class TestIntegerLike:
         assert is_integer_like(mx.identity(4))
 
     def test_rational_charpoly_fails_both(self):
-        m = mx.diag([Fraction(1, 2), 2])
+        m = oracles.diag([Fraction(1, 2), 2])
         assert not is_z_charpoly(m)
         assert not is_integer_like(m)
 
@@ -168,15 +168,15 @@ class TestMapProblems:
     @pytest.mark.parametrize(
         "m, expanding, selfcover",
         [
-            (mx.diag([2, 3]), [], []),
+            (oracles.diag([2, 3]), [], []),
             (mx.rmat([[0, -1], [1, 0]]), ["certificate map is not expanding"], ["|det| is not > 1"]),
-            (mx.diag([Fraction(5, 2), 2]), [], ["characteristic polynomial is not in Z[X]"]),
+            (oracles.diag([Fraction(5, 2), 2]), [], ["characteristic polynomial is not in Z[X]"]),
             (
-                mx.diag([Fraction(1, 2), Fraction(1, 2)]),
+                oracles.diag([Fraction(1, 2), Fraction(1, 2)]),
                 ["certificate map is not expanding"],
                 ["characteristic polynomial is not in Z[X]", "|det| is not > 1"],
             ),
-            (mx.diag([1, 2]), ["certificate map is not expanding"], []),
+            (oracles.diag([1, 2]), ["certificate map is not expanding"], []),
         ],
     )
     def test_both_criteria(self, m, expanding, selfcover):
@@ -189,7 +189,7 @@ class TestMapProblems:
 
 class TestSemisimplePart:
     def test_already_semisimple_fixed(self):
-        m = mx.diag([2, 3])
+        m = oracles.diag([2, 3])
         assert mx.mat_eq(semisimple_part(m), m)
 
     def test_unipotent_becomes_identity(self):
@@ -198,7 +198,7 @@ class TestSemisimplePart:
 
     def test_jordan_block_2(self):
         m = mx.rmat([[2, 1], [0, 2]])
-        assert mx.mat_eq(semisimple_part(m), mx.diag([2, 2]))
+        assert mx.mat_eq(semisimple_part(m), oracles.diag([2, 2]))
 
     def test_properties_on_random_matrices(self):
         rng = random.Random(99)
@@ -353,7 +353,7 @@ class TestIsSemisimple:
 class TestNormProfile:
     def test_heisenberg_diagonal(self):
         h = load_algebra("heisenberg3")
-        prof = norm_profile(mx.diag([2, 3, 6]))
+        prof = norm_profile(oracles.diag([2, 3, 6]))
         assert prof.lcm_degree == 1
         assert [str(v) for v in prof.flattened_values()] == ["2", "3", "6"]
 
@@ -399,8 +399,8 @@ class TestNormProfile:
     def test_multiplicativity_on_brackets(self):
         # [V_i, V_j] nonzero lands in the class of value v_i * v_j
         cases = [
-            ("heisenberg3", mx.diag([2, 3, 6])),
-            ("heisenberg3", mx.diag([2, 2, 4])),
+            ("heisenberg3", oracles.diag([2, 3, 6])),
+            ("heisenberg3", oracles.diag([2, 2, 4])),
             ("notcohopf", load_map("notcohopf", "phi")),
         ]
         for name, m in cases:
@@ -418,7 +418,7 @@ class TestNormProfile:
                                 e.subspace for e in entries if e.value == ei.value * ej.value
                             ]
                             assert product_entries
-                            assert mx.solve(mx.hstack(product_entries), z) is not None
+                            assert oracles.solve_linear(mx.hstack(product_entries), z) is not None
 
 
 class TestNormProfileUnderConjugation:
@@ -433,7 +433,7 @@ class TestNormProfileUnderConjugation:
         ops = [(rng.randrange(8), rng.randrange(8), rng.choice([-2, -1, 1, 2])) for _ in range(rng.randint(1, 6))]
         u = unimodular(n, ops) if n > 1 else mx.identity(1)
         scales = [2] + [rng.choice([1, -1, Fraction(1, 3), -3, Fraction(5, 7)]) for _ in range(n - 1)]
-        p = mx.matmul(unimodular(n, ops[::-1]), mx.diag(scales)) if n > 1 else mx.diag(scales)
+        p = mx.matmul(unimodular(n, ops[::-1]), oracles.diag(scales)) if n > 1 else oracles.diag(scales)
         assert mx.det(u) in (1, -1) and abs(mx.det(p)) != 1
         return u, p
 
@@ -468,7 +468,7 @@ class TestNormProfileUnderConjugation:
 class TestExpandingToPositiveGrading:
     def test_heisenberg_diag224(self):
         h = load_algebra("heisenberg3")
-        g = expanding_to_positive_grading(h, mx.diag([2, 2, 4]))
+        g = expanding_to_positive_grading(h, oracles.diag([2, 2, 4]))
         assert g.weights == (1, 2)
         assert mx.mat_eq(g.components[0][1], mx.rmat([[1, 0], [0, 1], [0, 0]]))
         assert classify(h, g) == "positive"
@@ -490,22 +490,22 @@ class TestExpandingToPositiveGrading:
 
     def test_preserved_by_input(self):
         h = load_algebra("heisenberg3")
-        for m in (mx.diag([2, 2, 4]), mx.diag([2, 3, 6])):
+        for m in (oracles.diag([2, 2, 4]), oracles.diag([2, 3, 6])):
             g = expanding_to_positive_grading(h, m)
             assert preserved_by(g, m)
 
     def test_non_expanding_rejected(self):
         h = load_algebra("heisenberg3")
         with pytest.raises(ValueError):
-            expanding_to_positive_grading(h, mx.diag([1, 2, 2]))
+            expanding_to_positive_grading(h, oracles.diag([1, 2, 2]))
 
     def test_requires_automorphism(self):
         h = load_algebra("heisenberg3")
         with pytest.raises(ValueError, match="not an automorphism"):
-            expanding_to_positive_grading(h, mx.diag([2, 2, 2]))
+            expanding_to_positive_grading(h, oracles.diag([2, 2, 2]))
         # expansion is decided first, as before
         with pytest.raises(ValueError, match="not expanding"):
-            expanding_to_positive_grading(h, mx.diag([1, 1, 2]))
+            expanding_to_positive_grading(h, oracles.diag([1, 1, 2]))
 
     def test_nonsemisimple_expanding_map(self):
         # expanding with a nilpotent part: semisimple part drives the grading
@@ -538,13 +538,13 @@ class TestSelfcoverToNonnegGrading:
 
     def test_heisenberg_diag122(self):
         h = load_algebra("heisenberg3")
-        g = selfcover_to_nonneg_grading(h, mx.diag([1, 2, 2]))
+        g = selfcover_to_nonneg_grading(h, oracles.diag([1, 2, 2]))
         assert g.weights == (0, 1)
         assert [s.shape[1] for _, s in g.components] == [1, 2]
 
     def test_abelian_diag12(self):
         a = LieAlgebra(2, {})
-        g = selfcover_to_nonneg_grading(a, mx.diag([1, 2]))
+        g = selfcover_to_nonneg_grading(a, oracles.diag([1, 2]))
         assert g.weights == (0, 1)
 
     def test_det_one_rejected(self):
@@ -555,7 +555,7 @@ class TestSelfcoverToNonnegGrading:
     def test_non_z_charpoly_rejected(self):
         a = LieAlgebra(2, {})
         with pytest.raises(ValueError):
-            selfcover_to_nonneg_grading(a, mx.diag([Fraction(5, 2), 2]))
+            selfcover_to_nonneg_grading(a, oracles.diag([Fraction(5, 2), 2]))
 
 
 class TestCommutingPreservation:
@@ -563,13 +563,13 @@ class TestCommutingPreservation:
 
     def test_self(self):
         h = load_algebra("heisenberg3")
-        m = mx.diag([2, 2, 4])
+        m = oracles.diag([2, 2, 4])
         g = expanding_to_positive_grading(h, m)
         assert preserved_by(g, m)
 
     def test_rotation_in_eigenplane(self):
         h = load_algebra("heisenberg3")
-        m = mx.diag([2, 2, 4])
+        m = oracles.diag([2, 2, 4])
         g = expanding_to_positive_grading(h, m)
         rot = load_map("heisenberg3", "rotation")
         assert mx.mat_eq(m @ rot, rot @ m)
@@ -577,13 +577,13 @@ class TestCommutingPreservation:
 
     def test_identity_always(self):
         h = load_algebra("heisenberg3")
-        m = mx.diag([2, 3, 6])
+        m = oracles.diag([2, 3, 6])
         g = expanding_to_positive_grading(h, m)
         assert preserved_by(g, mx.identity(3))
 
     def test_noncommuting_rejected(self):
         h = load_algebra("heisenberg3")
-        m = mx.diag([2, 3, 6])
+        m = oracles.diag([2, 3, 6])
         g = expanding_to_positive_grading(h, m)
         swap = load_holonomy("heisenberg3_swap").generators[0]
         assert not mx.mat_eq(m @ swap, swap @ m)
