@@ -26,7 +26,7 @@ print("factors:", [(str(f), m) for f, m in factor_over_q(p)])
 
 # Primary decomposition splits Q^2 into the two eigenlines.
 for factor, subspace in mx.primary_decomposition(a):
-    print(f"ker {factor}:  spanned by ({', '.join(str(e) for e in subspace[:, 0])})")
+    print(f"ker {factor}:  spanned by ({', '.join(str(e) for e in subspace.col(0))})")
 
 # Lattice membership is decided through the (unique) column-style Hermite
 # normal form of the basis.

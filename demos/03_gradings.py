@@ -46,4 +46,4 @@ print("phi_2 =", [str(phi[i, i]) for i in range(7)], " det =", str(mx.det(phi)))
 heis = load_algebra("heisenberg3")
 gh = grading_from_weights(heis, find_weights(heis, positive=True))
 print("\nHeisenberg (1,1,2) grading: phi_3 =",
-      [str(e) for e in phi_p(heis, gh, 3).diagonal()])
+      [str(phi_p(heis, gh, 3)[i, i]) for i in range(3)])

@@ -39,7 +39,7 @@ from .liealg import (
     nilpotency_class,
     validate,
 )
-from .matrices import IntegerLattice, charpoly, hnf, hnf_membership, order_mod, rmat, rvec
+from .matrices import IntegerLattice, QMat, charpoly, hnf, hnf_membership, order_mod, rmat, rvec
 from .polynomials import Polynomial, factor_over_q, squarefree_part
 from .matrices import primary_decomposition
 from .specmaps import (

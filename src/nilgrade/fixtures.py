@@ -11,10 +11,9 @@ import json
 import os
 from pathlib import Path
 
-import numpy as np
-
 from .holonomy import HolonomyGroup, close_group
 from .liealg import LieAlgebra
+from .matrices import QMat
 from .serialize import algebra_from_dict, holonomy_payload, matrix_from_lists
 
 # every algebra of dimension <= 6 bundled for the expanding spot check
@@ -54,7 +53,7 @@ def load_algebra(name: str) -> LieAlgebra:
         return algebra_from_dict(json.load(fh))
 
 
-def load_map(algebra_name: str, map_name: str) -> np.ndarray:
+def load_map(algebra_name: str, map_name: str) -> QMat:
     path = fixtures_dir() / "maps" / f"{algebra_name}__{map_name}.json"
     with open(path) as fh:
         return matrix_from_lists(json.load(fh))

@@ -7,12 +7,11 @@ grading iff w_a + w_b = w_c on each nonzero structure constant c_ab^c.
 any basis: `verify_grading` checks a grading on the algebra re-based on
 its stacked components.
 
-A grading is read in its own basis P, the stacked components, which it
-clears to the int matrices A = d P and B = d' P^-1 once
-(`Grading.cleared_basis`, `Grading.cleared_inverse`).  The re-based
-algebra, the witness phi_p = (A diag(p^w)) B / (d d') and the
-preservation test (B psi A block diagonal) all read that one inverse,
-in ints, with a `Fraction` made only for an entry of phi_p.
+A grading is read in its own basis P, the stacked components, whose
+inverse it computes once (`Grading.basis`, `Grading.inverse`).  The
+re-based algebra, the witness phi_p = (A diag(p^w)) B / (d d') on the
+int rows A = d P and B = d' P^-1, and the preservation test (P^-1 psi P
+block diagonal) all read that one inverse.
 
 The expansion and self-cover criteria differ by one switch, `positive`:
 expansion needs a positive grading, a self-cover a non-negative
@@ -29,15 +28,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-
-import numpy as np
+from operator import mul
 
 from . import matrices as mx
 from .intutil import is_prime
 from .linineq import solve
 from .liealg import LieAlgebra
+from .matrices import QMat
 from .verdict import Verdict
 
 WeightSystem = tuple[int, ...]
@@ -47,7 +45,7 @@ WeightSystem = tuple[int, ...]
 class Grading:
     """Finite list of (weight, subspace) components, weights ascending."""
 
-    components: tuple[tuple[int, np.ndarray], ...]
+    components: tuple[tuple[int, QMat], ...]
 
     def __post_init__(self):
         weights = [w for w, _ in self.components]
@@ -66,21 +64,16 @@ class Grading:
         return [w for w, s in self.components for _ in range(s.shape[1])]
 
     @cached_property
-    def basis(self) -> np.ndarray:
+    def basis(self) -> QMat:
         """P: the component bases side by side, in weight order."""
         return mx.hstack([s for _, s in self.components])
 
     @cached_property
-    def cleared_basis(self) -> tuple[np.ndarray, int]:
-        """(d P as ints, d), by `mx.cleared`."""
-        return mx.cleared(self.basis)
-
-    @cached_property
-    def cleared_inverse(self) -> tuple[np.ndarray, int]:
-        """(d' P^-1 as ints, d'), by `mx.inverse_cleared`: computed once per
-        grading.  ValueError when P is not square or is singular, that is,
-        when the components are not a direct sum of some Q^n."""
-        return mx.inverse_cleared(self.basis)
+    def inverse(self) -> QMat:
+        """P^-1, computed once per grading.  ValueError when P is not
+        square or is singular, that is, when the components are not a
+        direct sum of some Q^n."""
+        return mx.inverse(self.basis)
 
     def first_inhomogeneous(self, rebased: LieAlgebra) -> tuple[int, int, int, int] | None:
         """The least (w_a, w_b, a, b) over the nonzero brackets [X_a, X_b]
@@ -104,7 +97,7 @@ def verify_grading(algebra: LieAlgebra, grading: Grading) -> Verdict:
     """
     stacked = grading.basis
     try:
-        rebased = algebra.in_basis(stacked, grading.cleared_inverse)
+        rebased = algebra.in_basis(stacked, grading.inverse)
     except ValueError:  # not square, or singular
         return Verdict(
             "reject",
@@ -115,7 +108,7 @@ def verify_grading(algebra: LieAlgebra, grading: Grading) -> Verdict:
     bad = grading.first_inhomogeneous(rebased)
     if bad is not None:
         wi, wj, a, b = bad
-        z = algebra.bracket(stacked[:, a], stacked[:, b])
+        z = algebra.bracket(stacked.col(a), stacked.col(b))
         return Verdict(
             "reject",
             condition="not-homogeneous",
@@ -179,7 +172,7 @@ def weight_equations(algebra: LieAlgebra, var=None) -> list[dict[int, int]]:
     return rows
 
 
-def weight_solution_space(algebra: LieAlgebra) -> np.ndarray:
+def weight_solution_space(algebra: LieAlgebra) -> QMat:
     """Kernel basis (columns) of the weight equations."""
     return mx.kernel(weight_equations(algebra), algebra.dim)
 
@@ -202,7 +195,7 @@ def find_weights(algebra: LieAlgebra, positive: bool, generators=()) -> WeightSy
     for f in generators:
         if f.shape != (n, n):
             raise ValueError("matrix dimension mismatch")
-        eqs += [{i: 1, j: -1} for i in range(n) for j in range(n) if i != j and f[i, j]]
+        eqs += [{i: 1, j: -1} for i, row in enumerate(f.rows) for j, x in enumerate(row) if i != j and x]
     return solve(eqs, [], [int(positive)] * n)
 
 
@@ -216,54 +209,54 @@ def grading_from_weights(algebra: LieAlgebra, weights) -> Grading:
         if sum(c * ws[v] for v, c in row.items()):
             terms = " ".join(f"{c:+d} w_{v + 1}" for v, c in row.items())
             raise ValueError(f"weights violate the equation {terms} = 0")
-    eye = mx.identity(n)
-    return Grading(
-        tuple((w, eye[:, [i for i, wi in enumerate(ws) if wi == w]]) for w in sorted(set(ws)))
-    )
+
+    def unit_columns(w: int) -> QMat:
+        idx = [i for i, wi in enumerate(ws) if wi == w]
+        return QMat([[int(r == i) for i in idx] for r in range(n)], 1, (n, len(idx)))
+
+    return Grading(tuple((w, unit_columns(w)) for w in sorted(set(ws))))
 
 
 # -- the expanding morphisms phi_p ------------------------------------------
 
 
-def phi_p(algebra: LieAlgebra, grading: Grading, p: int) -> np.ndarray:
+def phi_p(algebra: LieAlgebra, grading: Grading, p: int) -> QMat:
     """Automorphism scaling the weight-i component by p^i: P diag(p^w) P^-1.
 
-    Built in ints from the grading's A = d P and B = d' P^-1 as
-    (A diag(p^(w - w0))) B / (d d' p^-w0), where w0 = min(0, least weight)
-    keeps every power integral; one Fraction is made per entry.
+    Built in ints from the rows of the grading's A = d P and B = d' P^-1
+    as (A diag(p^(w - w0))) B / (d d' p^-w0), where w0 = min(0, least
+    weight) keeps every power integral.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     v = verify_grading(algebra, grading)
     if not v.accepted():
         raise ValueError(f"grading does not verify: {v.diagnostics}")
-    a, d = grading.cleared_basis
-    b, d_inv = grading.cleared_inverse
+    a, b = grading.basis, grading.inverse
     ws = grading.column_weights
     w0 = min(0, ws[0])  # the columns are in ascending weight order
-    scaled = a * np.array([p ** (w - w0) for w in ws], dtype=object)
-    den = d * d_inv * p**-w0
-    return np.array([[Fraction(x, den) for x in row] for row in (scaled @ b).tolist()], dtype=object)
+    scales = [p ** (w - w0) for w in ws]
+    scaled = [list(map(mul, row, scales)) for row in a.rows]
+    b_cols = list(zip(*b.rows))
+    rows = [[sum(map(mul, row, col)) for col in b_cols] for row in scaled]
+    return QMat(rows, a.den * b.den * p**-w0, a.shape)
 
 
-def preserved_by(grading: Grading, psi: np.ndarray) -> bool:
+def preserved_by(grading: Grading, psi: QMat) -> bool:
     """True iff psi maps every component onto itself.  Precondition: the
     components are a direct sum (`verify_grading` accepts the grading).
 
-    Decided in ints: with A = d P and B = d' P^-1, B (d_psi psi) A is a
-    positive multiple of P^-1 psi P, psi in the grading's basis, which is
-    block diagonal iff psi maps each component into, and so (psi being
-    invertible) onto, itself.
+    Decided on P^-1 psi P, psi in the grading's basis, from the grading's
+    one inverse: it is block diagonal iff psi maps each component into,
+    and so (psi being invertible) onto, itself.
     """
     if mx.det(psi) == 0:
         raise ValueError("singular map cannot preserve a grading")
-    a, _ = grading.cleared_basis
-    b, _ = grading.cleared_inverse
-    m = b @ mx.cleared(psi)[0] @ a
+    m = mx.matmul(mx.matmul(grading.inverse, psi), grading.basis).rows
     lo = 0
     for _, s in grading.components:
         hi = lo + s.shape[1]
-        if m[:lo, lo:hi].any() or m[hi:, lo:hi].any():
+        if any(any(row[lo:hi]) for row in m[:lo]) or any(any(row[lo:hi]) for row in m[hi:]):
             return False
         lo = hi
     return True

@@ -13,21 +13,20 @@ Every condition is decided on the generators of F.  Being an
 automorphism, preserving a grading and commuting with a map are each
 closed under products, so they hold on all of F iff they hold on its
 generators.  `close_group` proves F finite within the cap and finds |F|;
-a rejection names the first failing generator in key order, i, as
-holonomy element 1 + i, the place it had after the identity when all of
-F was listed breadth-first.
+a rejection names the first failing generator i in key order (the
+entries, row-major) as holonomy element 1 + i, the place it had after
+the identity when all of F was listed breadth-first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import matrices as mx
 from . import specmaps
 from .grading import Grading, meets_criterion, preserved_by, verify_grading, weights_label
 from .liealg import LieAlgebra, is_automorphism, violated_bracket
+from .matrices import QMat
 from .serialize import grading_to_dict, matrix_to_lists
 from .verdict import Verdict
 
@@ -44,16 +43,12 @@ class HolonomyGroup:
     """
 
     dim: int
-    generators: tuple[np.ndarray, ...]
+    generators: tuple[QMat, ...]
     order: int
     checked_on: LieAlgebra | None = field(default=None, compare=False, repr=False)
 
 
-def _key(m: np.ndarray) -> tuple:
-    return tuple(m.flat)
-
-
-def close_group(generators: list[np.ndarray], cap: int = 1024) -> HolonomyGroup:
+def close_group(generators: list[QMat], cap: int = 1024) -> HolonomyGroup:
     """Close under products breadth-first, counting |F|.
 
     A finite set of invertible matrices closed under multiplication is a
@@ -70,19 +65,16 @@ def close_group(generators: list[np.ndarray], cap: int = 1024) -> HolonomyGroup:
         if mx.det(g) == 0:
             raise ValueError("generators must be invertible")
     ident = mx.identity(n)
-    distinct = {_key(g): g for g in generators}
-    distinct.pop(_key(ident), None)
-    gens = tuple(distinct[k] for k in sorted(distinct))
-    seen = {_key(ident)}
+    gens = tuple(sorted(set(generators) - {ident}, key=QMat.tolist))
+    seen = {ident}
     level = [ident]
     while level:
         nxt = []
         for a in level:
             for g in gens:
                 prod = mx.matmul(a, g)
-                k = _key(prod)
-                if k not in seen:
-                    seen.add(k)
+                if prod not in seen:
+                    seen.add(prod)
                     nxt.append(prod)
                     if len(seen) > cap:
                         raise ValueError(f"not finite within bound {cap}")
@@ -101,7 +93,7 @@ def preserves_grading_all(group: HolonomyGroup, grading: Grading) -> bool:
     return all(preserved_by(grading, f) for f in group.generators)
 
 
-def commutes_with_all(m: np.ndarray, group: HolonomyGroup) -> bool:
+def commutes_with_all(m: QMat, group: HolonomyGroup) -> bool:
     return all(map(mx.commutes_with(m), group.generators))
 
 
@@ -125,7 +117,7 @@ def check_criterion(algebra: LieAlgebra, group: HolonomyGroup, certificate, posi
         raise ValueError("holonomy elements must be automorphisms of the algebra")
     if isinstance(certificate, Grading):
         return _check_grading_condition(algebra, group, certificate, positive)
-    if not isinstance(certificate, np.ndarray):
+    if not isinstance(certificate, QMat):
         raise ValueError("certificate must be a Grading or an automorphism matrix")
     m = certificate
     if m.shape != (algebra.dim, algebra.dim):

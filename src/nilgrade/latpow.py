@@ -13,12 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd as int_gcd
-
-import numpy as np
+from operator import mul
 
 from . import matrices as mx
 from .intutil import factor_int, least_exponent
-from .matrices import IntegerLattice
+from .matrices import IntegerLattice, QMat
 from .verdict import Verdict
 
 
@@ -28,12 +27,12 @@ class LatticePowerCertificate:
     modulus: int
     k: int
     order_bound: int  # order of A in GL(n, Z_m): the proof's witness power
-    a: np.ndarray
-    basis: np.ndarray
-    basis_inverse: np.ndarray  # P^-1, which `power_into_lattice` has computed anyway
+    a: QMat
+    basis: QMat
+    basis_inverse: QMat  # P^-1, which `power_into_lattice` has computed anyway
 
     @cached_property
-    def conjugated_power(self) -> np.ndarray:
+    def conjugated_power(self) -> QMat:
         """P^-1 A^k P, built on first use: it has entries of ~k log10 rho(A) digits."""
         return mx.matmul(mx.matmul(self.basis_inverse, mx.mat_pow(self.a, self.k)), self.basis)
 
@@ -47,18 +46,19 @@ class LatticePowerCertificate:
         """
         n, k = self.a.shape[0], self.k
         n_bits, ten_bits = (n**64).bit_length(), 64 * (10**digits).bit_length()
-        power, j = mx.cleared(self.a)[0], 1
+        power, j = self.a, 1
         while True:
-            t = abs(np.trace(power))
+            t = abs(sum(power.rows[i][i] for i in range(n)))
             if 64 * k * (t.bit_length() - 1) >= (k + j) * n_bits + j * ten_bits:
                 return True
             if 2 * j > k:
                 return False
-            power, j = power @ power, 2 * j
+            power, j = mx.matmul(power, power), 2 * j
 
 
-def denominator_primes(p: np.ndarray, p_inv: np.ndarray | None = None) -> tuple[list[int], int]:
-    """(primes, m): m multiplies every entry denominator of P and P^-1.
+def denominator_primes(p: QMat, p_inv: QMat | None = None) -> tuple[list[int], int]:
+    """(primes, m): m multiplies every entry denominator of P and P^-1,
+    the denominator of the entry x / d being d / gcd(x, d).
 
     `p_inv` is P^-1 when the caller has it already; a singular P raises
     ValueError from `mx.inverse`.
@@ -66,14 +66,14 @@ def denominator_primes(p: np.ndarray, p_inv: np.ndarray | None = None) -> tuple[
     if p_inv is None:
         p_inv = mx.inverse(p)
     m = 1
-    for e in p.flat:
-        m *= e.denominator
-    for e in p_inv.flat:
-        m *= e.denominator
+    for q in (p, p_inv):
+        for row in q.rows:
+            for x in row:
+                m *= q.den // int_gcd(x, q.den)
     return sorted(factor_int(m)), m
 
 
-def power_into_lattice(a: np.ndarray, lattice: IntegerLattice) -> LatticePowerCertificate:
+def power_into_lattice(a: QMat, lattice: IntegerLattice) -> LatticePowerCertificate:
     """Smallest k with A^k(L) subseteq L, certified.
 
     Requires A integral with det(A) nonzero and coprime to the modulus m
@@ -87,8 +87,7 @@ def power_into_lattice(a: np.ndarray, lattice: IntegerLattice) -> LatticePowerCe
     n = lattice.dim
     if a.shape != (n, n):
         raise ValueError(f"matrix of shape {a.shape} does not act on a lattice of dimension {n}")
-    a_int, den = mx.cleared(a)
-    if den != 1:
+    if a.den != 1:
         raise ValueError("integer matrix required")
     d = mx.det(a)
     if d == 0:
@@ -100,16 +99,15 @@ def power_into_lattice(a: np.ndarray, lattice: IntegerLattice) -> LatticePowerCe
         p = min(factor_int(g))
         raise ObstructionPrime(p)
     bound = mx.order_mod(a, m)
-    u, d1 = mx.cleared(p_inv)
-    v, d2 = mx.cleared(lattice.basis)
-    m0 = d1 * d2  # divides m, so the order bound still applies
+    u, v = p_inv.rows, lattice.basis.rows
+    m0 = p_inv.den * lattice.basis.den  # divides m, so the order bound still applies
     k = least_exponent(
         bound,
-        a_int % m0,
+        [[x % m0 for x in row] for row in a.rows],
         lambda y, e: mx._mat_pow_mod(y, e, m0),
-        lambda y: ((u @ y @ v) % m0 == 0).all(),
+        lambda y: not any(map(any, mx._mat_mul_mod(mx._mat_mul_mod(u, y, m0), v, m0))),
     )
-    return LatticePowerCertificate(tuple(primes), m, k, bound, a.copy(), lattice.basis, p_inv)
+    return LatticePowerCertificate(tuple(primes), m, k, bound, a, lattice.basis, p_inv)
 
 
 class ObstructionPrime(ValueError):
@@ -120,14 +118,15 @@ class ObstructionPrime(ValueError):
         self.prime = prime
 
 
-def orbit_escapes_lattice(a: np.ndarray, v: np.ndarray, bound: int) -> Verdict:
+def orbit_escapes_lattice(a: QMat, v: QMat, bound: int) -> Verdict:
     """Does A^k v stay outside Z^n for every k = 1..bound?
 
     Accept means the whole orbit segment escapes; reject reports the
     first power that lands in the integer lattice.  The scan runs in
-    integers: with M = d_A A and d_v v cleared once, A^k v = x / D for an
-    integer vector x and one denominator D > 0, kept in lowest terms by one
-    gcd per step, so A^k v is integral exactly when D = 1.
+    integers: with M = d_A A and d_v v the int rows of A and v, A^k v =
+    x / D for an integer vector x and one denominator D > 0, kept in
+    lowest terms by one gcd per step, so A^k v is integral exactly when
+    D = 1.
 
     The scan stops as soon as the rest of the orbit is decided:
     - D = 1 with d_A = 1 or x = 0: A is integral, or A^k v = 0, so every
@@ -148,19 +147,19 @@ def orbit_escapes_lattice(a: np.ndarray, v: np.ndarray, bound: int) -> Verdict:
     n = a.shape[0]
     if a.shape != (n, n) or v.shape != (n,):
         raise ValueError("dimension mismatch")
-    m, d_a = mx.cleared(a)
-    x, den = mx.cleared(v)
+    m, d_a = a.rows, a.den
+    (x,), den = v.rows, v.den
     units = 1 if d_a == 1 else _part_prime_to(d_a, int(mx.det(a) * d_a**n))
     fitting = _part_prime_to(den, d_a)
     settle = n * (den.bit_length() - 1)
     integral_ks = []
     first_image = None
     for k in range(1, bound + 1):
-        x = m @ x
+        x = [sum(map(mul, row, x)) for row in m]
         den *= d_a
         g = int_gcd(den, *x)
         if g != 1:
-            x //= g
+            x = [e // g for e in x]
             den //= g
         if den == 1:
             integral_ks.append(k)

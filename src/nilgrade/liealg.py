@@ -22,9 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-import numpy as np
-
 from . import matrices as mx
+from .matrices import QMat
 from .intutil import cleared
 from .verdict import Verdict
 
@@ -44,7 +43,7 @@ class LieAlgebra:
     the derivation kernel are those of C.
     """
 
-    def __init__(self, dim: int, brackets: dict[tuple[int, int], "np.ndarray | list"]):
+    def __init__(self, dim: int, brackets: dict[tuple[int, int], "QMat | list"]):
         if dim < 1:
             raise ValueError("dimension must be >= 1")
         self.dim = dim
@@ -88,34 +87,36 @@ class LieAlgebra:
         out._store_ints(upper, den // g)
         return out
 
-    def bracket(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def bracket(self, x: QMat, y: QMat) -> QMat:
+        """[x, y], in ints: the int entries of x and y and the int
+        constants C = e c, over the product of the three denominators."""
         if x.shape != (self.dim,) or y.shape != (self.dim,):
             raise ValueError("vector dimension mismatch")
-        out = [Fraction(0)] * self.dim
-        for (i, j), terms in self.terms.items():
-            c = x[i] * y[j] - x[j] * y[i]
+        (xs,), (ys,) = x.rows, y.rows
+        out = [0] * self.dim
+        for i, j in self.terms:
+            c = xs[i] * ys[j] - xs[j] * ys[i]
             if c:
-                for k, v in terms.items():
+                for k, v in self.ints[(i, j)].items():
                     out[k] += c * v
-        return np.array(out, dtype=object)
+        return QMat((out,), x.den * y.den * self.den, (self.dim,))
 
-    def in_basis(self, p: np.ndarray, inverse: tuple[np.ndarray, int] | None = None) -> "LieAlgebra":
+    def in_basis(self, p: QMat, inverse: QMat | None = None) -> "LieAlgebra":
         """The same algebra in the basis of P's columns: c'_ab = P^-1 [P e_a, P e_b].
 
-        Runs in ints: with A = d P, B = d' P^-1 and the int constants
-        C = e c, c'_ab = B [A e_a, A e_b]_C / (d' e d^2), each bracket
-        summed over the nonzeros of the two columns only, and the int
-        table goes to the new algebra as it is (`_from_ints`).  `inverse`
-        is (B, d') = `mx.inverse_cleared(P)` when the caller has it.
+        Runs in ints: with A = d P, B = d' P^-1 (the rows of P and of its
+        inverse) and the int constants C = e c, c'_ab = B [A e_a, A e_b]_C
+        / (d' e d^2), each bracket summed over the nonzeros of the two
+        columns only, and the int table goes to the new algebra as it is
+        (`_from_ints`).  `inverse` is P^-1 when the caller has it.
         """
         n = self.dim
         if p.shape != (n, n):
             raise ValueError("basis matrix dimension mismatch")
-        a_int, d = mx.cleared(p)
-        b_int, d_inv = mx.inverse_cleared(p) if inverse is None else inverse
-        b_cols = b_int.T.tolist()
-        den = d_inv * self.den * d * d
-        cols = [{i: x for i, x in enumerate(col) if x} for col in a_int.T.tolist()]
+        b = mx.inverse(p) if inverse is None else inverse
+        b_cols = b.T.rows
+        den = b.den * self.den * p.den**2
+        cols = [{i: x for i, x in enumerate(col) if x} for col in p.T.rows]
         table = {}
         for a in range(n):
             for b in range(a + 1, n):
@@ -133,14 +134,14 @@ class LieAlgebra:
         return LieAlgebra._from_ints(n, table, den)
 
 
-def bracket(algebra: LieAlgebra, x, y) -> np.ndarray:
+def bracket(algebra: LieAlgebra, x, y) -> QMat:
     return algebra.bracket(mx.rvec(x), mx.rvec(y))
 
 
 # -- structure ------------------------------------------------------------
 
 
-def derived_subalgebra(algebra: LieAlgebra) -> np.ndarray:
+def derived_subalgebra(algebra: LieAlgebra) -> QMat:
     """[n, n] as the canonical column basis: the RREF of the brackets,
     read as the int constants C = e c, which span the same space."""
     return mx.span_basis((c for (i, j), c in algebra.ints.items() if i < j), algebra.dim)
@@ -176,7 +177,7 @@ def _series_descent(algebra: LieAlgebra) -> tuple[list[list[dict[int, int]]], bo
         prev = nxt
 
 
-def lower_central_series(algebra: LieAlgebra) -> list[np.ndarray]:
+def lower_central_series(algebra: LieAlgebra) -> list[QMat]:
     """gamma_1 = n, gamma_{i+1} = [n, gamma_i]; the nonzero terms."""
     return [mx.span_basis(rows, algebra.dim) for rows in _series_descent(algebra)[0]]
 
@@ -229,7 +230,7 @@ def validate(algebra: LieAlgebra) -> Verdict:
             condition="not-nilpotent",
             certificate={
                 "stabilized_dimension": int(last.shape[1]),
-                "stabilized_subspace": [[str(e) for e in last[:, c]] for c in range(last.shape[1])],
+                "stabilized_subspace": [[str(e) for e in col] for col in last.T],
             },
             diagnostics=["lower central series stabilizes at a nonzero subspace"],
         )
@@ -292,7 +293,7 @@ def _image(cols: dict[int, dict[int, int]], v: dict[int, int]) -> dict[int, int]
     return out
 
 
-def is_automorphism(algebra: LieAlgebra, m: np.ndarray) -> bool:
+def is_automorphism(algebra: LieAlgebra, m: QMat) -> bool:
     n = algebra.dim
     if m.shape != (n, n):
         raise ValueError("matrix dimension mismatch")
@@ -301,59 +302,65 @@ def is_automorphism(algebra: LieAlgebra, m: np.ndarray) -> bool:
     return violated_bracket(algebra, m) is None
 
 
-def _first_mismatch(
-    algebra: LieAlgebra, lhs: np.ndarray, products: list[tuple[np.ndarray, np.ndarray]]
-) -> tuple[int, int] | None:
+def _first_mismatch(algebra: LieAlgebra, lhs, products) -> tuple[int, int] | None:
     """First basis pair i < j (1-indexed, lexicographic) where
 
-        lhs C_ij != sum_(p<q) C_pq sum_(X, Y) (X_pi Y_qj - X_qi Y_pj),
+        lhs C_ij != sum_(X, Y) [X e_i, Y e_j]_C,
 
-    summed over the nonzero brackets in the int constants C = e c,
-    and the int matrix pairs (X, Y) in `products`; None if every pair
-    agrees.
+    for the int rows lhs and the pairs (X, Y) of int rows in `products`,
+    with [x, y]_C = sum_(p, q) x_p y_q C_pq in the int constants C = e c
+    (C_qp = -C_pq, so `by_left` holds both orientations): summed over the
+    nonzeros of X e_i and the brackets they meet only.  None if every
+    pair agrees.
     """
     n = algebra.dim
-    i, j = np.nonzero(~np.tri(n, dtype=bool))  # the pairs i < j, lexicographic
-    sides = [(x[:, i], y[:, j]) for x, y in products]
-    diff = np.zeros((n, len(i)), dtype=object)
-    for p, q in algebra.terms:
-        minors = sum(xi[p] * yj[q] - xi[q] * yj[p] for xi, yj in sides)
-        col = p * (2 * n - p - 1) // 2 + q - p - 1  # the index of (p, q) among the pairs
-        for k, c in algebra.ints[(p, q)].items():
-            diff[k] += c * minors
-            diff[:, col] -= c * lhs[:, k]
-    bad = np.flatnonzero((diff != 0).any(axis=0))
-    return (int(i[bad[0]]) + 1, int(j[bad[0]]) + 1) if len(bad) else None
+    lhs_cols = list(zip(*lhs))
+    sides = [([{p: v for p, v in enumerate(col) if v} for col in zip(*x)], list(zip(*y))) for x, y in products]
+    for i in range(n):
+        for j in range(i + 1, n):
+            diff = [0] * n
+            for k, c in algebra.ints.get((i, j), _ZERO).items():
+                diff = [d + c * v for d, v in zip(diff, lhs_cols[k])]
+            for x_cols, y_cols in sides:
+                y = y_cols[j]
+                for p, x in x_cols[i].items():
+                    for q, terms in algebra.by_left.get(p, _ZERO).items():
+                        if y[q]:
+                            for k, c in terms.items():
+                                diff[k] -= x * y[q] * c
+            if any(diff):
+                return i + 1, j + 1
+    return None
 
 
-def violated_bracket(algebra: LieAlgebra, m: np.ndarray) -> tuple[int, int] | None:
+def violated_bracket(algebra: LieAlgebra, m: QMat) -> tuple[int, int] | None:
     """First basis pair (1-indexed) where M[x,y] != [Mx,My], if any.
 
-    Decided in ints: with A = d M and the int constants C = e c,
+    Decided in ints: with A = d M (the rows of M) and the int constants
+    C = e c,
 
-        d A C_ij == sum_(p<q) C_pq (A_pi A_qj - A_qi A_pj)
+        d A C_ij == [A e_i, A e_j]_C
 
     is M[X_i, X_j] = [M X_i, M X_j] times d^2 e, so no Fraction is built.
     """
     if m.shape != (algebra.dim, algebra.dim):
         raise ValueError("matrix dimension mismatch")
-    a, d = mx.cleared(m)
-    return _first_mismatch(algebra, d * a, [(a, a)])
+    a = m.rows
+    return _first_mismatch(algebra, [[m.den * x for x in row] for row in a], [(a, a)])
 
 
-def is_derivation(algebra: LieAlgebra, d: np.ndarray) -> bool:
+def is_derivation(algebra: LieAlgebra, d: QMat) -> bool:
     """D[x,y] = [Dx,y] + [x,Dy] on every basis pair, decided in ints: with
-    A = s D and the int constants C = e c,
+    A = s D (the rows of D) and the int constants C = e c,
 
-        A C_ij == sum_(p<q) C_pq (A_pi I_qj - A_qi I_pj + I_pi A_qj - I_qi A_pj)
+        A C_ij == [A e_i, e_j]_C + [e_i, A e_j]_C
 
     is D[X_i, X_j] = [D X_i, X_j] + [X_i, D X_j] times s e.
     """
     if d.shape != (algebra.dim, algebra.dim):
         raise ValueError("matrix dimension mismatch")
-    a, _ = mx.cleared(d)
-    one = np.identity(algebra.dim, dtype=object)
-    return _first_mismatch(algebra, a, [(a, one), (one, a)]) is None
+    one = mx.identity(algebra.dim).rows
+    return _first_mismatch(algebra, d.rows, [(d.rows, one), (one, d.rows)]) is None
 
 
 # -- characteristic nilpotency ---------------------------------------------
@@ -390,21 +397,21 @@ def is_characteristically_nilpotent(algebra: LieAlgebra) -> Verdict:
     d = len(ders)  # >= 1 on a Lie algebra: ad n, or gl(n) if n is abelian
     den = lcm(*(e for _, e in ders))
 
-    def dense(*support: int) -> np.ndarray:  # den sum_(a in support) D_a, in ints
+    def dense(*support: int) -> list[list[int]]:  # den sum_(a in support) D_a, in ints
         m = [[0] * n for _ in range(n)]
         for a in support:
             cols, e = ders[a]
             for i, col in cols.items():
                 for p, x in col.items():
                     m[p][i] += den // e * x
-        return np.array(m, dtype=object)
+        return m
 
     def reject(*support: int) -> Verdict:
         return Verdict(
             "reject",
             condition="non-nilpotent-derivation",
             certificate={
-                "witness": [[str(Fraction(e, den)) for e in row] for row in dense(*support).tolist()],
+                "witness": [[str(Fraction(e, den)) for e in row] for row in dense(*support)],
                 "combination": [int(a in support) for a in range(d)],
             },
             diagnostics=["found a derivation with a nonzero eigenvalue"],
@@ -440,39 +447,41 @@ def is_characteristically_nilpotent(algebra: LieAlgebra) -> Verdict:
 # -- abelianization ----------------------------------------------------------
 
 
-def _quotient(algebra: LieAlgebra) -> tuple[np.ndarray, np.ndarray]:
+def _quotient(algebra: LieAlgebra) -> tuple[QMat, QMat]:
     """The projection onto n/[n, n] (q x n) and its free-coordinate
     section (n x q), from one pass over [n, n].
 
     Coordinates on the quotient are the non-pivot coordinates of
     x - (derived-subalgebra correction); the derived basis is in column
     echelon form, so the correction is read off the pivot coordinates.
+    Both are built in ints: the projection over the derived basis's
+    denominator e, with e at each free coordinate.
     """
     n = algebra.dim
     der = derived_subalgebra(algebra)
-    pivots = [next(i for i in range(n) if der[i, c] != 0) for c in range(der.shape[1])]
+    pivots = [next(i for i, x in enumerate(col) if x) for col in der.T.rows]
     free = [i for i in range(n) if i not in pivots]
-    proj = mx.zeros(len(free), n)
-    sec = mx.zeros(n, len(free))
+    proj = [[0] * n for _ in free]
     for a, f in enumerate(free):
-        proj[a, f] = sec[f, a] = Fraction(1)
+        proj[a][f] = der.den
         for b, p in enumerate(pivots):
-            proj[a, p] = -der[f, b]
-    return proj, sec
+            proj[a][p] = -der.rows[f][b]
+    sec = [[int(f == i) for f in free] for i in range(n)]
+    return QMat(proj, der.den, (len(free), n)), QMat(sec, 1, (n, len(free)))
 
 
-def abelianization(algebra: LieAlgebra) -> tuple[int, np.ndarray]:
+def abelianization(algebra: LieAlgebra) -> tuple[int, QMat]:
     """Quotient by [n, n]: (quotient dim, projection matrix q x n)."""
     proj, _ = _quotient(algebra)
     return proj.shape[0], proj
 
 
-def quotient_section(algebra: LieAlgebra) -> np.ndarray:
+def quotient_section(algebra: LieAlgebra) -> QMat:
     """Right inverse of the abelianization projection (free-coordinate lift)."""
     return _quotient(algebra)[1]
 
 
-def induced_map(algebra: LieAlgebra, m: np.ndarray) -> np.ndarray:
+def induced_map(algebra: LieAlgebra, m: QMat) -> QMat:
     """Matrix induced on n/[n,n] by an automorphism."""
     if not is_automorphism(algebra, m):
         raise ValueError("matrix is not an automorphism of the algebra")

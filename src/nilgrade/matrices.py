@@ -1,24 +1,26 @@
-"""Exact linear algebra over Q on numpy object arrays of Fractions.
+"""Exact linear algebra over Q on one matrix type, `QMat`.
 
-Matrices are plain `np.ndarray` with ``dtype=object`` holding
-`fractions.Fraction` entries; `+` and scalar `*` stay exact.  The one
-product of such matrices is `matmul`, which runs in ints over one common
-denominator, and `commutes_with` decides M F = F M in ints.  Everything
-that numpy cannot do exactly on such arrays (determinants, inverses,
-echelon forms, kernels) is one fraction-free Gauss-Jordan on sparse int
-rows, `_reduce`, which keeps each pivot row primitive.  The dense entry
-points (`rref`, `det`, `inverse`) clear their matrix once; `echelon`,
-`sparse_kernel` and `inverse_cleared` hand back int rows, int kernel
-columns and an int inverse to callers that need no `Fraction`, and the
-others make one `Fraction` per output entry.  Subspaces are compared
-where they are used: a grading reads maps in its own basis, through one
-`inverse_cleared` (`grading.preserved_by`).
+A `QMat` is int rows over one positive denominator, in lowest terms, so
+it is already the cleared form that every kernel here runs on: products,
+powers, determinants, inverses, echelon forms and kernels read `rows`
+and `den` and divide once, when they make their result.  Equal matrices
+have equal rows and denominators, so a `QMat` is compared and hashed in
+ints; a `Fraction` is made only for an entry that is read (`m[i, j]`,
+`tolist()`).
 
-Polynomials in M are evaluated by Horner in ints on M cleared once
+Everything that needs elimination (determinants, inverses, echelon
+forms, kernels) is one fraction-free Gauss-Jordan on sparse int rows,
+`_reduce`, which keeps each pivot row primitive.  `echelon` and
+`sparse_kernel` hand back int rows and int kernel columns to callers
+that need no matrix.  Subspaces are compared where they are used: a
+grading reads maps in its own basis, through its one inverse
+(`grading.preserved_by`).
+
+Polynomials in M are evaluated by Horner in ints on the rows of M
 (`_poly_at`), so `eval_poly` divides once and `annihilates` divides
 never.  The primary components are the kernels of int multiples of
 p(M)^e, one per irreducible factor p^e of the characteristic
-polynomial: `primary_decomposition` makes a `Fraction` only for the
+polynomial: `primary_decomposition` makes a `QMat` only for the
 canonical basis it returns.
 
 Also home to the integer-lattice utilities: column-style Hermite normal
@@ -30,100 +32,217 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd as int_gcd, lcm, prod
-
-import numpy as np
+from operator import mul
 
 from . import intutil
 from .intutil import factor_int, frac, least_exponent
 from .polynomials import Polynomial, factor_over_q
 
 
-def rvec(entries) -> np.ndarray:
-    return np.array([frac(e) for e in entries], dtype=object)
+class QMat:
+    """An exact rational matrix, or vector: the int `rows` over one
+    denominator `den` > 0, with gcd(den, every entry) = 1.  Immutable and
+    hashable; equal matrices have equal rows and den.
 
-
-def rmat(rows) -> np.ndarray:
-    """Matrix from nested row data (ints, 'p/q' strings or Fractions)."""
-    data = [[frac(e) for e in row] for row in rows]
-    if data and any(len(r) != len(data[0]) for r in data):
-        raise ValueError("ragged rows")
-    out = np.empty((len(data), len(data[0]) if data else 0), dtype=object)
-    for i, row in enumerate(data):
-        for j, e in enumerate(row):
-            out[i, j] = e
-    return out
-
-
-def zeros(r: int, c: int) -> np.ndarray:
-    out = np.empty((r, c), dtype=object)
-    out[...] = Fraction(0)
-    return out
-
-
-def identity(n: int) -> np.ndarray:
-    out = zeros(n, n)
-    for i in range(n):
-        out[i, i] = Fraction(1)
-    return out
-
-
-def mat_eq(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and bool((a == b).all())
-
-
-def is_zero_mat(a: np.ndarray) -> bool:
-    return bool((a == Fraction(0)).all())
-
-
-def cleared(m: np.ndarray) -> tuple[np.ndarray, int]:
-    """(d M as ints in the shape of M, d) for the least d > 0 that makes d M
-    integral; M is a matrix or a vector."""
-    ints, d = intutil.cleared(m.ravel().tolist())
-    return np.array(ints, dtype=object).reshape(m.shape), d
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """A B exactly: (d_a A)(d_b B) in ints, divided once by d_a d_b.
-
-    Raises on a shape mismatch as `@` does.
+    A vector of length n has shape (n,) and one row.  `m[i, j]` (`v[i]`)
+    and `tolist()` make Fractions; kernels read `rows` and `den` instead.
+    `@`, `+`, `-` and a scalar `*` are exact.  A matrix is the sequence of
+    its rows, each a list of Fractions, and a vector that of its entries,
+    so an array library that reads nested sequences can copy one.
     """
-    a_int, d_a = cleared(a)
-    b_int, d_b = cleared(b)
-    return (a_int @ b_int) * Fraction(1, d_a * d_b)
+
+    __slots__ = ("rows", "den", "shape")
+
+    def __init__(self, rows, den: int = 1, shape: tuple[int, ...] | None = None):
+        rows = tuple(map(tuple, rows))
+        if shape is None:
+            shape = (len(rows), len(rows[0]) if rows else 0)
+        if any(len(r) != shape[-1] for r in rows):
+            raise ValueError("ragged rows")
+        if den == 0:
+            raise ZeroDivisionError("QMat with denominator 0")
+        g = int_gcd(den, *chain.from_iterable(rows)) * (1 if den > 0 else -1)
+        if g != 1:
+            rows = tuple(tuple(x // g for x in r) for r in rows)
+        for name, value in (("rows", rows), ("den", den // g), ("shape", shape)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("QMat is immutable")
+
+    # -- reading entries --------------------------------------------------
+
+    def __getitem__(self, key) -> Fraction:
+        i, j = (0, key) if len(self.shape) == 1 else key
+        return Fraction(self.rows[i][j], self.den)
+
+    def tolist(self) -> list:
+        rows = [[Fraction(x, self.den) for x in row] for row in self.rows]
+        return rows[0] if len(self.shape) == 1 else rows
+
+    def __iter__(self):
+        return iter(self.tolist())
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def col(self, j: int) -> "QMat":
+        """Column j as a vector."""
+        return QMat(([row[j] for row in self.rows],), self.den, (self.shape[0],))
+
+    @property
+    def T(self) -> "QMat":
+        """The transpose; a vector is its own."""
+        if len(self.shape) == 1:
+            return self
+        nr, nc = self.shape
+        return QMat(zip(*self.rows) if nr else ((),) * nc, self.den, (nc, nr))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, QMat):
+            return NotImplemented
+        return self.shape == other.shape and self.den == other.den and self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash((self.shape, self.den, self.rows))
+
+    def __repr__(self) -> str:
+        rows = [[str(Fraction(x, self.den)) for x in row] for row in self.rows]
+        return f"QMat({rows[0] if len(self.shape) == 1 else rows})"
+
+    # -- arithmetic ---------------------------------------------------------
+
+    def __matmul__(self, other):
+        return matmul(self, other) if isinstance(other, QMat) else NotImplemented
+
+    def __add__(self, other):
+        if not isinstance(other, QMat):
+            return NotImplemented
+        if self.shape != other.shape:
+            raise ValueError(f"shapes {self.shape} and {other.shape} do not match")
+        d = lcm(self.den, other.den)
+        s, t = d // self.den, d // other.den
+        return QMat(([x * s + y * t for x, y in zip(r, q)] for r, q in zip(self.rows, other.rows)), d, self.shape)
+
+    def __neg__(self) -> "QMat":
+        return -1 * self
+
+    def __sub__(self, other):
+        return self + -other if isinstance(other, QMat) else NotImplemented
+
+    def __mul__(self, scalar):
+        if isinstance(scalar, QMat):
+            return NotImplemented
+        s = frac(scalar)
+        return QMat(([x * s.numerator for x in r] for r in self.rows), self.den * s.denominator, self.shape)
+
+    __rmul__ = __mul__
 
 
-def commutes_with(m: np.ndarray) -> Callable[[np.ndarray], bool]:
-    """The test F -> (M F == F M), in ints: M is cleared once, and
-    (d_M M)(d_F F) and (d_F F)(d_M M) share the denominator d_M d_F."""
-    m_int, _ = cleared(m)
+def _data(values) -> list:
+    """Nested data as lists, from `tolist()` where there is one."""
+    return values.tolist() if hasattr(values, "tolist") else values
 
-    def test(f: np.ndarray) -> bool:
-        f_int, _ = cleared(f)
-        return mat_eq(m_int @ f_int, f_int @ m_int)
+
+def rvec(entries) -> QMat:
+    """Vector of rationals (ints, 'p/q' strings or Fractions), or of
+    anything with `tolist()`."""
+    ints, d = intutil.cleared([frac(e) for e in _data(entries)])
+    return QMat((ints,), d, (len(ints),))
+
+
+def rmat(rows) -> QMat:
+    """Matrix from nested row data (ints, 'p/q' strings or Fractions), or
+    from anything with `tolist()`, such as a QMat or an array."""
+    if isinstance(rows, QMat):
+        return rows
+    data = [[frac(e) for e in row] for row in _data(rows)]
+    width = len(data[0]) if data else 0
+    if any(len(r) != width for r in data):
+        raise ValueError("ragged rows")
+    ints, d = intutil.cleared([e for row in data for e in row])
+    return QMat((ints[i * width : (i + 1) * width] for i in range(len(data))), d, (len(data), width))
+
+
+def zeros(r: int, c: int) -> QMat:
+    return QMat(((0,) * c,) * r, 1, (r, c))
+
+
+def identity(n: int) -> QMat:
+    return QMat(([int(i == j) for j in range(n)] for i in range(n)), 1, (n, n))
+
+
+def is_zero_mat(a: QMat) -> bool:
+    return not any(map(any, a.rows))
+
+
+def _product(a, b) -> list[list[int]]:
+    """A B for int rows A and B, B with at least one row.  A row of A that
+    is zero in half its entries or more, as rows of the diagonal and
+    triangular maps the criteria test are, is the combination of the rows
+    of B it meets; a denser one is dotted with each column of B."""
+    cols = list(zip(*b))
+    out = []
+    for row in a:
+        if 2 * row.count(0) >= len(row):
+            acc = [0] * len(cols)
+            for x, b_row in zip(row, b):
+                if x:
+                    acc = [u + x * v for u, v in zip(acc, b_row)]
+            out.append(acc)
+        else:
+            out.append([sum(map(mul, row, col)) for col in cols])
+    return out
+
+
+def matmul(a: QMat, b: QMat) -> QMat:
+    """A B exactly: the product of the int rows over d_a d_b.  B may be a
+    vector, read as a column."""
+    sa, sb = a.shape, b.shape
+    if len(sa) != 2 or sa[1] != sb[0]:
+        raise ValueError(f"shapes {sa} and {sb} do not align")
+    if len(sb) == 1:
+        v = b.rows[0]
+        return QMat(([sum(map(mul, row, v)) for row in a.rows],), a.den * b.den, sa[:1])
+    rows = _product(a.rows, b.rows) if sb[0] else [[0] * sb[1]] * sa[0]
+    return QMat(rows, a.den * b.den, (sa[0], sb[1]))
+
+
+def commutes_with(m: QMat) -> Callable[[QMat], bool]:
+    """The test F -> (M F == F M), in ints: (d_M M)(d_F F) and
+    (d_F F)(d_M M) share the denominator d_M d_F."""
+    a = m.rows
+
+    def test(f: QMat) -> bool:
+        return _product(a, f.rows) == _product(f.rows, a)
 
     return test
 
 
-def trace(a: np.ndarray) -> Fraction:
-    return sum((a[i, i] for i in range(a.shape[0])), Fraction(0))
-
-
-def mat_pow(a: np.ndarray, k: int) -> np.ndarray:
+def mat_pow(a: QMat, k: int) -> QMat:
+    """A^k, by square and multiply on the int rows, divided once."""
+    n = _require_square(a)
     if k < 0:
         return mat_pow(inverse(a), -k)
+    return QMat(_square_multiply(a.rows, k, _product), a.den**k, a.shape) if k else identity(n)
+
+
+def _square_multiply(base, k: int, product):
+    """base^k for k >= 1 under `product`, by square and multiply."""
     out = None
-    base = a
     while k:
         if k & 1:
-            out = base.copy() if out is None else matmul(out, base)
-        base = matmul(base, base) if k > 1 else base
+            out = base if out is None else product(out, base)
+        if k > 1:
+            base = product(base, base)
         k >>= 1
-    return identity(a.shape[0]) if out is None else out
+    return out
 
 
-def _require_square(m: np.ndarray) -> int:
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+def _require_square(m: QMat) -> int:
+    if len(m.shape) != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"square matrix required, got shape {m.shape}")
     return m.shape[0]
 
@@ -133,8 +252,8 @@ def _require_square(m: np.ndarray) -> int:
 
 def _int_row(row: dict) -> dict[int, int]:
     """A sparse rational row ({column: value}) as ints, without zeros: the
-    row itself when every value is an int (the common case, which builds
-    no array), else its `cleared` multiple."""
+    row itself when every value is an int (the common case), else its
+    `intutil.cleared` multiple."""
     if all(type(v) is int for v in row.values()):
         return {c: v for c, v in row.items() if v}
     ints, _ = intutil.cleared(list(row.values()))
@@ -216,18 +335,6 @@ def _reduce(rows) -> tuple[dict[int, dict[int, int]], list[tuple[int, int]]]:
     return reduced, leads
 
 
-def gauss_jordan(rows) -> tuple[list[dict[int, Fraction]], list[int]]:
-    """The nonzero rows of the RREF of sparse rows ({column: value}), in
-    pivot order and without zeros, and their pivot columns.
-
-    The RREF over Q is unique, so the result does not depend on the order
-    of the rows.
-    """
-    reduced, _ = _reduce(rows)
-    pivots = sorted(reduced)
-    return [{c: Fraction(v, reduced[p][p]) for c, v in reduced[p].items()} for p in pivots], pivots
-
-
 def echelon(rows) -> list[dict[int, int]]:
     """The RREF of sparse rows as primitive int rows, in pivot order: for
     callers that need only the row space, with no Fraction built."""
@@ -235,42 +342,40 @@ def echelon(rows) -> list[dict[int, int]]:
     return [reduced[p] for p in sorted(reduced)]
 
 
-def from_rows(rows: list[dict[int, Fraction]], nc: int) -> np.ndarray:
-    """Dense len(rows) x nc matrix of sparse rows ({column: value})."""
-    out = zeros(len(rows), nc)
-    for r, row in enumerate(rows):
+def _rref_mat(reduced: dict[int, dict[int, int]], nr: int, nc: int) -> QMat:
+    """The RREF of `_reduce`'s pivot rows, padded with zero rows to nr x nc:
+    RREF row p is R_p / R_p[p], and as R_p is primitive the least
+    denominator of the RREF is the lcm of the leads R_p[p]."""
+    pivots = sorted(reduced)
+    den = lcm(*(reduced[p][p] for p in pivots))
+    out = [[0] * nc for _ in range(nr)]
+    for r, p in enumerate(pivots):
+        row, scale = reduced[p], den // reduced[p][p]
         for c, v in row.items():
-            out[r, c] = v
-    return out
+            out[r][c] = v * scale
+    return QMat(out, den, (nr, nc))
 
 
-def span_basis(rows, nc: int) -> np.ndarray:
+def span_basis(rows, nc: int) -> QMat:
     """The canonical basis of the span of sparse rows ({column: value}) as
     the columns of an nc x rank matrix: their RREF, transposed."""
-    return from_rows(gauss_jordan(rows)[0], nc).T
+    reduced, _ = _reduce(rows)
+    return _rref_mat(reduced, len(reduced), nc).T
 
 
-def _sparse_rows(a: np.ndarray) -> list[dict]:
-    return [{c: v for c, v in enumerate(row) if v} for row in a.tolist()]
+def _sparse_rows(rows) -> list[dict[int, int]]:
+    """Int rows as sparse rows ({column: value}, no zeros)."""
+    return [{c: v for c, v in enumerate(row) if v} for row in rows]
 
 
-def _cleared_rows(a: np.ndarray) -> tuple[list[dict[int, int]], int]:
-    """(the rows of d A as sparse int rows, d): the nonzero entries are
-    `cleared` once, together, for the dense entry points.  Scaling every
-    row by the same d > 0 keeps the row space and the RREF."""
-    rows = _sparse_rows(a)
-    ints, d = intutil.cleared([v for row in rows for v in row.values()])
-    it = iter(ints)
-    return [{c: next(it) for c in row} for row in rows], d
+def rref(a: QMat) -> tuple[QMat, list[int]]:
+    """Reduced row echelon form and its pivot columns.  The rows of d A
+    span the row space of A, so the core reads `a.rows` as they are."""
+    reduced, _ = _reduce(_sparse_rows(a.rows))
+    return _rref_mat(reduced, *a.shape), sorted(reduced)
 
 
-def rref(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form (copy) and its pivot columns."""
-    rows, pivots = gauss_jordan(_cleared_rows(a)[0])
-    return from_rows(rows + [{}] * (a.shape[0] - len(rows)), a.shape[1]), pivots
-
-
-def det(a: np.ndarray) -> Fraction:
+def det(a: QMat) -> Fraction:
     """det(A) = det(d A) / d^n: the sign of the pivot permutation times the
     pivots lead / s of forward elimination, read off the core.
 
@@ -280,40 +385,33 @@ def det(a: np.ndarray) -> Fraction:
     a triangular matrix reduces without fill.
     """
     n = _require_square(a)
-    rows, d = _cleared_rows(a)
+    rows = _sparse_rows(a.rows)
     order = sorted(range(n), key=lambda i: len(rows[i]))
     reduced, leads = _reduce(rows[i] for i in order)
     if len(leads) < n:
         return Fraction(0)
     pivot = dict(zip(order, reduced))
     inversions = sum(pivot[j] > pivot[i] for i in range(n) for j in range(i))
-    return Fraction((-1) ** inversions * prod(x for x, _ in leads), prod(s for _, s in leads) * d**n)
+    return Fraction((-1) ** inversions * prod(x for x, _ in leads), prod(s for _, s in leads) * a.den**n)
 
 
-def inverse(a: np.ndarray) -> np.ndarray:
-    """A^-1, from `inverse_cleared`."""
-    ints, d = inverse_cleared(a)
-    return ints * Fraction(1, d)
-
-
-def inverse_cleared(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """`cleared(inverse(A))` with no Fraction built: from the primitive pivot
-    rows R_i of the RREF of [d A | d I], row i of A^-1 is the right half of
-    R_i over R_i[i], in lowest terms, so the least denominator of A^-1 is
-    the lcm of the leads R_i[i]."""
+def inverse(a: QMat) -> QMat:
+    """A^-1, with no Fraction built: from the primitive pivot rows R_i of the
+    RREF of [d A | d I], row i of A^-1 is the right half of R_i over R_i[i],
+    in lowest terms, so the denominator of A^-1 is the lcm of the leads
+    R_i[i]."""
     n = _require_square(a)
-    rows, d_a = _cleared_rows(a)
-    reduced, _ = _reduce({**row, n + i: d_a} for i, row in enumerate(rows))
+    reduced, _ = _reduce({**row, n + i: a.den} for i, row in enumerate(_sparse_rows(a.rows)))
     if sorted(reduced) != list(range(n)):
         raise ValueError("matrix is singular")
     d = lcm(*(row[i] for i, row in reduced.items()))
-    out = np.zeros((n, n), dtype=object)
+    out = [[0] * n for _ in range(n)]
     for i, row in reduced.items():
         scale = d // row[i]
         for c, v in row.items():
             if c >= n:
-                out[i, c - n] = v * scale
-    return out, d
+                out[i][c - n] = v * scale
+    return QMat(out, d, (n, n))
 
 
 def sparse_kernel(rows, nc: int) -> list[tuple[dict[int, int], int]]:
@@ -339,117 +437,122 @@ def sparse_kernel(rows, nc: int) -> list[tuple[dict[int, int], int]]:
     return out
 
 
-def kernel(rows, nc: int) -> np.ndarray:
-    """`sparse_kernel` as the dense matrix of its columns."""
+def kernel(rows, nc: int) -> QMat:
+    """`sparse_kernel` as the nc x k matrix of its columns."""
     cols = sparse_kernel(rows, nc)
-    out = zeros(nc, len(cols))
-    for k, (col, den) in enumerate(cols):
+    den = lcm(*(d for _, d in cols))
+    out = [[0] * len(cols) for _ in range(nc)]
+    for k, (col, d) in enumerate(cols):
         for c, v in col.items():
-            out[c, k] = Fraction(v, den)
-    return out
+            out[c][k] = v * (den // d)
+    return QMat(out, den, (nc, len(cols)))
 
 
 # -- column spaces (subspaces are matrices whose columns span them) -------
 
 
-def col_basis(a: np.ndarray) -> np.ndarray:
+def col_basis(a: QMat) -> QMat:
     """Canonical basis of the column space, as columns (echelon form).
 
-    Two matrices span the same column space iff their col_basis arrays
-    are identical.
+    Two matrices span the same column space iff their col_basis
+    matrices are equal.
     """
-    return span_basis(_cleared_rows(a.T)[0], a.shape[0])
+    return span_basis(_sparse_rows(a.T.rows), a.shape[0])
 
 
-def hstack(mats: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate(mats, axis=1)
+def hstack(mats: list[QMat]) -> QMat:
+    """The matrices side by side, over the lcm of their denominators."""
+    if not mats:
+        raise ValueError("need at least one matrix")
+    nr = mats[0].shape[0]
+    if any(m.shape[0] != nr for m in mats):
+        raise ValueError("matrices differ in their number of rows")
+    den = lcm(*(m.den for m in mats))
+    scaled = [[[x * (den // m.den) for x in row] for row in m.rows] if m.den != den else m.rows for m in mats]
+    rows = [list(chain.from_iterable(m[i] for m in scaled)) for i in range(nr)]
+    return QMat(rows, den, (nr, sum(m.shape[1] for m in mats)))
 
 
 # -- characteristic polynomials ------------------------------------------
 
 
-def charpoly(m: np.ndarray) -> Polynomial:
+def charpoly(m: QMat) -> Polynomial:
     """Monic characteristic polynomial det(X I - M), Faddeev-LeVerrier.
 
-    Runs on A = d M in ints: M_k = A (M_{k-1} + c_{k-1} I) is integral and
+    Runs on A = d M in ints: M_k = (M_{k-1} + c_{k-1} I) A is integral
+    (M_{k-1} is a polynomial in A, so it commutes with A) and
     tr(M_k) = -k c_k, so each division is exact; det(X I - M) is then
     sum_k c_k d^(-k) X^(n-k).
     """
     n = _require_square(m)
-    a, d = cleared(m)
     coeffs_desc = [1]
-    power = np.zeros((n, n), dtype=object)
+    power = [[0] * n for _ in range(n)]
     for k in range(1, n + 1):
-        power = a @ (power + coeffs_desc[-1] * np.identity(n, dtype=object))
-        coeffs_desc.append(-power.trace() // k)
+        for i in range(n):
+            power[i][i] += coeffs_desc[-1]
+        power = _product(power, m.rows)
+        coeffs_desc.append(-sum(power[i][i] for i in range(n)) // k)
+    d = m.den
     return Polynomial(reversed([Fraction(c, d**k) for k, c in enumerate(coeffs_desc)]))
 
 
-def _poly_at(p: Polynomial, a: np.ndarray, d: int) -> tuple[np.ndarray, int]:
-    """(s p(M) as ints, s) for a nonzero p and A = d M an int matrix, by
-    Horner in ints on A and the cleared coefficients L c_k: the sum of
+def _poly_at(p: Polynomial, m: QMat) -> tuple[list[list[int]], int]:
+    """(s p(M) as int rows, s) for a nonzero p, by Horner in ints on
+    A = d M and the cleared coefficients L c_k: the sum of
     L c_k d^(deg-k) A^k is s p(M) for s = L d^deg."""
-    n = a.shape[0]
+    n, d = m.shape[0], m.den
     coeffs, den = intutil.cleared(p.coeffs)
     deg = p.degree
-    acc = np.zeros((n, n), dtype=object)
+    acc = [[0] * n for _ in range(n)]
     for k in range(deg, -1, -1):
         if k < deg:
-            acc = acc @ a
+            acc = _product(acc, m.rows)
         c = coeffs[k] * d ** (deg - k)
         for i in range(n):
-            acc[i, i] += c
+            acc[i][i] += c
     return acc, den * d**deg
 
 
-def eval_poly(p: Polynomial, m: np.ndarray) -> np.ndarray:
-    """p(M): `_poly_at` on M cleared once, divided once."""
+def eval_poly(p: Polynomial, m: QMat) -> QMat:
+    """p(M): `_poly_at`, divided once."""
     n = _require_square(m)
     if p.is_zero():
         return zeros(n, n)
-    acc, s = _poly_at(p, *cleared(m))
-    return acc * Fraction(1, s)
+    return QMat(*_poly_at(p, m), m.shape)
 
 
-def annihilates(p: Polynomial, m: np.ndarray) -> bool:
+def annihilates(p: Polynomial, m: QMat) -> bool:
     """p(M) = 0, decided on the int multiple of p(M) with no Fraction built."""
     _require_square(m)
-    return p.is_zero() or is_zero_mat(_poly_at(p, *cleared(m))[0])
+    return p.is_zero() or not any(map(any, _poly_at(p, m)[0]))
 
 
-def is_nilpotent(m: np.ndarray) -> bool:
-    """M^n = 0, by repeated squaring of an integer multiple of M (cheaper than Fractions)."""
-    return is_nilpotent_int(cleared(m)[0])
+def is_nilpotent_int(a) -> bool:
+    """A^n = 0 for the int rows of an n x n matrix A, by repeated squaring."""
+    for _ in range((len(a) - 1).bit_length()):
+        a = _product(a, a)
+    return not any(map(any, a))
 
 
-def is_nilpotent_int(a: np.ndarray) -> bool:
-    """A^n = 0 for an int matrix A, by repeated squaring."""
-    n = _require_square(a)
-    for _ in range((n - 1).bit_length()):
-        a = a @ a
-    return is_zero_mat(a)
-
-
-def primary_decomposition(m: np.ndarray) -> list[tuple[Polynomial, np.ndarray]]:
+def primary_decomposition(m: QMat) -> list[tuple[Polynomial, QMat]]:
     """Split Q^n into ker p_i(M)^{e_i} over the irreducible factors p_i.
 
     Components come back in the canonical factor order (degree, then
     coefficients); each subspace is a canonical column basis and is
-    M-invariant.  All in ints: M is cleared once, K_i = s p_i(M) is
-    `_poly_at`'s int multiple, divided by its content and raised to e_i
-    by int products, and ker K_i^e_i = ker p_i(M)^e_i is the
-    `sparse_kernel` of its rows, whose int columns `span_basis` reduces
-    to the canonical basis; a Fraction is made only for that output.
+    M-invariant.  All in ints: K_i = s p_i(M) is `_poly_at`'s int
+    multiple, divided by its content and raised to e_i by int products,
+    and ker K_i^e_i = ker p_i(M)^e_i is the `sparse_kernel` of its rows,
+    whose int columns `span_basis` reduces to the canonical basis.
     """
     n = _require_square(m)
-    a, d = cleared(m)
     out = []
     for p, mult in factor_over_q(charpoly(m)):
-        k = _poly_at(p, a, d)[0]
-        k = k // (int_gcd(*k.flat) or 1)  # p(M) = 0 when p is the minimal polynomial
+        k = _poly_at(p, m)[0]
+        g = int_gcd(*chain.from_iterable(k)) or 1  # p(M) = 0 when p is the minimal polynomial
+        k = [[x // g for x in row] for row in k]
         power = k
         for _ in range(mult - 1):
-            power = power @ k
+            power = _product(power, k)
         kernel_cols = [col for col, _ in sparse_kernel(_sparse_rows(power), n)]
         out.append((p, span_basis(kernel_cols, n)))
     return out
@@ -462,21 +565,19 @@ def primary_decomposition(m: np.ndarray) -> list[tuple[Polynomial, np.ndarray]]:
 class IntegerLattice:
     """Z-span of the columns of an invertible rational matrix."""
 
-    basis: np.ndarray
+    basis: QMat
 
     def __post_init__(self):
         _require_square(self.basis)
         if det(self.basis) == 0:
             raise ValueError("lattice basis must be invertible")
-        object.__setattr__(self, "basis", self.basis.copy())
-        self.basis.setflags(write=False)
 
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
 
 
-def hnf(a: np.ndarray) -> np.ndarray:
+def hnf(a: QMat) -> QMat:
     """Column-style Hermite normal form of a nonsingular integer matrix.
 
     Lower triangular, positive pivots, entries left of each pivot reduced
@@ -484,63 +585,77 @@ def hnf(a: np.ndarray) -> np.ndarray:
     embed it are byte-stable.
     """
     n = _require_square(a)
-    h, d = cleared(a)
-    if d != 1:
+    if a.den != 1:
         raise ValueError("integer matrix required")
+    h = [list(col) for col in zip(*a.rows)]  # h[c][r]: the columns
+
+    def subtract(c: int, q: int, r: int) -> None:  # column c -= q column r
+        h[c] = [x - q * y for x, y in zip(h[c], h[r])]
+
     for r in range(n):
         while True:
-            cols = [c for c in range(r, n) if h[r, c] != 0]
+            cols = [c for c in range(r, n) if h[c][r] != 0]
             if not cols:
                 raise ValueError("matrix is singular")
-            cmin = min(cols, key=lambda c: abs(h[r, c]))
-            if cmin != r:
-                h[:, [r, cmin]] = h[:, [cmin, r]]
+            cmin = min(cols, key=lambda c: abs(h[c][r]))
+            h[r], h[cmin] = h[cmin], h[r]
             done = True
             for c in range(r + 1, n):
-                if h[r, c] != 0:
-                    q = h[r, c] // h[r, r]
-                    h[:, c] = h[:, c] - q * h[:, r]
-                    done = done and h[r, c] == 0
+                if h[c][r] != 0:
+                    subtract(c, h[c][r] // h[r][r], r)
+                    done = done and h[c][r] == 0
             if done:
                 break
-        if h[r, r] < 0:
-            h[:, r] = -h[:, r]
+        if h[r][r] < 0:
+            h[r] = [-x for x in h[r]]
         for c in range(r):
-            q = h[r, c] // h[r, r]
+            q = h[c][r] // h[r][r]
             if q != 0:
-                h[:, c] = h[:, c] - q * h[:, r]
-    return h
+                subtract(c, q, r)
+    return QMat(zip(*h), 1, (n, n))
 
 
-def hnf_membership(v: np.ndarray, lattice: IntegerLattice) -> bool:
-    """Exact test for v in the Z-span of the lattice basis."""
+def hnf_membership(v: QMat, lattice: IntegerLattice) -> bool:
+    """Exact test for v in the Z-span of the lattice basis: with B = d P
+    and H its Hermite form, v is in the lattice iff the solution y of the
+    triangular H y = d v is integral."""
     n = lattice.dim
     if v.shape != (n,):
         raise ValueError(f"vector of length {n} required, got shape {v.shape}")
-    scaled, d = cleared(lattice.basis)
-    h = hnf(scaled)
-    target = [frac(e) * d for e in v]
+    basis = lattice.basis
+    h = hnf(QMat(basis.rows)).rows
+    target = [Fraction(x * basis.den, v.den) for x in v.rows[0]]
     y = [Fraction(0)] * n
     for r in range(n):
         acc = target[r]
         for c in range(r):
-            acc -= h[r, c] * y[c]
-        y[r] = Fraction(acc, h[r, r])
+            acc -= h[r][c] * y[c]
+        y[r] = acc / h[r][r]
     return all(e.denominator == 1 for e in y)
 
 
-def _mat_pow_mod(base: np.ndarray, k: int, modulus: int) -> np.ndarray:
-    out = np.identity(base.shape[0], dtype=object)
-    b = base % modulus
-    while k:
-        if k & 1:
-            out = (out @ b) % modulus
-        b = (b @ b) % modulus if k > 1 else b
-        k >>= 1
-    return out
+def _mat_mul_mod(a, b, modulus: int) -> list[list[int]]:
+    """A B mod the modulus for int rows A and B (B with a row).  Unrolled
+    for an inner dimension of 2 to 4, the lattice-power sizes, where one
+    sum(map(mul)) call per entry would cost about half as much again."""
+    cols = list(zip(*b))
+    k = len(b)
+    if k == 2:
+        return [[(r0 * c0 + r1 * c1) % modulus for c0, c1 in cols] for r0, r1 in a]
+    if k == 3:
+        return [[(r0 * c0 + r1 * c1 + r2 * c2) % modulus for c0, c1, c2 in cols] for r0, r1, r2 in a]
+    if k == 4:
+        return [[(r0 * c0 + r1 * c1 + r2 * c2 + r3 * c3) % modulus for c0, c1, c2, c3 in cols] for r0, r1, r2, r3 in a]
+    return [[sum(map(mul, row, col)) % modulus for col in cols] for row in a]
 
 
-def order_mod(m: np.ndarray, modulus: int) -> int:
+def _mat_pow_mod(base, k: int, modulus: int) -> list[list[int]]:
+    """B^k mod the modulus for int rows B and k >= 1."""
+    reduced = [[x % modulus for x in row] for row in base]
+    return _square_multiply(reduced, k, lambda x, y: _mat_mul_mod(x, y, modulus))
+
+
+def order_mod(m: QMat, modulus: int) -> int:
     """Smallest k >= 1 with M^k = I mod modulus (M integral, det invertible).
 
     Descends from a multiple N of the order through `least_exponent`'s
@@ -554,8 +669,7 @@ def order_mod(m: np.ndarray, modulus: int) -> int:
     n = _require_square(m)
     if modulus < 1:
         raise ValueError("modulus must be positive")
-    a, den = cleared(m)
-    if den != 1:
+    if m.den != 1:
         raise ValueError("integer matrix required")
     d = int(det(m)) % modulus
     if int_gcd(d, modulus) != 1:
@@ -564,7 +678,6 @@ def order_mod(m: np.ndarray, modulus: int) -> int:
     for p, e in factor_int(modulus).items():
         p_part = p ** (e - 1 + (n - 1).bit_length())  # p^(bit length of n - 1) >= n
         multiple = lcm(multiple, p_part, *(p**i - 1 for i in range(1, n + 1)))
-    ident = np.identity(n, dtype=object)
-    return least_exponent(
-        multiple, a % modulus, lambda y, e: _mat_pow_mod(y, e, modulus), lambda y: (y == ident).all()
-    )
+    ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    reduced = [[x % modulus for x in row] for row in m.rows]
+    return least_exponent(multiple, reduced, lambda y, e: _mat_pow_mod(y, e, modulus), lambda y: y == ident)

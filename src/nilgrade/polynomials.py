@@ -51,9 +51,6 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def is_monic(self) -> bool:
-        return not self.is_zero() and self.leading() == 1
-
     def monic(self) -> "Polynomial":
         lc = self.leading()
         return Polynomial(c / lc for c in self.coeffs)
@@ -287,12 +284,6 @@ def squarefree_part(p: Polynomial) -> Polynomial:
     """p / gcd(p, p'), made monic: the radical of p, computed in Z[X]."""
     f = _int_part(p)
     return Polynomial(_pseudo_divmod(f, _zgcd(f, _derivative(f)))[0]).monic()
-
-
-def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
-    """Yun decomposition: p = lc * prod s_i^i with the s_i monic,
-    squarefree and coprime, computed in Z[X] (`_yun`)."""
-    return [(Polynomial(s).monic(), i) for s, i in _yun(_int_part(p))]
 
 
 # -- factorization over Q ----------------------------------------------

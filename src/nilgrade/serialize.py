@@ -14,12 +14,11 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-import numpy as np
-
 from . import matrices as mx
 from .grading import Grading
 from .intutil import cleared
 from .liealg import LieAlgebra
+from .matrices import QMat
 
 
 def _bad(msg: str) -> ValueError:
@@ -49,21 +48,21 @@ def parse_fraction(s) -> Fraction:
     raise _bad(f"rational entries must be strings or integers, got {type(s).__name__}")
 
 
-def vector_to_list(v: np.ndarray) -> list[str]:
+def vector_to_list(v: QMat) -> list[str]:
     return [str(e) for e in v]
 
 
-def vector_from_list(data) -> np.ndarray:
+def vector_from_list(data) -> QMat:
     if not isinstance(data, list):
         raise _bad("vector must be a JSON array")
     return mx.rvec([parse_fraction(e) for e in data])
 
 
-def matrix_to_lists(m: np.ndarray) -> list[list[str]]:
-    return [[str(e) for e in row] for row in m]
+def matrix_to_lists(m: QMat) -> list[list[str]]:
+    return [[str(e) for e in row] for row in m.tolist()]
 
 
-def matrix_from_lists(data) -> np.ndarray:
+def matrix_from_lists(data) -> QMat:
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
         raise _bad("matrix must be a non-empty array of rows")
     if any(len(r) != len(data[0]) for r in data):
@@ -126,7 +125,7 @@ def weights_from_dict(data) -> tuple[int, ...]:
 def grading_to_dict(grading: Grading) -> dict:
     return {
         "components": [
-            {"weight": w, "basis": [vector_to_list(s[:, c]) for c in range(s.shape[1])]}
+            {"weight": w, "basis": matrix_to_lists(s.T)}
             for w, s in grading.components
         ]
     }
@@ -145,7 +144,9 @@ def grading_from_dict(data) -> Grading:
         vecs = [vector_from_list(v) for v in _array(entry["basis"], "component basis")]
         if not vecs:
             raise _bad("component basis must be non-empty")
-        comps.append((w, np.stack(vecs, axis=1)))
+        if any(v.shape != vecs[0].shape for v in vecs):
+            raise _bad("component basis vectors must have equal length")
+        comps.append((w, mx.rmat(vecs).T))
     comps.sort(key=lambda ws: ws[0])
     return Grading(tuple(comps))
 
@@ -153,7 +154,7 @@ def grading_from_dict(data) -> Grading:
 # -- holonomy, profiles, certificates ---------------------------------------
 
 
-def holonomy_payload(data) -> tuple[list[np.ndarray], int]:
+def holonomy_payload(data) -> tuple[list[QMat], int]:
     if not isinstance(data, dict) or "generators" not in data:
         raise _bad('expected {"generators": [...], "cap": n}')
     gens = [matrix_from_lists(g) for g in _array(data["generators"], '"generators"')]
@@ -174,7 +175,7 @@ def profile_to_dict(profile) -> dict:
             {
                 "factor": polynomial_to_list(e.factor),
                 "degree": e.degree,
-                "basis": [vector_to_list(e.subspace[:, c]) for c in range(e.subspace.shape[1])],
+                "basis": matrix_to_lists(e.subspace.T),
                 "value": str(e.value),
             }
             for e in profile.entries

@@ -38,13 +38,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-import numpy as np
-
 from . import matrices as mx
 from .grading import Grading, meets_criterion, preserved_by, weight_equations, weights_label
 from .intutil import cleared
 from .liealg import LieAlgebra, is_automorphism
 from .linineq import solve
+from .matrices import QMat
 from .polynomials import Polynomial, factor_order_key, poly_xgcd, squarefree_part
 
 
@@ -72,7 +71,7 @@ def schur_all_inside(p: Polynomial) -> bool:
     return True
 
 
-def is_expanding(m: np.ndarray) -> bool:
+def is_expanding(m: QMat) -> bool:
     """Every eigenvalue of absolute value > 1 (unit-circle roots: False)."""
     p = mx.charpoly(m)
     if p.coeffs[0] == 0:
@@ -99,7 +98,7 @@ def map_problems(chi: Polynomial, det, positive: bool) -> list[str]:
     return problems
 
 
-def semisimple_part(m: np.ndarray) -> np.ndarray:
+def semisimple_part(m: QMat) -> QMat:
     """Jordan-Chevalley semisimple part over Q (a polynomial in M).
 
     Newton iteration against the squarefree part g of the characteristic
@@ -123,7 +122,7 @@ def semisimple_part(m: np.ndarray) -> np.ndarray:
 class NormProfileEntry:
     factor: Polynomial
     degree: int
-    subspace: np.ndarray
+    subspace: QMat
     value: Fraction
 
 
@@ -149,7 +148,7 @@ class NormProfile:
         return out
 
 
-def norm_profile(m: np.ndarray) -> NormProfile:
+def norm_profile(m: QMat) -> NormProfile:
     """Primary components tagged with a fixed positive power of the norm.
 
     The value on the component of the irreducible factor p_i is
@@ -168,9 +167,9 @@ def norm_profile(m: np.ndarray) -> NormProfile:
     return NormProfile(tuple(entries), mhat)
 
 
-def _norm_classes(profile: NormProfile) -> list[tuple[Fraction, np.ndarray]]:
+def _norm_classes(profile: NormProfile) -> list[tuple[Fraction, QMat]]:
     """Merge profile entries of equal value, ascending by value."""
-    classes: dict[Fraction, list[np.ndarray]] = {}
+    classes: dict[Fraction, list[QMat]] = {}
     for e in profile.entries:
         classes.setdefault(e.value, []).append(e.subspace)
     return [
@@ -179,12 +178,12 @@ def _norm_classes(profile: NormProfile) -> list[tuple[Fraction, np.ndarray]]:
 
 
 def _grading_from_classes(
-    algebra: LieAlgebra, classes: list[tuple[Fraction, np.ndarray]]
+    algebra: LieAlgebra, classes: list[tuple[Fraction, QMat]]
 ) -> tuple[Grading, LieAlgebra]:
     """Integer weights for multiplicative norm classes, canonicalized, and
     the algebra re-based on the stacked classes, which is the grading's
     basis (weights increase with the value, so the order is kept).  The
-    grading is handed that basis and its one cleared inverse, so
+    grading is handed that basis and its one inverse, so
     `preserved_by` does not invert it again.
 
     The weight equations are posed on the algebra re-based on the stacked
@@ -201,7 +200,7 @@ def _grading_from_classes(
     nvars = len(values)
     var = [a for a, (_, s) in enumerate(classes) for _ in range(s.shape[1])]
     basis = mx.hstack([s for _, s in classes])
-    inverse = mx.inverse_cleared(basis)
+    inverse = mx.inverse(basis)
     rebased = algebra.in_basis(basis, inverse)
     for (x, y), terms in rebased.terms.items():
         if any(values[var[z]] != values[var[x]] * values[var[y]] for z in terms):
@@ -214,12 +213,12 @@ def _grading_from_classes(
     if w is None:
         raise RuntimeError("integer re-weighting infeasible; invariant violation")
     grading = Grading(tuple((w[a], classes[a][1]) for a in range(nvars)))
-    vars(grading).update(basis=basis, cleared_inverse=inverse)  # its cached properties
+    vars(grading).update(basis=basis, inverse=inverse)  # its cached properties
     return grading, rebased
 
 
 def grading_from_profile(
-    algebra: LieAlgebra, m: np.ndarray, profile: NormProfile, positive: bool
+    algebra: LieAlgebra, m: QMat, profile: NormProfile, positive: bool
 ) -> Grading:
     """The grading preserved by the automorphism m, read off its norm
     profile.  The caller has checked that m is an automorphism of the
@@ -244,7 +243,7 @@ def grading_from_profile(
     return g
 
 
-def expanding_to_positive_grading(algebra: LieAlgebra, m: np.ndarray) -> Grading:
+def expanding_to_positive_grading(algebra: LieAlgebra, m: QMat) -> Grading:
     """Positive grading preserved by the expanding automorphism m."""
     if not is_expanding(m):
         raise ValueError("map is not expanding")
@@ -253,7 +252,7 @@ def expanding_to_positive_grading(algebra: LieAlgebra, m: np.ndarray) -> Grading
     return grading_from_profile(algebra, m, norm_profile(m), positive=True)
 
 
-def selfcover_to_nonneg_grading(algebra: LieAlgebra, m: np.ndarray) -> Grading:
+def selfcover_to_nonneg_grading(algebra: LieAlgebra, m: QMat) -> Grading:
     """Non-negative, non-trivial grading preserved by m.
 
     Requires characteristic polynomial in Z[X] and |det| > 1.

@@ -38,7 +38,14 @@ element of F preserves, without the zero-pattern rule of `find_weights`.
 `derivation_matrices` is no oracle: it densifies the library's sparse
 derivation basis for the tests that need matrices, and neither are
 `diag`, `is_integral` and `solve_linear` (one exact solution of A x = b
-by `rref`), small matrix helpers that no library code calls.
+by `rref`), small matrix helpers that no library code calls.  Nor are
+`dense`, `zeros`, `identity`, `mat_eq` and `flat`: the library's
+`QMat` is immutable, so the tests build matrices entry by entry in
+mutable numpy object arrays of Fractions and compare either kind by
+shape and entries.  `is_nilpotent`, `gauss_jordan` (the RREF as
+Fraction rows, from `matrices.echelon`), `squarefree_decomposition`
+(Yun in Z[X], made monic) and `is_monic` are library functions that only
+tests called.
 The expansion and self-cover checks are kept as the two functions they
 were, `check_expinfra` and `check_covinfra`, each with its own map test
 (`is_expanding`, and `is_z_charpoly` with |det| > 1) and the shared
@@ -62,40 +69,115 @@ from nilgrade.intutil import cleared, factor_int, frac, is_prime
 from nilgrade.grading import Grading, grading_from_weights, verify_grading, weight_equations
 from nilgrade.liealg import LieAlgebra, derivations, is_automorphism, violated_bracket
 from nilgrade.linineq import solve
-from nilgrade.polynomials import ONE, Polynomial, _primitive, factor_order_key, factor_over_q, poly_xgcd, squarefree_part
+from nilgrade.polynomials import (
+    ONE,
+    Polynomial,
+    _int_part,
+    _primitive,
+    _yun,
+    factor_order_key,
+    factor_over_q,
+    poly_xgcd,
+    squarefree_part,
+)
 from nilgrade.serialize import matrix_to_lists
 from nilgrade.specmaps import is_expanding
 from nilgrade.verdict import Verdict
 
 
-def diag(entries) -> np.ndarray:
-    es = [frac(e) for e in entries]
-    out = mx.zeros(len(es), len(es))
-    for i, e in enumerate(es):
-        out[i, i] = e
+# -- matrices in tests ---------------------------------------------------------
+
+
+def dense(a) -> np.ndarray:
+    """A mutable numpy object array of the Fraction entries of a QMat, an
+    array or nested lists, in the same shape."""
+    shape = a.shape if hasattr(a, "shape") else np.shape(a)
+    values = [frac(e) for e in flat(a)]
+    out = np.empty(shape, dtype=object)
+    out.flat[:] = values
     return out
 
 
-def is_integral(a: np.ndarray) -> bool:
-    return all(e.denominator == 1 for e in a.flat)
+def flat(a) -> list:
+    """The entries of a QMat, an array or nested lists, row-major."""
+    items = a.tolist() if hasattr(a, "tolist") else a
+    if items and isinstance(items[0], list):
+        return [e for row in items for e in row]
+    return list(items)
 
 
-def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+def mat_eq(a, b) -> bool:
+    """Equal shapes and entries, for QMats and arrays alike."""
+    return tuple(a.shape) == tuple(b.shape) and flat(a) == flat(b)
+
+
+def qmat(a) -> mx.QMat:
+    """`matrices.rmat` of a matrix of any shape, an empty one too."""
+    return mx.rmat(a) if a.shape[0] else mx.zeros(*a.shape)
+
+
+def zeros(r: int, c: int) -> np.ndarray:
+    out = np.empty((r, c), dtype=object)
+    out[...] = Fraction(0)
+    return out
+
+
+def identity(n: int) -> np.ndarray:
+    out = zeros(n, n)
+    for i in range(n):
+        out[i, i] = Fraction(1)
+    return out
+
+
+def diag(entries) -> mx.QMat:
+    es = [frac(e) for e in entries]
+    return mx.rmat([[e if i == j else 0 for j in range(len(es))] for i, e in enumerate(es)])
+
+
+def is_integral(a) -> bool:
+    return all(frac(e).denominator == 1 for e in flat(a))
+
+
+def is_nilpotent(m) -> bool:
+    """M^n = 0, by repeated squaring of the int rows of M."""
+    return mx.is_nilpotent_int(mx.rmat(m).rows)
+
+
+def gauss_jordan(rows):
+    """The nonzero rows of the RREF of sparse rows ({column: value}), in
+    pivot order and as Fractions, and their pivot columns: `matrices.echelon`
+    with each primitive row divided by its lead."""
+    ints = mx.echelon(rows)
+    pivots = [min(r) for r in ints]
+    return [{c: Fraction(v, r[p]) for c, v in r.items()} for r, p in zip(ints, pivots)], pivots
+
+
+def squarefree_decomposition(p):
+    """Yun decomposition: p = lc * prod s_i^i with the s_i monic,
+    squarefree and coprime, computed in Z[X]."""
+    return [(Polynomial(s).monic(), i) for s, i in _yun(_int_part(p))]
+
+
+def is_monic(p) -> bool:
+    return not p.is_zero() and p.leading() == 1
+
+
+def solve_linear(a, b) -> mx.QMat | None:
     """One exact solution of a x = b (free variables 0), or None."""
     nr, nc = a.shape
-    aug = np.concatenate([a, b.reshape(nr, 1)], axis=1)
+    aug = mx.rmat([list(row) + [x] for row, x in zip(dense(a).tolist(), flat(b))]) if nr else mx.zeros(0, nc + 1)
     red, pivots = mx.rref(aug)
     if nc in pivots:
         return None
-    x = np.array([Fraction(0)] * nc, dtype=object)
+    x = [Fraction(0)] * nc
     for r, c in enumerate(pivots):
         x[c] = red[r, nc]
-    return x
+    return mx.rvec(x)
 
 
 def rref_dense(a):
     """Reduced row echelon form (copy) and its pivot columns."""
-    m = a.copy()
+    m = dense(a)
     nr, nc = m.shape
     pivots = []
     r = 0
@@ -120,7 +202,7 @@ def nullspace_dense(a):
     nr, nc = a.shape
     red, pivots = rref_dense(a)
     free = [c for c in range(nc) if c not in pivots]
-    out = mx.zeros(nc, len(free))
+    out = zeros(nc, len(free))
     for k, fc in enumerate(free):
         out[fc, k] = Fraction(1)
         for r, pc in enumerate(pivots):
@@ -129,7 +211,7 @@ def nullspace_dense(a):
 
 
 def col_basis_dense(a):
-    red, pivots = rref_dense(a.T)
+    red, pivots = rref_dense(dense(a).T)
     return red[: len(pivots)].T.copy()
 
 
@@ -157,13 +239,14 @@ def det_fraction(a):
 def charpoly_fraction(m):
     """det(X I - M) by Faddeev-LeVerrier in Fractions."""
     n = m.shape[0]
+    m = dense(m)
     coeffs_desc = [Fraction(1)]
     a = m.copy()
-    c = -mx.trace(a)
+    c = -sum(a[i, i] for i in range(n))
     coeffs_desc.append(c)
     for k in range(2, n + 1):
-        a = m @ (a + c * mx.identity(n))
-        c = -mx.trace(a) / k
+        a = m @ (a + c * identity(n))
+        c = -sum(a[i, i] for i in range(n)) / k
         coeffs_desc.append(c)
     return Polynomial(reversed(coeffs_desc))
 
@@ -171,7 +254,8 @@ def charpoly_fraction(m):
 def minpoly(m):
     """Monic minimal polynomial via first linear dependence of powers."""
     n = m.shape[0]
-    powers = [mx.identity(n)]
+    m = dense(m)
+    powers = [identity(n)]
     for k in range(1, n + 1):
         powers.append(powers[-1] @ m)
         stacked = np.stack([p.reshape(n * n) for p in powers[:k]], axis=1)
@@ -184,9 +268,10 @@ def minpoly(m):
 def eval_poly_fraction(p, m):
     """p(M) by Horner's rule in Fractions."""
     n = m.shape[0]
-    acc = mx.zeros(n, n)
+    m = dense(m)
+    acc = zeros(n, n)
     for c in reversed(p.coeffs):
-        acc = acc @ m + c * mx.identity(n)
+        acc = acc @ m + c * identity(n)
     return acc
 
 
@@ -195,7 +280,7 @@ def primary_decomposition_fraction(m):
     raised to the multiplicity by Fraction products, and the canonical
     column basis of its kernel, both by dense Gauss-Jordan."""
     out = []
-    for p, mult in factor_over_q(mx.charpoly(m)):
+    for p, mult in factor_over_q(mx.charpoly(mx.rmat(m))):
         pm = k = eval_poly_fraction(p, m)
         for _ in range(mult - 1):
             k = k @ pm
@@ -205,7 +290,7 @@ def primary_decomposition_fraction(m):
 
 def col_spaces_equal_basis(a, b):
     """`col_spaces_equal` as equality of canonical column bases."""
-    return mx.mat_eq(col_basis_dense(a), col_basis_dense(b))
+    return mat_eq(col_basis_dense(a), col_basis_dense(b))
 
 
 def rank(a):
@@ -219,13 +304,13 @@ def col_spaces_equal(a, b):
     if a.shape[0] != b.shape[0]:
         return False
     r = rank(a)
-    return r == rank(b) == rank(mx.hstack([a, b]))
+    return r == rank(b) == rank(np.concatenate([dense(a), dense(b)], axis=1))
 
 
 def is_semisimple(m):
     """g(M) = 0 for g the squarefree part of the characteristic polynomial."""
     g = squarefree_part_fraction(mx.charpoly(m))
-    return mx.is_zero_mat(eval_poly_fraction(g, m))
+    return all(e == 0 for e in flat(eval_poly_fraction(g, m)))
 
 
 # -- polynomials over Q in Fractions ----------------------------------------------
@@ -406,7 +491,7 @@ def dense_table(algebra):
     """{(i, j): coefficient vector} for the nonzero brackets [X_i, X_j], i < j."""
     out = {}
     for ij, terms in algebra.terms.items():
-        vec = mx.rvec([0] * algebra.dim)
+        vec = zeros(1, algebra.dim)[0]
         for k, c in terms.items():
             vec[k] = c
         out[ij] = vec
@@ -414,16 +499,16 @@ def dense_table(algebra):
 
 
 def basis_vec(n, i):
-    v = mx.rvec([0] * n)
+    v = zeros(1, n)[0]
     v[i] = Fraction(1)
     return v
 
 
 def bracket_basis_dense(algebra, i, j):
     if i == j:
-        return mx.rvec([0] * algebra.dim)
+        return zeros(1, algebra.dim)[0]
     if i < j:
-        vec = mx.rvec([0] * algebra.dim)
+        vec = zeros(1, algebra.dim)[0]
         for k, c in algebra.terms.get((i, j), {}).items():
             vec[k] = c
         return vec
@@ -431,7 +516,7 @@ def bracket_basis_dense(algebra, i, j):
 
 
 def bracket_dense(algebra, x, y):
-    out = mx.rvec([0] * algebra.dim)
+    out = zeros(1, algebra.dim)[0]
     for (i, j), vec in dense_table(algebra).items():
         c = x[i] * y[j] - x[j] * y[i]
         if c != 0:
@@ -441,7 +526,7 @@ def bracket_dense(algebra, x, y):
 
 def series_dense(algebra):
     n = algebra.dim
-    series = [mx.identity(n)]
+    series = [identity(n)]
     while True:
         prev = series[-1]
         spans = [bracket_dense(algebra, basis_vec(n, i), prev[:, c]) for i in range(n) for c in range(prev.shape[1])]
@@ -476,7 +561,7 @@ def verify_grading_pairwise(algebra, grading) -> Verdict:
                 for b in range(sj.shape[1]):
                     if wi == wj and b <= a:
                         continue
-                    z = bracket_dense(algebra, si[:, a], sj[:, b])
+                    z = bracket_dense(algebra, si.col(a), sj.col(b))
                     if (z == Fraction(0)).all():
                         continue
                     if target is None or solve_linear(target, z) is None:
@@ -555,7 +640,7 @@ def validate_all_triples(algebra) -> Verdict:
             condition="not-nilpotent",
             certificate={
                 "stabilized_dimension": int(last.shape[1]),
-                "stabilized_subspace": [[str(e) for e in last[:, c]] for c in range(last.shape[1])],
+                "stabilized_subspace": [[str(e) for e in col] for col in last.T],
             },
             diagnostics=["lower central series stabilizes at a nonzero subspace"],
         )
@@ -608,6 +693,7 @@ def validate_dense(algebra) -> Verdict:
 def violated_bracket_dense(algebra, m):
     """First basis pair (1-indexed) where M[x,y] != [Mx,My], if any."""
     n = algebra.dim
+    m = dense(m)
     for i in range(n):
         for j in range(i + 1, n):
             if not (m @ bracket_basis_dense(algebra, i, j) == bracket_dense(algebra, m[:, i], m[:, j])).all():
@@ -617,6 +703,7 @@ def violated_bracket_dense(algebra, m):
 
 def is_derivation_dense(algebra, d):
     n = algebra.dim
+    d = dense(d)
     for i in range(n):
         for j in range(i + 1, n):
             lhs = d @ bracket_basis_dense(algebra, i, j)
@@ -647,7 +734,7 @@ def derivations_dense(algebra):
                         block[k][k * n + q] -= cij[q]
             rows.extend(block)
     if not rows:
-        return [mx.identity(1)] if n == 1 else []
+        return [identity(1)] if n == 1 else []
     kernel = nullspace_dense(mx.rmat(rows))
     return [kernel[:, c].reshape(n, n) for c in range(kernel.shape[1])]
 
@@ -657,11 +744,11 @@ def derivation_matrices(algebra):
     matrices: the one place the tests densify it."""
     out = []
     for cols, den in derivations(algebra):
-        d = mx.zeros(algebra.dim, algebra.dim)
+        d = [[0] * algebra.dim for _ in range(algebra.dim)]
         for i, col in cols.items():
             for p, a in col.items():
-                d[p, i] = Fraction(a, den)
-        out.append(d)
+                d[p][i] = a
+        out.append(mx.QMat(d, den))
     return out
 
 
@@ -735,20 +822,20 @@ def is_characteristically_nilpotent_fraction(algebra):
             "reject",
             condition="non-nilpotent-derivation",
             certificate={
-                "witness": [[str(e) for e in row] for row in sum((ders[a] for a in support), mx.zeros(n, n))],
+                "witness": [[str(e) for e in row] for row in sum((ders[a] for a in support), zeros(n, n))],
                 "combination": [int(a in support) for a in range(d)],
             },
             diagnostics=["found a derivation with a nonzero eigenvalue"],
         )
 
     for a in range(d):
-        if mx.trace(ders[a]) != 0:
+        if ders[a].trace() != 0:
             return reject(a)
 
-    flag = mx.identity(n)
+    flag = identity(n)
     steps = 0
     while flag.shape[1] > 0:
-        nxt = mx.col_basis(mx.hstack([D @ flag for D in ders]))
+        nxt = col_basis_dense(np.concatenate([D @ flag for D in ders], axis=1))
         if nxt.shape[1] == flag.shape[1]:
             break
         flag = nxt
@@ -762,11 +849,11 @@ def is_characteristically_nilpotent_fraction(algebra):
         )
 
     for a in range(d):
-        if not mx.is_nilpotent(ders[a]):
+        if not is_nilpotent(ders[a]):
             return reject(a)
     for a in range(d):
         for b in range(a + 1, d):
-            if mx.trace(ders[a] @ ders[b]) != 0:
+            if (ders[a] @ ders[b]).trace() != 0:
                 return reject(a, b)
     raise AssertionError("the flag stalled, but the trace form of Der vanishes")
 
@@ -779,7 +866,7 @@ def group_elements(generators):
     breadth-first: the identity, then each level sorted by entries, so the
     first level is the distinct non-identity generators in key order."""
     def key(m):
-        return tuple(m.flat)
+        return tuple(flat(m))
 
     ident = mx.identity(generators[0].shape[0])
     seen = {key(ident)}
@@ -812,7 +899,7 @@ def phi_p_fraction(algebra, grading, p):
     scales = np.array(
         [Fraction(p) ** w for w, s in grading.components for _ in range(s.shape[1])], dtype=object
     )
-    return mx.matmul(cols * scales, mx.inverse(cols))
+    return mx.matmul(mx.rmat(dense(cols) * scales), mx.inverse(cols))
 
 
 def preserved_by_rank(grading, psi):
@@ -820,9 +907,9 @@ def preserved_by_rank(grading, psi):
     column spaces of (d psi)(e S) and e S by rank for each component S."""
     if mx.det(psi) == 0:
         raise ValueError("singular map cannot preserve a grading")
-    psi_int, _ = mx.cleared(psi)
+    psi_int = np.array(psi.rows, dtype=object)
     for _, s in grading.components:
-        s_int, _ = mx.cleared(s)
+        s_int = np.array(s.rows, dtype=object)
         if not col_spaces_equal(psi_int @ s_int, s_int):
             return False
     return True
@@ -887,7 +974,7 @@ def check_expinfra(algebra, group, certificate) -> Verdict:
         raise ValueError("holonomy elements must be automorphisms of the algebra")
     if isinstance(certificate, Grading):
         return holonomy._check_grading_condition(algebra, group, certificate, positive=True)
-    if isinstance(certificate, np.ndarray):
+    if isinstance(certificate, mx.QMat):
         m = certificate
         problems = []
         if not is_automorphism(algebra, m):
@@ -908,7 +995,7 @@ def check_covinfra(algebra, group, certificate) -> Verdict:
         raise ValueError("holonomy elements must be automorphisms of the algebra")
     if isinstance(certificate, Grading):
         return holonomy._check_grading_condition(algebra, group, certificate, positive=False)
-    if isinstance(certificate, np.ndarray):
+    if isinstance(certificate, mx.QMat):
         m = certificate
         if m.shape != (algebra.dim, algebra.dim):
             raise ValueError("matrix dimension mismatch")

@@ -41,7 +41,7 @@ def test_criterion_01_notcohopf_determinant():
     g = grading_from_weights(algebra, (0, 1, 1, 1, 2, 2, 3))
     assert verify_grading(algebra, g).accepted()
     phi = phi_p(algebra, g, 2)
-    assert mx.mat_eq(phi, oracles.diag([1, 2, 2, 2, 4, 4, 8]))
+    assert oracles.mat_eq(phi, oracles.diag([1, 2, 2, 2, 4, 4, 8]))
     assert is_automorphism(algebra, phi)
     assert mx.det(phi) == 2**10
     report(1, "phi_2 of the (0,1,1,1,2,2,3) grading is diag(1,2,2,2,4,4,8), det 2^10")
@@ -63,7 +63,7 @@ def test_criterion_03_nilp5_characteristically_nilpotent():
     assert verdict.accepted()
     assert elapsed < 60.0
     for d in oracles.derivation_matrices(algebra):
-        assert mx.is_nilpotent(d)
+        assert oracles.is_nilpotent(d)
     assert weight_solution_space(algebra).shape[1] == 0
     report(3, f"characteristically nilpotent (deterministic check in {elapsed:.2f}s);"
               " all derivations nilpotent; weight space 0")
@@ -72,7 +72,7 @@ def test_criterion_03_nilp5_characteristically_nilpotent():
 def test_criterion_04_integer_like_cube():
     m = mx.rmat([["5/2", "1/2"], ["1/2", "1/2"]])
     cube = mx.mat_pow(m, 3)
-    assert mx.mat_eq(cube, mx.rmat([[17, 4], [4, 1]]))
+    assert oracles.mat_eq(cube, mx.rmat([[17, 4], [4, 1]]))
     report(4, "[[5/2,1/2],[1/2,1/2]]^3 = [[17,4],[4,1]] exactly")
 
 
@@ -84,7 +84,7 @@ def test_criterion_05_escape_orbit():
         x = a @ x
         assert not all(e.denominator == 1 for e in x)
         closed_form = v0 + Fraction(2**k - 1, 2) * mx.rvec([1, 3])
-        assert (x == closed_form).all()
+        assert x == closed_form
     report(5, "A^k v stays outside Z^2 and matches v + (2^k-1)/2 * (1,3) for k = 1..64")
 
 
@@ -138,11 +138,11 @@ def _commuting_companions(algebra_name, algebra, m):
     if algebra_name == "heisenberg3":
         for name in ("diag224", "diag236", "diag122", "rotation"):
             psi = load_map("heisenberg3", name)
-            if mx.mat_eq(psi @ m, m @ psi):
+            if oracles.mat_eq(psi @ m, m @ psi):
                 out.append(psi)
         for hol in ("heisenberg3_sign", "heisenberg3_swap"):
             for f in oracles.group_elements(load_holonomy(hol).generators):
-                if mx.mat_eq(f @ m, m @ f):
+                if oracles.mat_eq(f @ m, m @ f):
                     out.append(f)
     return out
 

@@ -328,17 +328,16 @@ class TestNorm:
 
 
 class TestWitnessTraffic:
-    """A grading's witnesses read its one cleared inverse."""
+    """A grading's witnesses read its one inverse."""
 
     @pytest.mark.parametrize("argv", [["expand", "filiform5"], ["expand", "heisenberg5", "--prime", "3"], ["cohopf", "notcohopf"]])
     def test_one_inverse_per_accept(self, monkeypatch, argv):
-        # verify_grading re-bases with it and phi_p multiplies by it, in ints
-        calls = counted(monkeypatch, matrices, "inverse_cleared")
-        counted(monkeypatch, matrices, "inverse", calls)
+        # verify_grading re-bases with it and phi_p multiplies by its int rows
+        calls = counted(monkeypatch, matrices, "inverse")
         counted(monkeypatch, matrices, "matmul", calls)
         code, v, _ = run_cli(*argv)
         assert (code, v["decision"]) == (0, "accept")
-        assert calls == {"inverse_cleared": 1, "inverse": 0, "matmul": 0}
+        assert calls == {"inverse": 1, "matmul": 0}
 
     @pytest.mark.parametrize(
         "algebra, path",
@@ -355,10 +354,10 @@ class TestWitnessTraffic:
         # the weights and the homogeneity guard read one re-based algebra,
         # and the preservation test reads the inverse that re-based it
         calls = counted(monkeypatch, liealg.LieAlgebra, "in_basis")
-        counted(monkeypatch, matrices, "inverse_cleared", calls)
+        counted(monkeypatch, matrices, "inverse", calls)
         code, v, _ = run_cli("norm", algebra, str(path))
         assert code == 0 and "grading" in v["certificate"]
-        assert calls == {"in_basis": 1, "inverse_cleared": 1}
+        assert calls == {"in_basis": 1, "inverse": 1}
 
 class TestLatpow:
     def test_power_certificate(self, tmp_path):
@@ -482,6 +481,7 @@ MALFORMED_SHAPES = {
     "generators null": ("holonomy", {"generators": None}),
     "components not an array": ("cohopf", {"components": 5}),
     "basis not an array": ("cohopf", {"components": [{"weight": 1, "basis": 5}]}),
+    "basis vectors of unequal length": ("cohopf", {"components": [{"weight": 1, "basis": [["1", "0", "0"], ["0", "1"]]}]}),
 }
 
 
@@ -605,7 +605,7 @@ class TestStdout:
         assert (done.stdout, done.stderr) == ("", "")
 
     def test_import_loads_no_third_party_module(self):
-        # numpy is the one runtime dependency; sympy is installed for tests only
+        # nilgrade has no runtime dependency; numpy and sympy are installed for tests only
         code = (
             "import json, sys; before = set(sys.modules); import nilgrade.cli; "
             "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
@@ -613,7 +613,34 @@ class TestStdout:
         )
         done = self._run("-c", code)
         assert done.returncode == 0
-        assert json.loads(done.stdout) == ["nilgrade", "numpy"]
+        assert json.loads(done.stdout) == ["nilgrade"]
+
+    def test_every_subcommand_runs_without_numpy(self, tmp_path):
+        # one query of each subcommand, in a fresh interpreter: no path
+        # imports numpy, not even on first use
+        orbit = tmp_path / "orbit.json"
+        orbit.write_text(json.dumps({"A": [["1/2", "1/2"], ["-3/2", "5/2"]], "v": ["0", "1"], "bound": 8}))
+        argvs = [
+            ["check", "nilp5"],
+            ["grade", "notcohopf", "--mode", "nonneg"],
+            ["expand", "heisenberg3", "--holonomy", "heisenberg3_swap"],
+            ["cohopf", "notcohopf"],
+            ["norm", "heisenberg3", str(MAPS / "heisenberg3__diag224.json")],
+            ["latpow", str(ROOT / "tests" / "golden" / "latpow" / "readme-lattice.json")],
+            ["latpow", str(orbit)],
+        ]
+        code = (
+            "import contextlib, io, json, sys; from nilgrade import cli; codes = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        codes.append(cli.main(argv))\n"
+            "print(json.dumps([codes, 'numpy' in sys.modules]))"
+        )
+        done = self._run("-c", code, json.dumps(argvs))
+        assert done.returncode == 0, done.stderr
+        codes, loaded = json.loads(done.stdout)
+        assert codes == [0] * len(argvs)
+        assert not loaded
 
     def test_check_prints_one_json_verdict(self):
         done = self._run("-m", "nilgrade.cli", "check", "heisenberg3")

@@ -71,13 +71,13 @@ def det_3x3_oracle(m):
 
 def companion(p: Polynomial):
     n = p.degree
-    assert p.is_monic()
-    c = mx.zeros(n, n)
+    assert oracles.is_monic(p)
+    c = oracles.zeros(n, n)
     for i in range(1, n):
         c[i, i - 1] = Fraction(1)
     for i in range(n):
         c[i, n - 1] = -p.coeffs[i]
-    return c
+    return mx.rmat(c)
 
 
 class TestCharpoly:
@@ -128,7 +128,7 @@ class TestDetInverse:
             if mx.det(m) == 0:
                 continue
             hits += 1
-            assert mx.mat_eq(m @ mx.inverse(m), mx.identity(3))
+            assert oracles.mat_eq(m @ mx.inverse(m), mx.identity(3))
 
     def test_singular_inverse_raises(self):
         with pytest.raises(ValueError):
@@ -148,7 +148,7 @@ class TestKernelAndSpaces:
         a = mx.rmat([[1, 2], [1, 2], [0, 0]])
         b = mx.rmat([[3], [3], [0]])
         assert col_spaces_equal(a, b)
-        assert mx.mat_eq(mx.col_basis(a), mx.col_basis(b))
+        assert oracles.mat_eq(mx.col_basis(a), mx.col_basis(b))
 
     def test_solve_none_when_inconsistent(self):
         a = mx.rmat([[1, 0], [1, 0]])
@@ -177,25 +177,25 @@ class TestEvalPoly:
             m = mx.rmat([[rng.choice(vals) for _ in range(n)] for _ in range(n)])
             p = Polynomial(rng.choice(vals) for _ in range(rng.randint(0, 6)))
             got = mx.eval_poly(p, m)
-            assert mx.mat_eq(got, eval_poly_fraction(p, m))
-            assert all(type(e) is Fraction for e in got.flat)
+            assert oracles.mat_eq(got, eval_poly_fraction(p, m))
+            assert all(type(e) is Fraction for e in oracles.flat(got))
 
     def test_mat_pow_matches_repeated_products(self):
         m = mx.rmat([[1, Fraction(1, 2)], [-3, Fraction(2, 3)]])
         want = mx.identity(2)
         for k in range(6):
-            assert mx.mat_eq(mx.mat_pow(m, k), want)
+            assert oracles.mat_eq(mx.mat_pow(m, k), want)
             want = want @ m
         assert mx.mat_pow(m, 1) is not m
-        assert mx.mat_eq(mx.mat_pow(m, -2) @ mx.mat_pow(m, 2), mx.identity(2))
+        assert oracles.mat_eq(mx.mat_pow(m, -2) @ mx.mat_pow(m, 2), mx.identity(2))
 
 
 class TestPrimaryDecomposition:
     def test_diagonal(self):
         comps = mx.primary_decomposition(oracles.diag([1, 2]))
         assert [(str(p), s.shape[1]) for p, s in comps] == [("X - 1", 1), ("X - 2", 1)]
-        assert mx.mat_eq(comps[0][1], mx.rmat([[1], [0]]))
-        assert mx.mat_eq(comps[1][1], mx.rmat([[0], [1]]))
+        assert oracles.mat_eq(comps[0][1], mx.rmat([[1], [0]]))
+        assert oracles.mat_eq(comps[1][1], mx.rmat([[0], [1]]))
 
     def test_rational_eigenline_decomposition(self):
         m = mx.rmat([["1/2", "1/2"], ["-3/2", "5/2"]])
@@ -203,7 +203,7 @@ class TestPrimaryDecomposition:
         # oracle: eigenlines are the kernels of (A - I) and (A - 2I)
         for (p, s), lam in zip(comps, (1, 2)):
             oracle = mx.col_basis(kernel_of(m - lam * mx.identity(2)))
-            assert mx.mat_eq(s, oracle)
+            assert oracles.mat_eq(s, oracle)
 
     def test_irreducible_charpoly_single_component(self):
         c = companion(P(1, 0, 1))
@@ -247,7 +247,7 @@ class TestHnfMembership:
                 continue
             hits += 1
             u = mx.rmat([[1, rng.randint(-2, 2), 0], [0, 1, 0], [0, rng.randint(-2, 2), 1]])
-            assert mx.mat_eq(hnf(b), hnf(b @ u))
+            assert oracles.mat_eq(hnf(b), hnf(b @ u))
 
     def test_agrees_with_bruteforce_enumeration(self):
         # members are B c (c small); near-members add half a basis column
@@ -290,7 +290,7 @@ class TestOrderMod:
         # oracle: direct powering
         acc = m
         k = 1
-        while not mx.mat_eq(
+        while not oracles.mat_eq(
             mx.rmat([[int(e) % 3 for e in row] for row in acc]), mx.identity(2)
         ):
             acc = acc @ m
@@ -315,7 +315,7 @@ class TestOrderMod:
             red = np.array([[int(e) % modulus for e in row] for row in m], dtype=object)
             acc = red
             for j in range(1, k):
-                assert not mx.mat_eq(mx.rmat(acc.tolist()), mx.identity(2))
+                assert not oracles.mat_eq(mx.rmat(acc.tolist()), mx.identity(2))
                 acc = (acc @ red) % modulus
 
     def test_composite_modulus_matches_brute_scan(self):
@@ -454,7 +454,7 @@ class TestLeastExponent:
 def order_by_powering(a, modulus, cap):
     """Least k <= cap with A^k = I mod modulus, by one product per k; None past cap."""
     ident = np.identity(a.shape[0], dtype=object)
-    base = mx.cleared(a)[0] % modulus
+    base = np.array(a.rows, dtype=object) % modulus
     acc = base
     for k in range(1, cap + 1):
         if (acc == ident).all():
@@ -487,16 +487,18 @@ class TestOrderByBruteForce:
 
 
 class TestCleared:
+    """A QMat holds its cleared form: int rows over the least denominator."""
+
     def test_least_denominator(self):
-        scaled, d = mx.cleared(mx.rmat([["1/2", "1/3"], [1, "-5/6"]]))
-        assert d == 6
-        assert scaled.tolist() == [[3, 2], [6, -5]]
-        assert all(type(e) is int for e in scaled.flat)
+        q = mx.rmat([["1/2", "1/3"], [1, "-5/6"]])
+        assert q.den == 6
+        assert q.rows == ((3, 2), (6, -5))
+        assert all(type(e) is int for row in q.rows for e in row)
 
     def test_integral_input(self):
-        scaled, d = mx.cleared(mx.rmat([[2, -1], [0, 7]]))
-        assert d == 1
-        assert scaled.tolist() == [[2, -1], [0, 7]]
+        q = mx.rmat([[2, -1], [0, 7]])
+        assert q.den == 1
+        assert q.rows == ((2, -1), (0, 7))
 
 
 # -- the sparse Gauss-Jordan against the dense row loop ----------------------
@@ -514,11 +516,11 @@ def seeded_cases():
         yield "tall", random_rational_matrix(rng, rng.randint(6, 12), rng.randint(1, 5))
         low = random_rational_matrix(rng, 7, 2, 0.2) @ random_rational_matrix(rng, 2, 9, 0.2)
         yield "rank-deficient", low
-        m = random_rational_matrix(rng, 8, 6)
+        m = oracles.dense(random_rational_matrix(rng, 8, 6))
         m[[1, 4]] = Fraction(0)
-        yield "zero-rows", m
+        yield "zero-rows", mx.rmat(m)
         ints = np.array([[rng.randint(-3, 3) for _ in range(5)] for _ in range(6)], dtype=object)
-        yield "int-valued", ints
+        yield "int-valued", mx.rmat(ints)
 
 
 class TestGaussJordan:
@@ -530,8 +532,8 @@ class TestGaussJordan:
             red, pivots = mx.rref(a)
             want, want_pivots = rref_dense(a)
             assert pivots == want_pivots
-            assert red.shape == a.shape and mx.mat_eq(red, want)
-            assert all(type(e) is Fraction for e in red.flat)
+            assert red.shape == a.shape and oracles.mat_eq(red, want)
+            assert all(type(e) is Fraction for e in oracles.flat(red))
 
     def test_rank_deficient_cases_lose_rank(self):
         assert any(len(mx.rref(a)[1]) < min(a.shape) for k, a in seeded_cases() if k == "rank-deficient")
@@ -541,22 +543,22 @@ class TestGaussJordan:
         for _, a in seeded_cases():
             rows = [{c: v for c, v in enumerate(row) if v} for row in a]
             rng.shuffle(rows)
-            red, pivots = mx.gauss_jordan(rows)
+            red, pivots = oracles.gauss_jordan(rows)
             want, want_pivots = rref_dense(a)
             assert pivots == want_pivots
             assert red == [{c: v for c, v in enumerate(want[r]) if v} for r in range(len(pivots))]
 
     def test_empty(self):
-        assert mx.gauss_jordan([]) == ([], [])
-        assert mx.gauss_jordan([{}, {3: Fraction(0)}]) == ([], [])
+        assert oracles.gauss_jordan([]) == ([], [])
+        assert oracles.gauss_jordan([{}, {3: Fraction(0)}]) == ([], [])
         for shape in ((0, 3), (3, 0)):
             red, pivots = mx.rref(mx.zeros(*shape))
             assert red.shape == shape and pivots == []
 
     def test_wrappers_match_dense(self):
         for _, a in seeded_cases():
-            assert mx.mat_eq(kernel_of(a), nullspace_dense(a))
-            assert mx.mat_eq(mx.col_basis(a), col_basis_dense(a))
+            assert oracles.mat_eq(kernel_of(a), nullspace_dense(a))
+            assert oracles.mat_eq(mx.col_basis(a), col_basis_dense(a))
 
 
 # -- the fraction-free core against the Fraction oracles ----------------------
@@ -600,8 +602,8 @@ class TestFractionFreeCore:
         for a in sparse_systems():
             red, pivots = mx.rref(a)
             want, want_pivots = rref_dense(a)
-            assert pivots == want_pivots and mx.mat_eq(red, want)
-            assert mx.mat_eq(kernel_of(a), nullspace_dense(a))
+            assert pivots == want_pivots and oracles.mat_eq(red, want)
+            assert oracles.mat_eq(kernel_of(a), nullspace_dense(a))
 
     def test_echelon_rows_are_primitive(self):
         # content 1 and a positive lead: the int row is the one primitive
@@ -609,7 +611,7 @@ class TestFractionFreeCore:
         leads = set()
         for a in sparse_systems():
             rows = [{c: v for c, v in enumerate(row) if v} for row in a]
-            red, pivots = mx.gauss_jordan(rows)
+            red, pivots = oracles.gauss_jordan(rows)
             ints = mx.echelon(rows)
             assert [min(r) for r in ints] == pivots
             for r, want, p in zip(ints, red, pivots):
@@ -637,7 +639,8 @@ class TestFractionFreeCore:
             n = rng.randint(1, 7)
             a = sparse_system(rng, n, n)
             if rng.random() < 0.3:  # a permuted triangular matrix
-                a = mx.rmat([[x if c >= r else 0 for c, x in enumerate(row)] for r, row in enumerate(a)])[rng.sample(range(n), n)]
+                tri = [[x if c >= r else 0 for c, x in enumerate(row)] for r, row in enumerate(a)]
+                a = mx.rmat([tri[i] for i in rng.sample(range(n), n)])
             d = mx.det(a)
             assert d == det_fraction(a)
             if d == 0:
@@ -645,10 +648,10 @@ class TestFractionFreeCore:
                 with pytest.raises(ValueError):
                     mx.inverse(a)
             else:
-                assert mx.mat_eq(mx.matmul(mx.inverse(a), a), mx.identity(n))
+                assert oracles.mat_eq(mx.matmul(mx.inverse(a), a), mx.identity(n))
         assert 0 < singular < 40
 
-    def test_inverse_cleared_is_the_cleared_inverse(self):
+    def test_inverse_is_the_dense_inverse_in_lowest_terms(self):
         rng = random.Random(68)
         invertible = singular = 0
         while invertible < 25:
@@ -657,12 +660,14 @@ class TestFractionFreeCore:
             if mx.det(a) == 0:
                 singular += 1
                 with pytest.raises(ValueError):
-                    mx.inverse_cleared(a)
+                    mx.inverse(a)
                 continue
             invertible += 1
-            b, d = mx.inverse_cleared(a)
-            want, want_d = mx.cleared(mx.inverse(a))
-            assert d == want_d and all(type(v) is int for v in b.flat) and mx.mat_eq(b, want)
+            b = mx.inverse(a)
+            want = rref_dense(np.concatenate([oracles.dense(a), oracles.identity(n)], axis=1))[0][:, n:]
+            assert oracles.mat_eq(b, want)
+            assert b.den == lcm(*(e.denominator for e in want.flat))
+            assert all(type(v) is int for row in b.rows for v in row)
         assert singular > 0
 
     def test_det_of_small_matrices_by_leibniz(self):
@@ -718,9 +723,9 @@ class TestMatmul:
     @example(pair=(np.array([[1, -2], [3, 4]], dtype=object), np.array([[5], [-6]], dtype=object)))
     def test_equals_fraction_product(self, pair):
         a, b = pair
-        got, want = mx.matmul(a, b), a @ b
-        assert got.shape == want.shape and (got == want).all()
-        assert all(type(e) is Fraction for e in got.flat)
+        got, want = mx.matmul(oracles.qmat(a), oracles.qmat(b)), oracles.dense(a) @ oracles.dense(b)
+        assert oracles.mat_eq(got, want)
+        assert all(type(e) is Fraction for e in oracles.flat(got))
 
     @settings(max_examples=50)
     @given(pair=matrix_pair(), extra=st.integers(1, 3))
@@ -728,9 +733,9 @@ class TestMatmul:
         a, _ = pair
         b = mx.zeros(a.shape[1] + extra, 2)
         with pytest.raises(ValueError):
-            a @ b
+            oracles.dense(a) @ oracles.dense(b)
         with pytest.raises(ValueError):
-            mx.matmul(a, b)
+            mx.matmul(oracles.qmat(a), b)
 
 
 class TestCommutesWith:
@@ -739,17 +744,17 @@ class TestCommutesWith:
     @example(pair=(rational(["1/2", 1], [0, "-1/3"]), rational([2, 0], [0, 2])), kind="drawn")
     @example(pair=(rational(["1/2", 1], [0, "-1/3"]), rational([1, "1/5"], [0, 1])), kind="drawn")
     def test_equals_fraction_commutator_test(self, pair, kind):
-        a, b = pair
+        a, b = map(oracles.dense, pair)
         if kind == "polynomial":  # commutes with a
-            b = a @ a - Fraction(3, 2) * a + mx.identity(a.shape[0])
+            b = a @ a - Fraction(3, 2) * a + oracles.identity(a.shape[0])
         elif kind == "scalar":
-            b = Fraction(-2, 3) * mx.identity(a.shape[0])
-        assert mx.commutes_with(a)(b) == mx.mat_eq(a @ b, b @ a)
+            b = Fraction(-2, 3) * oracles.identity(a.shape[0])
+        assert mx.commutes_with(oracles.qmat(a))(oracles.qmat(b)) == oracles.mat_eq(a @ b, b @ a)
 
     def test_one_test_serves_a_group(self):
         m = rational(["1/2", 0], [0, 3])
-        test = mx.commutes_with(m)
-        verdicts = [test(f) for f in (mx.identity(2), rational([0, 1], [1, 0]), rational([-1, 0], [0, "1/7"]))]
+        test = mx.commutes_with(mx.rmat(m))
+        verdicts = [test(mx.rmat(f)) for f in (mx.identity(2), rational([0, 1], [1, 0]), rational([-1, 0], [0, "1/7"]))]
         assert verdicts == [True, False, True]
 
 
@@ -786,13 +791,13 @@ class TestPrimaryDecompositionInIntegers:
     def test_matches_fraction_decomposition(self, m):
         got, want = mx.primary_decomposition(m), primary_decomposition_fraction(m)
         assert [p for p, _ in got] == [p for p, _ in want]
-        assert all(mx.mat_eq(a, b) for (_, a), (_, b) in zip(got, want))
+        assert all(oracles.mat_eq(a, b) for (_, a), (_, b) in zip(got, want))
 
     def test_minimal_polynomial_factor_and_scalar_map(self):
         # p(M) = 0 for the factor p: its int multiple is zero, the kernel everything
         for m in (companion(P(1, 0, 1)), 3 * mx.identity(3), mx.zeros(2, 2)):
             got = mx.primary_decomposition(m)
-            assert len(got) == 1 and mx.mat_eq(got[0][1], mx.identity(m.shape[0]))
+            assert len(got) == 1 and oracles.mat_eq(got[0][1], mx.identity(m.shape[0]))
             assert [p for p, _ in got] == [p for p, _ in primary_decomposition_fraction(m)]
 
 
@@ -826,3 +831,95 @@ class TestColumnSpacesByRank:
         assert not col_spaces_equal(a, a[:, :1])
         assert not col_spaces_equal(a, a[:2])
         assert col_spaces_equal(mx.zeros(3, 0), mx.zeros(3, 2))
+
+
+# -- QMat laws against the Fraction oracles ------------------------------------
+
+
+@st.composite
+def qmats(draw, nr=None, nc=None, square=False):
+    """A small rational QMat (dims 1-4 unless given), some of its rows zero
+    or repeated so that kernels and singular matrices come up."""
+    nr = draw(st.integers(1, 4)) if nr is None else nr
+    nc = nr if square else draw(st.integers(1, 4)) if nc is None else nc
+    rows = [draw(st.lists(rationals, min_size=nc, max_size=nc)) for _ in range(nr)]
+    if nr > 1 and draw(st.booleans()):
+        rows[-1] = [draw(st.sampled_from([0, 1, Fraction(-2, 3)])) * x for x in rows[0]]
+    return mx.rmat(rows)
+
+
+def assert_lowest_terms(q):
+    assert q.den > 0 and gcd(q.den, *(x for row in q.rows for x in row)) == 1
+    assert all(type(x) is int for row in q.rows for x in row)
+
+
+class TestQMatLaws:
+    """Each QMat kernel against its Fraction oracle, and each result in
+    lowest terms over a positive denominator."""
+
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_matmul(self, data):
+        a = data.draw(qmats())
+        b = data.draw(qmats(nr=a.shape[1]))
+        got = mx.matmul(a, b)
+        assert oracles.mat_eq(got, oracles.dense(a) @ oracles.dense(b)) and got == a @ b
+        assert_lowest_terms(got)
+        v = data.draw(qmats(nr=1, nc=a.shape[1])).tolist()[0]
+        assert oracles.mat_eq(a @ mx.rvec(v), oracles.dense(a) @ np.array(v, dtype=object))
+
+    @settings(max_examples=150)
+    @given(a=qmats(square=True))
+    def test_det_and_inverse(self, a):
+        d = mx.det(a)
+        assert d == det_fraction(a)
+        if d == 0:
+            with pytest.raises(ValueError):
+                mx.inverse(a)
+            return
+        n = a.shape[0]
+        got = mx.inverse(a)
+        assert oracles.mat_eq(got, rref_dense(np.concatenate([oracles.dense(a), oracles.identity(n)], axis=1))[0][:, n:])
+        assert_lowest_terms(got)
+
+    @settings(max_examples=150)
+    @given(a=qmats())
+    def test_rref_and_kernel(self, a):
+        red, pivots = mx.rref(a)
+        want, want_pivots = rref_dense(a)
+        assert pivots == want_pivots and oracles.mat_eq(red, want)
+        assert_lowest_terms(red)
+        k = kernel_of(a)
+        assert oracles.mat_eq(k, nullspace_dense(a))
+        assert_lowest_terms(k)
+
+    @settings(max_examples=100)
+    @given(a=qmats(square=True), k=st.integers(-3, 6))
+    def test_mat_pow(self, a, k):
+        if k < 0 and mx.det(a) == 0:
+            with pytest.raises(ValueError):
+                mx.mat_pow(a, k)
+            return
+        base = oracles.dense(a) if k >= 0 else oracles.dense(mx.inverse(a))
+        want = oracles.identity(a.shape[0])
+        for _ in range(abs(k)):
+            want = want @ base
+        got = mx.mat_pow(a, k)
+        assert oracles.mat_eq(got, want)
+        assert_lowest_terms(got)
+
+    @settings(max_examples=100)
+    @given(a=qmats(), s=rationals)
+    def test_sums_scalars_and_the_numpy_round_trip(self, a, s):
+        assert mx.rmat(np.array(a)) == a
+        assert mx.rmat(oracles.dense(a)) == a
+        assert oracles.mat_eq(a + s * a - a.T.T, oracles.dense(a) * s)
+        assert hash(mx.rmat(a.tolist())) == hash(a)
+        assert_lowest_terms(s * a)
+
+    def test_zero_and_empty_shapes(self):
+        assert mx.zeros(2, 3) == mx.rmat([[0, 0, 0], [0, 0, 0]]) and mx.zeros(2, 3).den == 1
+        assert mx.zeros(0, 3).T.shape == (3, 0) and mx.zeros(3, 0).T.shape == (0, 3)
+        assert mx.matmul(mx.zeros(3, 0), mx.zeros(0, 2)) == mx.zeros(3, 2)
+        with pytest.raises(AttributeError):
+            mx.identity(2).den = 2
