@@ -237,9 +237,7 @@ def phi_p(algebra: LieAlgebra, grading: Grading, p: int) -> QMat:
     w0 = min(0, ws[0])  # the columns are in ascending weight order
     scales = [p ** (w - w0) for w in ws]
     scaled = [list(map(mul, row, scales)) for row in a.rows]
-    b_cols = list(zip(*b.rows))
-    rows = [[sum(map(mul, row, col)) for col in b_cols] for row in scaled]
-    return QMat(rows, a.den * b.den * p**-w0, a.shape)
+    return QMat(mx._product(scaled, b.rows), a.den * b.den * p**-w0, a.shape)
 
 
 def preserved_by(grading: Grading, psi: QMat) -> bool:

@@ -1,5 +1,12 @@
 """Small integer helpers: rationals as ints over one denominator,
-primality, factorization, least exponents.
+content division, square-and-multiply, primality, factorization, least
+exponents.
+
+`primitive` and `power` are the one copy of their idea for every layer
+above: content division serves the Fourier-Motzkin rows, the Z[X]
+remainder sequences, the Schur-Cohn chain and the primary components;
+square-and-multiply serves matrix powers over Q and mod m and polynomial
+powers mod (f, p).
 
 Primality is deterministic Miller-Rabin, a proof below `PRIME_PROOF_LIMIT`
 and refused above it.  Factorization is plain trial division: desk-scale
@@ -13,7 +20,7 @@ exponent in all, and no candidate exponent is raised from scratch.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 # Miller-Rabin to the 13 prime bases 2..41 proves primality of every n below
 # this (Sorenson & Webster, Math. Comp. 86, 2017; the least strong
@@ -108,3 +115,23 @@ def cleared(values) -> tuple[list[int], int]:
     dens = [e.denominator for e in values]
     d = lcm(*dens)
     return [e.numerator * (d // q) for e, q in zip(values, dens)], d
+
+
+def primitive(ints) -> list[int]:
+    """The ints divided by their gcd, signs kept, as a list; all zeros are
+    left as they are."""
+    ints = list(ints)
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
+
+
+def power(x, k: int, product):
+    """x^k for k >= 1 under `product`, by square and multiply."""
+    out = None
+    while k:
+        if k & 1:
+            out = x if out is None else product(out, x)
+        if k > 1:
+            x = product(x, x)
+        k >>= 1
+    return out

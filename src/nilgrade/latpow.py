@@ -29,7 +29,7 @@ class LatticePowerCertificate:
     order_bound: int  # order of A in GL(n, Z_m): the proof's witness power
     a: QMat
     basis: QMat
-    basis_inverse: QMat  # P^-1, which `power_into_lattice` has computed anyway
+    basis_inverse: QMat  # P^-1, the lattice's one inverse
 
     @cached_property
     def conjugated_power(self) -> QMat:
@@ -92,7 +92,7 @@ def power_into_lattice(a: QMat, lattice: IntegerLattice) -> LatticePowerCertific
     d = mx.det(a)
     if d == 0:
         raise ValueError("matrix is singular")
-    p_inv = mx.inverse(lattice.basis)
+    p_inv = lattice.inverse
     primes, m = denominator_primes(lattice.basis, p_inv)
     g = int_gcd(abs(int(d)), m)
     if g != 1:
@@ -199,5 +199,5 @@ def _part_prime_to(a: int, b: int) -> int:
 def obstruction_primes_pair(l1: IntegerLattice, l2: IntegerLattice) -> list[int]:
     """Primes of the change-of-basis matrix between two lattices: library
     surface that no CLI path calls, shown in `demos/02_lattice_powers.py`."""
-    change = mx.matmul(mx.inverse(l1.basis), l2.basis)
+    change = mx.matmul(l1.inverse, l2.basis)
     return denominator_primes(change)[0]

@@ -25,10 +25,8 @@ solver reproducible across implementations.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-
 from . import matrices as mx
-from .intutil import cleared
+from .intutil import cleared, primitive
 
 Row = dict[int, int | Fraction]
 Inequality = tuple[Row, int | Fraction]
@@ -39,19 +37,13 @@ Constraint = tuple[tuple[Fraction, ...], Fraction]
 Dependents = dict[int, tuple[int, list[tuple[int, int]]]]
 
 
-def _primitive(row: tuple[int, ...]) -> tuple[int, ...]:
-    """The int row divided by its content, sign kept: the one
-    representative of its positive multiples."""
-    g = gcd(*row)
-    return row if g <= 1 else tuple(c // g for c in row)
-
-
 def feasible(ineqs: list[Constraint], nvars: int) -> bool:
     """Rational feasibility of {every ineq holds}, by Fourier-Motzkin
     elimination.  Each inequality is one int row (coefficients, then the
-    rhs), cleared once and kept primitive, so duplicates drop out of the
-    row sets."""
-    rows = {_primitive(tuple(cleared([*coeffs, rhs])[0])) for coeffs, rhs in ineqs}
+    rhs), cleared once and kept primitive (`intutil.primitive`, sign kept:
+    the one representative of its positive multiples), so duplicates drop
+    out of the row sets."""
+    rows = {tuple(primitive(cleared([*coeffs, rhs])[0])) for coeffs, rhs in ineqs}
     for j in range(nvars):
         pos, neg, rest = [], [], set()
         for row in rows:
@@ -64,7 +56,7 @@ def feasible(ineqs: list[Constraint], nvars: int) -> bool:
         for rp in pos:
             for rn in neg:
                 lam, mu = -rn[j], rp[j]
-                rest.add(_primitive(tuple(lam * a + mu * b for a, b in zip(rp, rn))))
+                rest.add(tuple(primitive(lam * a + mu * b for a, b in zip(rp, rn))))
         rows = rest
     return all(row[-1] <= 0 for row in rows)
 

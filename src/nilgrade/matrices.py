@@ -24,7 +24,9 @@ polynomial: `primary_decomposition` makes a `QMat` only for the
 canonical basis it returns.
 
 Also home to the integer-lattice utilities: column-style Hermite normal
-form, exact lattice membership, and matrix orders in GL(n, Z/m).
+form, matrix orders in GL(n, Z/m), and exact lattice membership, read
+through the lattice's one inverse (`IntegerLattice.inverse`): v is in
+the Z-span of P iff P^-1 v is integral.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from math import gcd as int_gcd, lcm, prod
 from operator import mul
@@ -226,19 +229,7 @@ def mat_pow(a: QMat, k: int) -> QMat:
     n = _require_square(a)
     if k < 0:
         return mat_pow(inverse(a), -k)
-    return QMat(_square_multiply(a.rows, k, _product), a.den**k, a.shape) if k else identity(n)
-
-
-def _square_multiply(base, k: int, product):
-    """base^k for k >= 1 under `product`, by square and multiply."""
-    out = None
-    while k:
-        if k & 1:
-            out = base if out is None else product(out, base)
-        if k > 1:
-            base = product(base, base)
-        k >>= 1
-    return out
+    return QMat(intutil.power(a.rows, k, _product), a.den**k, a.shape) if k else identity(n)
 
 
 def _require_square(m: QMat) -> int:
@@ -396,22 +387,14 @@ def det(a: QMat) -> Fraction:
 
 
 def inverse(a: QMat) -> QMat:
-    """A^-1, with no Fraction built: from the primitive pivot rows R_i of the
-    RREF of [d A | d I], row i of A^-1 is the right half of R_i over R_i[i],
-    in lowest terms, so the denominator of A^-1 is the lcm of the leads
-    R_i[i]."""
+    """A^-1, with no Fraction built: the right half of the RREF of
+    [d A | d I], read off the core by `_rref_mat`."""
     n = _require_square(a)
     reduced, _ = _reduce({**row, n + i: a.den} for i, row in enumerate(_sparse_rows(a.rows)))
     if sorted(reduced) != list(range(n)):
         raise ValueError("matrix is singular")
-    d = lcm(*(row[i] for i, row in reduced.items()))
-    out = [[0] * n for _ in range(n)]
-    for i, row in reduced.items():
-        scale = d // row[i]
-        for c, v in row.items():
-            if c >= n:
-                out[i][c - n] = v * scale
-    return QMat(out, d, (n, n))
+    rref_rows = _rref_mat(reduced, n, 2 * n)
+    return QMat((row[n:] for row in rref_rows.rows), rref_rows.den, (n, n))
 
 
 def sparse_kernel(rows, nc: int) -> list[tuple[dict[int, int], int]]:
@@ -540,20 +523,16 @@ def primary_decomposition(m: QMat) -> list[tuple[Polynomial, QMat]]:
     Components come back in the canonical factor order (degree, then
     coefficients); each subspace is a canonical column basis and is
     M-invariant.  All in ints: K_i = s p_i(M) is `_poly_at`'s int
-    multiple, divided by its content and raised to e_i by int products,
-    and ker K_i^e_i = ker p_i(M)^e_i is the `sparse_kernel` of its rows,
+    multiple, divided by its content (`intutil.primitive`) and raised to
+    e_i by `intutil.power` on int rows, and ker K_i^e_i = ker p_i(M)^e_i is the `sparse_kernel` of its rows,
     whose int columns `span_basis` reduces to the canonical basis.
     """
     n = _require_square(m)
     out = []
     for p, mult in factor_over_q(charpoly(m)):
-        k = _poly_at(p, m)[0]
-        g = int_gcd(*chain.from_iterable(k)) or 1  # p(M) = 0 when p is the minimal polynomial
-        k = [[x // g for x in row] for row in k]
-        power = k
-        for _ in range(mult - 1):
-            power = _product(power, k)
-        kernel_cols = [col for col, _ in sparse_kernel(_sparse_rows(power), n)]
+        flat = intutil.primitive(chain.from_iterable(_poly_at(p, m)[0]))  # all zero when p is the minimal polynomial
+        k = intutil.power([flat[i : i + n] for i in range(0, n * n, n)], mult, _product)
+        kernel_cols = [col for col, _ in sparse_kernel(_sparse_rows(k), n)]
         out.append((p, span_basis(kernel_cols, n)))
     return out
 
@@ -563,14 +542,23 @@ def primary_decomposition(m: QMat) -> list[tuple[Polynomial, QMat]]:
 
 @dataclass(frozen=True)
 class IntegerLattice:
-    """Z-span of the columns of an invertible rational matrix."""
+    """Z-span of the columns of an invertible rational matrix P, with its
+    one inverse P^-1 (`inverse`), which membership and lattice powers
+    read."""
 
     basis: QMat
 
     def __post_init__(self):
         _require_square(self.basis)
-        if det(self.basis) == 0:
-            raise ValueError("lattice basis must be invertible")
+        try:
+            self.inverse
+        except ValueError:
+            raise ValueError("lattice basis must be invertible") from None
+
+    @cached_property
+    def inverse(self) -> QMat:
+        """P^-1, computed once."""
+        return inverse(self.basis)
 
     @property
     def dim(self) -> int:
@@ -581,8 +569,8 @@ def hnf(a: QMat) -> QMat:
     """Column-style Hermite normal form of a nonsingular integer matrix.
 
     Lower triangular, positive pivots, entries left of each pivot reduced
-    into [0, pivot).  Unique for the column lattice, so certificates that
-    embed it are byte-stable.
+    into [0, pivot).  Unique for the column lattice: two integer bases
+    span the same lattice iff their Hermite forms are equal.
     """
     n = _require_square(a)
     if a.den != 1:
@@ -616,22 +604,12 @@ def hnf(a: QMat) -> QMat:
 
 
 def hnf_membership(v: QMat, lattice: IntegerLattice) -> bool:
-    """Exact test for v in the Z-span of the lattice basis: with B = d P
-    and H its Hermite form, v is in the lattice iff the solution y of the
-    triangular H y = d v is integral."""
+    """Exact test for v in the Z-span of the lattice basis P: v = P z for
+    the one z = P^-1 v, so v is in the lattice iff P^-1 v is integral."""
     n = lattice.dim
     if v.shape != (n,):
         raise ValueError(f"vector of length {n} required, got shape {v.shape}")
-    basis = lattice.basis
-    h = hnf(QMat(basis.rows)).rows
-    target = [Fraction(x * basis.den, v.den) for x in v.rows[0]]
-    y = [Fraction(0)] * n
-    for r in range(n):
-        acc = target[r]
-        for c in range(r):
-            acc -= h[r][c] * y[c]
-        y[r] = acc / h[r][r]
-    return all(e.denominator == 1 for e in y)
+    return (lattice.inverse @ v).den == 1
 
 
 def _mat_mul_mod(a, b, modulus: int) -> list[list[int]]:
@@ -652,7 +630,7 @@ def _mat_mul_mod(a, b, modulus: int) -> list[list[int]]:
 def _mat_pow_mod(base, k: int, modulus: int) -> list[list[int]]:
     """B^k mod the modulus for int rows B and k >= 1."""
     reduced = [[x % modulus for x in row] for row in base]
-    return _square_multiply(reduced, k, lambda x, y: _mat_mul_mod(x, y, modulus))
+    return intutil.power(reduced, k, lambda x, y: _mat_mul_mod(x, y, modulus))
 
 
 def order_mod(m: QMat, modulus: int) -> int:

@@ -22,7 +22,7 @@ from itertools import combinations
 from math import gcd as int_gcd, isqrt
 from typing import Iterable
 
-from .intutil import cleared, frac, is_prime
+from .intutil import cleared, frac, is_prime, power, primitive
 
 
 class Polynomial:
@@ -114,21 +114,15 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
+        """Quotient and remainder over Q, from the pseudo-division of the
+        cleared operands: s (d_a A) = q (d_b B) + r gives
+        A = (q d_b / (s d_a)) B + r / (s d_a)."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        d = other.degree
-        lc = other.leading()
-        if self.degree < d:
-            return ZERO, self
-        quo = [Fraction(0)] * (self.degree - d + 1)
-        for k in range(self.degree - d, -1, -1):
-            q = rem[k + d] / lc
-            quo[k] = q
-            if q != 0:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] -= q * b
-        return Polynomial(quo), Polynomial(rem)
+        a, da = cleared(self.coeffs)
+        b, db = cleared(other.coeffs)
+        q, r, s = _pseudo_divmod(a, b)
+        return Polynomial(Fraction(c * db, s * da) for c in q), Polynomial(Fraction(c, s * da) for c in r)
 
     def __floordiv__(self, other: "Polynomial") -> "Polynomial":
         return divmod(self, other)[0]
@@ -153,26 +147,8 @@ class Polynomial:
         return Polynomial(reversed(self.coeffs))
 
 
-ZERO = Polynomial([])
 ONE = Polynomial([1])
 X = Polynomial([0, 1])
-
-
-def poly_xgcd(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
-    """(g, u, v) with u*a + v*b = g, g the monic gcd."""
-    r0, r1 = a, b
-    u0, u1 = ONE, ZERO
-    v0, v1 = ZERO, ONE
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    if r0.is_zero():
-        return ZERO, ZERO, ZERO
-    lc = r0.leading()
-    inv = Fraction(1) / lc
-    return r0.monic(), u0 * inv, v0 * inv
 
 
 # -- integer polynomials -----------------------------------------------
@@ -211,11 +187,6 @@ def _mul(a: list[int], b: list[int], m: int = 0) -> list[int]:
     return _trim([c % m for c in out] if m else out)
 
 
-def _primitive(a: list[int]) -> list[int]:
-    g = int_gcd(*a)
-    return [c // g for c in a]
-
-
 def _derivative(a: list[int]) -> list[int]:
     return _trim([k * c for k, c in enumerate(a)][1:])
 
@@ -223,24 +194,26 @@ def _derivative(a: list[int]) -> list[int]:
 # -- squarefree decomposition in Z[X] ------------------------------------
 
 
-def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
-    """(q, r) with s a = q b + r over Z and deg r < deg b, for an int s > 0
-    that scales the running remainder only where a quotient coefficient
-    would not be an int: s = 1, and q is the exact quotient, when b
-    divides a in Z[X]."""
+def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int], int]:
+    """(q, r, s) with s a = q b + r over Z and deg r < deg b, for an int
+    s > 0 that scales the running remainder only where a quotient
+    coefficient would not be an int: s = 1, and q is the exact quotient,
+    when b divides a in Z[X].  The one long division for Z[X] and, on
+    cleared operands, for Q[X] (`Polynomial.__divmod__`)."""
     lc = b[-1]
     r = list(a)
     q = [0] * max(len(a) - len(b) + 1, 0)
+    s = 1
     for k in range(len(q) - 1, -1, -1):
         t = r[k + len(b) - 1]
         if t % lc:
             g = abs(lc) // int_gcd(lc, t)
-            r, q, t = [c * g for c in r], [c * g for c in q], t * g
+            r, q, t, s = [c * g for c in r], [c * g for c in q], t * g, s * g
         c = q[k] = t // lc
         if c:
             for j, y in enumerate(b):
                 r[k + j] -= c * y
-    return _trim(q), _trim(r[: len(b) - 1])
+    return _trim(q), _trim(r[: len(b) - 1]), s
 
 
 def _zgcd(a: list[int], b: list[int]) -> list[int]:
@@ -248,8 +221,8 @@ def _zgcd(a: list[int], b: list[int]) -> list[int]:
     primitive remainder sequence: each pseudo-remainder is divided by its
     content, which keeps the coefficients as small as the gcd allows."""
     while b:
-        a, b = b, _primitive(_pseudo_divmod(a, b)[1])
-    g = _primitive(a)
+        a, b = b, primitive(_pseudo_divmod(a, b)[1])
+    g = primitive(a)
     return g if not g or g[-1] > 0 else [-c for c in g]
 
 
@@ -277,7 +250,7 @@ def _int_part(p: Polynomial) -> list[int]:
     """The primitive int multiple of a nonzero rational polynomial."""
     if p.is_zero():
         raise ValueError("zero polynomial")
-    return _primitive(cleared(p.coeffs)[0])
+    return primitive(cleared(p.coeffs)[0])
 
 
 def squarefree_part(p: Polynomial) -> Polynomial:
@@ -327,14 +300,8 @@ def _bezout(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
 
 
 def _powmod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
-    """a^e mod (f, p)."""
-    out, a = [1], _divmod(a, f, p)[1]
-    while e:
-        if e & 1:
-            out = _divmod(_mul(out, a, p), f, p)[1]
-        a = _divmod(_mul(a, a, p), f, p)[1]
-        e >>= 1
-    return out
+    """a^e mod (f, p), for e >= 1."""
+    return power(_divmod(a, f, p)[1], e, lambda x, y: _divmod(_mul(x, y, p), f, p)[1])
 
 
 def _distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
@@ -420,8 +387,8 @@ def _recombine(f: list[int], us: list[list[int]], big: int) -> list[list[int]]:
             h = _lifted_product(f[-1], [us[i] for i in left if i not in subset], big)
             if _mul(g, h) == [f[-1] * c for c in f]:
                 left = [i for i in left if i not in subset]
-                out.append(_primitive(g))
-                f = _primitive(h)
+                out.append(primitive(g))
+                f = primitive(h)
                 break
         else:
             size += 1

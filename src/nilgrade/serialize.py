@@ -48,10 +48,6 @@ def parse_fraction(s) -> Fraction:
     raise _bad(f"rational entries must be strings or integers, got {type(s).__name__}")
 
 
-def vector_to_list(v: QMat) -> list[str]:
-    return [str(e) for e in v]
-
-
 def vector_from_list(data) -> QMat:
     if not isinstance(data, list):
         raise _bad("vector must be a JSON array")

@@ -7,7 +7,7 @@
   (`map_problems`): expanding, or, with `positive` off, in Z[X] with
   |det| > 1;
 - the semisimple part over Q by Newton iteration (Jordan-Chevalley), run
-  until it is exact;
+  until it is exact, each step through one matrix inverse;
 - norm profiles: each primary component of a map is tagged with
   |p_i(0)|^(lcm/deg), a fixed positive power of the absolute field norm of
   its eigenvalues.  A map and its semisimple part have the same primary
@@ -36,15 +36,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import lcm, prod
 
 from . import matrices as mx
 from .grading import Grading, meets_criterion, preserved_by, weight_equations, weights_label
-from .intutil import cleared
+from .intutil import cleared, primitive
 from .liealg import LieAlgebra, is_automorphism
 from .linineq import solve
 from .matrices import QMat
-from .polynomials import Polynomial, factor_order_key, poly_xgcd, squarefree_part
+from .polynomials import Polynomial, factor_order_key, squarefree_part
 
 
 def schur_all_inside(p: Polynomial) -> bool:
@@ -65,9 +65,7 @@ def schur_all_inside(p: Polynomial) -> bool:
         a0, am = f[0], f[-1]
         if am * am - a0 * a0 <= 0:
             return False
-        g = [am * x - a0 * y for x, y in zip(f[1:], f[-2::-1])]  # am f_k - a0 f_(m-k), k = 1..m
-        c = gcd(*g)
-        f = [x // c for x in g]
+        f = primitive(am * x - a0 * y for x, y in zip(f[1:], f[-2::-1]))  # am f_k - a0 f_(m-k), k = 1..m
     return True
 
 
@@ -102,16 +100,17 @@ def semisimple_part(m: QMat) -> QMat:
     """Jordan-Chevalley semisimple part over Q (a polynomial in M).
 
     Newton iteration against the squarefree part g of the characteristic
-    polynomial: S <- S - g(S) * u(S) with u an inverse of g' modulo g,
-    run until g(S) = 0.  With S the semisimple part and N = M - S, the
-    error S_k - S lies in N^(2^k) Q[M], so it vanishes after at most
-    ceil(log2 n) steps.
+    polynomial: S <- S - g(S) g'(S)^-1, run until g(S) = 0.  Each S is M
+    plus a nilpotent polynomial in M, so its eigenvalues are those of M,
+    simple roots of g, and g'(S) is invertible.  With S the semisimple
+    part and N = M - S, the error S_k - S lies in N^(2^k) Q[M], so it
+    vanishes after at most ceil(log2 n) steps.
     """
     g = squarefree_part(mx.charpoly(m))
-    _, u, _ = poly_xgcd(g.derivative(), g)
+    dg = g.derivative()
     s = m
     while not mx.is_zero_mat(gs := mx.eval_poly(g, s)):
-        s = s - mx.matmul(gs, mx.eval_poly(u, s))
+        s = s - mx.matmul(gs, mx.inverse(mx.eval_poly(dg, s)))
     return s
 
 

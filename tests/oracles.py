@@ -28,7 +28,11 @@ triples, with the lower central series that brackets every row with
 every basis element.
 The Fraction loop that `latpow`'s integer orbit scan replaced is kept the
 same way, as is the sequential least-exponent descent that the product
-tree replaced, and so is the characteristic-nilpotency test with its
+tree replaced; so are lattice membership by a triangular solve on the
+Hermite form, which the lattice's one inverse replaced, the long
+division in Fractions, which the pseudo-division of the cleared operands
+replaced, and the extended Euclid (`poly_xgcd`) that the semisimple part
+no longer needs; and so is the characteristic-nilpotency test with its
 Engel flag and witness sums in Fractions on the dense derivation system,
 and the holonomy conditions tested on every element of F rather than on
 its generators, with `group_elements`, the breadth-first closure that
@@ -65,7 +69,7 @@ import numpy as np
 
 from nilgrade import holonomy
 from nilgrade import matrices as mx
-from nilgrade.intutil import cleared, factor_int, frac, is_prime
+from nilgrade.intutil import cleared, factor_int, frac, is_prime, primitive
 from nilgrade.grading import Grading, grading_from_weights, verify_grading, weight_equations
 from nilgrade.liealg import LieAlgebra, derivations, is_automorphism, violated_bracket
 from nilgrade.linineq import solve
@@ -73,11 +77,9 @@ from nilgrade.polynomials import (
     ONE,
     Polynomial,
     _int_part,
-    _primitive,
     _yun,
     factor_order_key,
     factor_over_q,
-    poly_xgcd,
     squarefree_part,
 )
 from nilgrade.serialize import matrix_to_lists
@@ -323,6 +325,43 @@ def from_roots(roots):
     return p
 
 
+def divmod_fraction(a, b):
+    """Quotient and remainder of a by b != 0 by long division in Fractions."""
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a.coeffs)
+    d = b.degree
+    lc = b.leading()
+    if a.degree < d:
+        return Polynomial([]), a
+    quo = [Fraction(0)] * (a.degree - d + 1)
+    for k in range(a.degree - d, -1, -1):
+        q = rem[k + d] / lc
+        quo[k] = q
+        if q != 0:
+            for j, c in enumerate(b.coeffs):
+                rem[k + j] -= q * c
+    return Polynomial(quo), Polynomial(rem)
+
+
+def poly_xgcd(a, b):
+    """(g, u, v) with u*a + v*b = g, g the monic gcd (all zero for
+    a = b = 0), by the extended Euclidean algorithm."""
+    zero = Polynomial([])
+    r0, r1 = a, b
+    u0, u1 = ONE, zero
+    v0, v1 = zero, ONE
+    while not r1.is_zero():
+        q, r = divmod(r0, r1)
+        r0, r1 = r1, r
+        u0, u1 = u1, u0 - q * u1
+        v0, v1 = v1, v0 - q * v1
+    if r0.is_zero():
+        return zero, zero, zero
+    inv = Fraction(1) / r0.leading()
+    return r0.monic(), u0 * inv, v0 * inv
+
+
 def poly_gcd(a, b):
     """Monic gcd by Euclid in Fractions; gcd(0, 0) = 0."""
     while not b.is_zero():
@@ -435,14 +474,14 @@ def factor_kronecker(p):
     Kronecker's interpolation search."""
     found = {}
     for sqf, mult in squarefree_decomposition_fraction(p):
-        ints = _primitive(cleared(sqf.coeffs)[0])
+        ints = primitive(cleared(sqf.coeffs)[0])
         work = Polynomial(ints)
         irreducibles = []
         for r in _rational_roots(ints):
             irreducibles.append(Polynomial([-r, 1]))
             work = work // Polynomial([-r, 1])
         while work.degree > 0:
-            g = _kronecker_factor(Polynomial(_primitive(cleared(work.coeffs)[0])), work.degree // 2) if work.degree > 3 else None
+            g = _kronecker_factor(Polynomial(primitive(cleared(work.coeffs)[0])), work.degree // 2) if work.degree > 3 else None
             if g is None:
                 irreducibles.append(work.monic())
                 break
@@ -765,7 +804,26 @@ def least_exponent_sequential(multiple, holds):
     return k
 
 
-# -- lattice orbits --------------------------------------------------------------
+# -- lattice membership and orbits ---------------------------------------------
+
+
+def hnf_membership_triangular(v, lattice):
+    """`matrices.hnf_membership` by a triangular solve: with B = d P and H
+    its Hermite form, v is in the lattice iff the solution y of H y = d v
+    is integral, solved in Fractions."""
+    n = lattice.dim
+    if v.shape != (n,):
+        raise ValueError(f"vector of length {n} required, got shape {v.shape}")
+    basis = lattice.basis
+    h = mx.hnf(mx.QMat(basis.rows)).rows
+    target = [Fraction(x * basis.den, v.den) for x in v.rows[0]]
+    y = [Fraction(0)] * n
+    for r in range(n):
+        acc = target[r]
+        for c in range(r):
+            acc -= h[r][c] * y[c]
+        y[r] = acc / h[r][r]
+    return all(e.denominator == 1 for e in y)
 
 
 def orbit_escapes_lattice_fraction(a, v, bound):

@@ -1,6 +1,10 @@
-import pytest
+from functools import reduce
+from math import gcd
 
-from nilgrade.intutil import PRIME_PROOF_LIMIT, is_prime
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from nilgrade.intutil import PRIME_PROOF_LIMIT, is_prime, power, primitive
 
 
 def is_prime_by_division(n):
@@ -34,3 +38,43 @@ class TestIsPrime:
         with pytest.raises(ValueError, match=str(PRIME_PROOF_LIMIT)):
             is_prime(PRIME_PROOF_LIMIT)
         assert not is_prime(PRIME_PROOF_LIMIT - 1)
+
+
+class TestPrimitive:
+    @settings(max_examples=200)
+    @given(ints=st.lists(st.integers(-10**6, 10**6), max_size=8), scale=st.integers(-50, 50))
+    def test_content_one_signs_kept_and_content_times_result(self, ints, scale):
+        ints = [scale * x for x in ints]
+        got = primitive(ints)
+        content = gcd(*ints)
+        assert type(got) is list and len(got) == len(ints)
+        assert gcd(*got) == 1 or not any(got)
+        assert [(x > 0) - (x < 0) for x in got] == [(x > 0) - (x < 0) for x in ints]
+        assert [content * x for x in got] == ints
+
+    def test_reads_any_iterable(self):
+        assert primitive(iter((4, -6, 0))) == [2, -3, 0]
+        assert primitive(()) == [] and primitive([0, 0]) == [0, 0] and primitive([-7]) == [-1]
+
+
+def mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+class TestPower:
+    @settings(max_examples=50)
+    @given(x=st.integers(-10**6, 10**6), m=st.integers(1, 10**9))
+    def test_ints_mod_m_equal_the_k_fold_product(self, x, m):
+        mod_mul = lambda a, b: a * b % m
+        x %= m
+        for k in range(1, 65):
+            assert power(x, k, mod_mul) == reduce(mod_mul, [x] * k)
+
+    @settings(max_examples=30)
+    @given(entries=st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+    def test_2x2_int_matrices_equal_the_k_fold_product(self, entries):
+        a = [entries[:2], entries[2:]]
+        want = a
+        for k in range(1, 65):
+            assert power(a, k, mat_mul) == want
+            want = mat_mul(want, a)

@@ -271,6 +271,44 @@ class TestHnfMembership:
             hnf_membership(mx.rvec([1, 2, 3]), IntegerLattice(mx.identity(2)))
 
 
+unimodular_ops = st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7), st.sampled_from([-2, -1, 1, 2])), max_size=5)
+
+
+@st.composite
+def rational_lattices(draw):
+    """(P, P U): P = U1 D U2 / q of dim 1-4, D a nonzero integer diagonal, q
+    in {1, 2, 3, 6} and U, U1, U2 unimodular, so P U spans the lattice of P."""
+    n = draw(st.integers(1, 4))
+    ops = (lambda: draw(unimodular_ops)) if n > 1 else list
+    d = oracles.diag(draw(st.lists(st.sampled_from([1, -1, 2, 3, -4, 5]), min_size=n, max_size=n)))
+    p = unimodular(n, ops()) @ d @ unimodular(n, ops()) * Fraction(1, draw(st.sampled_from([1, 2, 3, 6])))
+    return p, p @ unimodular(n, ops())
+
+
+class TestHnfMembershipAgainstTriangularSolve:
+    """Membership through the lattice's one inverse against the triangular
+    solve on the Hermite form of d P."""
+
+    @settings(max_examples=150)
+    @given(data=st.data(), lattices=rational_lattices())
+    def test_members_and_shifted_non_members(self, data, lattices):
+        p, rebased = lattices
+        n = p.shape[0]
+        z = mx.rvec(data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n)))
+        i, q = data.draw(st.integers(0, n - 1)), data.draw(st.sampled_from([2, 3, 6]))
+        shifted = p @ z + mx.rvec([Fraction(int(j == i), q) for j in range(n)])
+        for basis in (p, rebased):
+            lattice = IntegerLattice(basis)
+            assert hnf_membership(p @ z, lattice) and oracles.hnf_membership_triangular(p @ z, lattice)
+            assert hnf_membership(shifted, lattice) == oracles.hnf_membership_triangular(shifted, lattice)
+        assert hnf_membership(shifted, IntegerLattice(p)) == hnf_membership(shifted, IntegerLattice(rebased))
+
+    def test_a_shift_can_land_in_a_finer_lattice(self):
+        half = IntegerLattice(mx.rmat([["1/2", 0], [0, 1]]))
+        for v, member in ((mx.rvec(["1/2", 0]), True), (mx.rvec([0, "1/2"]), False), (mx.rvec(["1/3", 0]), False)):
+            assert hnf_membership(v, half) == oracles.hnf_membership_triangular(v, half) == member
+
+
 def brute_force_membership(v, basis, bound):
     n = basis.shape[0]
     for coeffs in itertools.product(range(-bound, bound + 1), repeat=n):

@@ -10,7 +10,6 @@ from nilgrade.polynomials import (
     X,
     factor_order_key,
     factor_over_q,
-    poly_xgcd,
     squarefree_part,
 )
 import oracles
@@ -18,6 +17,7 @@ from oracles import (
     factor_kronecker,
     from_roots,
     poly_gcd,
+    poly_xgcd,
     squarefree_decomposition,
     squarefree_decomposition_fraction,
     squarefree_part_fraction,
@@ -102,6 +102,36 @@ class TestSquarefree:
 
 
 rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+class TestDivmodAgainstFractionLongDivision:
+    """`Polynomial.__divmod__`, the pseudo-division of the cleared operands,
+    against long division in Fractions."""
+
+    @settings(max_examples=200)
+    @given(
+        a=st.lists(rationals, max_size=7),
+        b=st.lists(rationals, min_size=1, max_size=5).filter(lambda cs: cs[-1] != 0),
+        kind=st.sampled_from(["drawn", "exact"]),
+    )
+    def test_matches_fraction_long_division(self, a, b, kind):
+        a, b = Polynomial(a), Polynomial(b)
+        if kind == "exact":  # b divides a
+            a = a * b
+        got = divmod(a, b)
+        assert got == oracles.divmod_fraction(a, b)
+        assert got[0] * b + got[1] == a
+        if kind == "exact":
+            assert got[1].is_zero()
+
+    def test_lower_degree_dividend_and_non_monic_rational_divisor(self):
+        a, b = P(Fraction(1, 2), 3), P(1, 0, Fraction(-2, 3))
+        assert divmod(a, b) == (P(), a) == oracles.divmod_fraction(a, b)
+        a = P(Fraction(5, 7), Fraction(-1, 3), 0, 4)
+        assert divmod(a, b) == oracles.divmod_fraction(a, b)
+        assert divmod(P(), b) == (P(), P())
+        with pytest.raises(ZeroDivisionError):
+            divmod(a, P())
 
 
 @st.composite
