@@ -123,11 +123,12 @@ def check_criterion(algebra: LieAlgebra, group: HolonomyGroup, certificate, posi
     if m.shape != (algebra.dim, algebra.dim):
         raise ValueError("matrix dimension mismatch")
     cond = "expinfra-cond-3" if positive else "covinfra-cond-3"
-    det = mx.det(m)
+    chi = mx.charpoly(m)
+    det = (-1) ** algebra.dim * chi.coeffs[0]  # det M = (-1)^n chi(0)
     if det == 0 or violated_bracket(algebra, m) is not None:
         problems = ["certificate map is not an automorphism"]
     else:
-        problems = specmaps.map_problems(mx.charpoly(m), det, positive)
+        problems = specmaps.map_problems(chi, det, positive)
     cert = {"matrix": matrix_to_lists(m)}
     if problems:
         return Verdict("reject", condition=cond, certificate=cert, diagnostics=problems)

@@ -1,6 +1,12 @@
-"""Small integer helpers: rationals as ints over one denominator,
-content division, square-and-multiply, primality, factorization, least
-exponents.
+"""Small integer helpers: rationals as ints over one denominator, and
+printed from them, content division, square-and-multiply, primality,
+factorization, least exponents.
+
+`rational_strs` is the one printer of rationals held as ints over one
+denominator: x/d in lowest terms, as `str(Fraction(x, d))` prints it,
+with no `Fraction` built.  `serialize` prints matrices through it, and
+`QMat.__repr__` and the Jacobi residual and derivation witness of
+`liealg`, which cannot import `serialize`, print through it too.
 
 `primitive` and `power` are the one copy of their idea for every layer
 above: content division serves the Fourier-Motzkin rows, the Z[X]
@@ -115,6 +121,21 @@ def cleared(values) -> tuple[list[int], int]:
     dens = [e.denominator for e in values]
     d = lcm(*dens)
     return [e.numerator * (d // q) for e, q in zip(values, dens)], d
+
+
+def rational_strs(rows, d: int) -> list[list[str]]:
+    """Each entry x of the int rows as x/d in lowest terms, the "/q"
+    dropped when q = 1, for one d > 0: `str(Fraction(x, d))`."""
+    if d == 1:
+        return [[str(x) for x in row] for row in rows]
+    out = []
+    for row in rows:
+        strs = []
+        for x in row:
+            g = gcd(x, d)
+            strs.append(str(x // g) if g == d else f"{x // g}/{d // g}")
+        out.append(strs)
+    return out
 
 
 def primitive(ints) -> list[int]:

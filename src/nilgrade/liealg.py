@@ -13,8 +13,9 @@ brackets a vector only with the basis elements it meets: both cost what
 the nonzero constants do, not C(n, 3) triples or n brackets a vector.
 The derivation basis is returned sparse, as int matrices over their
 denominators, and the characteristic-nilpotency test (traces, the Engel
-flag and Cartan's criterion, with no draw) works on it directly; a
-`Fraction` is made only for an entry that is output.
+flag and Cartan's criterion, with no draw) works on it directly, and a
+Jacobi residual or a derivation witness is printed from its ints
+(`intutil.rational_strs`).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from math import gcd, lcm
 
 from . import matrices as mx
 from .matrices import QMat
-from .intutil import cleared
+from .intutil import cleared, rational_strs
 from .verdict import Verdict
 
 
@@ -218,7 +219,7 @@ def validate(algebra: LieAlgebra) -> Verdict:
             condition="jacobi",
             certificate={
                 "triple": [i + 1, j + 1, k + 1],
-                "residual": [str(Fraction(res.get(m, 0), e2)) for m in range(n)],
+                "residual": rational_strs([[res.get(m, 0) for m in range(n)]], e2)[0],
             },
             diagnostics=[f"Jacobi identity fails on basis triple ({i+1},{j+1},{k+1})"],
         )
@@ -411,7 +412,7 @@ def is_characteristically_nilpotent(algebra: LieAlgebra) -> Verdict:
             "reject",
             condition="non-nilpotent-derivation",
             certificate={
-                "witness": [[str(Fraction(e, den)) for e in row] for row in dense(*support)],
+                "witness": rational_strs(dense(*support), den),
                 "combination": [int(a in support) for a in range(d)],
             },
             diagnostics=["found a derivation with a nonzero eigenvalue"],

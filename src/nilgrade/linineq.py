@@ -6,7 +6,8 @@ homogeneous by type; inequalities are (row, rhs) pairs meaning
 sum(c * x) >= rhs.  Coefficients are ints or Fractions.  The equations
 are eliminated once, by `matrices.echelon` on reversed variable
 indices: pivots then fall on the highest-index variables, so every
-dependent variable is a linear function of lower-index free ones.
+dependent variable is a linear function of lower-index free ones, and
+each inequality, with them substituted, is scaled to one int row.
 Rational feasibility of what is left is decided by Fourier-Motzkin
 elimination on int rows, each divided by its content with its sign
 kept, so that positive multiples of one row meet as one row.  Its
@@ -25,13 +26,15 @@ solver reproducible across implementations.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+
 from . import matrices as mx
 from .intutil import cleared, primitive
 
 Row = dict[int, int | Fraction]
 Inequality = tuple[Row, int | Fraction]
 # a dense inequality over all variables, as `feasible` takes it
-Constraint = tuple[tuple[Fraction, ...], Fraction]
+Constraint = tuple[tuple[int | Fraction, ...], int | Fraction]
 # dependent variable -> (denominator d, [(free variable f, integer a_f)]):
 # x = sum(a_f * x_f) / d over free variables f of lower index
 Dependents = dict[int, tuple[int, list[tuple[int, int]]]]
@@ -75,16 +78,23 @@ def _dependents(eqs: list[Row], nvars: int) -> Dependents:
 
 
 def _substituted(row: Row, rhs, dependent: Dependents, nvars: int) -> Constraint:
-    """The inequality over free variables only, dense."""
-    out = [Fraction(0)] * nvars
+    """The inequality over free variables only, as one dense int row.
+
+    A coefficient c = p/q on x_v = sum(a_f x_f) / d (d = 1 and a_v = 1
+    for a free v) adds p a_f L / (q d) to x_f, for L the lcm of every
+    q d and of the rhs's denominator: the inequality scaled by L > 0.
+    """
+    parts = []
     for v, c in row.items():
-        if v in dependent:
-            d, terms = dependent[v]
-            for f, a in terms:
-                out[f] += Fraction(c * a, d)
-        else:
-            out[v] += c
-    return tuple(out), Fraction(rhs)
+        d, terms = dependent.get(v, (1, ((v, 1),)))
+        parts.append((c.numerator, c.denominator * d, terms))
+    scale = lcm(rhs.denominator, *(q for _, q, _ in parts))
+    out = [0] * nvars
+    for p, q, terms in parts:
+        s = p * (scale // q)
+        for f, a in terms:
+            out[f] += s * a
+    return tuple(out), rhs.numerator * (scale // rhs.denominator)
 
 
 def solve(eqs: list[Row], ineqs: list[Inequality], lows: list[int]) -> tuple[int, ...] | None:

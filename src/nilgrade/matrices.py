@@ -112,7 +112,7 @@ class QMat:
         return hash((self.shape, self.den, self.rows))
 
     def __repr__(self) -> str:
-        rows = [[str(Fraction(x, self.den)) for x in row] for row in self.rows]
+        rows = intutil.rational_strs(self.rows, self.den)
         return f"QMat({rows[0] if len(self.shape) == 1 else rows})"
 
     # -- arithmetic ---------------------------------------------------------

@@ -17,7 +17,8 @@ by Horner in Fractions, its power and the dense kernel and column basis,
 the column-space test that compares canonical bases and the one that
 compares ranks (rank A = rank B = rank [A | B]), the semisimplicity
 test g(M) = 0, and Fourier-Motzkin on Fraction rows scaled by their
-first coefficient.  They read only `LieAlgebra.dim`
+first coefficient, fed by the substitution of the dependent variables
+that built one dense Fraction row per inequality.  They read only `LieAlgebra.dim`
 and the dense table that `dense_table` builds from `LieAlgebra.terms`.
 The grading witnesses are kept as they were before they read the
 grading's one cleared inverse: phi_p as Fraction products with a
@@ -36,7 +37,11 @@ no longer needs; and so is the characteristic-nilpotency test with its
 Engel flag and witness sums in Fractions on the dense derivation system,
 and the holonomy conditions tested on every element of F rather than on
 its generators, with `group_elements`, the breadth-first closure that
-once listed F in `HolonomyGroup`.  `preserved_weights_brute_force` was never library code:
+once listed F in `HolonomyGroup`.  The wire readers and printer are kept
+as they were before `serialize` moved entries between JSON and int rows:
+one `Fraction` per entry read (`parse_fraction`), a vector, matrix or
+component basis built from Fractions by `rvec` and `rmat`, bracket terms
+summed in Fractions, and one `Fraction` per entry printed.  `preserved_weights_brute_force` was never library code:
 it enumerates a box of weights and keeps those whose grading every
 element of F preserves, without the zero-pattern rule of `find_weights`.
 `derivation_matrices` is no oracle: it densifies the library's sparse
@@ -82,7 +87,7 @@ from nilgrade.polynomials import (
     factor_over_q,
     squarefree_part,
 )
-from nilgrade.serialize import matrix_to_lists
+from nilgrade.serialize import _array, _bad, matrix_to_lists, parse_fraction
 from nilgrade.specmaps import is_expanding
 from nilgrade.verdict import Verdict
 
@@ -521,6 +526,90 @@ def feasible_fraction(ineqs, nvars):
                 rest.add(_normalized([lam * a + mu * b for a, b in zip(cp, cn)], lam * bp + mu * bn))
         rows = rest
     return all(rhs <= 0 for _, rhs in rows)
+
+
+def substituted_fraction(row, rhs, dependent, nvars):
+    """`linineq._substituted` as one dense row of Fractions."""
+    out = [Fraction(0)] * nvars
+    for v, c in row.items():
+        if v in dependent:
+            d, terms = dependent[v]
+            for f, a in terms:
+                out[f] += Fraction(c * a, d)
+        else:
+            out[v] += c
+    return tuple(out), Fraction(rhs)
+
+
+# -- the wire readers and printer in Fractions ---------------------------------
+
+
+def vector_from_list_fraction(data):
+    if not isinstance(data, list):
+        raise _bad("vector must be a JSON array")
+    return mx.rvec([parse_fraction(e) for e in data])
+
+
+def matrix_from_lists_fraction(data):
+    if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
+        raise _bad("matrix must be a non-empty array of rows")
+    if any(len(r) != len(data[0]) for r in data):
+        raise _bad("matrix rows must have equal length")
+    return mx.rmat([[parse_fraction(e) for e in row] for row in data])
+
+
+def matrix_to_lists_fraction(m):
+    return [[str(e) for e in row] for row in m.tolist()]
+
+
+def grading_from_dict_fraction(data):
+    """`serialize.grading_from_dict`, each component basis read as vectors
+    of Fractions and stacked by `rmat`."""
+    if not isinstance(data, dict) or "components" not in data:
+        raise _bad('expected {"components": [...]}')
+    comps = []
+    for entry in _array(data["components"], '"components"'):
+        if not isinstance(entry, dict) or "weight" not in entry or "basis" not in entry:
+            raise _bad("each component needs a weight and a basis")
+        w = entry["weight"]
+        if type(w) is not int:
+            raise _bad("component weights must be integers")
+        vecs = [vector_from_list_fraction(v) for v in _array(entry["basis"], "component basis")]
+        if not vecs:
+            raise _bad("component basis must be non-empty")
+        if any(v.shape != vecs[0].shape for v in vecs):
+            raise _bad("component basis vectors must have equal length")
+        comps.append((w, mx.rmat(vecs).T))
+    comps.sort(key=lambda ws: ws[0])
+    return Grading(tuple(comps))
+
+
+def algebra_from_dict_fraction(data):
+    """`serialize.algebra_from_dict` with each bracket's terms summed per
+    target in Fractions, then cleared once over one denominator."""
+    if not isinstance(data, dict):
+        raise _bad("algebra file must contain a JSON object")
+    dim = data.get("dim")
+    if type(dim) is not int or dim < 1:
+        raise _bad('"dim" must be a positive integer')
+    table = {}
+    for entry in _array(data.get("brackets", []), '"brackets"', dict):
+        i, j = entry.get("i"), entry.get("j")
+        if not (type(i) is int and type(j) is int and 1 <= i < j <= dim):
+            raise _bad(f"bracket indices must satisfy 1 <= i < j <= dim, got ({i}, {j})")
+        if (i - 1, j - 1) in table:
+            raise _bad(f"duplicate bracket ({i}, {j})")
+        sums = {}
+        for term in _array(entry.get("terms", []), f"bracket ({i}, {j}) terms", dict):
+            k = term.get("k")
+            if not (type(k) is int and 1 <= k <= dim):
+                raise _bad(f"bracket ({i}, {j}) has target index {k} out of range")
+            sums[k - 1] = sums.get(k - 1, 0) + parse_fraction(term.get("c"))
+        table[(i - 1, j - 1)] = {k: c for k, c in sorted(sums.items()) if c}
+    upper = {ij: terms for ij, terms in table.items() if terms}
+    flat, den = cleared([c for terms in upper.values() for c in terms.values()])
+    ints = iter(flat)
+    return LieAlgebra._from_ints(dim, {ij: {k: next(ints) for k in terms} for ij, terms in upper.items()}, den)
 
 
 # -- Lie algebras on the dense table ----------------------------------------

@@ -512,6 +512,11 @@ MALFORMED_ALGEBRAS = {
     "target": ({"dim": 2, "brackets": [{"i": 1, "j": 2, "terms": [{"k": 3, "c": "1"}]}]}, "bracket (1, 2) has target index 3 out of range"),
     "rational": ({"dim": 2, "brackets": [{"i": 1, "j": 2, "terms": [{"k": 1, "c": "1/0"}]}]}, "cannot parse rational '1/0'"),
     "float": ({"dim": 2, "brackets": [{"i": 1, "j": 2, "terms": [{"k": 1, "c": 0.5}]}]}, "rational entries must be strings or integers, got float"),
+    "digits": ({"dim": 2, "brackets": [{"i": 1, "j": 2, "terms": [{"k": 1, "c": "7" * 5000}]}]}, f"cannot parse rational {'7' * 5000!r}"),
+    "constant before index": (
+        {"dim": 3, "brackets": [{"i": 1, "j": 2, "terms": [{"k": 3, "c": "1/x"}]}, {"i": 2, "j": 1, "terms": []}]},
+        "cannot parse rational '1/x'",
+    ),
 }
 
 

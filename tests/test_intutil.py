@@ -1,10 +1,11 @@
+from fractions import Fraction
 from functools import reduce
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilgrade.intutil import PRIME_PROOF_LIMIT, is_prime, power, primitive
+from nilgrade.intutil import PRIME_PROOF_LIMIT, is_prime, power, primitive, rational_strs
 
 
 def is_prime_by_division(n):
@@ -55,6 +56,24 @@ class TestPrimitive:
     def test_reads_any_iterable(self):
         assert primitive(iter((4, -6, 0))) == [2, -3, 0]
         assert primitive(()) == [] and primitive([0, 0]) == [0, 0] and primitive([-7]) == [-1]
+
+
+class TestRationalStrs:
+    @settings(max_examples=300)
+    @given(
+        rows=st.lists(st.lists(st.integers(-(10**4), 10**4) | st.integers(10**40, 10**60) | st.integers(-(10**60), -(10**40)) | st.just(0), max_size=4), max_size=3),
+        d=st.integers(1, 60) | st.just(1) | st.integers(min_value=10**30, max_value=10**35),
+        scale=st.integers(1, 12),
+    )
+    def test_prints_what_fraction_prints(self, rows, d, scale):
+        # scaled rows over a scaled d are the same rationals, not in lowest terms
+        for xs, e in ((rows, d), ([[x * scale for x in row] for row in rows], d * scale)):
+            assert rational_strs(xs, e) == [[str(Fraction(x, e)) for x in row] for row in xs]
+
+    def test_pinned(self):
+        assert rational_strs([[0, -3, 6, 10**50 + 2, -10**50]], 4) == [["0", "-3/4", "3/2", str(Fraction(10**50 + 2, 4)), f"-{10**50 // 4}"]]
+        assert rational_strs([[7, -7, 0]], 1) == [["7", "-7", "0"]]
+        assert rational_strs([], 5) == []
 
 
 def mat_mul(a, b):

@@ -14,14 +14,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilgrade.fixtures import ALL_FIXTURES, HOLONOMY_FIXTURES, load_algebra, load_holonomy
 from nilgrade.grading import find_weights, weight_equations
 from nilgrade.holonomy import close_group
 from nilgrade.liealg import LieAlgebra
-from nilgrade.linineq import feasible, solve
+from nilgrade.linineq import _dependents, _substituted, feasible, solve
 from nilgrade.serialize import holonomy_payload
-from oracles import feasible_fraction, group_elements
+from oracles import feasible_fraction, group_elements, substituted_fraction
 
 
 def enumerate_integer_points(eqs, lows, highs):
@@ -219,6 +220,49 @@ def test_integer_fourier_motzkin_matches_the_fraction_rows():
         assert feasible(ineqs + scaled, nvars) == want
         verdicts.append(want)
     assert 50 <= sum(verdicts) <= 250
+
+
+# the equation systems above, with their number of variables: weight
+# equations, with and without orbit equalities, and the systems built by hand
+SYSTEMS = {
+    **{name: (weight_equations(alg), alg.dim) for name, alg in CASES.items()},
+    **{f"{name} orbits": (weight_equations(alg) + orbit_equalities([(0, 1), (2, alg.dim - 1)]), alg.dim) for name, alg in CASES.items()},
+    "65 w_1 = w_2": ([row(65, -1)], 2),
+    "3 w_1 = 2 w_2": ([row(3, -2)], 2),
+    "w_1 + w_2 = 2 w_3": ([row(1, 1, -2)], 3),
+    "w_2 = 0": ([row(0, 1)], 2),
+    "w_1 = -w_2": ([row(1, 1)], 2),
+}
+
+
+@settings(max_examples=150)
+@given(
+    name=st.sampled_from(sorted(SYSTEMS)),
+    low=st.integers(0, 1),
+    extra=st.lists(
+        st.tuples(
+            st.dictionaries(st.integers(0, 9), st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]), max_size=3),
+            st.sampled_from([0, 1, 2, Fraction(1, 3)]),
+        ),
+        max_size=2,
+    ),
+)
+def test_substituted_int_rows_are_the_fraction_rows_scaled(name, low, extra):
+    """`solve`'s bounds and extra inequalities, substituted: each int row
+    is a positive multiple of the Fraction row, and Fourier-Motzkin
+    decides the int rows as it decides the Fraction rows."""
+    eqs, nvars = SYSTEMS[name]
+    dependent = _dependents(eqs, nvars)
+    bounds = [(dict.fromkeys(range(nvars), 1), 1)] + [({i: 1}, low) for i in range(nvars)]
+    ineqs = bounds + [({v % nvars: c for v, c in r.items()}, rhs) for r, rhs in extra]
+    ints = [_substituted(r, rhs, dependent, nvars) for r, rhs in ineqs]
+    fracs = [substituted_fraction(r, rhs, dependent, nvars) for r, rhs in ineqs]
+    for (coeffs, rhs), (want, want_rhs) in zip(ints, fracs):
+        assert all(type(x) is int for x in (*coeffs, rhs))
+        lead = next((x for x in (*want, want_rhs) if x), None)
+        scale = 1 if lead is None else Fraction(next(x for x in (*coeffs, rhs) if x)) / lead
+        assert scale > 0 and [*coeffs, rhs] == [scale * x for x in (*want, want_rhs)]
+    assert feasible(ints, nvars) == feasible_fraction(fracs, nvars)
 
 
 def test_precondition_enforced():
