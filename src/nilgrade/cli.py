@@ -229,7 +229,7 @@ def cmd_criterion(args) -> Verdict:
         "grading": grading_to_dict(g),
         "phi_p": matrix_to_lists(phi),
         "prime": p,
-        "det": str(mx.det(phi)),
+        "det": str(p**k),  # det P diag(p^w) P^-1 = p^sum(w)
     }
     if positive:
         cert["det_exponent"] = k

@@ -81,7 +81,7 @@ class Grading:
         weight-(w_a + w_b) component; None when the grading is homogeneous."""
         ws = self.column_weights
         bad = (
-            (ws[a], ws[b], a, b) for (a, b), terms in rebased.terms.items() if any(ws[c] != ws[a] + ws[b] for c in terms)
+            (ws[a], ws[b], a, b) for (a, b), terms in rebased.upper.items() if any(ws[c] != ws[a] + ws[b] for c in terms)
         )
         return min(bad, default=None)
 
@@ -164,7 +164,7 @@ def weight_equations(algebra: LieAlgebra, var=None) -> list[dict[int, int]]:
     """
     var = range(algebra.dim) if var is None else var
     rows = []
-    for (a, b), terms in algebra.terms.items():
+    for (a, b), terms in algebra.upper.items():
         for c in terms:
             row = Counter((var[a], var[b]))
             row[var[c]] -= 1

@@ -124,7 +124,7 @@ def check_criterion(algebra: LieAlgebra, group: HolonomyGroup, certificate, posi
         raise ValueError("matrix dimension mismatch")
     cond = "expinfra-cond-3" if positive else "covinfra-cond-3"
     chi = mx.charpoly(m)
-    det = (-1) ** algebra.dim * chi.coeffs[0]  # det M = (-1)^n chi(0)
+    det = (-1) ** algebra.dim * chi(0)  # det M = (-1)^n chi(0)
     if det == 0 or violated_bracket(algebra, m) is not None:
         problems = ["certificate map is not an automorphism"]
     else:

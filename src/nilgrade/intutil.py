@@ -2,11 +2,17 @@
 printed from them, content division, square-and-multiply, primality,
 factorization, least exponents.
 
+`cleared` turns rationals into ints over their least denominator.  Only
+the public constructors that take rationals call it (`matrices.rvec`,
+`matrices.rmat`, `Polynomial(coeffs)`): matrices, polynomials and
+algebras hold that int form, and every kernel reads it as it is.
+
 `rational_strs` is the one printer of rationals held as ints over one
 denominator: x/d in lowest terms, as `str(Fraction(x, d))` prints it,
-with no `Fraction` built.  `serialize` prints matrices through it, and
-`QMat.__repr__` and the Jacobi residual and derivation witness of
-`liealg`, which cannot import `serialize`, print through it too.
+with no `Fraction` built.  `serialize` prints matrices and polynomials
+through it, and `QMat.__repr__` and the Jacobi residual and derivation
+witness of `liealg`, which cannot import `serialize`, print through it
+too.
 
 `primitive` and `power` are the one copy of their idea for every layer
 above: content division serves the Fourier-Motzkin rows, the Z[X]

@@ -4,10 +4,12 @@ The basis is fixed (and 1-indexed in the file format); internally indices
 are 0-based.  Only brackets [X_i, X_j] with i < j are given, so
 antisymmetry is structural rather than validated data.
 
-The exact kernels run on Python ints: the structure constants are cleared
-once, at construction, to one int table over one denominator, which the
-Jacobi sums, the lower central series, the derivation system and the map
-checks read.  The table is also indexed by its left index, so Jacobi is
+The exact kernels run on Python ints: an algebra holds its structure
+constants only as one int table over one denominator, set by one setter
+behind the constructor and `_from_ints`, which the Jacobi sums, the
+lower central series, the derivation system, the map checks and the
+weight equations read; `terms`, the constants as Fractions, is made only
+when read.  The table is also indexed by its left index, so Jacobi is
 summed only over the nonzero products c_ab^l c_lc^m and the series
 brackets a vector only with the basis elements it meets: both cost what
 the nonzero constants do, not C(n, 3) triples or n brackets a vector.
@@ -25,7 +27,7 @@ from math import gcd, lcm
 
 from . import matrices as mx
 from .matrices import QMat
-from .intutil import cleared, rational_strs
+from .intutil import rational_strs
 from .verdict import Verdict
 
 
@@ -33,60 +35,57 @@ _ZERO: dict[int, int] = {}  # the empty sparse vector for lookups that miss; nev
 
 
 class LieAlgebra:
-    """dim plus the nonzero structure constants `terms` {(i, j): {k: c}},
-    built from the bracket table {(i, j): coefficient vector}.
-
-    The exact kernels read `ints` instead: the constants cleared once to
-    ints C = e c over one denominator e = `den`, for both orientations
-    (i, j) and (j, i), and `by_left`, the same table as
-    by_left[i][j] = ints[(i, j)].  Scaling every constant by e is the
-    isomorphism x -> x / e, so Jacobi zeros, the lower central series and
-    the derivation kernel are those of C.
+    """dim plus the nonzero structure constants, held as ints C = e c over
+    one denominator e = `den`, in lowest terms: `upper` {(i, j): {k: C}}
+    for the pairs i < j, `ints` the same for both orientations (i, j) and
+    (j, i), and `by_left`, the same table as by_left[i][j] = ints[(i, j)].
+    Scaling every constant by e is the isomorphism x -> x / e, so Jacobi
+    zeros, the lower central series and the derivation kernel are those
+    of C.  `terms`, the rational constants, makes Fractions when read.
     """
 
     def __init__(self, dim: int, brackets: dict[tuple[int, int], "QMat | list"]):
+        """The algebra of the bracket table {(i, j): coefficient vector}."""
         if dim < 1:
             raise ValueError("dimension must be >= 1")
-        self.dim = dim
-        self.terms: dict[tuple[int, int], dict[int, Fraction]] = {}
+        vecs = {}
         for (i, j), vec in brackets.items():
             if not (0 <= i < j < dim):
                 raise ValueError(f"bracket index ({i}, {j}) out of range (need i < j)")
-            v = mx.rvec(vec)
+            vecs[(i, j)] = v = mx.rvec(vec)
             if v.shape != (dim,):
                 raise ValueError(f"bracket ({i}, {j}) has wrong length")
-            terms = {k: c for k, c in enumerate(v) if c}
-            if terms:
-                self.terms[(i, j)] = terms
-        flat, den = cleared([c for t in self.terms.values() for c in t.values()])
-        constants = iter(flat)
-        self._store_ints({ij: {k: next(constants) for k in terms} for ij, terms in self.terms.items()}, den)
+        den = lcm(*(v.den for v in vecs.values()))
+        upper = {ij: {k: c * (den // v.den) for k, c in enumerate(v.rows[0]) if c} for ij, v in vecs.items()}
+        self._store(dim, upper, den)
 
-    def _store_ints(self, upper: dict[tuple[int, int], dict[int, int]], den: int) -> None:
-        """Set `ints` and `den` from the nonzero int constants of the pairs
-        i < j over the least denominator den."""
-        self.den = den
+    @classmethod
+    def _from_ints(cls, dim: int, upper: dict[tuple[int, int], dict[int, int]], den: int) -> "LieAlgebra":
+        """The algebra with constants upper[(i, j)][k] / den, nonzero, i < j,
+        without the constructor's parsing."""
+        out = cls.__new__(cls)
+        out._store(dim, upper, den)
+        return out
+
+    def _store(self, dim: int, upper: dict[tuple[int, int], dict[int, int]], den: int) -> None:
+        """Set the tables from the nonzero int constants of the pairs i < j
+        over den > 0, both divided by their gcd once, which leaves den the
+        least denominator; a pair with no constant is left out."""
+        g = gcd(den, *(c for t in upper.values() for c in t.values()))
+        self.dim, self.den = dim, den // g
+        self.upper = {ij: {k: c // g for k, c in t.items()} for ij, t in upper.items() if t}
         self.ints: dict[tuple[int, int], dict[int, int]] = {}
         self.by_left: dict[int, dict[int, dict[int, int]]] = {}
-        for (i, j), terms in upper.items():
+        for (i, j), terms in self.upper.items():
             self.ints[(i, j)] = terms
             self.ints[(j, i)] = negated = {k: -c for k, c in terms.items()}
             self.by_left.setdefault(i, {})[j] = terms
             self.by_left.setdefault(j, {})[i] = negated
 
-    @classmethod
-    def _from_ints(cls, dim: int, upper: dict[tuple[int, int], dict[int, int]], den: int) -> "LieAlgebra":
-        """The algebra with constants upper[(i, j)][k] / den, nonzero, i < j,
-        without the constructor's parsing: the ints and den are divided by
-        their gcd once, which leaves den the least denominator, and `terms`
-        gets one Fraction per nonzero constant."""
-        g = gcd(den, *(c for t in upper.values() for c in t.values()))
-        upper = {ij: {k: c // g for k, c in t.items()} for ij, t in upper.items()}
-        out = cls.__new__(cls)
-        out.dim = dim
-        out.terms = {ij: {k: Fraction(c, den // g) for k, c in t.items()} for ij, t in upper.items()}
-        out._store_ints(upper, den // g)
-        return out
+    @property
+    def terms(self) -> dict[tuple[int, int], dict[int, Fraction]]:
+        """The rational constants {(i, j): {k: c}}, i < j, nonzero."""
+        return {ij: {k: Fraction(c, self.den) for k, c in t.items()} for ij, t in self.upper.items()}
 
     def bracket(self, x: QMat, y: QMat) -> QMat:
         """[x, y], in ints: the int entries of x and y and the int
@@ -95,10 +94,10 @@ class LieAlgebra:
             raise ValueError("vector dimension mismatch")
         (xs,), (ys,) = x.rows, y.rows
         out = [0] * self.dim
-        for i, j in self.terms:
+        for (i, j), terms in self.upper.items():
             c = xs[i] * ys[j] - xs[j] * ys[i]
             if c:
-                for k, v in self.ints[(i, j)].items():
+                for k, v in terms.items():
                     out[k] += c * v
         return QMat((out,), x.den * y.den * self.den, (self.dim,))
 
@@ -145,7 +144,7 @@ def bracket(algebra: LieAlgebra, x, y) -> QMat:
 def derived_subalgebra(algebra: LieAlgebra) -> QMat:
     """[n, n] as the canonical column basis: the RREF of the brackets,
     read as the int constants C = e c, which span the same space."""
-    return mx.span_basis((c for (i, j), c in algebra.ints.items() if i < j), algebra.dim)
+    return mx.span_basis(algebra.upper.values(), algebra.dim)
 
 
 def _series_descent(algebra: LieAlgebra) -> tuple[list[list[dict[int, int]]], bool]:

@@ -3,9 +3,10 @@
 `solve` is the one solver for nilgrade's weight systems.  Equations are
 sparse rows {variable: coefficient} meaning sum(c * x) = 0, so they are
 homogeneous by type; inequalities are (row, rhs) pairs meaning
-sum(c * x) >= rhs.  Coefficients are ints or Fractions.  The equations
-are eliminated once, by `matrices.echelon` on reversed variable
-indices: pivots then fall on the highest-index variables, so every
+sum(c * x) >= rhs.  Coefficients and right-hand sides are ints: a
+rational system is posed by its int multiples.  The equations are
+eliminated once, by `matrices.echelon` on reversed variable indices:
+pivots then fall on the highest-index variables, so every
 dependent variable is a linear function of lower-index free ones, and
 each inequality, with them substituted, is scaled to one int row.
 Rational feasibility of what is left is decided by Fourier-Motzkin
@@ -25,16 +26,15 @@ solver reproducible across implementations.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 
 from . import matrices as mx
-from .intutil import cleared, primitive
+from .intutil import primitive
 
-Row = dict[int, int | Fraction]
-Inequality = tuple[Row, int | Fraction]
+Row = dict[int, int]
+Inequality = tuple[Row, int]
 # a dense inequality over all variables, as `feasible` takes it
-Constraint = tuple[tuple[int | Fraction, ...], int | Fraction]
+Constraint = tuple[tuple[int, ...], int]
 # dependent variable -> (denominator d, [(free variable f, integer a_f)]):
 # x = sum(a_f * x_f) / d over free variables f of lower index
 Dependents = dict[int, tuple[int, list[tuple[int, int]]]]
@@ -43,10 +43,10 @@ Dependents = dict[int, tuple[int, list[tuple[int, int]]]]
 def feasible(ineqs: list[Constraint], nvars: int) -> bool:
     """Rational feasibility of {every ineq holds}, by Fourier-Motzkin
     elimination.  Each inequality is one int row (coefficients, then the
-    rhs), cleared once and kept primitive (`intutil.primitive`, sign kept:
-    the one representative of its positive multiples), so duplicates drop
-    out of the row sets."""
-    rows = {tuple(primitive(cleared([*coeffs, rhs])[0])) for coeffs, rhs in ineqs}
+    rhs), kept primitive (`intutil.primitive`, sign kept: the one
+    representative of its positive multiples), so duplicates drop out of
+    the row sets."""
+    rows = {tuple(primitive([*coeffs, rhs])) for coeffs, rhs in ineqs}
     for j in range(nvars):
         pos, neg, rest = [], [], set()
         for row in rows:
@@ -80,21 +80,18 @@ def _dependents(eqs: list[Row], nvars: int) -> Dependents:
 def _substituted(row: Row, rhs, dependent: Dependents, nvars: int) -> Constraint:
     """The inequality over free variables only, as one dense int row.
 
-    A coefficient c = p/q on x_v = sum(a_f x_f) / d (d = 1 and a_v = 1
-    for a free v) adds p a_f L / (q d) to x_f, for L the lcm of every
-    q d and of the rhs's denominator: the inequality scaled by L > 0.
+    A coefficient c on x_v = sum(a_f x_f) / d (d = 1 and a_v = 1 for a
+    free v) adds c a_f L / d to x_f, for L the lcm of every such d: the
+    inequality scaled by L > 0.
     """
-    parts = []
-    for v, c in row.items():
-        d, terms = dependent.get(v, (1, ((v, 1),)))
-        parts.append((c.numerator, c.denominator * d, terms))
-    scale = lcm(rhs.denominator, *(q for _, q, _ in parts))
+    parts = [(c, *dependent.get(v, (1, ((v, 1),)))) for v, c in row.items()]
+    scale = lcm(*(d for _, d, _ in parts))
     out = [0] * nvars
-    for p, q, terms in parts:
-        s = p * (scale // q)
+    for c, d, terms in parts:
+        s = c * (scale // d)
         for f, a in terms:
             out[f] += s * a
-    return tuple(out), rhs.numerator * (scale // rhs.denominator)
+    return tuple(out), rhs * scale
 
 
 def solve(eqs: list[Row], ineqs: list[Inequality], lows: list[int]) -> tuple[int, ...] | None:

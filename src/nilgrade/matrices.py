@@ -241,16 +241,6 @@ def _require_square(m: QMat) -> int:
 # -- elimination ---------------------------------------------------------
 
 
-def _int_row(row: dict) -> dict[int, int]:
-    """A sparse rational row ({column: value}) as ints, without zeros: the
-    row itself when every value is an int (the common case), else its
-    `intutil.cleared` multiple."""
-    if all(type(v) is int for v in row.values()):
-        return {c: v for c, v in row.items() if v}
-    ints, _ = intutil.cleared(list(row.values()))
-    return {c: v for c, v in zip(row, ints) if v}
-
-
 def _combine(row: dict[int, int], a: int, b: int, other: dict[int, int]) -> None:
     """row <- a row - b other, in place, keeping no zero entries."""
     if a != 1:
@@ -280,12 +270,13 @@ def _reduce(rows) -> tuple[dict[int, dict[int, int]], list[tuple[int, int]]]:
     the order the pivot rows arose, and for each pivot row its lead
     before it was made primitive with the factor that row was scaled by.
 
-    Rows are sparse ({column: value}) over Q and are taken as ints; each
-    pivot row is kept primitive (content 1, positive leading entry).  A
-    new row r is reduced by each pivot row R whose column it meets, as
-    r <- (a/g) r - (r[p]/g) R for a = R[p] and g = gcd(a, r[p]), then made
-    primitive, and its lead is cleared from the earlier pivot rows the
-    same way (Bareiss, Math. Comp. 22, 1968, keeps such steps in ints).
+    Rows are sparse int rows ({column: value}), copied without their
+    zeros; each pivot row is kept primitive (content 1, positive leading
+    entry).  A new row r is reduced by each pivot row R whose column it
+    meets, as r <- (a/g) r - (r[p]/g) R for a = R[p] and g = gcd(a, r[p]),
+    then made primitive, and its lead is cleared from the earlier pivot
+    rows the same way (Bareiss, Math. Comp. 22, 1968, keeps such steps in
+    ints).
     The RREF row of pivot p is R / R[p].
 
     A reduced row is s (r - v) for the one v in the span of the earlier
@@ -297,7 +288,7 @@ def _reduce(rows) -> tuple[dict[int, dict[int, int]], list[tuple[int, int]]]:
     leads: list[tuple[int, int]] = []
     holders: dict[int, set[int]] = {}  # column -> pivots whose rows may meet it
     for row in rows:
-        r = _int_row(row)
+        r = {c: v for c, v in row.items() if v}
         s = 1
         for p in [c for c in r if c in reduced]:
             other = reduced[p]
@@ -465,7 +456,7 @@ def charpoly(m: QMat) -> Polynomial:
     Runs on A = d M in ints: M_k = (M_{k-1} + c_{k-1} I) A is integral
     (M_{k-1} is a polynomial in A, so it commutes with A) and
     tr(M_k) = -k c_k, so each division is exact; det(X I - M) is then
-    sum_k c_k d^(-k) X^(n-k).
+    the ints c_k d^(n-k) of X^(n-k) over d^n.
     """
     n = _require_square(m)
     coeffs_desc = [1]
@@ -476,24 +467,23 @@ def charpoly(m: QMat) -> Polynomial:
         power = _product(power, m.rows)
         coeffs_desc.append(-sum(power[i][i] for i in range(n)) // k)
     d = m.den
-    return Polynomial(reversed([Fraction(c, d**k) for k, c in enumerate(coeffs_desc)]))
+    return Polynomial._from_ints(reversed([c * d ** (n - k) for k, c in enumerate(coeffs_desc)]), d**n)
 
 
 def _poly_at(p: Polynomial, m: QMat) -> tuple[list[list[int]], int]:
     """(s p(M) as int rows, s) for a nonzero p, by Horner in ints on
-    A = d M and the cleared coefficients L c_k: the sum of
+    A = d M and the int coefficients L c_k of p: the sum of
     L c_k d^(deg-k) A^k is s p(M) for s = L d^deg."""
     n, d = m.shape[0], m.den
-    coeffs, den = intutil.cleared(p.coeffs)
     deg = p.degree
     acc = [[0] * n for _ in range(n)]
     for k in range(deg, -1, -1):
         if k < deg:
             acc = _product(acc, m.rows)
-        c = coeffs[k] * d ** (deg - k)
+        c = p.ints[k] * d ** (deg - k)
         for i in range(n):
             acc[i][i] += c
-    return acc, den * d**deg
+    return acc, p.den * d**deg
 
 
 def eval_poly(p: Polynomial, m: QMat) -> QMat:

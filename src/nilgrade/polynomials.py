@@ -1,17 +1,21 @@
 """Univariate polynomials over the rationals, with exact factorization.
 
-Coefficients are `fractions.Fraction`, stored ascending by degree; the
-algorithms run on the primitive int multiple of a polynomial, as int
-coefficient lists.  Squarefree (Yun) decomposition is done in Z[X]: gcds
-by the primitive remainder sequence, and every division exact in Z[X]
-by Gauss's lemma, since each divisor is a primitive gcd.  The
-factorization hands Yun's primitive int parts straight to Zassenhaus:
-factor mod a small prime (distinct-degree, then Cantor-Zassenhaus
-equal-degree splitting with a fixed seed), Hensel-lift the factors
-quadratically, and recombine them by exact trial division over Z.
-Polynomial time except for the recombination, which is exponential only
-in the number of modular factors that no rational factor accounts for;
-the result does not depend on the prime or the seed.
+A `Polynomial` is held as `matrices.QMat` holds a matrix: int
+coefficients, ascending by degree, over one denominator in lowest terms.
+Arithmetic runs on those ints and divides once, kernels are built from
+ints (`Polynomial._from_ints`), and a `Fraction` is made only for a
+coefficient that is read (`coeffs`).  The algorithms below run on the
+primitive int multiple of a polynomial, as int coefficient lists.
+Squarefree (Yun) decomposition is done in Z[X]: gcds by the primitive
+remainder sequence, and every division exact in Z[X] by Gauss's lemma,
+since each divisor is a primitive gcd.  The factorization hands Yun's
+primitive int parts straight to Zassenhaus: factor mod a small prime
+(distinct-degree, then Cantor-Zassenhaus equal-degree splitting with a
+fixed seed), Hensel-lift the factors quadratically, and recombine them
+by exact trial division over Z.  Polynomial time except for the
+recombination, which is exponential only in the number of modular
+factors that no rational factor accounts for; the result does not
+depend on the prime or the seed.
 """
 
 from __future__ import annotations
@@ -19,136 +23,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd as int_gcd, isqrt
+from math import gcd as int_gcd, isqrt, lcm
 from typing import Iterable
 
 from .intutil import cleared, frac, is_prime, power, primitive
-
-
-class Polynomial:
-    """Immutable rational polynomial; `coeffs[k]` multiplies X^k."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable):
-        cs = [frac(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
-
-    # -- basic structure ------------------------------------------------
-
-    @property
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def leading(self) -> Fraction:
-        if self.is_zero():
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def monic(self) -> "Polynomial":
-        lc = self.leading()
-        return Polynomial(c / lc for c in self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"Polynomial({self:s})"
-
-    def __format__(self, spec: str) -> str:
-        return str(self)
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            if k == 0:
-                term = str(abs(c))
-            else:
-                mag = "" if abs(c) == 1 else f"{abs(c)}*"
-                term = f"{mag}X" + (f"^{k}" if k > 1 else "")
-            if not parts:
-                parts.append(("-" if c < 0 else "") + term)
-            else:
-                parts.append(("- " if c < 0 else "+ ") + term)
-        return " ".join(parts)
-
-    # -- arithmetic -----------------------------------------------------
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(-c for c in self.coeffs)
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __mul__(self, other) -> "Polynomial":
-        """The product, in Z[X] on both operands cleared once, divided once."""
-        if isinstance(other, (int, Fraction)):
-            return Polynomial(c * other for c in self.coeffs)
-        a, da = cleared(self.coeffs)
-        b, db = cleared(other.coeffs)
-        return Polynomial(Fraction(c, da * db) for c in _mul(a, b))
-
-    __rmul__ = __mul__
-
-    def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        """Quotient and remainder over Q, from the pseudo-division of the
-        cleared operands: s (d_a A) = q (d_b B) + r gives
-        A = (q d_b / (s d_a)) B + r / (s d_a)."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        a, da = cleared(self.coeffs)
-        b, db = cleared(other.coeffs)
-        q, r, s = _pseudo_divmod(a, b)
-        return Polynomial(Fraction(c * db, s * da) for c in q), Polynomial(Fraction(c, s * da) for c in r)
-
-    def __floordiv__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[1]
-
-    def divides(self, other: "Polynomial") -> bool:
-        return (other % self).is_zero()
-
-    def derivative(self) -> "Polynomial":
-        return Polynomial(k * c for k, c in enumerate(self.coeffs) if k > 0)
-
-    def __call__(self, x: Fraction | int) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def reciprocal(self) -> "Polynomial":
-        """Coefficient reversal X^deg * p(1/X)."""
-        return Polynomial(reversed(self.coeffs))
-
-
-ONE = Polynomial([1])
-X = Polynomial([0, 1])
 
 
 # -- integer polynomials -----------------------------------------------
@@ -191,6 +69,139 @@ def _derivative(a: list[int]) -> list[int]:
     return _trim([k * c for k, c in enumerate(a)][1:])
 
 
+class Polynomial:
+    """Immutable rational polynomial: the int coefficients `ints`,
+    ascending by degree with no zero leading one, over one denominator
+    `den` > 0, in lowest terms, so equal polynomials have equal ints and
+    den.  `coeffs[k]`, the Fraction that multiplies X^k, is made only
+    when read."""
+
+    __slots__ = ("ints", "den")
+
+    def __init__(self, coeffs: Iterable):
+        self._store(*cleared([frac(c) for c in coeffs]))
+
+    @classmethod
+    def _from_ints(cls, ints: Iterable[int], den: int = 1) -> "Polynomial":
+        """The polynomial sum ints[k] X^k / den, for an int den != 0."""
+        out = cls.__new__(cls)
+        out._store(ints, den)
+        return out
+
+    def _store(self, ints: Iterable[int], den: int) -> None:
+        ints = _trim(list(ints))
+        g = int_gcd(den, *ints) * (1 if den > 0 else -1)
+        self.ints: tuple[int, ...] = tuple(c // g for c in ints)
+        self.den = den // g
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.ints)
+
+    # -- basic structure ------------------------------------------------
+
+    @property
+    def degree(self) -> int:
+        """Degree; -1 for the zero polynomial."""
+        return len(self.ints) - 1
+
+    def is_zero(self) -> bool:
+        return not self.ints
+
+    def monic(self) -> "Polynomial":
+        if self.is_zero():
+            raise ValueError("zero polynomial has no leading coefficient")
+        return Polynomial._from_ints(self.ints, self.ints[-1])
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Polynomial) and self.den == other.den and self.ints == other.ints
+
+    def __hash__(self) -> int:
+        return hash((self.ints, self.den))
+
+    def __repr__(self) -> str:
+        return f"Polynomial({self:s})"
+
+    def __format__(self, spec: str) -> str:
+        return str(self)
+
+    def __str__(self) -> str:
+        if self.is_zero():
+            return "0"
+        parts = []
+        for k, c in reversed(list(enumerate(self.coeffs))):
+            if c == 0:
+                continue
+            if k == 0:
+                term = str(abs(c))
+            else:
+                mag = "" if abs(c) == 1 else f"{abs(c)}*"
+                term = f"{mag}X" + (f"^{k}" if k > 1 else "")
+            if not parts:
+                parts.append(("-" if c < 0 else "") + term)
+            else:
+                parts.append(("- " if c < 0 else "+ ") + term)
+        return " ".join(parts)
+
+    # -- arithmetic: in ints over the product or lcm of the denominators ---
+
+    def __neg__(self) -> "Polynomial":
+        return Polynomial._from_ints([-c for c in self.ints], self.den)
+
+    def __add__(self, other: "Polynomial") -> "Polynomial":
+        d = lcm(self.den, other.den)
+        a = [c * (d // self.den) for c in self.ints]
+        return Polynomial._from_ints(_add(a, [c * (d // other.den) for c in other.ints]), d)
+
+    def __sub__(self, other: "Polynomial") -> "Polynomial":
+        return self + (-other)
+
+    def __mul__(self, other) -> "Polynomial":
+        if not isinstance(other, Polynomial):  # an int or a Fraction
+            return Polynomial._from_ints([c * other.numerator for c in self.ints], self.den * other.denominator)
+        return Polynomial._from_ints(_mul(self.ints, other.ints), self.den * other.den)
+
+    __rmul__ = __mul__
+
+    def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
+        """Quotient and remainder over Q, from the pseudo-division of the
+        int coefficients: s (d_a A) = q (d_b B) + r gives
+        A = (q d_b / (s d_a)) B + r / (s d_a)."""
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        q, r, s = _pseudo_divmod(self.ints, other.ints)
+        d = s * self.den
+        return Polynomial._from_ints([c * other.den for c in q], d), Polynomial._from_ints(r, d)
+
+    def __floordiv__(self, other: "Polynomial") -> "Polynomial":
+        return divmod(self, other)[0]
+
+    def __mod__(self, other: "Polynomial") -> "Polynomial":
+        return divmod(self, other)[1]
+
+    def divides(self, other: "Polynomial") -> bool:
+        return (other % self).is_zero()
+
+    def derivative(self) -> "Polynomial":
+        return Polynomial._from_ints(_derivative(self.ints), self.den)
+
+    def __call__(self, x: Fraction | int) -> Fraction:
+        """p(x) for x = u/v, by Horner in ints: sum c_k u^k v^(deg-k) / (den v^deg)."""
+        u, v = x.numerator, x.denominator
+        acc = 0
+        for k, c in enumerate(reversed(self.ints)):
+            acc = acc * u + c * v**k
+        return Fraction(acc, self.den * v ** max(self.degree, 0))
+
+    def reciprocal(self) -> "Polynomial":
+        """Coefficient reversal X^deg * p(1/X)."""
+        return Polynomial._from_ints(reversed(self.ints), self.den)
+
+
+ONE = Polynomial([1])
+X = Polynomial([0, 1])
+
+
 # -- squarefree decomposition in Z[X] ------------------------------------
 
 
@@ -199,7 +210,7 @@ def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int], in
     s > 0 that scales the running remainder only where a quotient
     coefficient would not be an int: s = 1, and q is the exact quotient,
     when b divides a in Z[X].  The one long division for Z[X] and, on
-    cleared operands, for Q[X] (`Polynomial.__divmod__`)."""
+    the int coefficients, for Q[X] (`Polynomial.__divmod__`)."""
     lc = b[-1]
     r = list(a)
     q = [0] * max(len(a) - len(b) + 1, 0)
@@ -246,17 +257,13 @@ def _yun(f: list[int]) -> list[tuple[list[int], int]]:
     return out
 
 
-def _int_part(p: Polynomial) -> list[int]:
-    """The primitive int multiple of a nonzero rational polynomial."""
+def squarefree_part(p: Polynomial) -> Polynomial:
+    """p / gcd(p, p'), made monic: the radical of p, computed in Z[X] on
+    the primitive multiple of its ints."""
     if p.is_zero():
         raise ValueError("zero polynomial")
-    return primitive(cleared(p.coeffs)[0])
-
-
-def squarefree_part(p: Polynomial) -> Polynomial:
-    """p / gcd(p, p'), made monic: the radical of p, computed in Z[X]."""
-    f = _int_part(p)
-    return Polynomial(_pseudo_divmod(f, _zgcd(f, _derivative(f)))[0]).monic()
+    f = primitive(p.ints)
+    return Polynomial._from_ints(_pseudo_divmod(f, _zgcd(f, _derivative(f)))[0]).monic()
 
 
 # -- factorization over Q ----------------------------------------------
@@ -446,7 +453,7 @@ def factor_over_q(p: Polynomial) -> list[tuple[Polynomial, int]]:
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     found: dict[Polynomial, int] = {}
-    for sqf, mult in _yun(_int_part(p)):
+    for sqf, mult in _yun(primitive(p.ints)):
         for irr in _factor_squarefree(sqf):
             found[irr] = found.get(irr, 0) + mult
     return sorted(found.items(), key=lambda fm: factor_order_key(fm[0]))
@@ -456,4 +463,4 @@ def _factor_squarefree(f: list[int]) -> list[Polynomial]:
     """Irreducible monic factors of a primitive squarefree f in Z[X]."""
     if f[0] == 0:  # X divides f once
         return [X] + (_factor_squarefree(f[1:]) if len(f) > 2 else [])
-    return [Polynomial(g).monic() for g in _zassenhaus(f)]
+    return [Polynomial._from_ints(g).monic() for g in _zassenhaus(f)]

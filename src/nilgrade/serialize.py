@@ -11,8 +11,9 @@ of a `QMat` or a `LieAlgebra` with no `Fraction` in between: each entry is
 read as an int pair (numerator, denominator), a JSON int directly and the
 plain form -?[0-9]+(/[0-9]+)? by `int()`, and a matrix, vector or bracket
 table is made over the lcm of its denominators.  Every other form, and
-every refusal, goes through `parse_fraction`.  Matrix entries are
-printed from the int rows by `intutil.rational_strs`.
+every refusal, goes through `parse_fraction`.  Matrix entries and
+polynomial coefficients are printed from their ints by
+`intutil.rational_strs`.
 """
 
 from __future__ import annotations
@@ -198,7 +199,7 @@ def holonomy_payload(data) -> tuple[list[QMat], int]:
 
 
 def polynomial_to_list(p) -> list[str]:
-    return [str(c) for c in p.coeffs]
+    return rational_strs([p.ints], p.den)[0]
 
 
 def profile_to_dict(profile) -> dict:

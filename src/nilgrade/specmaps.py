@@ -40,7 +40,7 @@ from math import lcm, prod
 
 from . import matrices as mx
 from .grading import Grading, meets_criterion, preserved_by, weight_equations, weights_label
-from .intutil import cleared, primitive
+from .intutil import primitive
 from .liealg import LieAlgebra, is_automorphism
 from .linineq import solve
 from .matrices import QMat
@@ -54,13 +54,13 @@ def schur_all_inside(p: Polynomial) -> bool:
     lie strictly inside iff am^2 - a0^2 > 0 and the reduced polynomial
     (am*f - a0*reverse(f))/z does too; a non-positive gap anywhere means
     a root on or outside the circle.  The chain runs on one int
-    coefficient list: p is cleared once, and each reduced polynomial,
-    whose leading coefficient am^2 - a0^2 is positive, is divided by its
+    coefficient list, p's `ints`, and each reduced polynomial, whose
+    leading coefficient am^2 - a0^2 is positive, is divided by its
     content, which keeps every later sign and the coefficients small.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
-    f = cleared(p.coeffs)[0]
+    f = p.ints
     while len(f) > 1:
         a0, am = f[0], f[-1]
         if am * am - a0 * a0 <= 0:
@@ -72,7 +72,7 @@ def schur_all_inside(p: Polynomial) -> bool:
 def is_expanding(m: QMat) -> bool:
     """Every eigenvalue of absolute value > 1 (unit-circle roots: False)."""
     p = mx.charpoly(m)
-    if p.coeffs[0] == 0:
+    if p.ints[0] == 0:
         raise ValueError("singular matrix cannot be expanding")
     return schur_all_inside(p.reciprocal())
 
@@ -89,7 +89,7 @@ def map_problems(chi: Polynomial, det, positive: bool) -> list[str]:
     if positive:
         return [] if schur_all_inside(chi.reciprocal()) else ["certificate map is not expanding"]
     problems = []
-    if any(c.denominator != 1 for c in chi.coeffs):
+    if chi.den != 1:
         problems.append("characteristic polynomial is not in Z[X]")
     if abs(det) <= 1:
         problems.append("|det| is not > 1")
@@ -160,7 +160,7 @@ def norm_profile(m: QMat) -> NormProfile:
     mhat = lcm(*[p.degree for p, _ in primary])
     entries = []
     for p, sub in primary:
-        value = abs(p.coeffs[0]) ** (mhat // p.degree)
+        value = Fraction(abs(p.ints[0]), p.den) ** (mhat // p.degree)
         entries.append(NormProfileEntry(p, p.degree, sub, value))
     entries.sort(key=lambda e: (e.value, factor_order_key(e.factor)))
     return NormProfile(tuple(entries), mhat)
@@ -201,7 +201,7 @@ def _grading_from_classes(
     basis = mx.hstack([s for _, s in classes])
     inverse = mx.inverse(basis)
     rebased = algebra.in_basis(basis, inverse)
-    for (x, y), terms in rebased.terms.items():
+    for (x, y), terms in rebased.upper.items():
         if any(values[var[z]] != values[var[x]] * values[var[y]] for z in terms):
             raise RuntimeError("norm multiplicativity violated on brackets")
     pinned = [v == 1 for v in values]

@@ -81,7 +81,6 @@ from nilgrade.linineq import solve
 from nilgrade.polynomials import (
     ONE,
     Polynomial,
-    _int_part,
     _yun,
     factor_order_key,
     factor_over_q,
@@ -162,11 +161,13 @@ def gauss_jordan(rows):
 def squarefree_decomposition(p):
     """Yun decomposition: p = lc * prod s_i^i with the s_i monic,
     squarefree and coprime, computed in Z[X]."""
-    return [(Polynomial(s).monic(), i) for s, i in _yun(_int_part(p))]
+    if p.is_zero():
+        raise ValueError("zero polynomial")
+    return [(Polynomial(s).monic(), i) for s, i in _yun(primitive(p.ints))]
 
 
 def is_monic(p) -> bool:
-    return not p.is_zero() and p.leading() == 1
+    return not p.is_zero() and p.coeffs[-1] == 1
 
 
 def solve_linear(a, b) -> mx.QMat | None:
@@ -301,8 +302,9 @@ def col_spaces_equal_basis(a, b):
 
 
 def rank(a):
-    """The number of pivot rows of the RREF of A."""
-    return len(mx.echelon({c: v for c, v in enumerate(row) if v} for row in a.tolist()))
+    """The number of pivot rows of the RREF of A, read on the int rows of
+    `mx.rmat(A)`."""
+    return len(mx.echelon({c: v for c, v in enumerate(row) if v} for row in mx.rmat(a).rows))
 
 
 def col_spaces_equal(a, b):
@@ -336,7 +338,7 @@ def divmod_fraction(a, b):
         raise ZeroDivisionError("polynomial division by zero")
     rem = list(a.coeffs)
     d = b.degree
-    lc = b.leading()
+    lc = b.coeffs[-1]
     if a.degree < d:
         return Polynomial([]), a
     quo = [Fraction(0)] * (a.degree - d + 1)
@@ -363,7 +365,7 @@ def poly_xgcd(a, b):
         v0, v1 = v1, v0 - q * v1
     if r0.is_zero():
         return zero, zero, zero
-    inv = Fraction(1) / r0.leading()
+    inv = Fraction(1) / r0.coeffs[-1]
     return r0.monic(), u0 * inv, v0 * inv
 
 

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from nilgrade.fixtures import ALL_FIXTURES, HOLONOMY_FIXTURES, load_algebra, load_holonomy
 from nilgrade.grading import find_weights, weight_equations
 from nilgrade.holonomy import close_group
+from nilgrade.intutil import cleared
 from nilgrade.liealg import LieAlgebra
 from nilgrade.linineq import _dependents, _substituted, feasible, solve
 from nilgrade.serialize import holonomy_payload
@@ -207,6 +208,13 @@ def random_constraints(rng, nvars):
     ]
 
 
+def int_multiple(coeffs, rhs):
+    """The least positive int multiple of a rational inequality: its
+    coefficients, in the order given, and its rhs."""
+    ints, _ = cleared([*coeffs, rhs])
+    return tuple(ints[:-1]), ints[-1]
+
+
 def test_integer_fourier_motzkin_matches_the_fraction_rows():
     rng = random.Random(1827)
     verdicts = []
@@ -214,10 +222,10 @@ def test_integer_fourier_motzkin_matches_the_fraction_rows():
         nvars = rng.randint(1, 4)
         ineqs = random_constraints(rng, nvars)
         want = feasible_fraction(ineqs, nvars)
-        assert feasible(ineqs, nvars) == want
+        assert feasible([int_multiple(*q) for q in ineqs], nvars) == want
         # positive multiples of a row are one row; the decision does not move
         scaled = [(tuple(c * k for c in row), rhs * k) for (row, rhs), k in zip(ineqs, itertools.cycle([3, Fraction(2, 5)]))]
-        assert feasible(ineqs + scaled, nvars) == want
+        assert feasible([int_multiple(*q) for q in ineqs + scaled], nvars) == want
         verdicts.append(want)
     assert 50 <= sum(verdicts) <= 250
 
@@ -248,13 +256,17 @@ SYSTEMS = {
     ),
 )
 def test_substituted_int_rows_are_the_fraction_rows_scaled(name, low, extra):
-    """`solve`'s bounds and extra inequalities, substituted: each int row
-    is a positive multiple of the Fraction row, and Fourier-Motzkin
-    decides the int rows as it decides the Fraction rows."""
+    """`solve`'s bounds and extra inequalities (drawn rational, posed by
+    their int multiples), substituted: each int row is a positive
+    multiple of the Fraction row, and Fourier-Motzkin decides the int
+    rows as it decides the Fraction rows."""
     eqs, nvars = SYSTEMS[name]
     dependent = _dependents(eqs, nvars)
-    bounds = [(dict.fromkeys(range(nvars), 1), 1)] + [({i: 1}, low) for i in range(nvars)]
-    ineqs = bounds + [({v % nvars: c for v, c in r.items()}, rhs) for r, rhs in extra]
+    ineqs = [(dict.fromkeys(range(nvars), 1), 1)] + [({i: 1}, low) for i in range(nvars)]
+    for r, rhs in extra:
+        row = {v % nvars: c for v, c in r.items()}
+        coeffs, rhs = int_multiple(row.values(), rhs)
+        ineqs.append((dict(zip(row, coeffs)), rhs))
     ints = [_substituted(r, rhs, dependent, nvars) for r, rhs in ineqs]
     fracs = [substituted_fraction(r, rhs, dependent, nvars) for r, rhs in ineqs]
     for (coeffs, rhs), (want, want_rhs) in zip(ints, fracs):

@@ -36,7 +36,7 @@ def P(*coeffs):
 
 def kernel_of(a):
     """`matrices.kernel` on the rows of the dense matrix A."""
-    return mx.kernel([{c: v for c, v in enumerate(row) if v} for row in a.tolist()], a.shape[1])
+    return mx.kernel([{c: v for c, v in enumerate(row) if v} for row in a.rows], a.shape[1])
 
 
 def random_int_matrix(rng, n, lo=-4, hi=4):
@@ -579,7 +579,7 @@ class TestGaussJordan:
     def test_row_order_does_not_matter(self):
         rng = random.Random(31)
         for _, a in seeded_cases():
-            rows = [{c: v for c, v in enumerate(row) if v} for row in a]
+            rows = [{c: v for c, v in enumerate(row) if v} for row in a.rows]
             rng.shuffle(rows)
             red, pivots = oracles.gauss_jordan(rows)
             want, want_pivots = rref_dense(a)
@@ -648,7 +648,7 @@ class TestFractionFreeCore:
         # multiple of its RREF row
         leads = set()
         for a in sparse_systems():
-            rows = [{c: v for c, v in enumerate(row) if v} for row in a]
+            rows = [{c: v for c, v in enumerate(row) if v} for row in a.rows]
             red, pivots = oracles.gauss_jordan(rows)
             ints = mx.echelon(rows)
             assert [min(r) for r in ints] == pivots
@@ -661,7 +661,7 @@ class TestFractionFreeCore:
 
     def test_sparse_kernel_columns_over_least_denominators(self):
         for a in sparse_systems():
-            rows = [{c: v for c, v in enumerate(row) if v} for row in a]
+            rows = [{c: v for c, v in enumerate(row) if v} for row in a.rows]
             cols = mx.sparse_kernel(rows, a.shape[1])
             want = nullspace_dense(a)
             assert len(cols) == want.shape[1]

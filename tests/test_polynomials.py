@@ -1,9 +1,13 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nilgrade import liealg, matrices as mx, polynomials, specmaps
+from nilgrade.grading import weight_equations
+from nilgrade.serialize import algebra_from_dict, polynomial_to_list
 from nilgrade.polynomials import (
     ONE,
     Polynomial,
@@ -22,6 +26,7 @@ from oracles import (
     squarefree_decomposition_fraction,
     squarefree_part_fraction,
 )
+from test_liealg import change_basis
 
 
 def P(*coeffs):
@@ -134,6 +139,124 @@ class TestDivmodAgainstFractionLongDivision:
             divmod(a, P())
 
 
+# -- the int form against Fraction coefficient lists -------------------------
+
+
+def _trimmed(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _sum_list(a, b):
+    n = max(len(a), len(b))
+    return _trimmed((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n))
+
+
+def _product_list(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trimmed(out)
+
+
+def _divmod_list(a, b):
+    """Long division of Fraction lists, b with a nonzero lead."""
+    q, r = [Fraction(0)] * max(len(a) - len(b) + 1, 0), list(a)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + len(b) - 1] / b[-1]
+        for j, y in enumerate(b):
+            r[k + j] -= c * y
+    return _trimmed(q), _trimmed(r[: len(b) - 1])
+
+
+def _horner_list(a, x):
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def _str_list(a):
+    """Highest degree first, "c*X^k" with c = 1 left out, signs between terms."""
+    parts = []
+    for k in range(len(a) - 1, -1, -1):
+        c = a[k]
+        if c:
+            term = str(abs(c)) if k == 0 else ("" if abs(c) == 1 else f"{abs(c)}*") + "X" + (f"^{k}" if k > 1 else "")
+            parts.append(("-" if c < 0 else "") + term if not parts else ("- " if c < 0 else "+ ") + term)
+    return " ".join(parts) or "0"
+
+
+class TestIntForm:
+    """A `Polynomial` is ints over one denominator in lowest terms, and
+    acts as the list of its Fraction coefficients does."""
+
+    @settings(max_examples=300)
+    @given(
+        a=st.lists(rationals, max_size=7),
+        b=st.lists(rationals, max_size=5),
+        s=rationals,
+        x=st.one_of(rationals, st.integers(-5, 5)),
+    )
+    def test_matches_fraction_lists(self, a, b, s, x):
+        p, q = Polynomial(a), Polynomial(b)
+        a, b = _trimmed(a), _trimmed(b)
+        assert p.den > 0 and gcd(p.den, *p.ints) == 1 and all(type(c) is int for c in p.ints)
+        assert list(p.coeffs) == a and all(type(c) is Fraction for c in p.coeffs)
+        same = Polynomial(p.coeffs)
+        assert same == p and hash(same) == hash(p)
+        assert list((p + q).coeffs) == _sum_list(a, b)
+        assert list((p - q).coeffs) == _sum_list(a, [-c for c in b])
+        assert list((p * q).coeffs) == _product_list(a, b)
+        assert list((p * s).coeffs) == list((s * p).coeffs) == _trimmed(c * s for c in a)
+        assert list(p.derivative().coeffs) == [k * c for k, c in enumerate(a)][1:]
+        assert list(p.reciprocal().coeffs) == _trimmed(reversed(a))
+        assert p(x) == _horner_list(a, x) and type(p(x)) is Fraction
+        assert str(p) == _str_list(a)
+        assert polynomial_to_list(p) == [str(c) for c in a]
+        if a:
+            assert list(p.monic().coeffs) == [c / a[-1] for c in a]
+        if b:
+            quo, rem = divmod(p, q)
+            assert (list(quo.coeffs), list(rem.coeffs)) == _divmod_list(a, b)
+
+    def test_kernels_build_no_fraction(self, monkeypatch):
+        """The kernels read the int forms of polynomials, matrices and
+        algebras: with `Fraction` made to raise in `matrices`,
+        `polynomials`, `liealg` and `specmaps`, none of them builds one."""
+        m = mx.rmat([[Fraction(1, 2), 3, 0], [0, Fraction(-2, 3), 1], [4, 0, 5]])
+        p = P(Fraction(-1, 3), 0, Fraction(5, 2))
+        basis = mx.rmat([[1, Fraction(1, 2), 0], [0, 1, 0], [0, 2, -3]])
+        data = {"dim": 3, "brackets": [{"i": 1, "j": 2, "terms": [{"k": 3, "c": "1/2"}]}]}
+
+        def refuse(*args):
+            raise AssertionError(f"Fraction{args} built")
+
+        for module in (mx, polynomials, liealg, specmaps):
+            monkeypatch.setattr(module, "Fraction", refuse)
+        chi = mx.charpoly(m)
+        value = mx.eval_poly(p, m)
+        kills = (mx.annihilates(chi, m), mx.annihilates(p, m))
+        inside = (specmaps.schur_all_inside(p), specmaps.schur_all_inside(chi))
+        algebra = algebra_from_dict(data)
+        rebased = algebra.in_basis(basis)
+        eqs = weight_equations(rebased)
+        with pytest.raises(AssertionError, match="built"):  # the guard sees a coefficient read
+            chi.coeffs
+        monkeypatch.undo()
+        assert chi == oracles.charpoly_fraction(m)
+        assert oracles.mat_eq(value, oracles.eval_poly_fraction(p, m))
+        assert kills == (True, False)
+        assert inside == (True, False)  # the roots of p are +-(2/15)^(1/2)
+        assert (algebra.ints[(0, 1)], algebra.den) == ({2: 1}, 2)
+        want = change_basis(algebra, basis)
+        assert (rebased.upper, rebased.den) == (want.upper, want.den)
+        assert eqs == weight_equations(want) and eqs
+
+
 @st.composite
 def repeated_factor_products(draw):
     """c * prod f_i^e_i for a rational c != 0 and up to three drawn factors
@@ -241,7 +364,7 @@ class TestFactorization:
             lead = Fraction(rng.randint(1, 3), rng.randint(1, 2))
             f = lead * f
             got = factor_over_q(f)
-            prod = Polynomial([f.leading()])
+            prod = Polynomial([f.coeffs[-1]])
             for fac, mult in got:
                 assert oracles.is_monic(fac)
                 for _ in range(mult):
@@ -307,7 +430,7 @@ def seeded_product(rng: random.Random, max_degree: int, max_factor_degree: int) 
 
 
 def assert_is_factorization(f: Polynomial, factors) -> None:
-    prod = Polynomial([f.leading()])
+    prod = Polynomial([f.coeffs[-1]])
     for fac, mult in factors:
         assert oracles.is_monic(fac)
         for _ in range(mult):
