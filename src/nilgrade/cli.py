@@ -65,36 +65,35 @@ def _resolve(arg: str, kind: str = "") -> Path:
         raise CliError(str(e))
 
 
-def _load_algebra(arg: str) -> LieAlgebra:
-    path = _resolve(arg)
+def _read(path: str | Path, parse):
+    """parse(the JSON at path), a ValueError an input error naming path."""
+    data = _load_json(str(path))
     try:
-        return algebra_from_dict(_load_json(str(path)))
+        return parse(data)
     except ValueError as e:
         raise CliError(f"{path}: {e}")
+
+
+def _load_algebra(arg: str) -> LieAlgebra:
+    return _read(_resolve(arg), algebra_from_dict)
 
 
 def _load_holonomy(arg: str | None, algebra: LieAlgebra) -> HolonomyGroup:
     if arg is None:
         return HolonomyGroup(algebra.dim, (), 1)
-    path = _resolve(arg, "holonomy")
-    try:
-        gens, cap = holonomy_payload(_load_json(str(path)))
-        group = close_group(gens, cap)
-        valid = holonomy_is_valid(algebra, group)
-    except ValueError as e:
-        raise CliError(f"{path}: {e}")
-    if not valid:
-        raise CliError(f"{path}: holonomy elements are not automorphisms of the algebra")
-    return replace(group, checked_on=algebra)
+
+    def checked(data) -> HolonomyGroup:
+        group = close_group(*holonomy_payload(data))
+        if not holonomy_is_valid(algebra, group):
+            raise ValueError("holonomy elements are not automorphisms of the algebra")
+        return replace(group, checked_on=algebra)
+
+    return _read(_resolve(arg, "holonomy"), checked)
 
 
 def _load_certificate(arg: str, algebra: LieAlgebra):
     """Grading, weight system or matrix, in any embedded-verdict shape."""
-    data = _load_json(arg)
-    try:
-        return _certificate_from_data(data, algebra)
-    except ValueError as e:
-        raise CliError(f"{arg}: {e}")
+    return _read(arg, lambda data: _certificate_from_data(data, algebra))
 
 
 def _certificate_from_data(data, algebra: LieAlgebra):
@@ -253,9 +252,9 @@ def cmd_norm(args) -> Verdict:
     v = validate(algebra)
     if not v.accepted():
         return v
-    m = matrix_from_lists(_load_json(args.matrix))
+    m = _read(args.matrix, matrix_from_lists)
     if m.shape != (algebra.dim, algebra.dim):
-        raise CliError("matrix dimension does not match the algebra")
+        raise CliError(f"{args.matrix}: matrix dimension does not match the algebra")
     det = mx.det(m)
     if det == 0:
         return Verdict("reject", condition="not-automorphism", diagnostics=["matrix is singular"])
@@ -289,28 +288,30 @@ def cmd_norm(args) -> Verdict:
     return Verdict("accept", condition="norm-profile", certificate=cert, diagnostics=notes)
 
 
-def cmd_latpow(args) -> Verdict:
-    data = _load_json(args.input)
+def _latpow_input(data, bound: int | None) -> tuple:
+    """(A, v, bound) in orbit mode, else (A, lattice, None)."""
     if not isinstance(data, dict) or "A" not in data:
-        raise CliError('latpow input must be a JSON object with key "A"')
-    try:
-        a = matrix_from_lists(data["A"])
-    except ValueError as e:
-        raise CliError(str(e))
+        raise ValueError('latpow input must be a JSON object with key "A"')
+    a = matrix_from_lists(data["A"])
     if "v" in data:
-        bound = args.bound if args.bound is not None else data.get("bound", 64)
+        bound = data.get("bound", 64) if bound is None else bound
         if type(bound) is not int:
-            raise CliError(f'"bound" must be a positive integer, got {json.dumps(bound)}')
-        v = vector_from_list(data["v"])
-        return orbit_escapes_lattice(a, v, bound)
+            raise ValueError(f'"bound" must be a positive integer, got {json.dumps(bound)}')
+        return a, vector_from_list(data["v"]), bound
     if "lattice" not in data:
-        raise CliError('latpow input needs "lattice" (or "v" for orbit mode)')
+        raise ValueError('latpow input needs "lattice" (or "v" for orbit mode)')
     try:
-        lattice = IntegerLattice(matrix_from_lists(data["lattice"]))
+        return a, IntegerLattice(matrix_from_lists(data["lattice"])), None
     except ValueError as e:
-        raise CliError(f"lattice: {e}")
+        raise ValueError(f"lattice: {e}")
+
+
+def cmd_latpow(args) -> Verdict:
+    a, target, bound = _read(args.input, lambda data: _latpow_input(data, args.bound))
+    if bound is not None:  # orbit mode: target is v
+        return orbit_escapes_lattice(a, target, bound)
     try:
-        cert = power_into_lattice(a, lattice)
+        cert = power_into_lattice(a, target)
     except ObstructionPrime as e:
         return Verdict(
             "reject",

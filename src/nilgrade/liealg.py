@@ -5,19 +5,21 @@ are 0-based.  Only brackets [X_i, X_j] with i < j are given, so
 antisymmetry is structural rather than validated data.
 
 The exact kernels run on Python ints: an algebra holds its structure
-constants only as one int table over one denominator, set by one setter
-behind the constructor and `_from_ints`, which the Jacobi sums, the
-lower central series, the derivation system, the map checks and the
-weight equations read; `terms`, the constants as Fractions, is made only
-when read.  The table is also indexed by its left index, so Jacobi is
-summed only over the nonzero products c_ab^l c_lc^m and the series
-brackets a vector only with the basis elements it meets: both cost what
-the nonzero constants do, not C(n, 3) triples or n brackets a vector.
-The derivation basis is returned sparse, as int matrices over their
-denominators, and the characteristic-nilpotency test (traces, the Engel
-flag and Cartan's criterion, with no draw) works on it directly, and a
-Jacobi residual or a derivation witness is printed from its ints
-(`intutil.rational_strs`).
+constants only as one int table over one denominator and one index of
+it by left factor, set by one setter behind the constructor and
+`_from_ints`; `terms`, the constants as Fractions, is made only when
+read.  Everything reads the index, so each sum costs what the nonzero
+constants it meets do, not C(n, 3) triples or n^2 pairs: Jacobi runs
+over the nonzero products c_ab^l c_lc^m, the lower central series
+brackets a vector only with the basis elements it meets, one bracket
+kernel (`LieAlgebra._brackets`) forms [A e_i, A e_j] for `bracket`,
+`in_basis` and `violated_bracket`, and one row builder
+(`_derivation_rows`) poses the derivation identity for `derivations` and
+`is_derivation`.  The derivation basis is returned sparse, as int
+matrices over their denominators, and the characteristic-nilpotency
+test (traces, the Engel flag and Cartan's criterion, with no draw) works
+on it directly, and a Jacobi residual or a derivation witness is printed
+from its ints (`intutil.rational_strs`).
 """
 
 from __future__ import annotations
@@ -36,12 +38,13 @@ _ZERO: dict[int, int] = {}  # the empty sparse vector for lookups that miss; nev
 
 class LieAlgebra:
     """dim plus the nonzero structure constants, held as ints C = e c over
-    one denominator e = `den`, in lowest terms: `upper` {(i, j): {k: C}}
-    for the pairs i < j, `ints` the same for both orientations (i, j) and
-    (j, i), and `by_left`, the same table as by_left[i][j] = ints[(i, j)].
-    Scaling every constant by e is the isomorphism x -> x / e, so Jacobi
-    zeros, the lower central series and the derivation kernel are those
-    of C.  `terms`, the rational constants, makes Fractions when read.
+    one denominator e = `den`, in lowest terms: one table, `upper`
+    {(i, j): {k: C}} for the pairs i < j as the file gives them, and one
+    index of it, `by_left`, in both orientations: by_left[i][j] is
+    [X_i, X_j] (so by_left[j][i] is its negation).  Scaling every constant
+    by e is the isomorphism x -> x / e, so Jacobi zeros, the lower central
+    series and the derivation kernel are those of C.  `terms`, the
+    rational constants, makes Fractions when read.
     """
 
     def __init__(self, dim: int, brackets: dict[tuple[int, int], "QMat | list"]):
@@ -74,31 +77,42 @@ class LieAlgebra:
         g = gcd(den, *(c for t in upper.values() for c in t.values()))
         self.dim, self.den = dim, den // g
         self.upper = {ij: {k: c // g for k, c in t.items()} for ij, t in upper.items() if t}
-        self.ints: dict[tuple[int, int], dict[int, int]] = {}
-        self.by_left: dict[int, dict[int, dict[int, int]]] = {}
+        self.by_left: list[dict[int, dict[int, int]]] = [{} for _ in range(dim)]
         for (i, j), terms in self.upper.items():
-            self.ints[(i, j)] = terms
-            self.ints[(j, i)] = negated = {k: -c for k, c in terms.items()}
-            self.by_left.setdefault(i, {})[j] = terms
-            self.by_left.setdefault(j, {})[i] = negated
+            self.by_left[i][j] = terms
+            self.by_left[j][i] = {k: -c for k, c in terms.items()}
 
     @property
     def terms(self) -> dict[tuple[int, int], dict[int, Fraction]]:
         """The rational constants {(i, j): {k: c}}, i < j, nonzero."""
         return {ij: {k: Fraction(c, self.den) for k, c in t.items()} for ij, t in self.upper.items()}
 
+    def _brackets(self, cols):
+        """(i, j, [A e_i, A e_j]_C) for the pairs i < j of the int columns
+        A e_i in `cols`, in lexicographic order, each a dense int list:
+        [x, y]_C = sum_(p, q) x_p y_q C_pq in the int constants C = e c,
+        summed over the nonzeros x_p of A e_i and the X_q that X_p meets
+        in `by_left` only.  The one bracket kernel of `bracket`, `in_basis`
+        and `violated_bracket`."""
+        n = self.dim
+        for i, col in enumerate(cols):
+            rows = [(x, self.by_left[p]) for p, x in enumerate(col) if x]
+            for j in range(i + 1, len(cols)):
+                y, out = cols[j], [0] * n
+                for x, row in rows:
+                    for q, terms in row.items():
+                        if y[q]:
+                            xy = x * y[q]
+                            for k, c in terms.items():
+                                out[k] += xy * c
+                yield i, j, out
+
     def bracket(self, x: QMat, y: QMat) -> QMat:
-        """[x, y], in ints: the int entries of x and y and the int
-        constants C = e c, over the product of the three denominators."""
+        """[x, y], in ints: the kernel on A = [x | y] (the int entries of x
+        and y), over the product of the three denominators."""
         if x.shape != (self.dim,) or y.shape != (self.dim,):
             raise ValueError("vector dimension mismatch")
-        (xs,), (ys,) = x.rows, y.rows
-        out = [0] * self.dim
-        for (i, j), terms in self.upper.items():
-            c = xs[i] * ys[j] - xs[j] * ys[i]
-            if c:
-                for k, v in terms.items():
-                    out[k] += c * v
+        ((_, _, out),) = self._brackets(x.rows + y.rows)
         return QMat((out,), x.den * y.den * self.den, (self.dim,))
 
     def in_basis(self, p: QMat, inverse: QMat | None = None) -> "LieAlgebra":
@@ -106,32 +120,24 @@ class LieAlgebra:
 
         Runs in ints: with A = d P, B = d' P^-1 (the rows of P and of its
         inverse) and the int constants C = e c, c'_ab = B [A e_a, A e_b]_C
-        / (d' e d^2), each bracket summed over the nonzeros of the two
-        columns only, and the int table goes to the new algebra as it is
-        (`_from_ints`).  `inverse` is P^-1 when the caller has it.
+        / (d' e d^2), the brackets from the kernel (`_brackets`), and the
+        int table goes to the new algebra as it is (`_from_ints`).
+        `inverse` is P^-1 when the caller has it.
         """
         n = self.dim
         if p.shape != (n, n):
             raise ValueError("basis matrix dimension mismatch")
         b = mx.inverse(p) if inverse is None else inverse
         b_cols = b.T.rows
-        den = b.den * self.den * p.den**2
-        cols = [{i: x for i, x in enumerate(col) if x} for col in p.T.rows]
         table = {}
-        for a in range(n):
-            for b in range(a + 1, n):
-                z: dict[int, int] = {}
-                for i, x in cols[a].items():
-                    for j, y in cols[b].items():
-                        for k, c in self.ints.get((i, j), _ZERO).items():
-                            z[k] = z.get(k, 0) + x * y * c
-                out = [0] * n
-                for k, c in z.items():
-                    if c:
-                        out = [o + c * v for o, v in zip(out, b_cols[k])]
-                if any(out):
-                    table[(a, b)] = {k: o for k, o in enumerate(out) if o}
-        return LieAlgebra._from_ints(n, table, den)
+        for i, j, z in self._brackets(p.T.rows):
+            out = [0] * n
+            for k, c in enumerate(z):
+                if c:
+                    out = [o + c * v for o, v in zip(out, b_cols[k])]
+            if any(out):
+                table[(i, j)] = {k: o for k, o in enumerate(out) if o}
+        return LieAlgebra._from_ints(n, table, b.den * self.den * p.den**2)
 
 
 def bracket(algebra: LieAlgebra, x, y) -> QMat:
@@ -162,7 +168,7 @@ def _series_descent(algebra: LieAlgebra) -> tuple[list[list[dict[int, int]]], bo
         for v in prev:
             brackets: dict[int, dict[int, int]] = {}  # a -> [v, X_a], times e
             for b, x in v.items():
-                for a, terms in algebra.by_left.get(b, _ZERO).items():
+                for a, terms in algebra.by_left[b].items():
                     w = brackets.setdefault(a, {})
                     for k, c in terms.items():
                         w[k] = w.get(k, 0) + x * c
@@ -202,13 +208,14 @@ def validate(algebra: LieAlgebra) -> Verdict:
     """
     n = algebra.dim
     sums: dict[tuple[int, int, int], dict[int, int]] = {}
-    for (a, b), terms in algebra.ints.items():
-        for l, x in terms.items():
-            for c, product in algebra.by_left.get(l, _ZERO).items():
-                if a < b < c or b < c < a or c < a < b:
-                    res = sums.setdefault(tuple(sorted((a, b, c))), {})
-                    for m, y in product.items():
-                        res[m] = res.get(m, 0) + x * y
+    for a, row in enumerate(algebra.by_left):
+        for b, terms in row.items():
+            for l, x in terms.items():
+                for c, product in algebra.by_left[l].items():
+                    if a < b < c or b < c < a or c < a < b:
+                        res = sums.setdefault(tuple(sorted((a, b, c))), {})
+                        for m, y in product.items():
+                            res[m] = res.get(m, 0) + x * y
     failing = [t for t, res in sums.items() if any(res.values())]
     if failing:
         i, j, k = triple = min(failing)
@@ -249,31 +256,37 @@ def validate(algebra: LieAlgebra) -> Verdict:
 SparseMap = tuple[dict[int, dict[int, int]], int]
 
 
-def derivations(algebra: LieAlgebra) -> list[SparseMap]:
-    """Canonical basis of Der, sparse: solutions of D[x,y] = [Dx,y] + [x,Dy].
+def _derivation_rows(algebra: LieAlgebra):
+    """The rows of D[X_i, X_j] = [D X_i, X_j] + [X_i, D X_j], one for each
+    pair i < j and component k, where unknown p n + i is the entry D[p, i]:
 
-    The system is posed on the int constants C = e c; each of its
-    equations is e times the rational one, so the kernel is the same.
-    Unknown p n + i is the entry D[p, i].
+        sum_p D[p, i] C_pj^k + sum_p D[p, j] C_ip^k - sum_q C_ij^q D[k, q],
+
+    posed on the int constants C = e c, e times the rational equation, so
+    the kernel is the same.  Each sum runs over the constants the pair
+    meets in `by_left` only (C_pj = -by_left[j][p]).  A row may be zero.
+    The one derivation system of `derivations` and `is_derivation`.
     """
     n = algebra.dim
-    ints = algebra.ints
-    rows: dict[frozenset, None] = {}  # the distinct nonzero rows, in order
-    for i in range(n):
+    for i, left in enumerate(algebra.by_left):
         for j in range(i + 1, n):
-            block: dict[int, dict[int, int]] = {}  # component k -> its equation
-            for p in range(n):
-                for k, c in ints.get((p, j), _ZERO).items():
-                    row = block.setdefault(k, {})
-                    row[p * n + i] = row.get(p * n + i, 0) + c
-                for k, c in ints.get((i, p), _ZERO).items():
-                    row = block.setdefault(k, {})
-                    row[p * n + j] = row.get(p * n + j, 0) + c
-            for q, c in ints.get((i, j), _ZERO).items():
+            block: dict[int, dict[int, int]] = {}  # component k -> its row
+            for met, a, sign in ((algebra.by_left[j], i, -1), (left, j, 1)):
+                for p, terms in met.items():
+                    for k, c in terms.items():
+                        row = block.setdefault(k, {})
+                        row[p * n + a] = row.get(p * n + a, 0) + sign * c
+            for q, c in left.get(j, _ZERO).items():
                 for k in range(n):
                     row = block.setdefault(k, {})
                     row[k * n + q] = row.get(k * n + q, 0) - c
-            rows.update(dict.fromkeys(frozenset((v, c) for v, c in row.items() if c) for row in block.values()))
+            yield from block.values()
+
+
+def derivations(algebra: LieAlgebra) -> list[SparseMap]:
+    """Canonical basis of Der, sparse: the kernel of `_derivation_rows`."""
+    n = algebra.dim
+    rows = dict.fromkeys(frozenset((v, c) for v, c in row.items() if c) for row in _derivation_rows(algebra))
     rows.pop(frozenset(), None)
     out = []
     for vec, den in mx.sparse_kernel(map(dict, rows), n * n):
@@ -294,43 +307,7 @@ def _image(cols: dict[int, dict[int, int]], v: dict[int, int]) -> dict[int, int]
 
 
 def is_automorphism(algebra: LieAlgebra, m: QMat) -> bool:
-    n = algebra.dim
-    if m.shape != (n, n):
-        raise ValueError("matrix dimension mismatch")
-    if mx.det(m) == 0:
-        return False
-    return violated_bracket(algebra, m) is None
-
-
-def _first_mismatch(algebra: LieAlgebra, lhs, products) -> tuple[int, int] | None:
-    """First basis pair i < j (1-indexed, lexicographic) where
-
-        lhs C_ij != sum_(X, Y) [X e_i, Y e_j]_C,
-
-    for the int rows lhs and the pairs (X, Y) of int rows in `products`,
-    with [x, y]_C = sum_(p, q) x_p y_q C_pq in the int constants C = e c
-    (C_qp = -C_pq, so `by_left` holds both orientations): summed over the
-    nonzeros of X e_i and the brackets they meet only.  None if every
-    pair agrees.
-    """
-    n = algebra.dim
-    lhs_cols = list(zip(*lhs))
-    sides = [([{p: v for p, v in enumerate(col) if v} for col in zip(*x)], list(zip(*y))) for x, y in products]
-    for i in range(n):
-        for j in range(i + 1, n):
-            diff = [0] * n
-            for k, c in algebra.ints.get((i, j), _ZERO).items():
-                diff = [d + c * v for d, v in zip(diff, lhs_cols[k])]
-            for x_cols, y_cols in sides:
-                y = y_cols[j]
-                for p, x in x_cols[i].items():
-                    for q, terms in algebra.by_left.get(p, _ZERO).items():
-                        if y[q]:
-                            for k, c in terms.items():
-                                diff[k] -= x * y[q] * c
-            if any(diff):
-                return i + 1, j + 1
-    return None
+    return violated_bracket(algebra, m) is None and mx.det(m) != 0
 
 
 def violated_bracket(algebra: LieAlgebra, m: QMat) -> tuple[int, int] | None:
@@ -341,26 +318,30 @@ def violated_bracket(algebra: LieAlgebra, m: QMat) -> tuple[int, int] | None:
 
         d A C_ij == [A e_i, A e_j]_C
 
-    is M[X_i, X_j] = [M X_i, M X_j] times d^2 e, so no Fraction is built.
+    is M[X_i, X_j] = [M X_i, M X_j] times d^2 e, so no Fraction is built;
+    the right side is the bracket kernel's (`_brackets`).
     """
-    if m.shape != (algebra.dim, algebra.dim):
+    n = algebra.dim
+    if m.shape != (n, n):
         raise ValueError("matrix dimension mismatch")
-    a = m.rows
-    return _first_mismatch(algebra, [[m.den * x for x in row] for row in a], [(a, a)])
+    cols = m.T.rows
+    for i, j, z in algebra._brackets(cols):
+        lhs = [0] * n
+        for k, c in algebra.upper.get((i, j), _ZERO).items():
+            lhs = [o + m.den * c * v for o, v in zip(lhs, cols[k])]
+        if lhs != z:
+            return i + 1, j + 1
+    return None
 
 
 def is_derivation(algebra: LieAlgebra, d: QMat) -> bool:
-    """D[x,y] = [Dx,y] + [x,Dy] on every basis pair, decided in ints: with
-    A = s D (the rows of D) and the int constants C = e c,
-
-        A C_ij == [A e_i, e_j]_C + [e_i, A e_j]_C
-
-    is D[X_i, X_j] = [D X_i, X_j] + [X_i, D X_j] times s e.
-    """
+    """D[x,y] = [Dx,y] + [x,Dy] on every basis pair: every row of
+    `_derivation_rows` vanishes on s D, the int entries of D, read in
+    row-major order as the unknowns p n + i."""
     if d.shape != (algebra.dim, algebra.dim):
         raise ValueError("matrix dimension mismatch")
-    one = mx.identity(algebra.dim).rows
-    return _first_mismatch(algebra, d.rows, [(d.rows, one), (one, d.rows)]) is None
+    flat = [x for row in d.rows for x in row]
+    return not any(sum(c * flat[v] for v, c in row.items()) for row in _derivation_rows(algebra))
 
 
 # -- characteristic nilpotency ---------------------------------------------

@@ -24,7 +24,7 @@ The grading witnesses are kept as they were before they read the
 grading's one cleared inverse: phi_p as Fraction products with a
 Fraction inverse, and the preservation test that compares the column
 spaces of psi S and S by rank, component by component.  So is the int
-Jacobi check on `LieAlgebra.ints` that visits all C(n, 3) basis
+Jacobi check on `LieAlgebra.by_left` that visits all C(n, 3) basis
 triples, with the lower central series that brackets every row with
 every basis element.
 The Fraction loop that `latpow`'s integer orbit scan replaced is kept the
@@ -725,7 +725,7 @@ def series_all_pairs(algebra):
             for v in prev:  # [X_a, v], times e
                 w = {}
                 for b, x in v.items():
-                    for k, c in algebra.ints.get((a, b), {}).items():
+                    for k, c in algebra.by_left[a].get(b, {}).items():
                         w[k] = w.get(k, 0) + x * c
                 if w:
                     spans.append(w)
@@ -742,7 +742,7 @@ def validate_all_triples(algebra) -> Verdict:
     """`liealg.validate` as the int Jacobi loop over every basis triple
     i < j < k in order, then `series_all_pairs`."""
     n = algebra.dim
-    ints = algebra.ints
+    ints = {(a, b): terms for a, row in enumerate(algebra.by_left) for b, terms in row.items()}
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):

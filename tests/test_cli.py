@@ -528,6 +528,32 @@ def test_malformed_algebra_message(tmp_path, capsys, case):
     assert main(["check", str(f)]) == 2
     assert capsys.readouterr().err == f"error: {f}: malformed input: {message}\n"
 
+
+EYE2 = [["1", "0"], ["0", "1"]]
+MALFORMED_SECOND_INPUTS = {
+    "norm matrix": ("norm", [["x", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], "malformed input: cannot parse rational 'x'"),
+    "norm matrix shape": ("norm", EYE2, "matrix dimension does not match the algebra"),
+    "latpow A": ("latpow", {"A": [["x"]], "lattice": [["1"]]}, "malformed input: cannot parse rational 'x'"),
+    "latpow lattice": ("latpow", {"A": EYE2, "lattice": [["1", "0"]]}, "lattice: square matrix required, got shape (1, 2)"),
+    "latpow lattice entry": ("latpow", {"A": EYE2, "lattice": [["1", "y"], ["0", "1"]]}, "lattice: malformed input: cannot parse rational 'y'"),
+    "latpow v": ("latpow", {"A": EYE2, "v": ["1", "1/0"]}, "malformed input: cannot parse rational '1/0'"),
+    "latpow no lattice": ("latpow", {"A": EYE2}, 'latpow input needs "lattice" (or "v" for orbit mode)'),
+    "latpow not an object": ("latpow", [EYE2], 'latpow input must be a JSON object with key "A"'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SECOND_INPUTS))
+def test_malformed_norm_and_latpow_inputs_name_their_file(tmp_path, capsys, case):
+    # norm reads two inputs, so its error names the one at fault
+    command, data, message = MALFORMED_SECOND_INPUTS[case]
+    f = tmp_path / "in.json"
+    f.write_text(json.dumps(data))
+    argv = ["norm", "heisenberg3", str(f)] if command == "norm" else ["latpow", str(f)]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {f}: {message}\n"
+
+
 class TestDirectoryPath:
     """An input path that names a directory is an input error (exit 2)."""
 

@@ -88,4 +88,4 @@ def test_algebra_from_dict_builds_the_constructors_table(data):
     got, want = algebra_from_dict(data), dense_algebra(data)
     assert got.dim == want.dim
     assert list(got.terms.items()) == list(want.terms.items())
-    assert (got.ints, got.den, got.by_left) == (want.ints, want.den, want.by_left)
+    assert (got.upper, got.den, got.by_left) == (want.upper, want.den, want.by_left)

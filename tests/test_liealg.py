@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nilgrade import liealg, matrices as mx
-from nilgrade.fixtures import ALL_FIXTURES, load_algebra, load_map
+from nilgrade.fixtures import ALL_FIXTURES, FIXTURE_MAPS, HOLONOMY_FIXTURES, load_algebra, load_holonomy, load_map
 from nilgrade.grading import Grading, find_weights, verify_grading
 from nilgrade.liealg import (
     LieAlgebra,
@@ -389,7 +389,7 @@ def test_in_basis_table_matches_the_constructor(name):
         p = mx.matmul(unimodular(a.dim, ops), oracles.diag(scales))
         got, want = a.in_basis(p), change_basis(a, p)
         assert list(got.terms.items()) == list(want.terms.items())
-        assert (got.ints, got.den) == (want.ints, want.den)
+        assert (got.upper, got.den) == (want.upper, want.den)
 
 
 def aligned_gradings(algebra):
@@ -428,6 +428,59 @@ def test_unimodular_change_of_basis_preserves_invariants(name, ops):
     for g in aligned_gradings(a):
         moved = Grading(tuple((w, p_inv @ s) for w, s in g.components))
         assert verify_grading(rebased, moved).condition == verify_grading(a, g).condition
+
+
+def rational_basis(n, rng, steps):
+    """Column operations P[:, i] += (a/b) P[:, j] on I, a in {±1, ±2} and
+    b in {1, 2, 3}: det P = 1, and P is outside GL_n(Z) once an entry is
+    not an integer."""
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        c = Fraction(rng.choice([1, -1, 2, -2]), rng.choice([1, 2, 3]))
+        for row in p:
+            row[i] += c * row[j]
+    return mx.rmat(p)
+
+
+def bundled_maps(name, algebra):
+    """The bundled maps and holonomy generators of the fixture, the inner
+    automorphism exp(ad X_1), and diag(2^w) for a positive grading w when
+    there is one."""
+    n = algebra.dim
+    maps = [load_map(name, m) for m in FIXTURE_MAPS.get(name, ())]
+    maps += [g for h in HOLONOMY_FIXTURES if h.startswith(f"{name}_") for g in load_holonomy(h).generators]
+    basis = [mx.rvec([int(k == j) for k in range(n)]) for j in range(n)]
+    ad = mx.rmat(list(zip(*(algebra.bracket(basis[0], x) for x in basis))))
+    term = exp = mx.identity(n)
+    for k in range(1, n):
+        term = mx.matmul(term, ad) * Fraction(1, k)
+        exp = exp + term
+    w = find_weights(algebra, positive=True)
+    return maps + [exp] + ([oracles.diag([2**x for x in w])] if w else [])
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+def test_rational_change_of_basis_preserves_invariants(name):
+    # the unimodular test above keeps the constants integral; here P has
+    # denominators, so the rebased constants (and the maps P^-1 M P) do too
+    a = load_algebra(name)
+    rng = random.Random(f"rational basis {name}")
+    ders, maps = oracles.derivation_matrices(a), bundled_maps(name, a)
+    autos = [violated_bracket(a, m) is None for m in maps]
+    assert any(autos)
+    for _ in range(2):
+        p = rational_basis(a.dim, rng, 2 * a.dim)
+        assert p.den > 1 and mx.det(p) == 1
+        p_inv = mx.inverse(p)
+        b = a.in_basis(p)
+        assert validate(b).to_json() == validate(a).to_json()
+        assert len(derivations(b)) == len(ders)
+        assert is_characteristically_nilpotent(b).decision == is_characteristically_nilpotent(a).decision
+        assert all(is_derivation(b, p_inv @ d @ p) for d in ders)
+        assert [violated_bracket(b, p_inv @ m @ p) is None for m in maps] == autos
+        back = b.in_basis(p_inv)
+        assert (back.upper, back.den) == (a.upper, a.den)
 
 
 class TestAbelianization:
@@ -668,6 +721,42 @@ def test_validate_matches_all_triples_on_files_and_rebases():
 @given(a=sparse_tables())
 def test_validate_matches_all_triples_on_random_tables(a):
     assert_validates_like_all_triples(a)
+
+
+class TestKernelsOnRandomTables:
+    """The bracket kernel and the derivation rows against the dense
+    Fraction loops, on tables that mostly break Jacobi."""
+
+    ENTRY = st.sampled_from([0, 0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
+
+    def matrix(self, data, n):
+        return mx.rmat(data.draw(st.lists(st.lists(self.ENTRY, min_size=n, max_size=n), min_size=n, max_size=n)))
+
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+    @given(a=sparse_tables(), data=st.data())
+    def test_bracket(self, a, data):
+        x, y = (mx.rvec(data.draw(st.lists(self.ENTRY, min_size=a.dim, max_size=a.dim))) for _ in range(2))
+        assert list(a.bracket(x, y)) == list(oracles.bracket_dense(a, x, y))
+
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+    @given(a=sparse_tables(), data=st.data())
+    def test_map_checks(self, a, data):
+        # I + E and a combination of the derivation basis plus E, for a
+        # sparse E that is zero as often as not
+        n = a.dim
+        e = self.matrix(data, n) if data.draw(st.booleans()) else mx.zeros(n, n)
+        m = mx.identity(n) + e
+        assert violated_bracket(a, m) == oracles.violated_bracket_dense(a, m)
+        ders = oracles.derivation_matrices(a)
+        coeffs = data.draw(st.lists(self.ENTRY, min_size=len(ders), max_size=len(ders)))
+        d = sum((c * x for c, x in zip(coeffs, ders)), e)
+        assert is_derivation(a, d) == oracles.is_derivation_dense(a, d)
+
+    @settings(max_examples=100, suppress_health_check=[HealthCheck.too_slow])
+    @given(a=sparse_tables())
+    def test_derivations(self, a):
+        got, want = oracles.derivation_matrices(a), oracles.derivations_dense(a)
+        assert len(got) == len(want) and all(oracles.mat_eq(g, w) for g, w in zip(got, want))
 
 
 class TestSparseMapChecks:

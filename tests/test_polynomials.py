@@ -251,7 +251,7 @@ class TestIntForm:
         assert oracles.mat_eq(value, oracles.eval_poly_fraction(p, m))
         assert kills == (True, False)
         assert inside == (True, False)  # the roots of p are +-(2/15)^(1/2)
-        assert (algebra.ints[(0, 1)], algebra.den) == ({2: 1}, 2)
+        assert (algebra.upper[(0, 1)], algebra.den) == ({2: 1}, 2)
         want = change_basis(algebra, basis)
         assert (rebased.upper, rebased.den) == (want.upper, want.den)
         assert eqs == weight_equations(want) and eqs

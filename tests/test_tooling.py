@@ -2,7 +2,8 @@
 `src/nilgrade` is relative or of a standard module, and `pyproject.toml`
 declares no runtime dependency (numpy is a test and bench extra).  And
 the library carries no dead code: every top-level function and class is
-named somewhere besides its own definition."""
+named somewhere besides its own definition.  Every module parses at the
+Python floor that `pyproject.toml` declares."""
 
 import ast
 import re
@@ -34,6 +35,20 @@ def test_sources_found():
 def test_imports_are_relative_or_standard(path):
     foreign = [(line, name) for line, name in imported_modules(path) if name not in sys.stdlib_module_names]
     assert foreign == [], f"{path.name} imports outside the standard library"
+
+
+def declared_floor() -> tuple[int, int]:
+    """The least Python version that `pyproject.toml` declares."""
+    found = re.search(r'^requires-python\s*=\s*">=(\d+)\.(\d+)"', (ROOT / "pyproject.toml").read_text(), re.M)
+    return int(found[1]), int(found[2])
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_parses_at_the_declared_python_floor(path):
+    # the grammar of the floor release: a newer construct (except*, a type
+    # parameter list) fails here even when the running Python accepts it
+    assert declared_floor() == (3, 10)
+    ast.parse(path.read_text(), str(path), feature_version=declared_floor())
 
 
 def test_no_runtime_dependency():

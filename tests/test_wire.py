@@ -188,7 +188,7 @@ def algebra_files(draw, entries):
 
 
 def _table(algebra):
-    return algebra if isinstance(algebra, str) else (algebra.dim, algebra.terms, algebra.ints, algebra.den)
+    return algebra if isinstance(algebra, str) else (algebra.dim, algebra.terms, algebra.by_left, algebra.den)
 
 
 @settings(max_examples=400)
@@ -212,7 +212,7 @@ def test_plain_entries_build_no_fraction(monkeypatch):
     grading = grading_from_dict({"components": [{"weight": 1, "basis": [["1", "0"]]}, {"weight": 2, "basis": [["0", "1/2"]]}]})
     assert grading.components == ((1, rmat([[1], [0]])), (2, rmat([[0], [Fraction(1, 2)]])))
     algebra = algebra_from_dict({"dim": 3, "brackets": [{"i": 1, "j": 2, "terms": [{"k": 3, "c": "2/4"}, {"k": 3, "c": 1}]}]})
-    assert (algebra.ints[(0, 1)], algebra.den) == ({2: 3}, 2)
+    assert (algebra.upper[(0, 1)], algebra.den) == ({2: 3}, 2)
     with pytest.raises(AssertionError, match="built"):  # the guard sees a Fraction read
         vector_from_list(["0.5"])
     monkeypatch.undo()
